@@ -320,6 +320,8 @@ def cmd_dynamics(args, argv: list[str]) -> int:
 def cmd_verify(args, argv: list[str]) -> int:
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
     mdp = None
     inputs: dict[str, str] = {}
     if args.mdp is not None:

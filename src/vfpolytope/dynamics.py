@@ -393,10 +393,6 @@ def run_npg(
 # ---------------------------------------------------------------------------
 
 
-def _uniform_start_score(mdp: Mdp, values: np.ndarray) -> np.ndarray:
-    return values.mean(axis=1)
-
-
 def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(cov)
     return u * np.sqrt(np.clip(w, 0.0, None))
@@ -408,9 +404,11 @@ def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
     Each iteration samples `population` parameter vectors, scores them by the
     uniform-start value of their softmax policy, refits mean and full
     maximum-likelihood covariance on the top `elites`, then adds
-    noise_scale * I to the covariance. Per-member rng streams are derived
-    from (seed, iteration, member), so results do not depend on how the
-    population is batched.
+    noise_scale * I to the covariance. Iteration k draws its whole
+    (population, dim) block of standard normals from one stream, keyed by
+    the seed with spawn_key (k,); row j is member j's noise, so the first
+    p members of a larger population see the same noise as a population
+    of p, and results do not depend on how the population is batched.
     """
     theta0 = _check_logits(mdp, init_mean)
     dim = mdp.n_states * mdp.n_actions
@@ -433,17 +431,15 @@ def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
     ]
     for k in range(1, config.iterations + 1):
         root = _cov_sqrt(cov)
-        z = np.stack(
-            [
-                np.random.default_rng((config.seed, k, j)).standard_normal(dim)
-                for j in range(config.population)
-            ]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(k,))
         )
+        z = rng.standard_normal((config.population, dim))
         samples = mean[None, :] + z @ root.T
         logits = samples.reshape(config.population, *shape)
         policies = np.exp(logits - logits.max(axis=2, keepdims=True))
         policies /= policies.sum(axis=2, keepdims=True)
-        scores = _uniform_start_score(mdp, value_function_batch(mdp, policies))
+        scores = value_function_batch(mdp, policies).mean(axis=1)
         elite_idx = np.argsort(-scores, kind="stable")[: config.elites]
         elites = samples[elite_idx]
         new_mean = elites.mean(axis=0)

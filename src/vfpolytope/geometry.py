@@ -25,6 +25,7 @@ from .evaluation import induce, value_function, value_function_batch
 from .mdp import ENUMERATION_CAP, Mdp, Policy, deterministic_policies
 
 INCOMPARABLE_TOL = 1e-8
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,17 +240,24 @@ def _seed_key(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _policy_rng(seed, index: int) -> np.random.Generator:
-    # Per-index streams keep sampling independent of any batching/worker split.
-    return np.random.default_rng(_seed_key(seed) + (int(index),))
-
-
 def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
-    """(n, |S|, |A|) stack of flat-Dirichlet policies, one rng stream per index."""
-    ones = np.ones(mdp.n_actions)
+    """(n, |S|, |A|) stack of flat-Dirichlet policies, one rng stream per block.
+
+    Sample index i belongs to block i // SAMPLE_BLOCK, whose stream is keyed
+    by the seed with spawn_key (block,). Each block draws its exponential
+    variates in one C-order call and normalizes them over actions, which is
+    a flat Dirichlet. The first m of n samples therefore equal an m-sample
+    run, so results do not depend on how a sample is split into batches.
+    The spawn key keeps every block stream distinct from a generator seeded
+    with the caller's key itself, such as random_policy(mdp, seed).
+    """
+    key = _seed_key(seed)
     out = np.empty((n, mdp.n_states, mdp.n_actions))
-    for i in range(n):
-        out[i] = _policy_rng(seed, i).dirichlet(ones, size=mdp.n_states)
+    for block, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(block,)))
+        draws = out[start : start + SAMPLE_BLOCK]
+        rng.standard_exponential(out=draws)
+        draws /= draws.sum(axis=2, keepdims=True)
     return out
 
 

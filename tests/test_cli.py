@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,19 @@ class TestVerifyCommand:
              "--report", str(tmp_path / "r.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exits_2_without_traceback(self, trials, tmp_path):
+        report = tmp_path / "r.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vfpolytope.cli", "verify", "--suite", "all",
+             "--trials", trials, "--report", str(report)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --trials must be at least 1\n"
+        assert not report.exists()
 
     def test_all_suites_exit_0(self, tmp_path):
         report = tmp_path / "rep.json"

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from vfpolytope import dynamics
 from vfpolytope.dynamics import (
     CemConfig,
     InitSpec,
@@ -20,7 +21,7 @@ from vfpolytope.dynamics import (
     softmax_policy,
 )
 from vfpolytope.errors import MissingPolicy, NonFiniteLogits
-from vfpolytope.evaluation import optimal_value, value_function
+from vfpolytope.evaluation import optimal_value, value_function, value_function_batch
 from vfpolytope.geometry import hull_2d, points_in_hull, polytope_vertices_det
 from vfpolytope.mdp import (
     Mdp,
@@ -402,6 +403,31 @@ class TestCem:
         b = run_cem(DYN2, np.log(init.probs), config)
         assert np.array_equal(a.points, b.points)
         assert a.meta == b.meta
+        other = CemConfig(noise_scale=0.05, iterations=15, seed=12)
+        c = run_cem(DYN2, np.log(init.probs), other)
+        assert not np.array_equal(a.points[1:], c.points[1:])
+
+    def test_population_prefix_shares_noise(self, monkeypatch):
+        # Member j's noise is row j of its iteration's block, whatever the
+        # population size, so a population of 2p extends one of p.
+        def first_population(population: int) -> np.ndarray:
+            seen = []
+
+            def record(mdp, policies):
+                seen.append(np.array(policies))
+                return value_function_batch(mdp, policies)
+
+            monkeypatch.setattr(dynamics, "value_function_batch", record)
+            config = CemConfig(population=population, elites=4, iterations=1, seed=5)
+            run_cem(DYN2, np.zeros((2, 2)), config)
+            monkeypatch.undo()
+            return seen[0]
+
+        p = 37
+        small = first_population(p)
+        large = first_population(2 * p)
+        assert small.shape == (p, 2, 2) and large.shape == (2 * p, 2, 2)
+        np.testing.assert_array_equal(large[:p], small)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from vfpolytope.errors import (
 )
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
+    SAMPLE_BLOCK,
     AgreementSet,
     affine_slice,
     boundary_semidet_sample,
@@ -21,6 +22,7 @@ from vfpolytope.geometry import (
     point_in_hull,
     points_in_hull,
     polytope_vertices_det,
+    sample_policy_probs,
     sample_values,
     segment_distances,
     slice_rank,
@@ -207,6 +209,56 @@ class TestSampleValues:
         values = sample_values(m, 50_000, 7)
         hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(m)]))
         assert points_in_hull(values, hull, tol=1e-9).all()
+
+
+class TestSamplePolicyProbs:
+    N = 2 * SAMPLE_BLOCK + 17
+
+    @pytest.mark.parametrize("m", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, N])
+    def test_prefix_equals_shorter_run(self, m):
+        mdp = builtin_fixture("threeaction")
+        full = sample_policy_probs(mdp, self.N, 4)
+        np.testing.assert_array_equal(full[:m], sample_policy_probs(mdp, m, 4))
+
+    def test_rows_on_simplex(self):
+        probs = sample_policy_probs(builtin_fixture("fig2c"), self.N, (2, 9))
+        assert probs.shape == (self.N, 2, 3)
+        assert np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+    def test_action_marginals_are_flat(self):
+        mdp = builtin_fixture("fig2c")
+        probs = sample_policy_probs(mdp, self.N, 13)
+        a = mdp.n_actions
+        # Each coordinate of a flat Dirichlet is Beta(1, |A|-1).
+        stderr = np.sqrt((a - 1) / (a * a * (a + 1)) / self.N)
+        assert np.max(np.abs(probs.mean(axis=0) - 1.0 / a)) < 5 * stderr
+
+    def test_matches_per_block_dirichlet_reference(self):
+        mdp = builtin_fixture("threeaction")
+        n = SAMPLE_BLOCK + 300
+        reference = np.concatenate(
+            [
+                np.random.default_rng(
+                    np.random.SeedSequence((3, 4), spawn_key=(block,))
+                ).dirichlet(
+                    np.ones(mdp.n_actions),
+                    size=(min(SAMPLE_BLOCK, n - start), mdp.n_states),
+                )
+                for block, start in enumerate(range(0, n, SAMPLE_BLOCK))
+            ]
+        )
+        np.testing.assert_allclose(
+            sample_policy_probs(mdp, n, (3, 4)), reference, rtol=0, atol=4e-16
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_first_sample_is_not_the_seed_policy(self, seed):
+        # A stream keyed by the bare seed would reproduce random_policy(seed),
+        # making sample 0 of `vfp sample --fix` the agreement's base policy.
+        mdp = builtin_fixture("dyn2")
+        first = sample_policy_probs(mdp, 1, seed)[0]
+        assert np.max(np.abs(first - random_policy(mdp, seed).probs)) > 1e-6
 
 
 class TestHull2d:
