@@ -1,0 +1,127 @@
+"""Byte-identity guard over a fixed set of `vfp` invocations.
+
+Each case runs the CLI in-process and compares the SHA-256 of every primary
+output (CSV, SVG, verification report) with a pinned digest. A refactor that
+must not move any output passes this file unchanged; a change that moves
+outputs on purpose updates the digests and declares the change in
+CHANGES.md. Manifests are not pinned because they embed the output paths.
+"""
+import hashlib
+
+import pytest
+
+from vfpolytope.cli import main
+from vfpolytope.mdp import dump_mdp, random_mdp
+
+ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
+
+# name -> argv; {d} is the output directory, {mdp3} a 3-state MDP document.
+CASES = {
+    "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
+    "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
+    "line-dyn2": "line --mdp dyn2 --state 0 --seed 3 --grid 21 --out {d}/out.csv",
+    "line-mdp3": "line --mdp {mdp3} --state 2 --seed 5 --grid 11 --out {d}/out.csv",
+    **{
+        f"dynamics-dyn2-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init interior --seed 1 --out {{d}}/out.csv"
+        for algo in ALGOS
+    },
+    **{
+        f"dynamics-mdp3-{algo}": f"dynamics --mdp {{mdp3}} --algo {algo} --init vertex --iters 60 --seed 2 --out {{d}}/out.csv"
+        for algo in ALGOS
+    },
+    "dynamics-dyn2-svg": "dynamics --mdp dyn2 --algo npg --init boundary --iters 50 --seed 4 --out {d}/out.csv --svg {d}/out.svg",
+    "verify-random": "verify --suite all --trials 2 --seed 1 --report {d}/out.json",
+    "verify-dyn2": "verify --suite all --trials 2 --seed 1 --mdp dyn2 --report {d}/out.json",
+}
+
+# name -> (exit code, {output file: sha256}), recorded on 0.2.0.
+GOLDEN = {
+    "dynamics-dyn2-cem": (0, {
+        "out.csv": "3238349a063840f834695e838d9d0a3b04c9422200d3ac999cca1e026a403794",
+    }),
+    "dynamics-dyn2-cemcn": (0, {
+        "out.csv": "d609dcb4e458b948cc745daf9df2c87b534565286e36ae835ca7b2d006802ca6",
+    }),
+    "dynamics-dyn2-entpg": (0, {
+        "out.csv": "4599208807bc3c817a47962d7f179c55c7de2ab6278cd4bf565d3498bce5b416",
+    }),
+    "dynamics-dyn2-npg": (0, {
+        "out.csv": "00b20ad4d17aa403c0b9915b5f973f8b1a44ed4f68e4500b5f4ea73b259ecbc3",
+    }),
+    "dynamics-dyn2-pg": (0, {
+        "out.csv": "1a113319d029e120ec6906732c824fe2e2e5985321dd8b658cf494bc0d87d64b",
+    }),
+    "dynamics-dyn2-pi": (0, {
+        "out.csv": "85f99dc1c35392de7286d9cd4773758b246a6002aef41667eeecf94a08df7187",
+    }),
+    "dynamics-dyn2-svg": (0, {
+        "out.csv": "daff4051eddfccd7e078e4cfdcc52f91c2f71121ca0e5db9950d092202b5594c",
+        "out.svg": "41cc2430b884687996db94cc7885733df5a1e5b8ecad54e6c0e85c1d09ac3c1e",
+    }),
+    "dynamics-dyn2-vi": (0, {
+        "out.csv": "c7e951f937fe8b868debb182361ceaa7ab99cd6b1638712d1f636ddbffd98ff5",
+    }),
+    "dynamics-mdp3-cem": (0, {
+        "out.csv": "2c12739d53ebc07c2e2213cee5e9bd15d710ba312e756b50f06d97d0499c8a5b",
+    }),
+    "dynamics-mdp3-cemcn": (0, {
+        "out.csv": "6c0c1b875935770299b3986d3179f806fd82886a5283a18d4c7acc43359fbdc9",
+    }),
+    "dynamics-mdp3-entpg": (0, {
+        "out.csv": "4b007c2b8de9dc9a49c89f712a30a9fdb72d6acd5b53ba81d4d68fd0faffd3e4",
+    }),
+    "dynamics-mdp3-npg": (0, {
+        "out.csv": "8143c3a43da17f55325d172f79376b8853e79bae02947e226b4b7befb5844de2",
+    }),
+    "dynamics-mdp3-pg": (0, {
+        "out.csv": "03332120f4ee01ca1650c1f8f3ca75eb51b0a38cbfd2f010d1994a08db5ba59f",
+    }),
+    "dynamics-mdp3-pi": (0, {
+        "out.csv": "bf103209ee98ec736742978f587d9edac15bb920eb980a2af1fa8aa64d238a3f",
+    }),
+    "dynamics-mdp3-vi": (0, {
+        "out.csv": "86bca34c39af73dc30392ba29631dc9746f73c980e49a47bf6e933cd33a01895",
+    }),
+    "line-dyn2": (0, {
+        "out.csv": "3e30fed57a7f1082ac46aa1232fa1df6109a52525cd470c674f9f47d1c58b0bb",
+    }),
+    "line-mdp3": (0, {
+        "out.csv": "2b13975fb56614977a9b6a73c4c52405c54a5312c054c0792d92640457edab83",
+    }),
+    "sample-dyn2": (0, {
+        "out.csv": "62c36a5bee2e1eb75bf5ff001a9b06031eb6683846117bea32af783d8ea66346",
+        "out.svg": "069680d6485f95fe8353d285ea5cc0b91ff606b85f5514cf6cde748d2fe076f2",
+    }),
+    "sample-mdp3-fix": (0, {
+        "out.csv": "ed8ef212be2bb212558cd42185a0577c333c1138dcf8744baf39b01eaf235890",
+    }),
+    "verify-dyn2": (0, {
+        "out.json": "ae5acfa54b5fe3a1cc6e0e45150af7c8d56b19606cd289187851d6cf210d6eb4",
+    }),
+    "verify-random": (0, {
+        "out.json": "07ff9e2c5f5d0f01c4eb19894f170eafc6004ee06129a4b6bace8fd16868cf76",
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def mdp3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "mdp3.json"
+    path.write_text(dump_mdp(random_mdp(3, 2, 0.9, 0)) + "\n")
+    return path
+
+
+def run_case(name: str, outdir, mdp3) -> tuple[int, dict[str, str]]:
+    argv = CASES[name].format(d=outdir, mdp3=mdp3).split()
+    code = main(argv)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(outdir.iterdir())
+        if not path.name.endswith(".manifest.json")
+    }
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_pinned_digests(name, tmp_path, mdp3):
+    assert run_case(name, tmp_path, mdp3) == GOLDEN[name]
