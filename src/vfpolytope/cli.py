@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -47,7 +46,7 @@ from .mdp import (
     random_policy,
 )
 from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
-from .verification import SUITE_NAMES, run_all_suites, run_suite
+from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -62,17 +61,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _thread_cap() -> int:
-    """VFP_THREADS caps internal parallelism; this build runs sequentially."""
-    raw = os.environ.get("VFP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_mdp(spec: str) -> tuple[Mdp, dict[str, str]]:
@@ -244,7 +232,7 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     eta = args.eta if args.eta is not None else 0.05
     if args.algo in ("pg", "entpg", "npg") and eta <= 0:
         raise CliError("--eta must be positive")
-    start_policy = resolve_init(mdp, init_spec, args.seed)
+    start_policy = resolve_init(mdp, init_spec)
     if args.algo == "vi":
         trajectory = run_value_iteration(
             mdp, value_function(mdp, start_policy), iters
@@ -252,16 +240,14 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     elif args.algo == "pi":
         trajectory = run_policy_iteration(mdp, value_function(mdp, start_policy))
     elif args.algo == "pg":
-        trajectory = run_policy_gradient(
-            mdp, start_policy, eta, iters, entropy_coeff=0.0, seed=args.seed
-        )
+        trajectory = run_policy_gradient(mdp, start_policy, eta, iters)
     elif args.algo == "entpg":
         coeff = args.entropy_coeff if args.entropy_coeff is not None else 0.1
         trajectory = run_policy_gradient(
-            mdp, start_policy, eta, iters, entropy_coeff=coeff, seed=args.seed
+            mdp, start_policy, eta, iters, entropy_coeff=coeff
         )
     elif args.algo == "npg":
-        trajectory = run_npg(mdp, start_policy, eta, iters, seed=args.seed)
+        trajectory = run_npg(mdp, start_policy, eta, iters)
     else:
         noise = 0.0 if args.algo == "cem" else 0.05
         config = CemConfig(
@@ -326,10 +312,20 @@ def cmd_verify(args, argv: list[str]) -> int:
     inputs: dict[str, str] = {}
     if args.mdp is not None:
         mdp, inputs = _resolve_mdp(args.mdp)
-    if args.suite == "all":
-        reports = run_all_suites(trials=args.trials, seed=args.seed, mdp=mdp)
-    else:
-        reports = [run_suite(args.suite, trials=args.trials, seed=args.seed, mdp=mdp)]
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    skipped = []
+    if mdp is not None and mdp.n_states != 2:
+        skipped = [name for name in names if name in PLANAR_SUITES]
+    if skipped and args.suite != "all":
+        raise CliError(
+            f"suite {args.suite!r} needs a 2-state MDP, got |S|={mdp.n_states}",
+            CAPABILITY_ERROR,
+        )
+    reports = [
+        run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp)
+        for name in names
+        if name not in skipped
+    ]
     payload = {
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
@@ -346,6 +342,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         [out],
         __version__,
     )
+    for name in skipped:
+        print(f"skip {name}: needs a 2-state MDP, got |S|={mdp.n_states}")
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(
@@ -429,13 +427,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _thread_cap()  # parsed for interface stability; execution is sequential
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError("--seed must be non-negative")
         return _HANDLERS[args.command](args, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

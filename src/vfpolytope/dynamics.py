@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import MissingPolicy, NonFiniteLogits, ShapeMismatch
 from .evaluation import (
+    _collapse,
     optimal_value,
     optimality_bellman_apply,
     q_values,
@@ -97,15 +98,13 @@ def softmax_policy(theta: np.ndarray) -> Policy:
         raise ShapeMismatch("logits must be a 2-D matrix")
     if not np.all(np.isfinite(theta)):
         raise NonFiniteLogits("logits contain NaN or infinity")
-    z = theta - theta.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return Policy(e / e.sum(axis=1, keepdims=True))
+    return Policy(_softmax_probs(theta))
 
 
 def _softmax_probs(theta: np.ndarray) -> np.ndarray:
-    z = theta - theta.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, stabilized by max subtraction."""
+    e = np.exp(theta - theta.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _smoothed_one_hot(n_actions: int, action: int, epsilon: float) -> np.ndarray:
@@ -114,15 +113,13 @@ def _smoothed_one_hot(n_actions: int, action: int, epsilon: float) -> np.ndarray
     return row
 
 
-def resolve_init(mdp: Mdp, spec: InitSpec, seed=0) -> Policy:
+def resolve_init(mdp: Mdp, spec: InitSpec) -> Policy:
     """Materialize an InitSpec as a concrete policy.
 
     near_vertex smooths the greedy optimal deterministic policy; near_boundary
     pins state 0 toward action 0 and leaves the rest uniform; interior is the
-    uniform policy. The seed is accepted for signature stability; the current
-    constructions are deterministic.
+    uniform policy.
     """
-    del seed
     if spec.kind == "interior":
         return Policy.uniform(mdp.n_states, mdp.n_actions)
     if spec.kind == "near_vertex":
@@ -220,7 +217,7 @@ def discounted_distribution(
         rho0 = np.asarray(rho0, dtype=float).reshape(-1)
         if rho0.shape != (mdp.n_states,):
             raise ShapeMismatch("rho0 must have one entry per state")
-    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition_tensor)
+    p_pi, _ = _collapse(mdp, policy.probs)
     d = (1.0 - mdp.gamma) * np.linalg.solve(
         np.eye(mdp.n_states) - mdp.gamma * p_pi.T, rho0
     )
@@ -272,54 +269,60 @@ def _logits_of(policy: Policy) -> np.ndarray:
     return np.log(policy.probs)
 
 
-def _resolve_start(mdp: Mdp, init, seed) -> Policy:
+def _resolve_start(mdp: Mdp, init) -> Policy:
     if isinstance(init, Policy):
         return init
     if isinstance(init, InitSpec):
-        return resolve_init(mdp, init, seed)
+        return resolve_init(mdp, init)
     raise TypeError("init must be a Policy or an InitSpec")
 
 
-def run_policy_gradient(
-    mdp: Mdp,
-    init,
-    eta: float,
-    iterations: int,
-    entropy_coeff: float = 0.0,
-    seed=0,
+def _ascend(
+    mdp: Mdp, init, eta: float, iterations: int, direction, track_entropy: bool
 ) -> Trajectory:
-    """Gradient ascent on logits from the resolved init, recording values."""
+    """Ascent on logits along direction(theta), recording exact values.
+
+    Every meta row holds the sup-norm value step and direction; with
+    track_entropy it also holds the mean per-state policy entropy.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    theta = _logits_of(_resolve_start(mdp, init, seed))
-    v = value_function(mdp, softmax_policy(theta))
-    points = [v]
-    meta = [
-        {
-            "iteration": 0,
-            "step_norm": 0.0,
-            "grad_norm": 0.0,
-            "entropy": float(_entropy_rows(_softmax_probs(theta)).mean()),
+    theta = _logits_of(_resolve_start(mdp, init))
+    step = np.zeros_like(theta)
+    points: list[np.ndarray] = []
+    meta: list[dict] = []
+    for k in range(iterations + 1):
+        if k > 0:
+            step = direction(theta)
+            theta = theta + eta * step
+        policy = softmax_policy(theta)
+        v = value_function(mdp, policy)
+        row = {
+            "iteration": k,
+            "step_norm": float(np.max(np.abs(v - points[-1]))) if points else 0.0,
+            "grad_norm": float(np.max(np.abs(step))),
         }
-    ]
-    for k in range(1, iterations + 1):
-        grad = policy_gradient(mdp, theta, entropy_coeff)
-        theta = theta + eta * grad
-        probs = _softmax_probs(theta)
-        v_next = value_function(mdp, Policy(probs))
-        meta.append(
-            {
-                "iteration": k,
-                "step_norm": float(np.max(np.abs(v_next - v))),
-                "grad_norm": float(np.max(np.abs(grad))),
-                "entropy": float(_entropy_rows(probs).mean()),
-            }
-        )
-        points.append(v_next)
-        v = v_next
+        if track_entropy:
+            row["entropy"] = float(_entropy_rows(policy.probs).mean())
+        meta.append(row)
+        points.append(v)
     return Trajectory(points=np.stack(points), meta=meta)
+
+
+def run_policy_gradient(
+    mdp: Mdp, init, eta: float, iterations: int, entropy_coeff: float = 0.0
+) -> Trajectory:
+    """Gradient ascent on logits from the resolved init, recording values."""
+    return _ascend(
+        mdp,
+        init,
+        eta,
+        iterations,
+        lambda theta: policy_gradient(mdp, theta, entropy_coeff),
+        track_entropy=True,
+    )
 
 
 def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
@@ -356,36 +359,17 @@ def natural_policy_gradient(
 
 
 def run_npg(
-    mdp: Mdp,
-    init,
-    eta: float,
-    iterations: int,
-    damping: float = 1e-6,
-    seed=0,
+    mdp: Mdp, init, eta: float, iterations: int, damping: float = 1e-6
 ) -> Trajectory:
     """Natural-gradient ascent from the resolved init, recording values."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    theta = _logits_of(_resolve_start(mdp, init, seed))
-    v = value_function(mdp, softmax_policy(theta))
-    points = [v]
-    meta = [{"iteration": 0, "step_norm": 0.0, "grad_norm": 0.0}]
-    for k in range(1, iterations + 1):
-        direction = natural_policy_gradient(mdp, theta, damping)
-        theta = theta + eta * direction
-        v_next = value_function(mdp, softmax_policy(theta))
-        meta.append(
-            {
-                "iteration": k,
-                "step_norm": float(np.max(np.abs(v_next - v))),
-                "grad_norm": float(np.max(np.abs(direction))),
-            }
-        )
-        points.append(v_next)
-        v = v_next
-    return Trajectory(points=np.stack(points), meta=meta)
+    return _ascend(
+        mdp,
+        init,
+        eta,
+        iterations,
+        lambda theta: natural_policy_gradient(mdp, theta, damping),
+        track_entropy=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +421,7 @@ def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
         z = rng.standard_normal((config.population, dim))
         samples = mean[None, :] + z @ root.T
         logits = samples.reshape(config.population, *shape)
-        policies = np.exp(logits - logits.max(axis=2, keepdims=True))
-        policies /= policies.sum(axis=2, keepdims=True)
-        scores = value_function_batch(mdp, policies).mean(axis=1)
+        scores = value_function_batch(mdp, _softmax_probs(logits)).mean(axis=1)
         elite_idx = np.argsort(-scores, kind="stable")[: config.elites]
         elites = samples[elite_idx]
         new_mean = elites.mean(axis=0)

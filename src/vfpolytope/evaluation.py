@@ -51,11 +51,24 @@ class InducedChain:
         return self.resolvent @ self.r_pi
 
 
+def _collapse(mdp: Mdp, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_pi and r_pi of one (|S|, |A|) policy or of a stack (..., |S|, |A|)."""
+    p_pi = np.einsum("...sa,sat->...st", probs, mdp.transition_tensor)
+    r_pi = np.einsum("...sa,sa->...s", probs, mdp.reward_matrix)
+    return p_pi, r_pi
+
+
+def _solve(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
+    """Exact values of one policy or a stack, shaped like probs minus |A|."""
+    p_pi, r_pi = _collapse(mdp, probs)
+    systems = np.eye(mdp.n_states) - mdp.gamma * p_pi
+    return np.linalg.solve(systems, r_pi[..., None])[..., 0]
+
+
 def induce(mdp: Mdp, policy: Policy) -> InducedChain:
     """Collapse the MDP onto a policy: P_pi, r_pi and the resolvent."""
     _check_policy_shape(mdp, policy)
-    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition_tensor)
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward_matrix)
+    p_pi, r_pi = _collapse(mdp, policy.probs)
     eye = np.eye(mdp.n_states)
     resolvent = np.linalg.solve(eye - mdp.gamma * p_pi, eye)
     return InducedChain(p_pi=p_pi, r_pi=r_pi, resolvent=resolvent)
@@ -64,9 +77,7 @@ def induce(mdp: Mdp, policy: Policy) -> InducedChain:
 def value_function(mdp: Mdp, policy: Policy) -> np.ndarray:
     """Exact value of a policy via a dense linear solve."""
     _check_policy_shape(mdp, policy)
-    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition_tensor)
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward_matrix)
-    return np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p_pi, r_pi)
+    return _solve(mdp, policy.probs)
 
 
 def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
@@ -84,18 +95,14 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
-    p_pi = np.einsum("nsa,sat->nst", probs, mdp.transition_tensor)
-    r_pi = np.einsum("nsa,sa->ns", probs, mdp.reward_matrix)
-    systems = np.eye(mdp.n_states)[None, :, :] - mdp.gamma * p_pi
-    return np.linalg.solve(systems, r_pi[:, :, None])[:, :, 0]
+    return _solve(mdp, probs)
 
 
 def bellman_apply(mdp: Mdp, policy: Policy, v: np.ndarray) -> np.ndarray:
     """One application of the policy's Bellman operator: r_pi + gamma P_pi v."""
     _check_policy_shape(mdp, policy)
     v = _check_value_shape(mdp, v)
-    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition_tensor)
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward_matrix)
+    p_pi, r_pi = _collapse(mdp, policy.probs)
     return r_pi + mdp.gamma * (p_pi @ v)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     OrderViolation,
     ShapeMismatch,
 )
-from .evaluation import induce, value_function, value_function_batch
+from .evaluation import _collapse, induce, value_function, value_function_batch
 from .mdp import ENUMERATION_CAP, Mdp, Policy, deterministic_policies
 
 INCOMPARABLE_TOL = 1e-8
@@ -125,10 +125,6 @@ class InterpolationCurve:
     omega: float
     constant: bool
 
-    @property
-    def rho_samples(self) -> list[tuple[float, float]]:
-        return [(float(m), float(r)) for m, r in zip(self.mus, self.rhos)]
-
 
 def mix_policies(p0: Policy, p1: Policy, mu: float) -> Policy:
     """Rowwise convex combination mu*p1 + (1-mu)*p0."""
@@ -207,7 +203,7 @@ def interpolation_curve(
             constant=True,
         )
     chain1 = induce(mdp, p1)
-    p_pi0 = np.einsum("sa,sat->st", p0.probs, mdp.transition_tensor)
+    p_pi0, _ = _collapse(mdp, p0.probs)
     d_row = p_pi0[state] - chain1.p_pi[state]
     column = chain1.resolvent[:, state]
     omega = float(d_row @ column)
@@ -229,7 +225,7 @@ def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
     chain = induce(mdp, agreement.base)
     free = list(agreement.free_states)
     return AffineSlice(
-        anchor=chain.resolvent @ chain.r_pi,
+        anchor=chain.value,
         basis=chain.resolvent[:, free] if free else np.zeros((mdp.n_states, 0)),
     )
 
@@ -378,57 +374,43 @@ def hull_2d(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def point_in_hull(point, hull, tol: float = 1e-9) -> bool:
-    """Whether a point is inside the hull or within tol of its boundary.
+def _hull_escape(points, hull) -> np.ndarray:
+    """Distance by which each of the (n, 2) points lies outside the hull.
 
-    The hull must be in counterclockwise order as produced by hull_2d;
-    degenerate hulls (single point, segment) are handled by distance.
+    Zero inside. For a hull of three or more counterclockwise vertices (as
+    produced by hull_2d) this is the largest signed distance past any edge
+    line; degenerate hulls (single point, segment) use the distance to the
+    segment.
     """
-    hull = _as_points_2d(hull)
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.shape != (2,):
-        raise DimensionUnsupported("point must have exactly 2 components")
-    if hull.shape[0] == 1:
-        return bool(np.linalg.norm(p - hull[0]) <= tol)
-    if hull.shape[0] == 2:
-        return _segment_distance(p, hull[0], hull[1]) <= tol
-    for i in range(hull.shape[0]):
-        a = hull[i]
-        b = hull[(i + 1) % hull.shape[0]]
-        edge_len = float(np.linalg.norm(b - a))
-        if edge_len == 0.0:
-            continue
-        if _cross(a, b, p) < -tol * edge_len:
-            return False
-    return True
-
-
-def points_in_hull(points, hull, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized point_in_hull for an (n, 2) array; returns a boolean mask."""
     pts = _as_points_2d(points)
     hull = _as_points_2d(hull)
     if hull.shape[0] < 3:
-        return np.array([point_in_hull(p, hull, tol) for p in pts])
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for i in range(hull.shape[0]):
-        a = hull[i]
-        b = hull[(i + 1) % hull.shape[0]]
+        return segment_distances(pts, hull[0], hull[-1])
+    outside = np.zeros(pts.shape[0])
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
         edge = b - a
         edge_len = float(np.linalg.norm(edge))
         if edge_len == 0.0:
             continue
         cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
-        inside &= cross >= -tol * edge_len
-    return inside
+        outside = np.maximum(outside, -cross / edge_len)
+    return outside
 
 
-def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+def point_in_hull(point, hull, tol: float = 1e-9) -> bool:
+    """Whether a point is inside the hull or within tol of its boundary.
+
+    The hull must be in counterclockwise order as produced by hull_2d.
+    """
+    p = np.asarray(point, dtype=float).reshape(-1)
+    if p.shape != (2,):
+        raise DimensionUnsupported("point must have exactly 2 components")
+    return bool(_hull_escape(p[None, :], hull)[0] <= tol)
+
+
+def points_in_hull(points, hull, tol: float = 1e-9) -> np.ndarray:
+    """Vectorized point_in_hull for an (n, 2) array; returns a boolean mask."""
+    return _hull_escape(points, hull) <= tol
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -227,13 +227,9 @@ _FIXTURES: dict[str, tuple[int, float, list[float], list[list[float]]]] = {
         [-0.1, -1.0, 0.1, 0.4, 1.5, 0.1],
         [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.05, 0.95], [0.25, 0.75], [0.3, 0.7]],
     ),
-    "dyn2": (
-        2,
-        0.9,
-        [-0.45, -0.1, 0.5, 0.5],
-        [[0.7, 0.3], [0.99, 0.01], [0.2, 0.8], [0.99, 0.01]],
-    ),
 }
+# The dynamics figures reuse fig2d's MDP under its own catalog name.
+_FIXTURES["dyn2"] = _FIXTURES["fig2d"]
 
 FIXTURE_NAMES = tuple(_FIXTURES)
 

@@ -22,6 +22,7 @@ from .evaluation import (
 )
 from .geometry import (
     AgreementSet,
+    _hull_escape,
     affine_slice,
     hull_2d,
     interpolation_curve,
@@ -33,7 +34,7 @@ from .geometry import (
     segment_distances,
     slice_rank,
 )
-from .mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp, random_policy
+from .mdp import Mdp, Policy, random_mdp, random_policy
 
 
 @dataclass(frozen=True)
@@ -363,25 +364,6 @@ def _suite_zeros(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
     return report
 
 
-def _hull_violation(samples: np.ndarray, hull: np.ndarray) -> float:
-    """Largest distance by which any sample escapes the hull (0 if none)."""
-    if hull.shape[0] < 3:
-        return float(np.max(segment_distances(samples, hull[0], hull[-1])))
-    worst = 0.0
-    outside = np.zeros(samples.shape[0])
-    for i in range(hull.shape[0]):
-        a = hull[i]
-        b = hull[(i + 1) % hull.shape[0]]
-        edge = b - a
-        edge_len = float(np.linalg.norm(edge))
-        if edge_len == 0.0:
-            continue
-        cross = edge[0] * (samples[:, 1] - a[1]) - edge[1] * (samples[:, 0] - a[0])
-        outside = np.maximum(outside, -cross / edge_len)
-    worst = float(np.max(outside))
-    return max(0.0, worst)
-
-
 def _suite_hull(
     trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 50_000
 ) -> CheckReport:
@@ -399,7 +381,7 @@ def _suite_hull(
         vertices = np.stack([v for _, v in polytope_vertices_det(instance)])
         hull = hull_2d(vertices)
         cloud = sample_values(instance, samples, (int(seed), 13, i))
-        report.record(label, _hull_violation(cloud, hull), tol)
+        report.record(label, float(np.max(_hull_escape(cloud, hull))), tol)
     return report
 
 
@@ -638,6 +620,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# Suites that need a planar value set; on a given MDP they need |S| = 2.
+PLANAR_SUITES = ("hull", "boundary")
+
 
 def run_suite(
     suite_name: str,
@@ -660,21 +645,3 @@ def run_suite(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     return func(trials, seed, default_tol if tolerance is None else tolerance, mdp)
-
-
-def run_all_suites(
-    trials: int = 100, seed=0, mdp: Mdp | None = None
-) -> list[CheckReport]:
-    return [run_suite(name, trials=trials, seed=seed, mdp=mdp) for name in SUITE_NAMES]
-
-
-def fixture_suite_sweep(trials_per_fixture: int = 3, seed=0) -> list[CheckReport]:
-    """Run every suite against every built-in MDP (used by tests)."""
-    reports = []
-    for name in FIXTURE_NAMES:
-        instance = builtin_fixture(name)
-        for suite in SUITE_NAMES:
-            reports.append(
-                run_suite(suite, trials=trials_per_fixture, seed=seed, mdp=instance)
-            )
-    return reports

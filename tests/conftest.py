@@ -1,11 +1,4 @@
-import sys
-from pathlib import Path
-
 from hypothesis import HealthCheck, settings
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
 
 settings.register_profile(
     "numeric",

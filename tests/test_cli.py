@@ -266,6 +266,33 @@ class TestVerifyCommand:
         assert proc.stderr == "error: --trials must be at least 1\n"
         assert not report.exists()
 
+    def test_all_suites_skip_planar_suites_on_three_states(self, tmp_path, capsys):
+        doc = tmp_path / "m3.json"
+        doc.write_text(dump_mdp(random_mdp(3, 2, 0.9, 0)))
+        report = tmp_path / "rep.json"
+        code = main(
+            ["verify", "--suite", "all", "--trials", "2", "--seed", "1",
+             "--mdp", str(doc), "--report", str(report)]
+        )
+        assert code == 0
+        names = [r["check_name"] for r in json.loads(report.read_text())["reports"]]
+        assert names == [
+            "line", "order", "rho", "slice", "span", "zeros", "rank", "path",
+            "dominance", "smooth", "bounded",
+        ]
+        out = capsys.readouterr().out.splitlines()
+        assert "skip hull: needs a 2-state MDP, got |S|=3" in out
+        assert "skip boundary: needs a 2-state MDP, got |S|=3" in out
+        for suite in ("hull", "boundary"):
+            explicit = tmp_path / f"{suite}.json"
+            assert main(
+                ["verify", "--suite", suite, "--mdp", str(doc),
+                 "--report", str(explicit)]
+            ) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: suite {suite!r} needs a 2-state MDP, got |S|=3\n"
+            assert not explicit.exists()
+
     def test_all_suites_exit_0(self, tmp_path):
         report = tmp_path / "rep.json"
         code = main(
@@ -275,6 +302,28 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(report.read_text())
         assert len(payload["reports"]) == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "out.csv"],
+        ["line", "--mdp", "dyn2", "--state", "0", "--out", "out.csv"],
+        ["verify", "--suite", "order", "--trials", "1", "--report", "out.csv"],
+        ["dynamics", "--mdp", "dyn2", "--algo", "cem", "--iters", "1",
+         "--out", "out.csv"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", *argv, "--seed", "-1"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --seed must be non-negative\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestReproducibility:
