@@ -307,11 +307,11 @@ class TestVerifyCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "out.csv"],
-        ["line", "--mdp", "dyn2", "--state", "0", "--out", "out.csv"],
-        ["verify", "--suite", "order", "--trials", "1", "--report", "out.csv"],
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "out"],
+        ["line", "--mdp", "dyn2", "--state", "0", "--out", "out"],
+        ["verify", "--suite", "order", "--trials", "1", "--report", "out"],
         ["dynamics", "--mdp", "dyn2", "--algo", "cem", "--iters", "1",
-         "--out", "out.csv"],
+         "--out", "out"],
     ],
     ids=lambda a: a[0],
 )
@@ -323,7 +323,7 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: --seed must be non-negative\n"
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 class TestReproducibility:
