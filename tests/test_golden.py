@@ -15,12 +15,16 @@ from vfpolytope.mdp import dump_mdp, random_mdp
 
 ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
-# name -> argv; {d} is the output directory, {mdp3} a 3-state MDP document.
+# name -> argv; {d} is the output directory, {mdp3} and {mdp64} are 3- and
+# 64-state MDP documents. The 64-state cases evaluate more policies than one
+# block of value_function_batch holds, so they pin values across blocks.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
     "line-dyn2": "line --mdp dyn2 --state 0 --seed 3 --grid 21 --out {d}/out.csv",
     "line-mdp3": "line --mdp {mdp3} --state 2 --seed 5 --grid 11 --out {d}/out.csv",
+    "sample-mdp64": "sample --mdp {mdp64} --n 300 --seed 11 --out {d}/out.csv",
+    "line-mdp64": "line --mdp {mdp64} --state 37 --seed 6 --grid 201 --out {d}/out.csv",
     **{
         f"dynamics-dyn2-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init interior --seed 1 --out {{d}}/out.csv"
         for algo in ALGOS
@@ -88,12 +92,18 @@ GOLDEN = {
     "line-mdp3": (0, {
         "out.csv": "2b13975fb56614977a9b6a73c4c52405c54a5312c054c0792d92640457edab83",
     }),
+    "line-mdp64": (0, {
+        "out.csv": "f15b01983c9b96746cb72491f3ba17505523f3f4522a68ed5da73dfc7658c114",
+    }),
     "sample-dyn2": (0, {
         "out.csv": "62c36a5bee2e1eb75bf5ff001a9b06031eb6683846117bea32af783d8ea66346",
         "out.svg": "069680d6485f95fe8353d285ea5cc0b91ff606b85f5514cf6cde748d2fe076f2",
     }),
     "sample-mdp3-fix": (0, {
         "out.csv": "ed8ef212be2bb212558cd42185a0577c333c1138dcf8744baf39b01eaf235890",
+    }),
+    "sample-mdp64": (0, {
+        "out.csv": "3a562c1badc2a798aa39d34d9499b17784d7b158195e162b9995ca8fd79b209f",
     }),
     "verify-dyn2": (0, {
         "out.json": "ae5acfa54b5fe3a1cc6e0e45150af7c8d56b19606cd289187851d6cf210d6eb4",
@@ -105,14 +115,20 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def mdp3(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "mdp3.json"
-    path.write_text(dump_mdp(random_mdp(3, 2, 0.9, 0)) + "\n")
-    return path
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, mdp in (
+        ("mdp3", random_mdp(3, 2, 0.9, 0)),
+        ("mdp64", random_mdp(64, 3, 0.9, 1)),
+    ):
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(dump_mdp(mdp) + "\n")
+    return paths
 
 
-def run_case(name: str, outdir, mdp3) -> tuple[int, dict[str, str]]:
-    argv = CASES[name].format(d=outdir, mdp3=mdp3).split()
+def run_case(name: str, outdir, documents) -> tuple[int, dict[str, str]]:
+    argv = CASES[name].format(d=outdir, **documents).split()
     code = main(argv)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -123,5 +139,5 @@ def run_case(name: str, outdir, mdp3) -> tuple[int, dict[str, str]]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_pinned_digests(name, tmp_path, mdp3):
-    assert run_case(name, tmp_path, mdp3) == GOLDEN[name]
+def test_outputs_match_pinned_digests(name, tmp_path, documents):
+    assert run_case(name, tmp_path, documents) == GOLDEN[name]
