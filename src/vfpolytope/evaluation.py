@@ -14,6 +14,11 @@ import numpy as np
 from .errors import ShapeMismatch
 from .mdp import Mdp, Policy
 
+# value_function_batch solves at most this many float64 entries of P_pi
+# (4 MiB) at a time, so its peak memory grows with n only through the
+# (n, |S|, |A|) input and the (n, |S|) output.
+_BLOCK_ENTRIES = 1 << 19
+
 
 def _check_policy_shape(mdp: Mdp, policy: Policy) -> None:
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
@@ -81,7 +86,13 @@ def value_function(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 
 def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
-    """Values of many policies at once.
+    """Values of many policies, evaluated in blocks of bounded size.
+
+    Policies go through the solve in consecutive blocks of
+    max(1, _BLOCK_ENTRIES // |S|**2), so the P_pi stacks of one block, not
+    of the whole batch, are held at once. Each policy gets the same collapse
+    and the same LAPACK solve as in a single call over the whole stack, so
+    the values are bit-for-bit those of value_function, whatever n is.
 
     Args:
         probs: array of shape (n, |S|, |A|); each [i] is a row-stochastic
@@ -95,7 +106,11 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
-    return _solve(mdp, probs)
+    block = max(1, _BLOCK_ENTRIES // mdp.n_states**2)
+    values = np.empty(probs.shape[:2])
+    for start in range(0, len(probs), block):
+        values[start : start + block] = _solve(mdp, probs[start : start + block])
+    return values
 
 
 def bellman_apply(mdp: Mdp, policy: Policy, v: np.ndarray) -> np.ndarray:

@@ -23,8 +23,14 @@ def format_cell(value) -> str:
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        # Same text as format_cell: repr of each cell as a Python float.
+        # Converting one row at a time keeps the whole array from being
+        # held as Python floats at once.
+        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    else:
+        for row in rows:
+            lines.append(",".join(format_cell(cell) for cell in row))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 

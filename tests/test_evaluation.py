@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from vfpolytope.evaluation import (
     value_function,
     value_function_batch,
 )
+from vfpolytope.geometry import sample_policy_probs
 from vfpolytope.mdp import (
     Mdp,
     Policy,
@@ -110,6 +113,28 @@ class TestValueFunction:
         batch = value_function_batch(mdp, np.stack([p.probs for p in policies]))
         for p, row in zip(policies, batch):
             np.testing.assert_allclose(row, value_function(mdp, p), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 257])
+    def test_blocked_batch_equals_single_solves_bitwise(self, n):
+        # At |S|=64 a block holds 128 policies, so these n end on, just
+        # before and just after block boundaries.
+        mdp = random_mdp(64, 3, 0.9, seed=n)
+        probs = sample_policy_probs(mdp, n, n)
+        singles = np.stack([value_function(mdp, Policy(p)) for p in probs])
+        assert np.array_equal(value_function_batch(mdp, probs), singles)
+
+    def test_batch_peak_memory_is_bounded_by_a_block(self):
+        # An unblocked solve of 2000 policies at |S|=64 holds three
+        # 2000 x 64 x 64 float64 stacks, about 197 MB at once.
+        mdp = random_mdp(64, 3, 0.9, seed=0)
+        probs = sample_policy_probs(mdp, 2000, 0)
+        tracemalloc.start()
+        try:
+            value_function_batch(mdp, probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBellmanOperators:

@@ -3,7 +3,7 @@ import numpy as np
 from vfpolytope.cli import main
 from vfpolytope.geometry import boundary_semidet_sample
 from vfpolytope.mdp import Mdp
-from vfpolytope.output import format_cell, svg_scatter
+from vfpolytope.output import format_cell, svg_scatter, write_csv
 
 
 def test_single_state_family_is_a_point():
@@ -39,6 +39,19 @@ def test_format_cell_shortest_round_trip():
     assert float(format_cell(np.float64(2.0) / 3.0)) == 2.0 / 3.0
     assert format_cell(7) == "7"
     assert format_cell(True) == "1"
+
+
+def test_csv_float_array_matches_per_cell_formatting(tmp_path):
+    values = np.array(
+        [[-0.0, 1e-05, 1e16], [np.nan, np.inf, -np.inf], [5e-324, 0.1, -2.5]]
+    )
+    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    write_csv(fast, ["a", "b", "c"], values)
+    write_csv(cells, ["a", "b", "c"], [list(row) for row in values])
+    assert fast.read_bytes() == cells.read_bytes()
+    assert fast.read_text().splitlines()[1:] == [
+        "-0.0,1e-05,1e+16", "nan,inf,-inf", "5e-324,0.1,-2.5",
+    ]
 
 
 def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
