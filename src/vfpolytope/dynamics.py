@@ -296,7 +296,10 @@ def _ascend(
     for k in range(iterations + 1):
         if k > 0:
             step = direction(theta)
-            theta = theta + eta * step
+            # An overflowing update is reported once, by softmax_policy's
+            # finiteness check, not also as a numpy warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta = theta + eta * step
         policy = softmax_policy(theta)
         v = value_function(mdp, policy)
         row = {

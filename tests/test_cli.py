@@ -326,6 +326,17 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_logit_overflow_is_one_error_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
+         "--algo", "npg", "--eta", "1e308", "--iters", "5", "--out", "out"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: logits contain NaN or infinity\n"
+
+
 class TestReproducibility:
     COMMANDS = [
         ["fixtures", "dump", "fig2b", "--out", "fix.json"],
