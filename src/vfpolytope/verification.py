@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownSuite
+from .errors import DimensionUnsupported, UnknownSuite
 from .evaluation import (
     induce,
     optimal_value,
@@ -633,8 +633,10 @@ def run_suite(
 ) -> CheckReport:
     """Run one named property suite over seeded random instances.
 
-    When an MDP is given the suite checks it instead of random instances.
-    The report is deterministic for a fixed (seed, trials, tolerance).
+    When an MDP is given the suite checks it instead of random instances;
+    a suite in PLANAR_SUITES then raises DimensionUnsupported unless the MDP
+    has two states. The report is deterministic for a fixed
+    (seed, trials, tolerance).
     """
     try:
         func, default_tol = _SUITES[suite_name]
@@ -644,4 +646,8 @@ def run_suite(
         ) from None
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if mdp is not None and mdp.n_states != 2 and suite_name in PLANAR_SUITES:
+        raise DimensionUnsupported(
+            f"suite {suite_name!r} needs a 2-state MDP, got |S|={mdp.n_states}"
+        )
     return func(trials, seed, default_tol if tolerance is None else tolerance, mdp)

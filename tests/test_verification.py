@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from vfpolytope.errors import UnknownSuite
+from vfpolytope import verification
+from vfpolytope.errors import DimensionUnsupported, UnknownSuite
 from vfpolytope.evaluation import value_function
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
 from vfpolytope.verification import (
+    PLANAR_SUITES,
     SUITE_NAMES,
     OracleConfig,
     compare_oracles,
@@ -140,6 +142,20 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
             run_suite("nope")
+
+    @pytest.mark.parametrize("name", PLANAR_SUITES)
+    def test_planar_suite_rejects_other_dimensions_before_sampling(
+        self, name, monkeypatch
+    ):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled before the dimension check")
+
+        monkeypatch.setattr(verification, "sample_values", sampled)
+        monkeypatch.setattr(verification, "value_function_batch", sampled)
+        with pytest.raises(
+            DimensionUnsupported, match=f"suite '{name}' needs a 2-state MDP, got"
+        ):
+            run_suite(name, trials=1, mdp=random_mdp(3, 2, 0.9, 0))
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_random_family_passes(self, name):
