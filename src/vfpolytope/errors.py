@@ -46,7 +46,7 @@ class NotAgreeing(VfpError):
 
 
 class DimensionUnsupported(VfpError):
-    """Planar geometry helpers only accept 2-component points."""
+    """Planar geometry helpers and suites need 2-component points or 2 states."""
 
 
 class NonFiniteLogits(VfpError):
