@@ -17,7 +17,8 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
 # name -> argv; {d} is the output directory, {mdp3} and {mdp64} are 3- and
 # 64-state MDP documents. The 64-state cases evaluate more policies than one
-# block of value_function_batch holds, so they pin values across blocks.
+# block of value_function_batch holds, so they pin values across blocks. The
+# dyn2 --init boundary ascent cases pin the start the learning-paths benchmark uses.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
@@ -33,6 +34,10 @@ CASES = {
         f"dynamics-mdp3-{algo}": f"dynamics --mdp {{mdp3}} --algo {algo} --init vertex --iters 60 --seed 2 --out {{d}}/out.csv"
         for algo in ALGOS
     },
+    **{
+        f"dynamics-dyn2-boundary-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init boundary --iters 300 --seed 9 --out {{d}}/out.csv"
+        for algo in ("pg", "entpg", "npg")
+    },
     "dynamics-dyn2-svg": "dynamics --mdp dyn2 --algo npg --init boundary --iters 50 --seed 4 --out {d}/out.csv --svg {d}/out.svg",
     "verify-random": "verify --suite all --trials 2 --seed 1 --report {d}/out.json",
     "verify-dyn2": "verify --suite all --trials 2 --seed 1 --mdp dyn2 --report {d}/out.json",
@@ -40,6 +45,15 @@ CASES = {
 
 # name -> (exit code, {output file: sha256}), recorded on 0.2.0.
 GOLDEN = {
+    "dynamics-dyn2-boundary-entpg": (0, {
+        "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
+    }),
+    "dynamics-dyn2-boundary-npg": (0, {
+        "out.csv": "14afc738c2baa4f30197174ed4304cbf330e48514972e00263d0ee915ef7dc79",
+    }),
+    "dynamics-dyn2-boundary-pg": (0, {
+        "out.csv": "76f5025636b8da356814b0bdfdd467dbd29fe7d56a3c4995683dd53514b01dc1",
+    }),
     "dynamics-dyn2-cem": (0, {
         "out.csv": "3238349a063840f834695e838d9d0a3b04c9422200d3ac999cca1e026a403794",
     }),
