@@ -230,6 +230,51 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
+def _evaluate_step(
+    mdp: Mdp, theta: np.ndarray
+) -> tuple[Policy, np.ndarray, np.ndarray]:
+    """Softmax policy of a logit matrix, its exact value and its visitation.
+
+    One collapse and one stacked solve serve both linear systems: the value
+    (I - gamma P_pi) v = r_pi and the uniform-start visitation
+    (I - gamma P_pi^T) d = rho0, scaled by 1 - gamma. Each system gets the
+    same matrix and the same LAPACK call as value_function and
+    discounted_distribution make, so v and d are bit-for-bit theirs.
+    """
+    theta = _check_logits(mdp, theta)
+    policy = Policy(_softmax_probs(theta))
+    p_pi, r_pi = _collapse(mdp, policy.probs)
+    n = mdp.n_states
+    system = np.eye(n) - mdp.gamma * p_pi
+    rhs = np.stack([r_pi, np.full(n, 1.0 / n)])[..., None]
+    v, d = np.linalg.solve(np.stack([system, system.T]), rhs)[..., 0]
+    return policy, v, (1.0 - mdp.gamma) * d
+
+
+def _gradient(
+    mdp: Mdp,
+    probs: np.ndarray,
+    v: np.ndarray,
+    d: np.ndarray,
+    entropy_coeff: float = 0.0,
+    entropy: np.ndarray | None = None,
+) -> np.ndarray:
+    """policy_gradient's arithmetic from a step's policy, value and visitation.
+
+    entropy, when given, holds the per-state entropy rows of probs.
+    """
+    q = q_values(mdp, v)
+    advantage = q - v[:, None]
+    grad = (d / (1.0 - mdp.gamma))[:, None] * probs * advantage
+    if entropy_coeff != 0.0:
+        h = _entropy_rows(probs) if entropy is None else entropy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.where(probs > 0.0, np.log(probs), 0.0)
+        grad_h = d[:, None] * (-probs) * (log_p + h[:, None])
+        grad = grad + entropy_coeff * grad_h
+    return grad
+
+
 def policy_gradient(
     mdp: Mdp, theta: np.ndarray, entropy_coeff: float = 0.0
 ) -> np.ndarray:
@@ -242,23 +287,57 @@ def policy_gradient(
 
     with d the discounted visitation distribution from a uniform start.
     A nonzero entropy_coeff adds that multiple of the gradient of
-    sum_s d(s) * H(pi(.|s)), holding d fixed within the step.
+    sum_s d(s) * H(pi(.|s)), holding d fixed within the step. V and d come
+    from one evaluation of theta: one collapse and one stacked solve.
     """
-    theta = _check_logits(mdp, theta)
-    probs = _softmax_probs(theta)
-    policy = Policy(probs)
-    v = value_function(mdp, policy)
-    q = q_values(mdp, v)
-    d = discounted_distribution(mdp, policy)
-    advantage = q - v[:, None]
-    grad = (d / (1.0 - mdp.gamma))[:, None] * probs * advantage
-    if entropy_coeff != 0.0:
-        h = _entropy_rows(probs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.where(probs > 0.0, np.log(probs), 0.0)
-        grad_h = d[:, None] * (-probs) * (log_p + h[:, None])
-        grad = grad + entropy_coeff * grad_h
-    return grad
+    policy, v, d = _evaluate_step(mdp, theta)
+    return _gradient(mdp, policy.probs, v, d, entropy_coeff)
+
+
+def _fisher(probs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Block-diagonal softmax Fisher matrix, state blocks weighted by d."""
+    n_states, a = probs.shape
+    fisher = np.zeros((n_states * a, n_states * a))
+    for s in range(n_states):
+        p = probs[s]
+        block = d[s] * (np.diag(p) - np.outer(p, p))
+        fisher[s * a : (s + 1) * a, s * a : (s + 1) * a] = block
+    return fisher
+
+
+def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
+    """Fisher matrix of the softmax policy over the flattened logit vector.
+
+    Expectation over states weighted by the discounted visitation
+    distribution and actions by the policy; block-diagonal across states
+    because a log-probability only depends on its own state's row.
+    """
+    policy, _, d = _evaluate_step(mdp, theta)
+    return _fisher(policy.probs, d)
+
+
+def _natural_direction(
+    mdp: Mdp, probs: np.ndarray, v: np.ndarray, d: np.ndarray, damping: float
+) -> np.ndarray:
+    """natural_policy_gradient's arithmetic from a step's evaluation."""
+    grad = _gradient(mdp, probs, v, d)
+    fisher = _fisher(probs, d)
+    n = fisher.shape[0]
+    flat = np.linalg.solve(fisher + damping * np.eye(n), grad.reshape(-1))
+    return flat.reshape(mdp.n_states, mdp.n_actions)
+
+
+def natural_policy_gradient(
+    mdp: Mdp, theta: np.ndarray, damping: float = 1e-6
+) -> np.ndarray:
+    """Damped natural gradient: solve (F + damping*I) g = grad J.
+
+    The gradient and the Fisher matrix share one evaluation of theta.
+    """
+    if damping <= 0:
+        raise ValueError("damping must be positive")
+    policy, v, d = _evaluate_step(mdp, theta)
+    return _natural_direction(mdp, policy.probs, v, d, damping)
 
 
 def _logits_of(policy: Policy) -> np.ndarray:
@@ -280,10 +359,14 @@ def _resolve_start(mdp: Mdp, init) -> Policy:
 def _ascend(
     mdp: Mdp, init, eta: float, iterations: int, direction, track_entropy: bool
 ) -> Trajectory:
-    """Ascent on logits along direction(theta), recording exact values.
+    """Ascent on logits, recording exact values; one evaluation per step.
 
-    Every meta row holds the sup-norm value step and direction; with
-    track_entropy it also holds the mean per-state policy entropy.
+    Each step evaluates its logits once (_evaluate_step: one collapse, v and
+    d from one stacked solve). The value is the recorded point, and the
+    next step's direction(probs, v, d, entropy) reuses the whole evaluation
+    instead of solving again. Every meta row holds the sup-norm value step
+    and direction; with track_entropy it also holds the mean per-state
+    policy entropy, whose rows are passed on to the direction (else None).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -295,20 +378,21 @@ def _ascend(
     meta: list[dict] = []
     for k in range(iterations + 1):
         if k > 0:
-            step = direction(theta)
-            # An overflowing update is reported once, by softmax_policy's
+            step = direction(policy.probs, v, d, entropy)
+            # An overflowing update is reported once, by the step evaluation's
             # finiteness check, not also as a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + eta * step
-        policy = softmax_policy(theta)
-        v = value_function(mdp, policy)
+        policy, v, d = _evaluate_step(mdp, theta)
         row = {
             "iteration": k,
             "step_norm": float(np.max(np.abs(v - points[-1]))) if points else 0.0,
             "grad_norm": float(np.max(np.abs(step))),
         }
+        entropy = None
         if track_entropy:
-            row["entropy"] = float(_entropy_rows(policy.probs).mean())
+            entropy = _entropy_rows(policy.probs)
+            row["entropy"] = float(entropy.mean())
         meta.append(row)
         points.append(v)
     return Trajectory(points=np.stack(points), meta=meta)
@@ -323,54 +407,25 @@ def run_policy_gradient(
         init,
         eta,
         iterations,
-        lambda theta: policy_gradient(mdp, theta, entropy_coeff),
+        lambda probs, v, d, entropy: _gradient(
+            mdp, probs, v, d, entropy_coeff, entropy
+        ),
         track_entropy=True,
     )
-
-
-def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
-    """Fisher matrix of the softmax policy over the flattened logit vector.
-
-    Expectation over states weighted by the discounted visitation
-    distribution and actions by the policy; block-diagonal across states
-    because a log-probability only depends on its own state's row.
-    """
-    theta = _check_logits(mdp, theta)
-    probs = _softmax_probs(theta)
-    d = discounted_distribution(mdp, Policy(probs))
-    n = mdp.n_states * mdp.n_actions
-    fisher = np.zeros((n, n))
-    a = mdp.n_actions
-    for s in range(mdp.n_states):
-        p = probs[s]
-        block = d[s] * (np.diag(p) - np.outer(p, p))
-        fisher[s * a : (s + 1) * a, s * a : (s + 1) * a] = block
-    return fisher
-
-
-def natural_policy_gradient(
-    mdp: Mdp, theta: np.ndarray, damping: float = 1e-6
-) -> np.ndarray:
-    """Damped natural gradient: solve (F + damping*I) g = grad J."""
-    if damping <= 0:
-        raise ValueError("damping must be positive")
-    grad = policy_gradient(mdp, theta)
-    fisher = fisher_information(mdp, theta)
-    n = fisher.shape[0]
-    flat = np.linalg.solve(fisher + damping * np.eye(n), grad.reshape(-1))
-    return flat.reshape(mdp.n_states, mdp.n_actions)
 
 
 def run_npg(
     mdp: Mdp, init, eta: float, iterations: int, damping: float = 1e-6
 ) -> Trajectory:
     """Natural-gradient ascent from the resolved init, recording values."""
+    if damping <= 0:
+        raise ValueError("damping must be positive")
     return _ascend(
         mdp,
         init,
         eta,
         iterations,
-        lambda theta: natural_policy_gradient(mdp, theta, damping),
+        lambda probs, v, d, entropy: _natural_direction(mdp, probs, v, d, damping),
         track_entropy=False,
     )
 

@@ -21,7 +21,12 @@ from vfpolytope.dynamics import (
     softmax_policy,
 )
 from vfpolytope.errors import MissingPolicy, NonFiniteLogits
-from vfpolytope.evaluation import optimal_value, value_function, value_function_batch
+from vfpolytope.evaluation import (
+    optimal_value,
+    q_values,
+    value_function,
+    value_function_batch,
+)
 from vfpolytope.geometry import hull_2d, points_in_hull, polytope_vertices_det
 from vfpolytope.mdp import (
     Mdp,
@@ -373,6 +378,104 @@ class TestNaturalGradient:
             iterations=200,
         )
         assert np.max(np.abs(traj.points - V_STAR[None, :])) < 1e-6
+
+
+def three_solve_gradient(mdp, theta, entropy_coeff=0.0):
+    """policy_gradient written out with separate solves for v and d."""
+    policy = softmax_policy(theta)
+    probs = policy.probs
+    v = value_function(mdp, policy)
+    d = discounted_distribution(mdp, policy)
+    grad = (d / (1.0 - mdp.gamma))[:, None] * probs * (q_values(mdp, v) - v[:, None])
+    if entropy_coeff != 0.0:
+        log_p = np.log(probs)
+        h = -(probs * log_p).sum(axis=1)
+        grad = grad + entropy_coeff * (d[:, None] * (-probs) * (log_p + h[:, None]))
+    return grad
+
+
+def three_solve_natural(mdp, theta, damping):
+    """natural_policy_gradient with its own solves for v, d and the Fisher d."""
+    grad = three_solve_gradient(mdp, theta)
+    probs = softmax_policy(theta).probs
+    d = discounted_distribution(mdp, softmax_policy(theta))
+    a = mdp.n_actions
+    fisher = np.zeros((mdp.n_states * a, mdp.n_states * a))
+    for s in range(mdp.n_states):
+        p = probs[s]
+        fisher[s * a : (s + 1) * a, s * a : (s + 1) * a] = d[s] * (
+            np.diag(p) - np.outer(p, p)
+        )
+    flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
+    return flat.reshape(mdp.n_states, mdp.n_actions)
+
+
+class TestOneEvaluationPerStep:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("entropy_coeff", [0.0, 0.1])
+    def test_policy_gradient_run_solves_once_per_step(self, solves, entropy_coeff):
+        run_policy_gradient(
+            DYN2, InitSpec(kind="near_boundary"), 0.05, 9, entropy_coeff
+        )
+        assert len(solves) == 9 + 1
+
+    def test_npg_run_solves_twice_per_step(self, solves):
+        run_npg(DYN2, InitSpec(kind="near_boundary"), 0.05, 9)
+        assert len(solves) == 2 * 9 + 1
+
+    @pytest.mark.parametrize("n_states", [2, 3, 64])
+    def test_step_matches_separate_solves(self, n_states):
+        mdp = random_mdp(n_states, 3, 0.9, seed=n_states)
+        theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
+        policy, v, d = dynamics._evaluate_step(mdp, theta)
+        assert policy == softmax_policy(theta)
+        assert np.array_equal(v, value_function(mdp, policy))
+        assert np.array_equal(d, discounted_distribution(mdp, policy))
+
+    @pytest.mark.parametrize("n_states", [2, 3, 64])
+    @pytest.mark.parametrize("entropy_coeff", [0.0, 0.1])
+    def test_gradient_matches_three_solve_form(self, n_states, entropy_coeff):
+        mdp = random_mdp(n_states, 3, 0.9, seed=n_states + 1)
+        theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
+        assert np.array_equal(
+            policy_gradient(mdp, theta, entropy_coeff),
+            three_solve_gradient(mdp, theta, entropy_coeff),
+        )
+
+    @pytest.mark.parametrize("n_states", [2, 3, 64])
+    def test_natural_gradient_matches_three_solve_form(self, n_states):
+        mdp = random_mdp(n_states, 3, 0.9, seed=n_states + 2)
+        theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
+        assert np.array_equal(
+            natural_policy_gradient(mdp, theta, 1e-3),
+            three_solve_natural(mdp, theta, 1e-3),
+        )
+
+    def test_run_matches_three_solve_ascent(self):
+        theta = np.log(resolve_init(DYN2, InitSpec(kind="near_boundary")).probs)
+        points = [value_function(DYN2, softmax_policy(theta))]
+        for _ in range(25):
+            theta = theta + 0.05 * three_solve_gradient(DYN2, theta, 0.1)
+            points.append(value_function(DYN2, softmax_policy(theta)))
+        traj = run_policy_gradient(
+            DYN2, InitSpec(kind="near_boundary"), 0.05, 25, entropy_coeff=0.1
+        )
+        assert np.array_equal(traj.points, np.stack(points))
+
+    def test_npg_rejects_nonpositive_damping(self):
+        with pytest.raises(ValueError, match="damping"):
+            run_npg(DYN2, InitSpec(kind="interior"), 0.05, 3, damping=0.0)
 
 
 class TestCem:
