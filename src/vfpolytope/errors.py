@@ -49,6 +49,10 @@ class DimensionUnsupported(VfpError):
     """Planar geometry helpers and suites need 2-component points or 2 states."""
 
 
+class IterationCap(VfpError):
+    """An iterative solver reached its iteration bound without settling."""
+
+
 class NonFiniteLogits(VfpError):
     """Softmax parameters contain NaN or infinity."""
 

@@ -11,13 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import IterationCap, ShapeMismatch
 from .mdp import Mdp, Policy
 
 # value_function_batch solves at most this many float64 entries of P_pi
 # (4 MiB) at a time, so its peak memory grows with n only through the
 # (n, |S|, |A|) input and the (n, |S|) output.
 _BLOCK_ENTRIES = 1 << 19
+
+# optimal_value's policy iteration gives up after this many improvements.
+# Strict improvement makes it finite; it settles in a handful in practice.
+_MAX_IMPROVEMENTS = 1000
 
 
 def _check_policy_shape(mdp: Mdp, policy: Policy) -> None:
@@ -142,19 +146,35 @@ def optimality_bellman_apply(mdp: Mdp, v: np.ndarray) -> tuple[np.ndarray, Polic
 def optimal_value(mdp: Mdp, tolerance: float = 1e-10) -> tuple[np.ndarray, Policy]:
     """Optimal value and a greedy optimal deterministic policy.
 
-    Runs value iteration from zero until the sup-norm step is below
-    tolerance * (1 - gamma) / gamma, extracts the greedy policy, then
-    evaluates it exactly, so the returned value is the value of an actual
-    policy rather than the truncated iterate.
+    Runs policy iteration with exact evaluation (Puterman 1994, sec. 6.4)
+    from the reward-greedy policy. A state switches to its greedy action
+    only when that gains more than tolerance * max(1, |v|_inf) over the
+    current action, so rounding noise cannot make it cycle and its cost
+    does not grow as gamma nears 1. Returns the lowest-index greedy policy
+    of the final value, evaluated exactly, so the returned value is the
+    value of an actual policy.
+
+    Raises:
+        IterationCap: no settled policy after _MAX_IMPROVEMENTS
+            improvement steps.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    gamma = mdp.gamma
-    threshold = np.inf if gamma == 0.0 else tolerance * (1.0 - gamma) / gamma
-    v = np.zeros(mdp.n_states)
-    while True:
-        v_next, greedy = optimality_bellman_apply(mdp, v)
-        if np.max(np.abs(v_next - v)) < threshold:
+    states = np.arange(mdp.n_states)
+    actions = np.argmax(mdp.reward_matrix, axis=1)
+    for _ in range(_MAX_IMPROVEMENTS):
+        v = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
+        q = q_values(mdp, v)
+        best = np.argmax(q, axis=1)
+        gain = q[states, best] - q[states, actions]
+        switch = gain > tolerance * max(1.0, float(np.max(np.abs(v))))
+        if not switch.any():
             break
-        v = v_next
+        actions = np.where(switch, best, actions)
+    else:
+        raise IterationCap(
+            f"optimal_value: policy iteration did not settle in "
+            f"{_MAX_IMPROVEMENTS} improvement steps"
+        )
+    greedy = Policy.deterministic(best, mdp.n_actions)
     return value_function(mdp, greedy), greedy

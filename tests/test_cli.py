@@ -337,6 +337,33 @@ def test_logit_overflow_is_one_error_line(tmp_path):
     assert proc.stderr == "error: logits contain NaN or infinity\n"
 
 
+def test_vertex_init_near_gamma_one_finishes(tmp_path):
+    # The vertex init solves for the optimal policy first.
+    mdp_path = tmp_path / "mdp.json"
+    mdp_path.write_text(dump_mdp(random_mdp(3, 2, 0.9999999, seed=0)) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", str(mdp_path),
+         "--algo", "pi", "--init", "vertex", "--out", "out.csv"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, capsys):
+    from vfpolytope import evaluation
+
+    monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
+    code = main(["dynamics", "--mdp", "dyn2", "--algo", "pi", "--init", "vertex",
+                 "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestReproducibility:
     COMMANDS = [
         ["fixtures", "dump", "fig2b", "--out", "fix.json"],

@@ -1,3 +1,5 @@
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfpolytope.errors import ShapeMismatch
+from vfpolytope import evaluation
+from vfpolytope.errors import IterationCap, ShapeMismatch
 from vfpolytope.evaluation import (
     bellman_apply,
     induce,
@@ -232,6 +235,49 @@ class TestOptimalValue:
         m = example1_mdp(gamma=0.0)
         v, _ = optimal_value(m)
         np.testing.assert_array_equal(v, [1.0, 0.0])
+
+    @pytest.mark.parametrize("gamma", [0.999, 0.9999999])
+    def test_finishes_near_gamma_one(self, gamma):
+        # A Python-level alarm turns a runaway loop into a failure instead of
+        # a hung suite.
+        def expire(signum, frame):
+            raise TimeoutError("optimal_value ran past 5 s")
+
+        mdp = random_mdp(3, 2, gamma, seed=0)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            start = time.perf_counter()
+            v, greedy = optimal_value(mdp)
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        backup, _ = optimality_bellman_apply(mdp, v)
+        assert np.max(np.abs(backup - v)) <= 1e-8 * max(1.0, np.max(np.abs(v)))
+        np.testing.assert_array_equal(v, value_function(mdp, greedy))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_enumeration_on_random_mdps(self, seed):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(
+            int(rng.integers(2, 5)), int(rng.integers(2, 4)),
+            float(rng.choice([0.0, 0.5, 0.9, 0.99, 0.999])), seed=seed,
+        )
+        v_star, greedy = optimal_value(mdp)
+        values = np.stack([value_function(mdp, p) for p in deterministic_policies(mdp)])
+        scale = max(1.0, np.max(np.abs(values)))
+        assert np.max(np.abs(v_star - values.max(axis=0))) <= 1e-9 * scale
+        q = q_values(mdp, v_star)
+        assert np.array_equal(np.argmax(greedy.probs, axis=1), np.argmax(q, axis=1))
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        # dyn2's reward-greedy policy is not optimal, so one improvement
+        # step cannot settle.
+        monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
+        with pytest.raises(IterationCap):
+            optimal_value(builtin_fixture("dyn2"))
 
 
 class TestQValues:
