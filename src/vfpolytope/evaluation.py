@@ -149,7 +149,7 @@ def optimal_value(mdp: Mdp, tolerance: float = 1e-10) -> tuple[np.ndarray, Polic
     Runs policy iteration with exact evaluation (Puterman 1994, sec. 6.4)
     from the reward-greedy policy. A state switches to its greedy action
     only when that gains more than tolerance * max(1, |v|_inf) over the
-    current action, so rounding noise cannot make it cycle and its cost
+    current action, so rounding noise does not make it cycle and its cost
     does not grow as gamma nears 1. Returns the lowest-index greedy policy
     of the final value, evaluated exactly, so the returned value is the
     value of an actual policy.
