@@ -32,7 +32,6 @@ from .geometry import (
     AgreementSet,
     interpolation_curve,
     line_segment,
-    mix_policies,
     polytope_vertices_det,
     sample_values,
 )
@@ -169,21 +168,17 @@ def cmd_line(args, argv: list[str]) -> int:
         raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
     if args.grid < 2:
         raise CliError("--grid must be at least 2")
-    base = random_policy(mdp, args.seed)
-    segment = line_segment(mdp, base, args.state)
+    segment = line_segment(mdp, random_policy(mdp, args.seed), args.state)
     curve = interpolation_curve(
         mdp, segment.pi_low, segment.pi_high, args.state, grid_size=args.grid
     )
+    # Line theorem: the value at mu is v_low + rho(mu) * (v_high - v_low).
+    values = segment.v_low + curve.rhos[:, None] * (segment.v_high - segment.v_low)
+    values[0], values[-1] = segment.v_low, segment.v_high
     header = ["mu", "rho"] + [f"v_s{i}" for i in range(mdp.n_states)] + ["endpoint_flag"]
-    rows = []
-    for idx, (mu, rho) in enumerate(zip(curve.mus, curve.rhos)):
-        value = value_function(
-            mdp, mix_policies(segment.pi_low, segment.pi_high, float(mu))
-        )
-        flag = 1 if idx in (0, len(curve.mus) - 1) else 0
-        rows.append([float(mu), float(rho), *value, flag])
+    flags = [1] + [0] * (args.grid - 2) + [1]
     out = Path(args.out)
-    write_csv(out, header, rows)
+    write_csv(out, header, np.column_stack([curve.mus, curve.rhos, values]), flags)
     write_manifest(
         out,
         argv,
@@ -266,12 +261,10 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         + [f"v_s{i}" for i in range(mdp.n_states)]
         + [f"meta_{k}" for k in meta_keys]
     )
-    rows = []
-    for point, meta in zip(trajectory.points, trajectory.meta):
-        rows.append(
-            [int(meta["iteration"]), *point]
-            + [float(meta.get(k, 0.0)) for k in meta_keys]
-        )
+    rows = [
+        [int(meta["iteration"]), *point] + [float(meta.get(k, 0.0)) for k in meta_keys]
+        for point, meta in zip(trajectory.points, trajectory.meta)
+    ]
     out = Path(args.out)
     write_csv(out, header, rows)
     outputs = [out]
@@ -308,10 +301,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    mdp = None
-    inputs: dict[str, str] = {}
-    if args.mdp is not None:
-        mdp, inputs = _resolve_mdp(args.mdp)
+    mdp, inputs = (None, {}) if args.mdp is None else _resolve_mdp(args.mdp)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     skipped = []
     if mdp is not None and mdp.n_states != 2:

@@ -21,17 +21,19 @@ def format_cell(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+def write_csv(path: Path, header: list[str], rows, int_column=None) -> None:
+    """Write rows under a header; int_column, if given, ends each row."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         # Same text as format_cell: repr of each cell as a Python float.
         # Converting one row at a time keeps the whole array from being
         # held as Python floats at once.
-        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+        lines = (",".join(map(repr, row.tolist())) for row in rows)
     else:
-        for row in rows:
-            lines.append(",".join(format_cell(cell) for cell in row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        lines = (",".join(map(format_cell, row)) for row in rows)
+    if int_column is not None:
+        lines = (f"{line},{int(cell)}" for line, cell in zip(lines, int_column))
+    text = "\n".join([",".join(header), *lines]) + "\n"
+    Path(path).write_bytes(text.encode("ascii"))
 
 
 def sha256_file(path: Path) -> str:

@@ -163,6 +163,62 @@ class TestLineCommand:
             points = data[:, 2:4]
             assert segment_distances(points, points[0], points[-1]).max() < 1e-9
 
+    @staticmethod
+    def _check_rows_against_solves(mdp, state, seed, grid, tmp_path):
+        from vfpolytope.evaluation import value_function
+        from vfpolytope.geometry import line_segment, mix_policies
+        from vfpolytope.mdp import random_policy
+
+        mdp_path = tmp_path / "mdp.json"
+        mdp_path.write_text(dump_mdp(mdp))
+        out = tmp_path / "line.csv"
+        assert main(
+            ["line", "--mdp", str(mdp_path), "--state", str(state), "--seed",
+             str(seed), "--grid", str(grid), "--out", str(out)]
+        ) == 0
+        _, data = read_csv(out)
+        segment = line_segment(mdp, random_policy(mdp, seed), state)
+        for mu, row in zip(data[:, 0], data[:, 2:-1]):
+            direct = value_function(mdp, mix_policies(segment.pi_low, segment.pi_high, mu))
+            scale = max(1.0, np.max(np.abs(direct)))
+            assert np.max(np.abs(row - direct)) <= 1e-9 * scale
+        np.testing.assert_array_equal(data[0, 2:-1], segment.v_low)
+        np.testing.assert_array_equal(data[-1, 2:-1], segment.v_high)
+        return data
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("n_states", [2, 3, 64, 128])
+    def test_closed_form_rows_match_direct_solves(self, n_states, gamma, tmp_path):
+        mdp = random_mdp(n_states, 3, gamma, seed=n_states)
+        self._check_rows_against_solves(mdp, n_states // 2, 7, 11, tmp_path)
+
+    def test_single_action_curve_is_constant(self, tmp_path):
+        mdp = random_mdp(4, 1, 0.9, seed=3)
+        data = self._check_rows_against_solves(mdp, 1, 2, 6, tmp_path)
+        assert np.all(data[:, 1] == 0.0)
+        assert np.all(data[:, 2:-1] == data[0, 2:-1])
+
+    def test_solve_count_does_not_depend_on_grid(self, tmp_path, monkeypatch):
+        mdp_path = tmp_path / "mdp.json"
+        mdp_path.write_text(dump_mdp(random_mdp(16, 3, 0.9, seed=1)))
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        counts = []
+        for grid in ("2", "1001"):
+            calls.clear()
+            assert main(
+                ["line", "--mdp", str(mdp_path), "--state", "3", "--seed", "1",
+                 "--grid", grid, "--out", str(tmp_path / f"line{grid}.csv")]
+            ) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
 
 class TestDynamicsCommand:
     def test_vi_contracts(self, tmp_path):

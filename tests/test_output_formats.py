@@ -54,6 +54,23 @@ def test_csv_float_array_matches_per_cell_formatting(tmp_path):
     ]
 
 
+def test_csv_int_column_matches_per_cell_formatting(tmp_path):
+    values = np.array(
+        [[-0.0, 1e-05, 1e16], [np.nan, np.inf, -np.inf], [5e-324, 0.1, -2.5]]
+    )
+    flags = [1, 0, 1]
+    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
+    write_csv(fast, ["a", "b", "c", "flag"], values, flags)
+    write_csv(
+        cells, ["a", "b", "c", "flag"],
+        [[*map(float, row), flag] for row, flag in zip(values, flags)],
+    )
+    assert fast.read_bytes() == cells.read_bytes()
+    assert fast.read_text().splitlines()[1:] == [
+        "-0.0,1e-05,1e+16,1", "nan,inf,-inf,0", "5e-324,0.1,-2.5,1",
+    ]
+
+
 def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
