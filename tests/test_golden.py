@@ -43,7 +43,8 @@ CASES = {
     "verify-dyn2": "verify --suite all --trials 2 --seed 1 --mdp dyn2 --report {d}/out.json",
 }
 
-# name -> (exit code, {output file: sha256}), recorded on 0.2.0.
+# name -> (exit code, {output file: sha256}), recorded on 0.2.0; the line-*
+# cases were re-pinned on 0.2.1, which computes line values in closed form.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -101,13 +102,13 @@ GOLDEN = {
         "out.csv": "86bca34c39af73dc30392ba29631dc9746f73c980e49a47bf6e933cd33a01895",
     }),
     "line-dyn2": (0, {
-        "out.csv": "3e30fed57a7f1082ac46aa1232fa1df6109a52525cd470c674f9f47d1c58b0bb",
+        "out.csv": "d1b914190427436502b19c237e49e7911a128ea3a12d40a637dc0bd46a2c2a30",
     }),
     "line-mdp3": (0, {
-        "out.csv": "2b13975fb56614977a9b6a73c4c52405c54a5312c054c0792d92640457edab83",
+        "out.csv": "1a26f983a1beb7cf6dc2c21da720e42e836714dd52e21738f7c602e8beb30836",
     }),
     "line-mdp64": (0, {
-        "out.csv": "f15b01983c9b96746cb72491f3ba17505523f3f4522a68ed5da73dfc7658c114",
+        "out.csv": "b07c0c1444b95ce290a739b5ccdca1c25f4a3607112e493fe365d60c701e6cab",
     }),
     "sample-dyn2": (0, {
         "out.csv": "62c36a5bee2e1eb75bf5ff001a9b06031eb6683846117bea32af783d8ea66346",
