@@ -55,6 +55,10 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 DEFAULT_ITERS = {"vi": 100, "pi": 0, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
+# Largest float64 array `sample` and `line` may build (32 MiB): --n*|S|*|A|
+# sampled probabilities, --grid*|S| line values. Checked before either is built.
+MAX_CELLS = 1 << 22
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR) -> None:
@@ -112,9 +116,8 @@ def cmd_fixtures(args, argv: list[str]) -> int:
 
 
 def cmd_sample(args, argv: list[str]) -> int:
-    if args.n < 1:
-        raise CliError("--n must be at least 1")
     mdp, inputs = _resolve_mdp(args.mdp)
+    _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     if args.svg is not None and mdp.n_states != 2:
         raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
     fixed_states = _parse_fix(args.fix, mdp)
@@ -146,6 +149,13 @@ def cmd_sample(args, argv: list[str]) -> int:
     return 0
 
 
+def _check_count(flag: str, count: int, low: int, cells_each: int) -> None:
+    """Keep count >= low and its count*cells_each float64 array within MAX_CELLS."""
+    high = MAX_CELLS // cells_each
+    if not low <= count <= high:
+        raise CliError(f"{flag} must be between {low} and {high} for this MDP")
+
+
 def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
     fixed: set[int] = set()
     for item in fix_args or []:
@@ -166,8 +176,7 @@ def cmd_line(args, argv: list[str]) -> int:
     mdp, inputs = _resolve_mdp(args.mdp)
     if not 0 <= args.state < mdp.n_states:
         raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
-    if args.grid < 2:
-        raise CliError("--grid must be at least 2")
+    _check_count("--grid", args.grid, 2, mdp.n_states)
     segment = line_segment(mdp, random_policy(mdp, args.seed), args.state)
     curve = interpolation_curve(
         mdp, segment.pi_low, segment.pi_high, args.state, grid_size=args.grid
@@ -261,10 +270,12 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         + [f"v_s{i}" for i in range(mdp.n_states)]
         + [f"meta_{k}" for k in meta_keys]
     )
-    rows = [
-        [int(meta["iteration"]), *point] + [float(meta.get(k, 0.0)) for k in meta_keys]
-        for point, meta in zip(trajectory.points, trajectory.meta)
-    ]
+    rows = []
+    for point, meta in zip(trajectory.points, trajectory.meta):
+        rows.append(
+            [int(meta["iteration"]), *point]
+            + [float(meta.get(k, 0.0)) for k in meta_keys]
+        )
     out = Path(args.out)
     write_csv(out, header, rows)
     outputs = [out]
@@ -301,7 +312,10 @@ def cmd_verify(args, argv: list[str]) -> int:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    mdp, inputs = (None, {}) if args.mdp is None else _resolve_mdp(args.mdp)
+    mdp = None
+    inputs: dict[str, str] = {}
+    if args.mdp is not None:
+        mdp, inputs = _resolve_mdp(args.mdp)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     skipped = []
     if mdp is not None and mdp.n_states != 2:

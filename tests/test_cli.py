@@ -179,7 +179,8 @@ class TestLineCommand:
         _, data = read_csv(out)
         segment = line_segment(mdp, random_policy(mdp, seed), state)
         for mu, row in zip(data[:, 0], data[:, 2:-1]):
-            direct = value_function(mdp, mix_policies(segment.pi_low, segment.pi_high, mu))
+            mixture = mix_policies(segment.pi_low, segment.pi_high, mu)
+            direct = value_function(mdp, mixture)
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(row - direct)) <= 1e-9 * scale
         np.testing.assert_array_equal(data[0, 2:-1], segment.v_low)
@@ -218,6 +219,45 @@ class TestLineCommand:
             ) == 0
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestSizeCaps:
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        import vfpolytope.geometry as geometry
+
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(np, "linspace", reached)
+        monkeypatch.setattr(geometry, "sample_policy_probs", reached)
+
+    @pytest.mark.parametrize(
+        "flag, low, argv, cells_each",
+        [
+            ("--n", 1, ["sample", "--mdp", "dyn2", "--out", "out.csv"], 2 * 2),
+            ("--n", 1, ["sample", "--mdp", "threeaction", "--out", "out.csv"], 2 * 3),
+            ("--grid", 2,
+             ["line", "--mdp", "dyn2", "--state", "0", "--out", "out.csv"], 2),
+        ],
+    )
+    def test_one_above_cap_exits_2_before_allocating(
+        self, flag, low, argv, cells_each, guarded, tmp_path, monkeypatch, capsys
+    ):
+        from vfpolytope.cli import MAX_CELLS
+
+        monkeypatch.chdir(tmp_path)
+        cap = MAX_CELLS // cells_each
+        expected = f"error: {flag} must be between {low} and {cap} for this MDP\n"
+        for count in (cap + 1, 10**30, low - 1):
+            assert main([*argv, flag, str(count)]) == 2
+            assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(self.Reached):
+            main([*argv, flag, str(cap)])
 
 
 class TestDynamicsCommand:
