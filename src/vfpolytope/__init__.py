@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -35,6 +35,7 @@ from .geometry import (  # noqa: F401
     hull_2d,
     interpolation_curve,
     line_segment,
+    membership_gap,
     mix_policies,
     path_between,
     point_in_hull,

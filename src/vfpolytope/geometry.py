@@ -6,7 +6,7 @@ fixing k states confines the image to an affine slice spanned by the
 resolvent columns of the free states; and the whole image sits inside the
 convex hull of the deterministic-policy values. The operations here
 construct those objects exactly and support sampling-based checks of each
-property.
+property; membership_gap decides exactly whether a vector is a value at all.
 """
 from __future__ import annotations
 
@@ -108,20 +108,18 @@ class InterpolationCurve:
     For policies p0, p1 agreeing off one state, the value of the mixture
     mu*p1 + (1-mu)*p0 equals v0 + rho(mu) * (v1 - v0) with
 
-        rho(mu) = mu + gamma*mu*(1-mu) / (1 - omega*gamma*(1-mu)) * (beta/alpha)
+        rho(mu) = mu + gamma*mu*(1-mu)*omega / (1 - omega*gamma*(1-mu))
 
     where, writing D = P_p0 - P_p1 (rank one, supported on the free state's
-    row) and R for the resolvent of p1:
-        omega = D[s, :] @ R[:, s],
-        beta  = D[s, :] @ (v0 - v1),
-        alpha = the coefficient with v0 - v1 = alpha * R[:, s].
-    When v0 == v1 the whole mixture is constant and the curve is flagged.
+    row) and R for the resolvent of p1, omega = D[s, :] @ R[:, s]. Since
+    v0 - v1 is a multiple of R[:, s], D[s, :] @ (v0 - v1) over that multiple
+    is omega itself, so omega is the only coefficient. rho(0) = 0 and
+    rho(1) = 1 exactly. When v0 == v1 the whole mixture is constant and the
+    curve is flagged.
     """
 
     mus: np.ndarray
     rhos: np.ndarray
-    alpha: float
-    beta: float
     omega: float
     constant: bool
 
@@ -195,29 +193,16 @@ def interpolation_curve(
     mus = np.linspace(0.0, 1.0, grid_size)
     if np.max(np.abs(v0 - v1)) < 1e-12:
         return InterpolationCurve(
-            mus=mus,
-            rhos=np.zeros(grid_size),
-            alpha=0.0,
-            beta=0.0,
-            omega=0.0,
-            constant=True,
+            mus=mus, rhos=np.zeros(grid_size), omega=0.0, constant=True
         )
     chain1 = induce(mdp, p1)
     p_pi0, _ = _collapse(mdp, p0.probs)
-    d_row = p_pi0[state] - chain1.p_pi[state]
-    column = chain1.resolvent[:, state]
-    omega = float(d_row @ column)
-    beta = float(d_row @ (v0 - v1))
-    # alpha from the best-conditioned component of the resolvent column.
-    pivot = int(np.argmax(np.abs(column)))
-    alpha = float((v0 - v1)[pivot] / column[pivot])
+    omega = float((p_pi0[state] - chain1.p_pi[state]) @ chain1.resolvent[:, state])
     gamma = mdp.gamma
-    rhos = mus + (gamma * mus * (1.0 - mus)) / (
+    rhos = mus + gamma * mus * (1.0 - mus) * omega / (
         1.0 - omega * gamma * (1.0 - mus)
-    ) * (beta / alpha)
-    return InterpolationCurve(
-        mus=mus, rhos=rhos, alpha=alpha, beta=beta, omega=omega, constant=False
     )
+    return InterpolationCurve(mus=mus, rhos=rhos, omega=omega, constant=False)
 
 
 def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
@@ -329,6 +314,33 @@ def slice_rank(values: np.ndarray, rel_tol: float = 1e-8) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.sum(svals > rel_tol * svals[0]))
+
+
+def _q_stack(mdp: Mdp, values: np.ndarray) -> np.ndarray:
+    """(n, |S|, |A|) state-action values r(s,a) + gamma * E[v(s')] of a stack."""
+    return mdp.reward_matrix + mdp.gamma * np.einsum(
+        "sat,nt->nsa", mdp.transition_tensor, values
+    )
+
+
+def membership_gap(mdp: Mdp, values) -> np.ndarray:
+    """Scaled distance by which each row of an (n, |S|) stack misses the value set.
+
+    v is the value of some policy iff min_a Q_v(s,a) <= v(s) <= max_a Q_v(s,a)
+    at every state: mixing each state's actions to average Q_v(s, .) to v(s)
+    gives a policy whose Bellman operator fixes v, and that fixed point is
+    unique. Per point this returns the largest of min_a Q_v(s,a) - v(s) and
+    v(s) - max_a Q_v(s,a) over states, divided by max(1, |v|_inf): at most 0
+    on members, 0 on the boundary and positive outside, in any dimension.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != mdp.n_states:
+        raise ShapeMismatch(
+            f"expected an (n, {mdp.n_states}) value stack, got {values.shape}"
+        )
+    q = _q_stack(mdp, values)
+    gap = np.maximum(q.min(axis=2) - values, values - q.max(axis=2)).max(axis=1)
+    return gap / np.maximum(1.0, np.abs(values).max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -284,41 +284,25 @@ def load_mdp(text: str) -> Mdp:
     extra = [k for k in doc if k not in DOCUMENT_KEYS]
     if missing or extra:
         raise MalformedDocument(f"missing keys {missing}, unexpected keys {extra}")
-    if not isinstance(doc["n_states"], int) or isinstance(doc["n_states"], bool):
-        raise MalformedDocument("n_states must be an integer")
-    if not isinstance(doc["n_actions"], int) or isinstance(doc["n_actions"], bool):
-        raise MalformedDocument("n_actions must be an integer")
-    n_states, n_actions = doc["n_states"], doc["n_actions"]
-    if n_states < 1 or n_actions < 1:
-        raise MalformedDocument("n_states and n_actions must be positive")
-    rewards = doc["rewards"]
-    transitions = doc["transitions"]
-    n_sa = n_states * n_actions
-    if not isinstance(rewards, list) or len(rewards) != n_sa:
-        raise MalformedDocument(f"rewards must be a flat array of length {n_sa}")
-    if (
-        not isinstance(transitions, list)
-        or len(transitions) != n_sa
-        or any(not isinstance(row, list) or len(row) != n_states for row in transitions)
-    ):
-        raise MalformedDocument(
-            f"transitions must be {n_sa} rows of {n_states} floats each"
-        )
+    # Mdp checks integers, positivity and shapes; JSON booleans would pass
+    # operator.index there, so they are refused here.
+    if any(isinstance(doc[k], bool) for k in ("n_states", "n_actions")):
+        raise MalformedDocument("n_states and n_actions must be integers")
+    if isinstance(doc["gamma"], bool) or not isinstance(doc["gamma"], (int, float)):
+        raise MalformedDocument("gamma must be a number")
     try:
-        gamma = float(doc["gamma"])
-    except (TypeError, ValueError):
-        raise MalformedDocument("gamma must be a number") from None
-    try:
-        reward_array = np.array(rewards, dtype=float)
-        transition_array = np.array(transitions, dtype=float)
+        rewards = np.array(doc["rewards"], dtype=float)
+        transitions = np.array(doc["transitions"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"arrays must be numeric: {exc}") from exc
+    if rewards.ndim != 1:
+        raise MalformedDocument("rewards must be a flat array")
     return Mdp(
-        n_states=n_states,
-        n_actions=n_actions,
-        rewards=reward_array,
-        transitions=transition_array,
-        gamma=gamma,
+        n_states=doc["n_states"],
+        n_actions=doc["n_actions"],
+        rewards=rewards,
+        transitions=transitions,
+        gamma=doc["gamma"],
     )
 
 

@@ -23,10 +23,12 @@ from .evaluation import (
 from .geometry import (
     AgreementSet,
     _hull_escape,
+    _q_stack,
     affine_slice,
     hull_2d,
     interpolation_curve,
     line_segment,
+    membership_gap,
     mix_policies,
     path_between,
     polytope_vertices_det,
@@ -36,6 +38,10 @@ from .geometry import (
 )
 from .mdp import Mdp, Policy, random_mdp, random_policy
 
+# The boundary suite bisects this many rays per instance, each this many
+# times: enough halvings to shrink any starting interval to adjacent floats.
+BOUNDARY_RAYS = 64
+BOUNDARY_HALVINGS = 64
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -385,71 +391,6 @@ def _suite_hull(
     return report
 
 
-def dense_value_cloud(mdp: Mdp, n: int, seed, boundary_bias: bool = True) -> np.ndarray:
-    """Large seeded cloud of exact policy values for boundary detection.
-
-    Half the policies are flat-Dirichlet; with boundary_bias the rest sharpen
-    one state's row toward a corner of the action simplex (Dirichlet with
-    concentration 0.05), which packs samples against the boundary of the
-    value set without ever leaving it. Vectorized single-stream sampling;
-    deterministic per seed.
-    """
-    rng = np.random.default_rng(seed)
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-
-    def sharp_rows(count: int) -> np.ndarray:
-        rows = rng.gamma(0.05, size=(count, n_actions)) + 1e-12
-        return rows / rows.sum(axis=1, keepdims=True)
-
-    blocks = []
-    n_plain = n if not boundary_bias else (2 * n) // 5
-    if n_plain:
-        e = rng.exponential(1.0, size=(n_plain, n_states, n_actions))
-        blocks.append(e / e.sum(axis=2, keepdims=True))
-    if boundary_bias:
-        # Edge coverage: sharpen one state's row; corner coverage: sharpen all.
-        n_corner = n // 5
-        n_side = (n - n_plain - n_corner) // n_states
-        for s in range(n_states):
-            count = (
-                n_side
-                if s < n_states - 1
-                else n - n_plain - n_corner - n_side * (n_states - 1)
-            )
-            probs = rng.exponential(1.0, size=(count, n_states, n_actions))
-            probs /= probs.sum(axis=2, keepdims=True)
-            probs[:, s, :] = sharp_rows(count)
-            blocks.append(probs)
-        corner = np.stack(
-            [sharp_rows(n_corner) for _ in range(n_states)], axis=1
-        )
-        blocks.append(corner)
-    return value_function_batch(mdp, np.concatenate(blocks))
-
-
-def cloud_boundary_points(cloud: np.ndarray, bins: int = 256) -> np.ndarray:
-    """Outer boundary of a planar point cloud by an angular farthest sweep.
-
-    Bins points by angle around the centroid and keeps the farthest point in
-    each bin; robust for the star-shaped clouds produced by 2-state MDPs.
-    """
-    center = cloud.mean(axis=0)
-    rel = cloud - center
-    radii = np.linalg.norm(rel, axis=1)
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    indices = np.minimum(
-        ((angles + np.pi) / (2 * np.pi) * bins).astype(int), bins - 1
-    )
-    out = []
-    for b in range(bins):
-        mask = indices == b
-        if not np.any(mask):
-            continue
-        sub = np.flatnonzero(mask)
-        out.append(cloud[sub[np.argmax(radii[sub])]])
-    return np.array(out)
-
-
 def semidet_family_segments(mdp: Mdp) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact value segments of each one-state-pinned policy family (2-state).
 
@@ -469,39 +410,58 @@ def semidet_family_segments(mdp: Mdp) -> list[tuple[np.ndarray, np.ndarray]]:
     return segments
 
 
-def _suite_boundary(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 400_000
-) -> CheckReport:
-    """Cloud boundary points sit on the one-state-pinned family segments.
+def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
+    """Exact boundary points are values of semi-deterministic policies.
 
-    On a given MDP the tolerance is used as-is. Over the random family the
-    angular sweep's resolution on arbitrary (often sliver-shaped) instances
-    is coarser than on the built-ins, so the tolerance floor is 5e-3: real
-    coverage violations show up orders of magnitude above that.
+    From the uniform policy's value, BOUNDARY_RAYS random rays are bisected
+    on membership_gap until the last member and the first non-member are
+    adjacent floats. At each boundary point every state's row mixes the
+    actions of min and max Q_v(s, .) to average v(s), and the tightest state
+    is snapped to its extreme action. The policy's solved value must match
+    the point; on 2-state instances the point must also lie on one of the
+    one-state-pinned family segments. Distances are scaled by
+    max(1, |v|_inf).
     """
-    if mdp is not None:
-        instances: list[tuple[str, Mdp]] = [("given", mdp)]
-    else:
-        instances = [
-            (f"random2 {i}", _random_instance(seed, i, two_state=True))
-            for i in range(min(trials, 20))
-        ]
-        tol = max(tol, 5e-3)
-    report = CheckReport(check_name="boundary", instances_run=len(instances))
-    for i, (label, instance) in enumerate(instances):
-        cloud = dense_value_cloud(instance, samples, (int(seed), 14, i))
-        boundary = cloud_boundary_points(cloud)
-        segments = semidet_family_segments(instance)
-        dists = np.min(
-            np.stack([segment_distances(boundary, a, b) for a, b in segments]),
-            axis=0,
+    report = CheckReport(check_name="boundary", instances_run=trials)
+    for i in range(trials):
+        instance = mdp or _random_instance(seed, i)
+        n_states, n_actions = instance.n_states, instance.n_actions
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(14, i)))
+        rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
+        rays /= np.abs(rays).max(axis=1, keepdims=True)
+        start = value_function(instance, Policy.uniform(n_states, n_actions))
+        # |start + t ray|_inf > value_bound, so hi is outside the value set.
+        lo = np.zeros(BOUNDARY_RAYS)
+        hi = np.full(BOUNDARY_RAYS, 2.0 * instance.value_bound() + 1.0)
+        for _ in range(BOUNDARY_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            inside = membership_gap(instance, start + mid[:, None] * rays) <= 0.0
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        points = start + lo[:, None] * rays
+        q = _q_stack(instance, points)
+        q_min, q_max = q.min(axis=2), q.max(axis=2)
+        spread = q_max - q_min
+        weight = np.clip(
+            (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
         )
-        # Detector resolution scales with the value set's size, so deviations
-        # are measured per 5-unit extent; fixture-sized sets (dyn2 spans ~4.6)
-        # keep absolute semantics.
-        extent = float(np.max(cloud.max(axis=0) - cloud.min(axis=0)))
-        scale = max(1.0, extent / 5.0)
-        report.record(label, float(np.max(dists)) / scale, tol)
+        tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
+        rows = np.arange(BOUNDARY_RAYS)
+        weight[rows, tight] = np.round(weight[rows, tight])
+        probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
+        cells = (rows[:, None], np.arange(n_states)[None, :])
+        probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
+        probs[cells + (q.argmax(axis=2),)] += weight
+        scale = np.maximum(1.0, np.abs(points).max(axis=1))
+        misses = np.abs(value_function_batch(instance, probs) - points).max(axis=1)
+        deviation = float(np.max(misses / scale))
+        if n_states == 2:
+            dists = np.min(
+                [segment_distances(points, a, b) for a, b in semidet_family_segments(instance)],
+                axis=0,
+            )
+            deviation = max(deviation, float(np.max(dists / scale)))
+        report.record(f"instance {i} |S|={n_states}", deviation, tol)
     return report
 
 
@@ -610,7 +570,7 @@ _SUITES = {
     "span": (_suite_span, 1e-8),
     "zeros": (_suite_zeros, 0.0),
     "hull": (_suite_hull, 1e-9),
-    "boundary": (_suite_boundary, 1e-3),
+    "boundary": (_suite_boundary, 1e-9),
     "rank": (_suite_rank, 0.0),
     "path": (_suite_path, 1e-9),
     "dominance": (_suite_dominance, 1e-8),
@@ -621,7 +581,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 # Suites that need a planar value set; on a given MDP they need |S| = 2.
-PLANAR_SUITES = ("hull", "boundary")
+PLANAR_SUITES = ("hull",)
 
 
 def run_suite(

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from vfpolytope.cli import main
-from vfpolytope.mdp import builtin_fixture, dump_mdp, example1_mdp, load_mdp, random_mdp
+from vfpolytope.mdp import (
+    Mdp,
+    builtin_fixture,
+    dump_mdp,
+    example1_mdp,
+    load_mdp,
+    random_mdp,
+)
 
 
 def sha(path: Path) -> str:
@@ -373,21 +380,53 @@ class TestVerifyCommand:
         assert code == 0
         names = [r["check_name"] for r in json.loads(report.read_text())["reports"]]
         assert names == [
-            "line", "order", "rho", "slice", "span", "zeros", "rank", "path",
-            "dominance", "smooth", "bounded",
+            "line", "order", "rho", "slice", "span", "zeros", "boundary", "rank",
+            "path", "dominance", "smooth", "bounded",
         ]
         out = capsys.readouterr().out.splitlines()
-        assert "skip hull: needs a 2-state MDP, got |S|=3" in out
-        assert "skip boundary: needs a 2-state MDP, got |S|=3" in out
-        for suite in ("hull", "boundary"):
-            explicit = tmp_path / f"{suite}.json"
-            assert main(
-                ["verify", "--suite", suite, "--mdp", str(doc),
-                 "--report", str(explicit)]
-            ) == 3
-            err = capsys.readouterr().err
-            assert err == f"error: suite {suite!r} needs a 2-state MDP, got |S|=3\n"
-            assert not explicit.exists()
+        assert [line for line in out if line.startswith("skip")] == [
+            "skip hull: needs a 2-state MDP, got |S|=3"
+        ]
+        explicit = tmp_path / "hull.json"
+        assert main(
+            ["verify", "--suite", "hull", "--mdp", str(doc), "--report", str(explicit)]
+        ) == 3
+        err = capsys.readouterr().err
+        assert err == "error: suite 'hull' needs a 2-state MDP, got |S|=3\n"
+        assert not explicit.exists()
+
+    @pytest.mark.parametrize("seed", ["13", "16"])
+    def test_all_suites_pass_where_the_sampled_boundary_failed(self, seed, tmp_path):
+        report = tmp_path / "rep.json"
+        code = main(
+            ["verify", "--suite", "all", "--trials", "10", "--seed", seed,
+             "--report", str(report)]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["all_passed"] is True
+
+    @pytest.mark.parametrize(
+        "mdp",
+        [
+            random_mdp(3, 2, 0.9, 0),
+            random_mdp(3, 1, 0.9, 0),
+            Mdp(2, 3, np.zeros(6), random_mdp(2, 3, 0.9, 0).transitions, 0.9),
+        ],
+        ids=["three-state", "single-action", "zero-reward"],
+    )
+    def test_boundary_suite_on_a_given_mdp(self, mdp, tmp_path, capsys):
+        doc = tmp_path / "m.json"
+        doc.write_text(dump_mdp(mdp))
+        report = tmp_path / "rep.json"
+        code = main(
+            ["verify", "--suite", "boundary", "--trials", "3", "--mdp", str(doc),
+             "--report", str(report)]
+        )
+        assert code == 0
+        (entry,) = json.loads(report.read_text())["reports"]
+        assert entry["passed"] and entry["instances_run"] == 3
+        assert entry["max_deviation"] <= 1e-9
+        assert "pass boundary: 3 instances" in capsys.readouterr().out
 
     def test_all_suites_exit_0(self, tmp_path):
         report = tmp_path / "rep.json"

@@ -7,6 +7,7 @@ from vfpolytope.errors import (
     DimensionUnsupported,
     MuOutOfRange,
     NotAgreeing,
+    ShapeMismatch,
 )
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
@@ -17,6 +18,7 @@ from vfpolytope.geometry import (
     hull_2d,
     interpolation_curve,
     line_segment,
+    membership_gap,
     mix_policies,
     path_between,
     point_in_hull,
@@ -28,6 +30,7 @@ from vfpolytope.geometry import (
     slice_rank,
 )
 from vfpolytope.mdp import (
+    FIXTURE_NAMES,
     Policy,
     builtin_fixture,
     example1_mdp,
@@ -156,6 +159,53 @@ class TestInterpolationCurve:
         m = builtin_fixture("dyn2")
         with pytest.raises(NotAgreeing):
             interpolation_curve(m, random_policy(m, 1), random_policy(m, 2), 0)
+
+    @pytest.mark.parametrize("n_states, gamma", [(2, 0.9), (3, 0.99999), (64, 0.999)])
+    def test_endpoints_exact(self, n_states, gamma):
+        m = random_mdp(n_states, 3, gamma, seed=n_states)
+        p0 = random_policy(m, 1)
+        p1 = p0.with_row(1, np.array([0.2, 0.3, 0.5]))
+        curve = interpolation_curve(m, p0, p1, 1, grid_size=7)
+        assert curve.rhos[0] == 0.0 and curve.rhos[-1] == 1.0
+
+
+class TestMembershipGap:
+    @pytest.mark.parametrize("n_states", [2, 3, 8, 64])
+    def test_sampled_values_are_members(self, n_states):
+        m = random_mdp(n_states, 3, 0.9, seed=n_states)
+        assert membership_gap(m, sample_values(m, 500, 1)).max() <= 0.0
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_deterministic_values_are_on_the_boundary(self, name):
+        m = builtin_fixture(name)
+        vertices = np.stack([v for _, v in polytope_vertices_det(m)])
+        assert membership_gap(m, vertices).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_points_past_the_value_bound_are_not_members(self, name):
+        m = builtin_fixture(name)
+        outside = 1.01 * m.value_bound() * np.eye(m.n_states)
+        assert np.all(membership_gap(m, np.vstack([outside, -outside])) > 0.0)
+
+    def test_matches_per_state_loop(self):
+        m = random_mdp(3, 4, 0.8, seed=5)
+        points = np.random.default_rng(0).normal(scale=3.0, size=(20, 3))
+        expected = []
+        for v in points:
+            worst = -np.inf
+            for s in range(3):
+                q = [m.reward_matrix[s, a] + m.gamma * m.transition_tensor[s, a] @ v
+                     for a in range(4)]
+                worst = max(worst, min(q) - v[s], v[s] - max(q))
+            expected.append(worst / max(1.0, np.max(np.abs(v))))
+        np.testing.assert_allclose(membership_gap(m, points), expected, atol=1e-14)
+
+    def test_rejects_wrong_shape(self):
+        m = builtin_fixture("dyn2")
+        with pytest.raises(ShapeMismatch):
+            membership_gap(m, np.zeros(2))
+        with pytest.raises(ShapeMismatch):
+            membership_gap(m, np.zeros((4, 3)))
 
 
 class TestAffineSlice:

@@ -150,6 +150,43 @@ class TestLoadMdp:
         with pytest.raises(MalformedDocument):
             load_mdp("{nope")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rewards", [0.0, 1.0, 2.0]),
+            ("transitions", [[1.0, 0.0]] * 3),
+            ("transitions", [[1.0, 0.0], [1.0], [0.0, 1.0], [0.5, 0.5]]),
+            ("n_states", 0),
+            ("n_states", True),
+            ("n_states", 2.5),
+            ("gamma", "0.9"),
+            ("rewards", None),
+            ("rewards", [[0.0, 1.0], [2.0, 3.0]]),
+        ],
+        ids=[
+            "short-rewards", "wrong-row-count", "ragged-rows", "zero-states",
+            "boolean-states", "fractional-states", "string-gamma", "null-rewards",
+            "nested-rewards",
+        ],
+    )
+    def test_malformed_document_is_one_error_line(self, key, value, tmp_path, capsys):
+        from vfpolytope.cli import main
+        from vfpolytope.errors import VfpError
+
+        doc = doc_for(example1_mdp())
+        doc[key] = value
+        text = json.dumps(doc)
+        with pytest.raises(VfpError):
+            load_mdp(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["sample", "--mdp", str(path), "--n", "5", "--out",
+                     str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestRandomGeneration:
     def test_random_mdp_deterministic(self):

@@ -182,6 +182,21 @@ class TestSuites:
         assert report.passed
         assert report.max_deviation == 0.0
 
+    def test_boundary_suite_passes_seeds_0_to_99(self):
+        for seed in range(100):
+            report = run_suite("boundary", trials=10, seed=seed)
+            assert report.passed, (seed, report.failures)
+            assert report.instances_run == 10
+
+    def test_boundary_suite_sees_a_displaced_solve(self, monkeypatch):
+        solve = verification.value_function_batch
+        monkeypatch.setattr(
+            verification, "value_function_batch", lambda m, p: solve(m, p) + 1e-7
+        )
+        report = run_suite("boundary", trials=2, seed=0)
+        assert len(report.failures) == 2
+        assert report.max_deviation > 1e-9
+
     def test_hull_suite_on_dyn2(self):
         report = run_suite("hull", seed=7, mdp=DYN2)
         assert report.passed
