@@ -44,7 +44,9 @@ CASES = {
 }
 
 # name -> (exit code, {output file: sha256}), recorded on 0.2.0; the line-*
-# cases were re-pinned on 0.2.1, which computes line values in closed form.
+# cases were re-pinned on 0.2.1, which computes line values in closed form,
+# and again on 0.3.0 with the verify-* cases: 0.3.0 computes rho from omega
+# alone and checks the boundary suite by exact value-set membership.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -102,13 +104,13 @@ GOLDEN = {
         "out.csv": "86bca34c39af73dc30392ba29631dc9746f73c980e49a47bf6e933cd33a01895",
     }),
     "line-dyn2": (0, {
-        "out.csv": "d1b914190427436502b19c237e49e7911a128ea3a12d40a637dc0bd46a2c2a30",
+        "out.csv": "b6faaef29a6a7e3b49d02a81885b1d97d9074ceaafb5ff25a85c503cabd6da61",
     }),
     "line-mdp3": (0, {
-        "out.csv": "1a26f983a1beb7cf6dc2c21da720e42e836714dd52e21738f7c602e8beb30836",
+        "out.csv": "b9daba60cecb2835899755537de44b60f966d026cd974b05198d4ff130adb115",
     }),
     "line-mdp64": (0, {
-        "out.csv": "b07c0c1444b95ce290a739b5ccdca1c25f4a3607112e493fe365d60c701e6cab",
+        "out.csv": "7cbd25063680ca4080a69f46d157f25a6ee942c6b93098e9b3945d37c9cd39ea",
     }),
     "sample-dyn2": (0, {
         "out.csv": "62c36a5bee2e1eb75bf5ff001a9b06031eb6683846117bea32af783d8ea66346",
@@ -121,10 +123,10 @@ GOLDEN = {
         "out.csv": "3a562c1badc2a798aa39d34d9499b17784d7b158195e162b9995ca8fd79b209f",
     }),
     "verify-dyn2": (0, {
-        "out.json": "ae5acfa54b5fe3a1cc6e0e45150af7c8d56b19606cd289187851d6cf210d6eb4",
+        "out.json": "e89faf826cfae98f8015cc5a0a8cee735e84ea0f2cb8fca30f1252c725d99baf",
     }),
     "verify-random": (0, {
-        "out.json": "07ff9e2c5f5d0f01c4eb19894f170eafc6004ee06129a4b6bace8fd16868cf76",
+        "out.json": "bc6cbf12e0619f08358e5c208520b2022ae8bc1730ace0d534b31e5f78dc6531",
     }),
 }
 
