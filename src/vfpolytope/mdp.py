@@ -92,7 +92,10 @@ class Mdp:
             raise MalformedDocument("n_states and n_actions must be positive")
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "n_actions", n_actions)
-        gamma = float(self.gamma)
+        try:
+            gamma = float(self.gamma)
+        except OverflowError:  # an integer too large for a float
+            gamma = np.inf
         if not (np.isfinite(gamma) and 0.0 <= gamma < 1.0):
             raise InvalidGamma(f"gamma must lie in [0, 1), got {gamma!r}")
         rewards = np.asarray(self.rewards, dtype=float).reshape(-1)
@@ -276,7 +279,7 @@ def load_mdp(text: str) -> Mdp:
     """Parse the JSON MDP document format into a validated Mdp."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("document must be a JSON object")

@@ -149,6 +149,8 @@ class TestLoadMdp:
     def test_not_json(self):
         with pytest.raises(MalformedDocument):
             load_mdp("{nope")
+        with pytest.raises(MalformedDocument):
+            load_mdp('{"n_states": ' + "1" * 5000 + "}")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -160,13 +162,14 @@ class TestLoadMdp:
             ("n_states", True),
             ("n_states", 2.5),
             ("gamma", "0.9"),
+            ("gamma", 10**400),
             ("rewards", None),
             ("rewards", [[0.0, 1.0], [2.0, 3.0]]),
         ],
         ids=[
             "short-rewards", "wrong-row-count", "ragged-rows", "zero-states",
-            "boolean-states", "fractional-states", "string-gamma", "null-rewards",
-            "nested-rewards",
+            "boolean-states", "fractional-states", "string-gamma", "huge-gamma",
+            "null-rewards", "nested-rewards",
         ],
     )
     def test_malformed_document_is_one_error_line(self, key, value, tmp_path, capsys):
