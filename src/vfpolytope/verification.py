@@ -39,9 +39,10 @@ from .geometry import (
 from .mdp import Mdp, Policy, random_mdp, random_policy
 
 # The boundary suite bisects this many rays per instance, each this many
-# times: enough halvings to shrink any starting interval to adjacent floats.
+# times: enough halvings to shrink any starting interval to float resolution.
 BOUNDARY_RAYS = 64
 BOUNDARY_HALVINGS = 64
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -414,11 +415,11 @@ def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckRepo
     """Exact boundary points are values of semi-deterministic policies.
 
     From the uniform policy's value, BOUNDARY_RAYS random rays are bisected
-    on membership_gap until the last member and the first non-member are
-    adjacent floats. At each boundary point every state's row mixes the
-    actions of min and max Q_v(s, .) to average v(s), and the tightest state
-    is snapped to its extreme action. The policy's solved value must match
-    the point; on 2-state instances the point must also lie on one of the
+    on membership_gap to float resolution, keeping the last member found on
+    each. At each such boundary point every state's row mixes the actions of
+    min and max Q_v(s, .) to average v(s), and the tightest state is snapped
+    to its extreme action. The policy's solved value must match the point;
+    on 2-state instances the point must also lie on one of the
     one-state-pinned family segments. Distances are scaled by
     max(1, |v|_inf).
     """
@@ -426,7 +427,9 @@ def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckRepo
     for i in range(trials):
         instance = mdp or _random_instance(seed, i)
         n_states, n_actions = instance.n_states, instance.n_actions
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(14, i)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(int(seed), spawn_key=(14, i))
+        )
         rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
         rays /= np.abs(rays).max(axis=1, keepdims=True)
         start = value_function(instance, Policy.uniform(n_states, n_actions))
@@ -456,9 +459,9 @@ def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckRepo
         misses = np.abs(value_function_batch(instance, probs) - points).max(axis=1)
         deviation = float(np.max(misses / scale))
         if n_states == 2:
+            segments = semidet_family_segments(instance)
             dists = np.min(
-                [segment_distances(points, a, b) for a, b in semidet_family_segments(instance)],
-                axis=0,
+                [segment_distances(points, a, b) for a, b in segments], axis=0
             )
             deviation = max(deviation, float(np.max(dists / scale)))
         report.record(f"instance {i} |S|={n_states}", deviation, tol)

@@ -396,7 +396,7 @@ class TestVerifyCommand:
         assert not explicit.exists()
 
     @pytest.mark.parametrize("seed", ["13", "16"])
-    def test_all_suites_pass_where_the_sampled_boundary_failed(self, seed, tmp_path):
+    def test_all_suites_pass_on_seeds_13_and_16(self, seed, tmp_path):
         report = tmp_path / "rep.json"
         code = main(
             ["verify", "--suite", "all", "--trials", "10", "--seed", seed,
