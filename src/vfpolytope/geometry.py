@@ -215,27 +215,33 @@ def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
     )
 
 
-def _seed_key(seed) -> tuple[int, ...]:
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
     if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
+        return np.random.SeedSequence(tuple(int(s) for s in seed))
+    return np.random.SeedSequence((int(seed),))
 
 
 def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
     """(n, |S|, |A|) stack of flat-Dirichlet policies, one rng stream per block.
 
     Sample index i belongs to block i // SAMPLE_BLOCK, whose stream is keyed
-    by the seed with spawn_key (block,). Each block draws its exponential
-    variates in one C-order call and normalizes them over actions, which is
-    a flat Dirichlet. The first m of n samples therefore equal an m-sample
-    run, so results do not depend on how a sample is split into batches.
-    The spawn key keeps every block stream distinct from a generator seeded
-    with the caller's key itself, such as random_policy(mdp, seed).
+    by the seed with its spawn key extended by (block,). The seed is an int,
+    a tuple of ints (spawn key ()) or a SeedSequence. Each block draws its
+    exponential variates in one C-order call and normalizes them over
+    actions, which is a flat Dirichlet. The first m of n samples therefore
+    equal an m-sample run, so results do not depend on how a sample is split
+    into batches. The spawn key keeps every block stream distinct from a
+    generator seeded with the caller's key itself, such as
+    random_policy(mdp, seed).
     """
-    key = _seed_key(seed)
+    root = _seed_sequence(seed)
     out = np.empty((n, mdp.n_states, mdp.n_actions))
     for block, start in enumerate(range(0, n, SAMPLE_BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence(key, spawn_key=(block,)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (block,))
+        )
         draws = out[start : start + SAMPLE_BLOCK]
         rng.standard_exponential(out=draws)
         draws /= draws.sum(axis=2, keepdims=True)

@@ -10,6 +10,7 @@ truncated resolvent series and Monte Carlo rollouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -137,7 +138,9 @@ def mc_value_oracle(mdp: Mdp, policy: Policy, config: OracleConfig) -> McEstimat
     values = np.zeros(n_states)
     stderrs = np.zeros(n_states)
     for start in range(n_states):
-        rng = np.random.default_rng((config.seed, start))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(start,))
+        )
         states = np.full(config.mc_episodes, start, dtype=np.int64)
         returns = np.zeros(config.mc_episodes)
         disc = 1.0
@@ -188,29 +191,37 @@ def compare_oracles(
 
 
 # ---------------------------------------------------------------------------
-# Suite machinery
+# Suites: one check per instance, one stream per (suite, instance)
 # ---------------------------------------------------------------------------
 
 
-def _instance_rng(seed, index: int, tag: int = 0) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(index), int(tag)))
-
-
 def _random_instance(seed, index: int, two_state: bool = False) -> Mdp:
-    rng = _instance_rng(seed, index)
+    """Random instance `index`, shared by every suite of one seed."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=(0, int(index)))
+    )
     n_states = 2 if two_state else int(rng.integers(2, 5))
     n_actions = int(rng.integers(2, 4))
     gamma = float(rng.uniform(0.3, 0.95))
-    return random_mdp(n_states, n_actions, gamma, seed=(int(seed), int(index), 1))
+    return random_mdp(n_states, n_actions, gamma, seed=rng)
 
 
-def _agreeing_pair(mdp: Mdp, seed, index: int) -> tuple[Policy, Policy, int]:
-    """Two policies identical except at one randomly chosen state."""
-    rng = _instance_rng(seed, index, 2)
-    p0 = random_policy(mdp, (int(seed), int(index), 3))
-    state = int(rng.integers(mdp.n_states))
-    p1 = p0.with_row(state, rng.dirichlet(np.ones(mdp.n_actions)))
-    return p0, p1, state
+def _sample(mdp: Mdp, n: int, rng: np.random.Generator, agreement=None) -> np.ndarray:
+    """Values of n sampled policies, keyed by a spawn child of rng's seed."""
+    return sample_values(mdp, n, rng.bit_generator.seed_seq.spawn(1)[0], agreement)
+
+
+def _random_states(rng: np.random.Generator, n_states: int, low: int, high: int):
+    """Sorted list of random states, of a size drawn from [low, high)."""
+    k = int(rng.integers(low, high))
+    return sorted(rng.choice(n_states, size=k, replace=False).tolist())
+
+
+def _redraw(policy: Policy, states, rng: np.random.Generator) -> Policy:
+    """Copy of policy with the given states' rows drawn afresh, flat Dirichlet."""
+    for s in states:
+        policy = policy.with_row(s, rng.dirichlet(np.ones(policy.n_actions)))
+    return policy
 
 
 def _grid_values(mdp: Mdp, p0: Policy, p1: Policy, grid: int) -> np.ndarray:
@@ -227,169 +238,6 @@ def _segment_deviation(images: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
     if length < 1e-12:
         return float(dists.max())
     return float(dists.max() / length)
-
-
-def _suite_line(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
-    """Mixtures over one free state stay on the bracket segment, ordered."""
-    report = CheckReport(check_name="line", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        base = random_policy(instance, (int(seed), i, 4))
-        state = int(_instance_rng(seed, i, 5).integers(instance.n_states))
-        seg = line_segment(instance, base, state)
-        images = _grid_values(instance, seg.pi_low, seg.pi_high, 21)
-        deviation = _segment_deviation(images, seg.v_low, seg.v_high)
-        bracket = max(
-            float(np.max(seg.v_low[None, :] - images)),
-            float(np.max(images - seg.v_high[None, :])),
-        )
-        deviation = max(deviation, bracket)
-        if not (
-            seg.pi_low.is_deterministic_at(state) and seg.pi_high.is_deterministic_at(state)
-        ):
-            deviation = np.inf
-        report.record(f"instance {i} state {state}", deviation, tol)
-    return report
-
-
-def _suite_order(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
-    """Values of single-state variants are elementwise comparable."""
-    report = CheckReport(check_name="order", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        p0, p1, state = _agreeing_pair(instance, seed, i)
-        v0 = value_function(instance, p0)
-        v1 = value_function(instance, p1)
-        deviation = min(float(np.max(v0 - v1)), float(np.max(v1 - v0)))
-        report.record(f"instance {i} state {state}", max(0.0, deviation), tol)
-    return report
-
-
-def _suite_rho(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
-    """Closed-form interpolation ratio matches direct evaluation, monotonically."""
-    report = CheckReport(check_name="rho", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        p0, p1, state = _agreeing_pair(instance, seed, i)
-        curve = interpolation_curve(instance, p0, p1, state, grid_size=101)
-        images = _grid_values(instance, p0, p1, 101)
-        v0, v1 = images[0], images[-1]
-        delta = v1 - v0
-        scale = float(np.max(np.abs(delta)))
-        if curve.constant or scale < 1e-12:
-            deviation = float(np.max(np.abs(images - v0[None, :])))
-            report.record(f"instance {i} constant", deviation, 1e-9)
-            continue
-        predicted = v0[None, :] + curve.rhos[:, None] * delta[None, :]
-        deviation = float(np.max(np.abs(images - predicted))) / scale
-        if scale > 1e-8:
-            monotone_gap = float(np.min(np.diff(curve.rhos)))
-            if monotone_gap <= 0.0:
-                deviation = max(deviation, 1.0)
-        report.record(f"instance {i} state {state}", deviation, tol)
-    return report
-
-
-def _suite_slice(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 200
-) -> CheckReport:
-    """Constrained samples live in the anchored affine slice, with full rank."""
-    report = CheckReport(check_name="slice", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        rng = _instance_rng(seed, i, 6)
-        k = int(rng.integers(0, instance.n_states + 1))
-        fixed = tuple(
-            sorted(rng.choice(instance.n_states, size=k, replace=False).tolist())
-        )
-        base = random_policy(instance, (int(seed), i, 7))
-        agreement = AgreementSet(base=base, fixed_states=fixed)
-        sl = affine_slice(instance, agreement)
-        values = sample_values(instance, samples, (int(seed), i, 8), agreement)
-        residual = max(sl.projection_residual(v) for v in values)
-        expected = instance.n_states - k
-        rank = slice_rank(values)
-        deviation = residual if rank == expected else np.inf
-        report.record(f"instance {i} k={k} rank={rank}/{expected}", deviation, tol)
-    return report
-
-
-def _suite_span(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
-    """Free-state resolvent columns span the same space across an agreement class."""
-    report = CheckReport(check_name="span", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        rng = _instance_rng(seed, i, 9)
-        k = int(rng.integers(0, instance.n_states))
-        fixed = tuple(
-            sorted(rng.choice(instance.n_states, size=k, replace=False).tolist())
-        )
-        free = [s for s in range(instance.n_states) if s not in fixed]
-        p0 = random_policy(instance, (int(seed), i, 10))
-        p1 = p0
-        for s in free:
-            p1 = p1.with_row(s, rng.dirichlet(np.ones(instance.n_actions)))
-        basis0 = induce(instance, p0).resolvent[:, free]
-        basis1 = induce(instance, p1).resolvent[:, free]
-        deviation = 0.0
-        for source, target in ((basis0, basis1), (basis1, basis0)):
-            coeffs, *_ = np.linalg.lstsq(target, source, rcond=None)
-            residual = source - target @ coeffs
-            deviation = max(
-                deviation,
-                float(
-                    np.max(
-                        np.linalg.norm(residual, axis=0)
-                        / np.linalg.norm(source, axis=0)
-                    )
-                ),
-            )
-        report.record(f"instance {i} k={k}", deviation, tol)
-    return report
-
-
-def _suite_zeros(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
-    """Copied rows give bitwise-equal per-state rewards and transitions."""
-    report = CheckReport(check_name="zeros", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        rng = _instance_rng(seed, i, 11)
-        k = int(rng.integers(1, instance.n_states + 1))
-        fixed = sorted(rng.choice(instance.n_states, size=k, replace=False).tolist())
-        p1 = random_policy(instance, (int(seed), i, 12))
-        p2 = p1
-        for s in range(instance.n_states):
-            if s not in fixed:
-                p2 = p2.with_row(s, rng.dirichlet(np.ones(instance.n_actions)))
-        chain1 = induce(instance, p1)
-        chain2 = induce(instance, p2)
-        deviation = max(
-            float(np.max(np.abs(chain1.r_pi[fixed] - chain2.r_pi[fixed]))),
-            float(np.max(np.abs(chain1.p_pi[fixed] - chain2.p_pi[fixed]))),
-        )
-        report.record(f"instance {i} fixed={fixed}", deviation, tol)
-    return report
-
-
-def _suite_hull(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 50_000
-) -> CheckReport:
-    """Sampled values stay inside the deterministic-vertex hull (2-state)."""
-    if mdp is not None:
-        instances: list[tuple[str, Mdp]] = [("given", mdp)]
-    else:
-        instances = [
-            (f"random2 {i}", _random_instance(seed, i, two_state=True))
-            for i in range(trials)
-        ]
-        samples = min(samples, 2_000)
-    report = CheckReport(check_name="hull", instances_run=len(instances))
-    for i, (label, instance) in enumerate(instances):
-        vertices = np.stack([v for _, v in polytope_vertices_det(instance)])
-        hull = hull_2d(vertices)
-        cloud = sample_values(instance, samples, (int(seed), 13, i))
-        report.record(label, float(np.max(_hull_escape(cloud, hull))), tol)
-    return report
 
 
 def semidet_family_segments(mdp: Mdp) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -411,7 +259,118 @@ def semidet_family_segments(mdp: Mdp) -> list[tuple[np.ndarray, np.ndarray]]:
     return segments
 
 
-def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
+# Each check takes one instance and its stream and returns a label, a
+# deviation and optionally a tolerance that overrides the suite's own.
+
+
+def _check_line(mdp: Mdp, rng: np.random.Generator):
+    """Mixtures over one free state stay on the bracket segment, ordered."""
+    base = random_policy(mdp, rng)
+    state = int(rng.integers(mdp.n_states))
+    seg = line_segment(mdp, base, state)
+    images = _grid_values(mdp, seg.pi_low, seg.pi_high, 21)
+    deviation = max(
+        _segment_deviation(images, seg.v_low, seg.v_high),
+        float(np.max(seg.v_low[None, :] - images)),
+        float(np.max(images - seg.v_high[None, :])),
+    )
+    if not (
+        seg.pi_low.is_deterministic_at(state) and seg.pi_high.is_deterministic_at(state)
+    ):
+        deviation = np.inf
+    return f"state {state}", deviation
+
+
+def _agreeing_pair(mdp: Mdp, rng: np.random.Generator) -> tuple[Policy, Policy, int]:
+    """Two policies identical except at one randomly chosen state."""
+    p0 = random_policy(mdp, rng)
+    state = int(rng.integers(mdp.n_states))
+    return p0, _redraw(p0, [state], rng), state
+
+
+def _check_order(mdp: Mdp, rng: np.random.Generator):
+    """Values of single-state variants are elementwise comparable."""
+    p0, p1, state = _agreeing_pair(mdp, rng)
+    v0 = value_function(mdp, p0)
+    v1 = value_function(mdp, p1)
+    deviation = min(float(np.max(v0 - v1)), float(np.max(v1 - v0)))
+    return f"state {state}", max(0.0, deviation)
+
+
+def _check_rho(mdp: Mdp, rng: np.random.Generator):
+    """Closed-form interpolation ratio matches direct evaluation, monotonically."""
+    p0, p1, state = _agreeing_pair(mdp, rng)
+    curve = interpolation_curve(mdp, p0, p1, state, grid_size=101)
+    images = _grid_values(mdp, p0, p1, 101)
+    v0, v1 = images[0], images[-1]
+    delta = v1 - v0
+    scale = float(np.max(np.abs(delta)))
+    if curve.constant or scale < 1e-12:
+        return "constant", float(np.max(np.abs(images - v0[None, :]))), 1e-9
+    predicted = v0[None, :] + curve.rhos[:, None] * delta[None, :]
+    deviation = float(np.max(np.abs(images - predicted))) / scale
+    if scale > 1e-8 and float(np.min(np.diff(curve.rhos))) <= 0.0:
+        deviation = max(deviation, 1.0)
+    return f"state {state}", deviation
+
+
+def _check_slice(mdp: Mdp, rng: np.random.Generator):
+    """Constrained samples live in the anchored affine slice, with full rank."""
+    fixed = _random_states(rng, mdp.n_states, 0, mdp.n_states + 1)
+    agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
+    sl = affine_slice(mdp, agreement)
+    values = _sample(mdp, 200, rng, agreement)
+    residual = max(sl.projection_residual(v) for v in values)
+    expected = mdp.n_states - len(fixed)
+    rank = slice_rank(values)
+    deviation = residual if rank == expected else np.inf
+    return f"k={len(fixed)} rank={rank}/{expected}", deviation
+
+
+def _check_span(mdp: Mdp, rng: np.random.Generator):
+    """Free-state resolvent columns span the same space across an agreement class."""
+    fixed = _random_states(rng, mdp.n_states, 0, mdp.n_states)
+    free = [s for s in range(mdp.n_states) if s not in fixed]
+    p0 = random_policy(mdp, rng)
+    basis0 = induce(mdp, p0).resolvent[:, free]
+    basis1 = induce(mdp, _redraw(p0, free, rng)).resolvent[:, free]
+    deviation = 0.0
+    for source, target in ((basis0, basis1), (basis1, basis0)):
+        coeffs, *_ = np.linalg.lstsq(target, source, rcond=None)
+        residual = source - target @ coeffs
+        deviation = max(
+            deviation,
+            float(
+                np.max(
+                    np.linalg.norm(residual, axis=0) / np.linalg.norm(source, axis=0)
+                )
+            ),
+        )
+    return f"k={len(fixed)}", deviation
+
+
+def _check_zeros(mdp: Mdp, rng: np.random.Generator):
+    """Copied rows give bitwise-equal per-state rewards and transitions."""
+    fixed = _random_states(rng, mdp.n_states, 1, mdp.n_states + 1)
+    p1 = random_policy(mdp, rng)
+    p2 = _redraw(p1, [s for s in range(mdp.n_states) if s not in fixed], rng)
+    chain1 = induce(mdp, p1)
+    chain2 = induce(mdp, p2)
+    deviation = max(
+        float(np.max(np.abs(chain1.r_pi[fixed] - chain2.r_pi[fixed]))),
+        float(np.max(np.abs(chain1.p_pi[fixed] - chain2.p_pi[fixed]))),
+    )
+    return f"fixed={fixed}", deviation
+
+
+def _check_hull(mdp: Mdp, rng: np.random.Generator, samples: int = 2_000):
+    """Sampled values stay inside the deterministic-vertex hull (2-state)."""
+    hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(mdp)]))
+    cloud = _sample(mdp, samples, rng)
+    return "", float(np.max(_hull_escape(cloud, hull)))
+
+
+def _check_boundary(mdp: Mdp, rng: np.random.Generator):
     """Exact boundary points are values of semi-deterministic policies.
 
     From the uniform policy's value, BOUNDARY_RAYS random rays are bisected
@@ -423,168 +382,122 @@ def _suite_boundary(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckRepo
     one-state-pinned family segments. Distances are scaled by
     max(1, |v|_inf).
     """
-    report = CheckReport(check_name="boundary", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        n_states, n_actions = instance.n_states, instance.n_actions
-        rng = np.random.default_rng(
-            np.random.SeedSequence(int(seed), spawn_key=(14, i))
-        )
-        rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
-        rays /= np.abs(rays).max(axis=1, keepdims=True)
-        start = value_function(instance, Policy.uniform(n_states, n_actions))
-        # |start + t ray|_inf > value_bound, so hi is outside the value set.
-        lo = np.zeros(BOUNDARY_RAYS)
-        hi = np.full(BOUNDARY_RAYS, 2.0 * instance.value_bound() + 1.0)
-        for _ in range(BOUNDARY_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            inside = membership_gap(instance, start + mid[:, None] * rays) <= 0.0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        points = start + lo[:, None] * rays
-        q = _q_stack(instance, points)
-        q_min, q_max = q.min(axis=2), q.max(axis=2)
-        spread = q_max - q_min
-        weight = np.clip(
-            (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
-        )
-        tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
-        rows = np.arange(BOUNDARY_RAYS)
-        weight[rows, tight] = np.round(weight[rows, tight])
-        probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
-        cells = (rows[:, None], np.arange(n_states)[None, :])
-        probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
-        probs[cells + (q.argmax(axis=2),)] += weight
-        scale = np.maximum(1.0, np.abs(points).max(axis=1))
-        misses = np.abs(value_function_batch(instance, probs) - points).max(axis=1)
-        deviation = float(np.max(misses / scale))
-        if n_states == 2:
-            segments = semidet_family_segments(instance)
-            dists = np.min(
-                [segment_distances(points, a, b) for a, b in segments], axis=0
-            )
-            deviation = max(deviation, float(np.max(dists / scale)))
-        report.record(f"instance {i} |S|={n_states}", deviation, tol)
-    return report
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
+    rays /= np.abs(rays).max(axis=1, keepdims=True)
+    start = value_function(mdp, Policy.uniform(n_states, n_actions))
+    # |start + t ray|_inf > value_bound, so hi is outside the value set.
+    lo = np.zeros(BOUNDARY_RAYS)
+    hi = np.full(BOUNDARY_RAYS, 2.0 * mdp.value_bound() + 1.0)
+    for _ in range(BOUNDARY_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        inside = membership_gap(mdp, start + mid[:, None] * rays) <= 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    points = start + lo[:, None] * rays
+    q = _q_stack(mdp, points)
+    q_min, q_max = q.min(axis=2), q.max(axis=2)
+    spread = q_max - q_min
+    weight = np.clip((points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0)
+    tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
+    rows = np.arange(BOUNDARY_RAYS)
+    weight[rows, tight] = np.round(weight[rows, tight])
+    probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
+    cells = (rows[:, None], np.arange(n_states)[None, :])
+    probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
+    probs[cells + (q.argmax(axis=2),)] += weight
+    scale = np.maximum(1.0, np.abs(points).max(axis=1))
+    misses = np.abs(value_function_batch(mdp, probs) - points).max(axis=1)
+    deviation = float(np.max(misses / scale))
+    if n_states == 2:
+        segments = semidet_family_segments(mdp)
+        dists = np.min([segment_distances(points, a, b) for a, b in segments], axis=0)
+        deviation = max(deviation, float(np.max(dists / scale)))
+    return f"|S|={n_states}", deviation
 
 
-def _suite_rank(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 500
-) -> CheckReport:
+def _check_rank(mdp: Mdp, rng: np.random.Generator):
     """Fixing k states leaves at most |S| - k directions of variation."""
-    report = CheckReport(check_name="rank", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        rng = _instance_rng(seed, i, 15)
-        k = int(rng.integers(0, instance.n_states + 1))
-        fixed = tuple(
-            sorted(rng.choice(instance.n_states, size=k, replace=False).tolist())
-        )
-        base = random_policy(instance, (int(seed), i, 16))
-        agreement = AgreementSet(base=base, fixed_states=fixed)
-        values = sample_values(instance, samples, (int(seed), i, 17), agreement)
-        overshoot = slice_rank(values) - (instance.n_states - k)
-        report.record(f"instance {i} k={k}", float(max(0, overshoot)), tol)
-    return report
+    fixed = _random_states(rng, mdp.n_states, 0, mdp.n_states + 1)
+    agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
+    values = _sample(mdp, 500, rng, agreement)
+    overshoot = slice_rank(values) - (mdp.n_states - len(fixed))
+    return f"k={len(fixed)}", float(max(0, overshoot))
 
 
-def _suite_path(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
+def _check_path(mdp: Mdp, rng: np.random.Generator):
     """Each hop of a one-state-at-a-time policy path maps to a segment."""
-    report = CheckReport(check_name="path", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        p = random_policy(instance, (int(seed), i, 18))
-        q = random_policy(instance, (int(seed), i, 19))
-        hops = path_between(instance, p, q)
-        deviation = 0.0
-        for a, b in zip(hops, hops[1:]):
-            images = _grid_values(instance, a, b, 21)
-            deviation = max(
-                deviation, _segment_deviation(images, images[0], images[-1])
-            )
-        report.record(f"instance {i} hops={len(hops)}", deviation, tol)
-    return report
+    hops = path_between(mdp, random_policy(mdp, rng), random_policy(mdp, rng))
+    deviation = 0.0
+    for a, b in zip(hops, hops[1:]):
+        images = _grid_values(mdp, a, b, 21)
+        deviation = max(deviation, _segment_deviation(images, images[0], images[-1]))
+    return f"hops={len(hops)}", deviation
 
 
-def _suite_dominance(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 50
-) -> CheckReport:
+def _check_dominance(mdp: Mdp, rng: np.random.Generator, samples: int = 50):
     """The optimal value dominates sampled policy values elementwise."""
-    if mdp is not None:
-        instances: list[tuple[str, Mdp]] = [("given", mdp)]
-        samples = max(samples, 1_000)
-    else:
-        instances = [(f"instance {i}", _random_instance(seed, i)) for i in range(trials)]
-    report = CheckReport(check_name="dominance", instances_run=len(instances))
-    for i, (label, instance) in enumerate(instances):
-        v_star, _ = optimal_value(instance)
-        values = sample_values(instance, samples, (int(seed), i, 20))
-        deviation = float(np.max(values - v_star[None, :]))
-        report.record(label, max(0.0, deviation), tol)
-    return report
+    v_star, _ = optimal_value(mdp)
+    values = _sample(mdp, samples, rng)
+    return "", max(0.0, float(np.max(values - v_star[None, :])))
 
 
-def _suite_smooth(trials: int, seed, tol: float, mdp: Mdp | None) -> CheckReport:
+def _check_smooth(mdp: Mdp, rng: np.random.Generator):
     """Directional derivatives of the policy-to-value map are step-size stable."""
-    report = CheckReport(check_name="smooth", instances_run=trials)
     h = OracleConfig().fd_step
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        rng = _instance_rng(seed, i, 21)
-        probs = rng.dirichlet(np.ones(instance.n_actions), size=instance.n_states)
-        probs = (probs + 0.05) / (1.0 + 0.05 * instance.n_actions)
-        direction = rng.normal(size=probs.shape)
-        direction -= direction.mean(axis=1, keepdims=True)
-        direction /= max(1.0, np.max(np.abs(direction))) / 0.5
+    probs = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+    probs = (probs + 0.05) / (1.0 + 0.05 * mdp.n_actions)
+    direction = rng.normal(size=probs.shape)
+    direction -= direction.mean(axis=1, keepdims=True)
+    direction /= max(1.0, np.max(np.abs(direction))) / 0.5
 
-        def fd(step: float) -> np.ndarray:
-            plus = value_function(instance, Policy(probs + step * direction))
-            minus = value_function(instance, Policy(probs - step * direction))
-            return (plus - minus) / (2.0 * step)
+    def fd(step: float) -> np.ndarray:
+        plus = value_function(mdp, Policy(probs + step * direction))
+        minus = value_function(mdp, Policy(probs - step * direction))
+        return (plus - minus) / (2.0 * step)
 
-        coarse = fd(h)
-        fine = fd(h / 2.0)
-        if np.linalg.norm(fine) < 1e-9:
-            report.record(f"instance {i} (flat)", float(np.linalg.norm(coarse)), 1e-7)
-            continue
-        ratio = float(np.linalg.norm(coarse) / np.linalg.norm(fine))
-        report.record(f"instance {i}", abs(ratio - 1.0), tol)
-    return report
+    coarse = fd(h)
+    fine = fd(h / 2.0)
+    if np.linalg.norm(fine) < 1e-9:
+        return "(flat)", float(np.linalg.norm(coarse)), 1e-7
+    return "", abs(float(np.linalg.norm(coarse) / np.linalg.norm(fine)) - 1.0)
 
 
-def _suite_bounded(
-    trials: int, seed, tol: float, mdp: Mdp | None, samples: int = 1_000
-) -> CheckReport:
+def _check_bounded(mdp: Mdp, rng: np.random.Generator):
     """Sampled values respect the max|r| / (1 - gamma) norm bound."""
-    report = CheckReport(check_name="bounded", instances_run=trials)
-    for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
-        values = sample_values(instance, samples, (int(seed), i, 22))
-        deviation = float(np.max(np.abs(values))) - instance.value_bound()
-        report.record(f"instance {i}", max(0.0, deviation), tol)
-    return report
+    deviation = float(np.max(np.abs(_sample(mdp, 1_000, rng)))) - mdp.value_bound()
+    return "", max(0.0, deviation)
 
 
+# A suite's stream tag is its 1-based position here (0 keys the instances),
+# so new suites go at the end.
 _SUITES = {
-    "line": (_suite_line, 1e-9),
-    "order": (_suite_order, 1e-9),
-    "rho": (_suite_rho, 1e-8),
-    "slice": (_suite_slice, 1e-9),
-    "span": (_suite_span, 1e-8),
-    "zeros": (_suite_zeros, 0.0),
-    "hull": (_suite_hull, 1e-9),
-    "boundary": (_suite_boundary, 1e-9),
-    "rank": (_suite_rank, 0.0),
-    "path": (_suite_path, 1e-9),
-    "dominance": (_suite_dominance, 1e-8),
-    "smooth": (_suite_smooth, 0.1),
-    "bounded": (_suite_bounded, 1e-8),
+    "line": (_check_line, 1e-9),
+    "order": (_check_order, 1e-9),
+    "rho": (_check_rho, 1e-8),
+    "slice": (_check_slice, 1e-9),
+    "span": (_check_span, 1e-8),
+    "zeros": (_check_zeros, 0.0),
+    "hull": (_check_hull, 1e-9),
+    "boundary": (_check_boundary, 1e-9),
+    "rank": (_check_rank, 0.0),
+    "path": (_check_path, 1e-9),
+    "dominance": (_check_dominance, 1e-8),
+    "smooth": (_check_smooth, 0.1),
+    "bounded": (_check_bounded, 1e-8),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 # Suites that need a planar value set; on a given MDP they need |S| = 2.
 PLANAR_SUITES = ("hull",)
+
+# On a given MDP these suites run once, on a larger sample than each random
+# instance gets.
+_ONCE_ON_GIVEN = {
+    "hull": partial(_check_hull, samples=50_000),
+    "dominance": partial(_check_dominance, samples=1_000),
+}
 
 
 def run_suite(
@@ -598,11 +511,13 @@ def run_suite(
 
     When an MDP is given the suite checks it instead of random instances;
     a suite in PLANAR_SUITES then raises DimensionUnsupported unless the MDP
-    has two states. The report is deterministic for a fixed
-    (seed, trials, tolerance).
+    has two states. Instance i draws from one stream keyed
+    SeedSequence(seed, spawn_key=(tag, i)), where tag is the suite's
+    position in SUITE_NAMES plus one, so no two suites share a stream. The
+    report is deterministic for a fixed (seed, trials, tolerance).
     """
     try:
-        func, default_tol = _SUITES[suite_name]
+        check, default_tol = _SUITES[suite_name]
     except KeyError:
         raise UnknownSuite(
             f"unknown suite {suite_name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -613,4 +528,17 @@ def run_suite(
         raise DimensionUnsupported(
             f"suite {suite_name!r} needs a 2-state MDP, got |S|={mdp.n_states}"
         )
-    return func(trials, seed, default_tol if tolerance is None else tolerance, mdp)
+    if mdp is not None and suite_name in _ONCE_ON_GIVEN:
+        check, trials = _ONCE_ON_GIVEN[suite_name], 1
+    tol = default_tol if tolerance is None else tolerance
+    tag = SUITE_NAMES.index(suite_name) + 1
+    report = CheckReport(check_name=suite_name, instances_run=trials)
+    for i in range(trials):
+        instance = mdp or _random_instance(seed, i, suite_name in PLANAR_SUITES)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(int(seed), spawn_key=(tag, i))
+        )
+        label, deviation, *override = check(instance, rng)
+        limit = override[0] if override else tol
+        report.record(f"instance {i} {label}".rstrip(), deviation, limit)
+    return report

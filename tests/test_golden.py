@@ -46,7 +46,9 @@ CASES = {
 # name -> (exit code, {output file: sha256}), recorded on 0.2.0; the line-*
 # cases were re-pinned on 0.2.1, which computes line values in closed form,
 # and again on 0.3.0 with the verify-* cases: 0.3.0 computes rho from omega
-# alone and checks the boundary suite by exact value-set membership.
+# alone and checks the boundary suite by exact value-set membership. The
+# verify-* cases were re-pinned on 0.3.1, which keys every verification
+# stream by (suite, instance) spawn keys.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -123,10 +125,10 @@ GOLDEN = {
         "out.csv": "3a562c1badc2a798aa39d34d9499b17784d7b158195e162b9995ca8fd79b209f",
     }),
     "verify-dyn2": (0, {
-        "out.json": "e89faf826cfae98f8015cc5a0a8cee735e84ea0f2cb8fca30f1252c725d99baf",
+        "out.json": "58ac74683f712d09ab3ef59aada4710a624a65417960dcd91763d76e7158a6a0",
     }),
     "verify-random": (0, {
-        "out.json": "bc6cbf12e0619f08358e5c208520b2022ae8bc1730ace0d534b31e5f78dc6531",
+        "out.json": "f16ee0c191e04ce18e74fbe89c4abcc2431559aed975029b9aa4f9afd76f401b",
     }),
 }
 

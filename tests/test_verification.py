@@ -219,3 +219,50 @@ class TestSuites:
         assert not report.passed
         assert report.failures[0]["instance"]
         assert report.failures[0]["deviation"] >= 0.0
+
+
+def _stream_state(seed) -> tuple | None:
+    """Seed-sequence state a generator built from `seed` starts from."""
+    if isinstance(seed, np.random.Generator):
+        return None  # an existing stream, recorded where it was made
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return tuple(seed.generate_state(4).tolist())
+
+
+def test_suites_draw_from_distinct_streams(tmp_path, monkeypatch):
+    """No two suites share a stream, except the shared random instances."""
+    from vfpolytope import cli
+
+    default_rng = np.random.default_rng
+    random_instance = verification._random_instance
+    run = verification.run_suite
+    current = {"suite": None, "instance": False}
+    users: dict[tuple, set[str]] = {}
+
+    def recording_rng(seed=None):
+        state = _stream_state(seed)
+        if state is not None and not current["instance"]:
+            users.setdefault(state, set()).add(current["suite"])
+        return default_rng(seed)
+
+    def instance(*args, **kwargs):
+        current["instance"] = True
+        try:
+            return random_instance(*args, **kwargs)
+        finally:
+            current["instance"] = False
+
+    def suite(name, *args, **kwargs):
+        current["suite"] = name
+        return run(name, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(verification, "_random_instance", instance)
+    monkeypatch.setattr(cli, "run_suite", suite)
+    argv = ["verify", "--suite", "all", "--trials", "25", "--seed", "1",
+            "--report", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert set().union(*users.values()) == set(SUITE_NAMES)
+    shared = {state: names for state, names in users.items() if len(names) > 1}
+    assert not shared, sorted(map(sorted, shared.values()))
