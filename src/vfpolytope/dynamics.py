@@ -15,6 +15,7 @@ import numpy as np
 from .errors import MissingPolicy, NonFiniteLogits, ShapeMismatch
 from .evaluation import (
     _collapse,
+    _policy_iteration,
     optimal_value,
     optimality_bellman_apply,
     q_values,
@@ -175,27 +176,27 @@ def run_value_iteration(
 
 
 def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
-    """Greedy improvement + exact evaluation until the greedy policy repeats.
+    """Exact policy iteration from the greedy policy of v0.
 
-    Every point after v0 is the exact value of a deterministic policy.
+    Runs optimal_value's policy iteration, with its switch rule and its cap,
+    from argmax Q_v0 and records v0 and then each evaluated policy's value,
+    so every point after v0 is the exact value of a deterministic policy.
+
+    Raises:
+        IterationCap: the policy did not settle within the cap.
     """
     v = np.asarray(v0, dtype=float).reshape(-1)
     if v.shape != (mdp.n_states,):
         raise ShapeMismatch(f"v0 must have length {mdp.n_states}")
     points = [v]
     meta = [{"iteration": 0, "step_norm": 0.0}]
-    previous: Policy | None = None
-    for k in range(1, mdp.n_actions**mdp.n_states + 2):
-        _, greedy = optimality_bellman_apply(mdp, v)
-        if previous is not None and greedy == previous:
-            break
-        v_next = value_function(mdp, greedy)
+    steps = _policy_iteration(mdp, np.argmax(q_values(mdp, v), axis=1))
+    for k, (v_next, _) in enumerate(steps, start=1):
         points.append(v_next)
         meta.append(
             {"iteration": k, "step_norm": float(np.max(np.abs(v_next - v)))}
         )
         v = v_next
-        previous = greedy
     return Trajectory(points=np.stack(points), meta=meta)
 
 

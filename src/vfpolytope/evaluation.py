@@ -143,38 +143,51 @@ def optimality_bellman_apply(mdp: Mdp, v: np.ndarray) -> tuple[np.ndarray, Polic
     )
 
 
+def _policy_iteration(mdp: Mdp, actions, tolerance: float = 1e-10):
+    """Policy iteration with exact evaluation (Puterman 1994, sec. 6.4).
+
+    Starts from the deterministic policy taking actions[s] in state s and
+    yields (v, Q_v) for each policy it evaluates. A state switches to its
+    greedy action only when that gains more than tolerance * max(1, |v|_inf)
+    over the current action, so rounding noise does not make it cycle and
+    its cost does not grow as gamma nears 1. Stops after the first policy at
+    which no state switches.
+
+    Raises:
+        IterationCap: no settled policy after _MAX_IMPROVEMENTS evaluations.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    states = np.arange(mdp.n_states)
+    for _ in range(_MAX_IMPROVEMENTS):
+        v = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
+        q = q_values(mdp, v)
+        yield v, q
+        best = np.argmax(q, axis=1)
+        gain = q[states, best] - q[states, actions]
+        switch = gain > tolerance * max(1.0, float(np.max(np.abs(v))))
+        if not switch.any():
+            return
+        actions = np.where(switch, best, actions)
+    raise IterationCap(
+        f"policy iteration did not settle in {_MAX_IMPROVEMENTS} improvement steps"
+    )
+
+
 def optimal_value(mdp: Mdp, tolerance: float = 1e-10) -> tuple[np.ndarray, Policy]:
     """Optimal value and a greedy optimal deterministic policy.
 
-    Runs policy iteration with exact evaluation (Puterman 1994, sec. 6.4)
-    from the reward-greedy policy. A state switches to its greedy action
-    only when that gains more than tolerance * max(1, |v|_inf) over the
-    current action, so rounding noise does not make it cycle and its cost
-    does not grow as gamma nears 1. Returns the lowest-index greedy policy
-    of the final value, evaluated exactly, so the returned value is the
-    value of an actual policy.
+    Runs _policy_iteration from the reward-greedy policy and returns
+    the lowest-index greedy policy of the final value, evaluated exactly, so
+    the returned value is the value of an actual policy.
 
     Raises:
         IterationCap: no settled policy after _MAX_IMPROVEMENTS
             improvement steps.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    states = np.arange(mdp.n_states)
-    actions = np.argmax(mdp.reward_matrix, axis=1)
-    for _ in range(_MAX_IMPROVEMENTS):
-        v = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
-        q = q_values(mdp, v)
-        best = np.argmax(q, axis=1)
-        gain = q[states, best] - q[states, actions]
-        switch = gain > tolerance * max(1.0, float(np.max(np.abs(v))))
-        if not switch.any():
-            break
-        actions = np.where(switch, best, actions)
-    else:
-        raise IterationCap(
-            f"optimal_value: policy iteration did not settle in "
-            f"{_MAX_IMPROVEMENTS} improvement steps"
-        )
-    greedy = Policy.deterministic(best, mdp.n_actions)
+    for _, q in _policy_iteration(
+        mdp, np.argmax(mdp.reward_matrix, axis=1), tolerance
+    ):
+        pass
+    greedy = Policy.deterministic(np.argmax(q, axis=1), mdp.n_actions)
     return value_function(mdp, greedy), greedy

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from vfpolytope import dynamics
+from vfpolytope import dynamics, evaluation
 from vfpolytope.dynamics import (
     CemConfig,
     InitSpec,
@@ -20,7 +20,7 @@ from vfpolytope.dynamics import (
     run_value_iteration,
     softmax_policy,
 )
-from vfpolytope.errors import MissingPolicy, NonFiniteLogits
+from vfpolytope.errors import IterationCap, MissingPolicy, NonFiniteLogits
 from vfpolytope.evaluation import (
     optimal_value,
     q_values,
@@ -178,6 +178,13 @@ class TestPolicyIteration:
             diffs = traj.points[1:] - traj.points[:-1]
             assert np.all(diffs >= -1e-9)
             np.testing.assert_allclose(traj.points[-1], V_STAR, atol=1e-8)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # From the uniform policy's value the first greedy policy on dyn2 is
+        # not optimal, so one evaluation cannot settle.
+        monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
+        with pytest.raises(IterationCap):
+            run_policy_iteration(DYN2, value_function(DYN2, Policy.uniform(2, 2)))
 
     def test_intermediate_points_are_deterministic_values(self):
         det_values = np.stack([v for _, v in polytope_vertices_det(DYN2)])
