@@ -236,6 +236,11 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     eta = args.eta if args.eta is not None else 0.05
     if args.algo in ("pg", "entpg", "npg") and eta <= 0:
         raise CliError("--eta must be positive")
+    coeff = None
+    if args.algo == "entpg":
+        coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
+    elif args.entropy_coeff is not None:
+        raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
     start_policy = resolve_init(mdp, init_spec)
     if args.algo == "vi":
         trajectory = run_value_iteration(
@@ -246,7 +251,6 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     elif args.algo == "pg":
         trajectory = run_policy_gradient(mdp, start_policy, eta, iters)
     elif args.algo == "entpg":
-        coeff = args.entropy_coeff if args.entropy_coeff is not None else 0.1
         trajectory = run_policy_gradient(
             mdp, start_policy, eta, iters, entropy_coeff=coeff
         )
@@ -297,7 +301,7 @@ def cmd_dynamics(args, argv: list[str]) -> int:
             "init": args.init,
             "iters": iters,
             "eta": eta,
-            "entropy_coeff": args.entropy_coeff,
+            "entropy_coeff": coeff,
         },
         args.seed,
         inputs,

@@ -499,6 +499,46 @@ def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_policy_iteration_cap_is_one_error_line(tmp_path, monkeypatch, capsys):
+    from vfpolytope import evaluation
+
+    monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
+    code = main(["dynamics", "--mdp", "dyn2", "--algo", "pi", "--init", "interior",
+                 "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: policy iteration") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("algo", ["pg", "npg", "pi"])
+def test_entropy_coeff_outside_entpg_exits_2(algo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
+         "--algo", algo, "--entropy-coeff", "0.5", "--iters", "5", "--out", "out"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: --entropy-coeff applies only to --algo entpg, not {algo}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, used", [([], 0.1), (["--entropy-coeff", "0.3"], 0.3)])
+def test_entpg_manifest_records_the_coefficient_used(flag, used, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
+         "--algo", "entpg", "--iters", "5", "--out", "out.csv", *flag],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["config"]["entropy_coeff"] == used
+
+
 class TestReproducibility:
     COMMANDS = [
         ["fixtures", "dump", "fig2b", "--out", "fix.json"],
