@@ -342,7 +342,8 @@ def _check_span(mdp: Mdp, rng: np.random.Generator):
             deviation,
             float(
                 np.max(
-                    np.linalg.norm(residual, axis=0) / np.linalg.norm(source, axis=0)
+                    np.linalg.norm(residual, axis=0)
+                    / np.linalg.norm(source, axis=0)
                 )
             ),
         )
@@ -365,7 +366,8 @@ def _check_zeros(mdp: Mdp, rng: np.random.Generator):
 
 def _check_hull(mdp: Mdp, rng: np.random.Generator, samples: int = 2_000):
     """Sampled values stay inside the deterministic-vertex hull (2-state)."""
-    hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(mdp)]))
+    vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
+    hull = hull_2d(vertices)
     cloud = _sample(mdp, samples, rng)
     return "", float(np.max(_hull_escape(cloud, hull)))
 
@@ -398,7 +400,9 @@ def _check_boundary(mdp: Mdp, rng: np.random.Generator):
     q = _q_stack(mdp, points)
     q_min, q_max = q.min(axis=2), q.max(axis=2)
     spread = q_max - q_min
-    weight = np.clip((points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0)
+    weight = np.clip(
+        (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
+    )
     tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
     rows = np.arange(BOUNDARY_RAYS)
     weight[rows, tight] = np.round(weight[rows, tight])
@@ -411,7 +415,9 @@ def _check_boundary(mdp: Mdp, rng: np.random.Generator):
     deviation = float(np.max(misses / scale))
     if n_states == 2:
         segments = semidet_family_segments(mdp)
-        dists = np.min([segment_distances(points, a, b) for a, b in segments], axis=0)
+        dists = np.min(
+            [segment_distances(points, a, b) for a, b in segments], axis=0
+        )
         deviation = max(deviation, float(np.max(dists / scale)))
     return f"|S|={n_states}", deviation
 
@@ -431,7 +437,9 @@ def _check_path(mdp: Mdp, rng: np.random.Generator):
     deviation = 0.0
     for a, b in zip(hops, hops[1:]):
         images = _grid_values(mdp, a, b, 21)
-        deviation = max(deviation, _segment_deviation(images, images[0], images[-1]))
+        deviation = max(
+            deviation, _segment_deviation(images, images[0], images[-1])
+        )
     return f"hops={len(hops)}", deviation
 
 
