@@ -491,27 +491,18 @@ def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, ca
     from vfpolytope import evaluation
 
     monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
-    code = main(["dynamics", "--mdp", "dyn2", "--algo", "pi", "--init", "vertex",
-                 "--out", str(tmp_path / "out.csv")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "out.csv").exists()
+    # The vertex init hits the cap in optimal_value, the interior init in
+    # the policy iteration that --algo pi runs itself.
+    for init in ("vertex", "interior"):
+        code = main(["dynamics", "--mdp", "dyn2", "--algo", "pi", "--init", init,
+                     "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
 
 
-def test_policy_iteration_cap_is_one_error_line(tmp_path, monkeypatch, capsys):
-    from vfpolytope import evaluation
-
-    monkeypatch.setattr(evaluation, "_MAX_IMPROVEMENTS", 1)
-    code = main(["dynamics", "--mdp", "dyn2", "--algo", "pi", "--init", "interior",
-                 "--out", str(tmp_path / "out.csv")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: policy iteration") and err.count("\n") == 1
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("algo", ["pg", "npg", "pi"])
+@pytest.mark.parametrize("algo", ["pg", "pi", "cem"])
 def test_entropy_coeff_outside_entpg_exits_2(algo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
