@@ -15,9 +15,11 @@ from vfpolytope.mdp import dump_mdp, random_mdp
 
 ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
-# name -> argv; {d} is the output directory, {mdp3} and {mdp64} are 3- and
-# 64-state MDP documents. The 64-state cases evaluate more policies than one
-# block of value_function_batch holds, so they pin values across blocks. The
+# name -> argv; {d} is the output directory, {mdp3}, {mdp64} and {mdp128} are
+# 3-, 64- and 128-state MDP documents. The 64-state cases evaluate more
+# policies than one block of value_function_batch holds, so they pin values
+# across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
+# partial block of 6. The
 # dyn2 --init boundary ascent cases pin the start the learning-paths benchmark uses.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
@@ -26,6 +28,7 @@ CASES = {
     "line-mdp3": "line --mdp {mdp3} --state 2 --seed 5 --grid 11 --out {d}/out.csv",
     "sample-mdp64": "sample --mdp {mdp64} --n 300 --seed 11 --out {d}/out.csv",
     "line-mdp64": "line --mdp {mdp64} --state 37 --seed 6 --grid 201 --out {d}/out.csv",
+    "sample-mdp128": "sample --mdp {mdp128} --n 70 --seed 13 --out {d}/out.csv",
     **{
         f"dynamics-dyn2-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init interior --seed 1 --out {{d}}/out.csv"
         for algo in ALGOS
@@ -48,7 +51,7 @@ CASES = {
 # and again on 0.3.0 with the verify-* cases: 0.3.0 computes rho from omega
 # alone and checks the boundary suite by exact value-set membership. The
 # verify-* cases were re-pinned on 0.3.1, which keys every verification
-# stream by (suite, instance) spawn keys.
+# stream by (suite, instance) spawn keys. sample-mdp128 was recorded on 0.3.1.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -121,6 +124,9 @@ GOLDEN = {
     "sample-mdp3-fix": (0, {
         "out.csv": "ed8ef212be2bb212558cd42185a0577c333c1138dcf8744baf39b01eaf235890",
     }),
+    "sample-mdp128": (0, {
+        "out.csv": "9f427bd659542aa423a4d24fed21bc16f389f12a8a2ce7b083a55ccbf1e10fc4",
+    }),
     "sample-mdp64": (0, {
         "out.csv": "3a562c1badc2a798aa39d34d9499b17784d7b158195e162b9995ca8fd79b209f",
     }),
@@ -140,6 +146,7 @@ def documents(tmp_path_factory):
     for name, mdp in (
         ("mdp3", random_mdp(3, 2, 0.9, 0)),
         ("mdp64", random_mdp(64, 3, 0.9, 1)),
+        ("mdp128", random_mdp(128, 4, 0.95, 5)),
     ):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(dump_mdp(mdp) + "\n")
