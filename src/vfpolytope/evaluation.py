@@ -15,8 +15,8 @@ from .errors import IterationCap, ShapeMismatch
 from .mdp import Mdp, Policy
 
 # value_function_batch solves at most this many float64 entries of P_pi
-# (4 MiB) at a time, so its peak memory grows with n only through the
-# (n, |S|, |A|) input and the (n, |S|) output.
+# (4 MiB) at a time, in one buffer it allocates per call, so its peak memory
+# grows with n only through the (n, |S|, |A|) input and the (n, |S|) output.
 _BLOCK_ENTRIES = 1 << 19
 
 # optimal_value's policy iteration gives up after this many improvements.
@@ -60,18 +60,38 @@ class InducedChain:
         return self.resolvent @ self.r_pi
 
 
-def _collapse(mdp: Mdp, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_pi and r_pi of one (|S|, |A|) policy or of a stack (..., |S|, |A|)."""
-    p_pi = np.einsum("...sa,sat->...st", probs, mdp.transition_tensor)
-    r_pi = np.einsum("...sa,sa->...s", probs, mdp.reward_matrix)
+def _collapse(
+    mdp: Mdp,
+    probs: np.ndarray,
+    p_out: np.ndarray | None = None,
+    r_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_pi and r_pi of one (|S|, |A|) policy or of a stack (..., |S|, |A|).
+
+    They are written into p_out and r_out when those are given.
+    """
+    p_pi = np.einsum("...sa,sat->...st", probs, mdp.transition_tensor, out=p_out)
+    r_pi = np.einsum("...sa,sa->...s", probs, mdp.reward_matrix, out=r_out)
     return p_pi, r_pi
 
 
-def _solve(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
-    """Exact values of one policy or a stack, shaped like probs minus |A|."""
-    p_pi, r_pi = _collapse(mdp, probs)
-    systems = np.eye(mdp.n_states) - mdp.gamma * p_pi
-    return np.linalg.solve(systems, r_pi[..., None])[..., 0]
+def _solve(
+    mdp: Mdp,
+    probs: np.ndarray,
+    systems: np.ndarray | None = None,
+    rewards: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact values of one policy or a stack, shaped like probs minus |A|.
+
+    systems and rewards, when given, are buffers shaped like P_pi and r_pi
+    of probs, and the linear systems are built in them rather than in new
+    arrays. The steps are those of I - gamma * P_pi, in that order, so the
+    values do not depend on where the systems are built.
+    """
+    systems, rewards = _collapse(mdp, probs, systems, rewards)
+    np.multiply(systems, mdp.gamma, out=systems)
+    np.subtract(np.eye(mdp.n_states), systems, out=systems)
+    return np.linalg.solve(systems, rewards[..., None])[..., 0]
 
 
 def induce(mdp: Mdp, policy: Policy) -> InducedChain:
@@ -93,10 +113,12 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     """Values of many policies, evaluated in blocks of bounded size.
 
     Policies go through the solve in consecutive blocks of
-    max(1, _BLOCK_ENTRIES // |S|**2), so the P_pi stacks of one block, not
-    of the whole batch, are held at once. Each policy gets the same collapse
-    and the same LAPACK solve as in a single call over the whole stack, so
-    the values are bit-for-bit those of value_function, whatever n is.
+    max(1, _BLOCK_ENTRIES // |S|**2). Every block builds its linear systems
+    in the same two buffers, allocated once per call, so one block's systems,
+    not the whole batch's, are held at once. Each policy gets the same
+    collapse and the same LAPACK solve as in a single call over the whole
+    stack, so the values are bit-for-bit those of value_function, whatever
+    n is.
 
     Args:
         probs: array of shape (n, |S|, |A|); each [i] is a row-stochastic
@@ -110,10 +132,15 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
-    block = max(1, _BLOCK_ENTRIES // mdp.n_states**2)
-    values = np.empty(probs.shape[:2])
-    for start in range(0, len(probs), block):
-        values[start : start + block] = _solve(mdp, probs[start : start + block])
+    n, n_states = probs.shape[:2]
+    block = max(1, _BLOCK_ENTRIES // n_states**2)
+    systems = np.empty((min(n, block), n_states, n_states))
+    rewards = np.empty((min(n, block), n_states))
+    values = np.empty((n, n_states))
+    for start in range(0, n, block):
+        chunk = probs[start : start + block]
+        k = len(chunk)
+        values[start : start + k] = _solve(mdp, chunk, systems[:k], rewards[:k])
     return values
 
 

@@ -33,6 +33,25 @@ STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def assert_batch_is_stacked_singles(mdp: Mdp, probs: np.ndarray) -> None:
+    singles = np.stack([value_function(mdp, Policy(p)) for p in probs])
+    batch = value_function_batch(mdp, probs)
+    assert np.array_equal(batch, singles)
+    assert np.array_equal(np.signbit(batch), np.signbit(singles))
+
+
+def batch_peak_bytes() -> int:
+    """tracemalloc peak of evaluating 2000 sampled policies at |S|=64."""
+    mdp = random_mdp(64, 3, 0.9, seed=0)
+    probs = sample_policy_probs(mdp, 2000, 0)
+    tracemalloc.start()
+    try:
+        value_function_batch(mdp, probs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def random_pair(seed: int) -> tuple[Mdp, Policy]:
     rng = np.random.default_rng(seed)
     mdp = random_mdp(
@@ -122,22 +141,39 @@ class TestValueFunction:
         # At |S|=64 a block holds 128 policies, so these n end on, just
         # before and just after block boundaries.
         mdp = random_mdp(64, 3, 0.9, seed=n)
-        probs = sample_policy_probs(mdp, n, n)
-        singles = np.stack([value_function(mdp, Policy(p)) for p in probs])
-        assert np.array_equal(value_function_batch(mdp, probs), singles)
+        assert_batch_is_stacked_singles(mdp, sample_policy_probs(mdp, n, n))
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+    def test_blocked_batch_at_128_states_equals_single_solves_bitwise(self, n):
+        # At |S|=128 a block holds 32 policies; n=70 ends on a block of 6.
+        mdp = random_mdp(128, 4, 0.95, seed=n)
+        assert_batch_is_stacked_singles(mdp, sample_policy_probs(mdp, n, n))
+
+    def test_batch_keeps_the_signed_zeros_of_single_solves(self):
+        # Zero transition entries and +-0.0 rewards give values of both signs
+        # of zero; the systems are built as I - gamma * P_pi in both paths.
+        mdp = Mdp(
+            3,
+            2,
+            rewards=[0.0, -0.0, -0.0, -0.0, 1.0, -0.5],
+            transitions=[[1, 0, 0], [0, 0.5, 0.5], [0, 1, 0], [0.25, 0, 0.75],
+                         [0, 0, 1], [1, 0, 0]],
+            gamma=0.9,
+        )
+        det = np.stack([p.probs for p in deterministic_policies(mdp)])
+        assert len(det) == 8
+        probs = np.concatenate([det, sample_policy_probs(mdp, 500, 0)])
+        assert_batch_is_stacked_singles(mdp, probs)
 
     def test_batch_peak_memory_is_bounded_by_a_block(self):
         # An unblocked solve of 2000 policies at |S|=64 holds three
         # 2000 x 64 x 64 float64 stacks, about 197 MB at once.
-        mdp = random_mdp(64, 3, 0.9, seed=0)
-        probs = sample_policy_probs(mdp, 2000, 0)
-        tracemalloc.start()
-        try:
-            value_function_batch(mdp, probs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert batch_peak_bytes() < 32 * 2**20
+
+    def test_batch_builds_every_block_in_one_workspace(self):
+        # Two blocks of P_pi at |S|=64 are 8 MiB. Buffers reused across the
+        # blocks peak near 5 MiB; three fresh 4 MiB stacks per block, near 13.
+        assert batch_peak_bytes() < 8 * 2**20
 
 
 class TestBellmanOperators:
