@@ -52,11 +52,13 @@ CAPABILITY_ERROR = 3
 
 ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
-DEFAULT_ITERS = {"vi": 100, "pi": 0, "pg": 2000, "entpg": 2000, "npg": 500,
+# Policy iteration runs until it settles and takes no --iters.
+DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
-# Largest float64 array `sample` and `line` may build (32 MiB): --n*|S|*|A|
-# sampled probabilities, --grid*|S| line values. Checked before either is built.
+# Largest float64 array `sample`, `line` and `dynamics` may build (32 MiB):
+# --n*|S|*|A| sampled probabilities, --grid*|S| line values, --iters*|S|
+# trajectory values. Checked before any is built.
 MAX_CELLS = 1 << 22
 
 
@@ -230,12 +232,16 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
     init_spec, init_inputs = _resolve_dynamics_init(args, mdp)
     inputs = {**inputs, **init_inputs}
-    iters = args.iters if args.iters is not None else DEFAULT_ITERS[args.algo]
-    if args.algo != "pi" and iters < 1:
-        raise CliError("--iters must be at least 1")
-    eta = args.eta if args.eta is not None else 0.05
-    if args.algo in ("pg", "entpg", "npg") and eta <= 0:
-        raise CliError("--eta must be positive")
+    # A flag the algorithm does not use is recorded as null in the manifest.
+    iters = None
+    if args.algo != "pi":
+        iters = DEFAULT_ITERS[args.algo] if args.iters is None else args.iters
+        _check_count("--iters", iters, 1, mdp.n_states)
+    eta = None
+    if args.algo in ("pg", "entpg", "npg"):
+        eta = 0.05 if args.eta is None else args.eta
+        if eta <= 0:
+            raise CliError("--eta must be positive")
     coeff = None
     if args.algo == "entpg":
         coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff

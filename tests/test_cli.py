@@ -234,6 +234,7 @@ class TestSizeCaps:
 
     @pytest.fixture
     def guarded(self, monkeypatch):
+        import vfpolytope.cli as cli
         import vfpolytope.geometry as geometry
 
         def reached(*args, **kwargs):
@@ -241,6 +242,8 @@ class TestSizeCaps:
 
         monkeypatch.setattr(np, "linspace", reached)
         monkeypatch.setattr(geometry, "sample_policy_probs", reached)
+        for name in ("run_value_iteration", "run_policy_gradient", "run_npg", "run_cem"):
+            monkeypatch.setattr(cli, name, reached)
 
     @pytest.mark.parametrize(
         "flag, low, argv, cells_each",
@@ -249,6 +252,14 @@ class TestSizeCaps:
             ("--n", 1, ["sample", "--mdp", "threeaction", "--out", "out.csv"], 2 * 3),
             ("--grid", 2,
              ["line", "--mdp", "dyn2", "--state", "0", "--out", "out.csv"], 2),
+            *(
+                pytest.param(
+                    "--iters", 1,
+                    ["dynamics", "--mdp", "dyn2", "--algo", algo, "--out", "out.csv"], 2,
+                    id=f"--iters-{algo}",
+                )
+                for algo in ("vi", "pg", "entpg", "npg", "cem", "cemcn")
+            ),
         ],
     )
     def test_one_above_cap_exits_2_before_allocating(
@@ -528,6 +539,25 @@ def test_entpg_manifest_records_the_coefficient_used(flag, used, tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["config"]["entropy_coeff"] == used
+
+
+@pytest.mark.parametrize(
+    "argv, iters, eta",
+    [
+        (["--algo", "pi", "--iters", "5"], None, None),
+        (["--algo", "vi", "--eta", "7"], 100, None),
+        (["--algo", "cem"], 100, None),
+        (["--algo", "npg", "--iters", "5", "--eta", "0.2"], 5, 0.2),
+    ],
+    ids=["pi", "vi", "cem", "npg"],
+)
+def test_dynamics_manifest_records_unused_flags_as_null(
+    argv, iters, eta, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["dynamics", "--mdp", "dyn2", *argv, "--out", "out.csv"]) == 0
+    config = json.loads((tmp_path / "out.csv.manifest.json").read_text())["config"]
+    assert (config["iters"], config["eta"]) == (iters, eta)
 
 
 class TestReproducibility:
