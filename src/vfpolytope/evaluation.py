@@ -61,32 +61,22 @@ class InducedChain:
 
 
 def _collapse(
-    mdp: Mdp,
-    probs: np.ndarray,
-    p_out: np.ndarray | None = None,
-    r_out: np.ndarray | None = None,
+    mdp: Mdp, probs: np.ndarray, p_out=None, r_out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_pi and r_pi of one (|S|, |A|) policy or of a stack (..., |S|, |A|).
 
-    They are written into p_out and r_out when those are given.
+    They are written into the arrays p_out and r_out when those are given.
     """
     p_pi = np.einsum("...sa,sat->...st", probs, mdp.transition_tensor, out=p_out)
     r_pi = np.einsum("...sa,sa->...s", probs, mdp.reward_matrix, out=r_out)
     return p_pi, r_pi
 
 
-def _solve(
-    mdp: Mdp,
-    probs: np.ndarray,
-    systems: np.ndarray | None = None,
-    rewards: np.ndarray | None = None,
-) -> np.ndarray:
+def _solve(mdp: Mdp, probs: np.ndarray, systems=None, rewards=None) -> np.ndarray:
     """Exact values of one policy or a stack, shaped like probs minus |A|.
 
-    systems and rewards, when given, are buffers shaped like P_pi and r_pi
-    of probs, and the linear systems are built in them rather than in new
-    arrays. The steps are those of I - gamma * P_pi, in that order, so the
-    values do not depend on where the systems are built.
+    I - gamma * P_pi and r_pi are built in the buffers systems and rewards
+    when those are given, by the same steps in the same order as without.
     """
     systems, rewards = _collapse(mdp, probs, systems, rewards)
     np.multiply(systems, mdp.gamma, out=systems)
@@ -113,12 +103,10 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     """Values of many policies, evaluated in blocks of bounded size.
 
     Policies go through the solve in consecutive blocks of
-    max(1, _BLOCK_ENTRIES // |S|**2). Every block builds its linear systems
-    in the same two buffers, allocated once per call, so one block's systems,
-    not the whole batch's, are held at once. Each policy gets the same
-    collapse and the same LAPACK solve as in a single call over the whole
-    stack, so the values are bit-for-bit those of value_function, whatever
-    n is.
+    max(1, _BLOCK_ENTRIES // |S|**2), each built in buffers allocated once
+    per call. Each policy gets the same collapse and the same LAPACK solve
+    as in a single call over the whole stack, so the values are bit-for-bit
+    those of value_function, whatever n is.
 
     Args:
         probs: array of shape (n, |S|, |A|); each [i] is a row-stochastic

@@ -19,8 +19,8 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 # 3-, 64- and 128-state MDP documents. The 64-state cases evaluate more
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
-# partial block of 6. The
-# dyn2 --init boundary ascent cases pin the start the learning-paths benchmark uses.
+# partial block of 6. The dyn2 --init boundary ascent cases pin the start the
+# learning-paths benchmark uses.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
