@@ -16,6 +16,7 @@ from .errors import MissingPolicy, NonFiniteLogits, ShapeMismatch
 from .evaluation import (
     _collapse,
     _policy_iteration,
+    _system,
     optimal_value,
     optimality_bellman_apply,
     q_values,
@@ -219,10 +220,7 @@ def discounted_distribution(
         if rho0.shape != (mdp.n_states,):
             raise ShapeMismatch("rho0 must have one entry per state")
     p_pi, _ = _collapse(mdp, policy.probs)
-    d = (1.0 - mdp.gamma) * np.linalg.solve(
-        np.eye(mdp.n_states) - mdp.gamma * p_pi.T, rho0
-    )
-    return d
+    return (1.0 - mdp.gamma) * np.linalg.solve(_system(mdp, p_pi).T, rho0)
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -239,14 +237,15 @@ def _evaluate_step(
     One collapse and one stacked solve serve both linear systems: the value
     (I - gamma P_pi) v = r_pi and the uniform-start visitation
     (I - gamma P_pi^T) d = rho0, scaled by 1 - gamma. Each system gets the
-    same matrix and the same LAPACK call as value_function and
-    discounted_distribution make, so v and d are bit-for-bit theirs.
+    matrix evaluation._system builds for value_function and
+    discounted_distribution, and the same LAPACK call, so v and d are
+    bit-for-bit theirs.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
     p_pi, r_pi = _collapse(mdp, policy.probs)
+    system = _system(mdp, p_pi)
     n = mdp.n_states
-    system = np.eye(n) - mdp.gamma * p_pi
     rhs = np.stack([r_pi, np.full(n, 1.0 / n)])[..., None]
     v, d = np.linalg.solve(np.stack([system, system.T]), rhs)[..., 0]
     return policy, v, (1.0 - mdp.gamma) * d

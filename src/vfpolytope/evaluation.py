@@ -72,6 +72,16 @@ def _collapse(
     return p_pi, r_pi
 
 
+def _system(mdp: Mdp, p_pi: np.ndarray, out=None) -> np.ndarray:
+    """I - gamma * P_pi for one P_pi or a stack, written into out when given.
+
+    Every solve in the package builds its matrix here, so values that two
+    callers promise to share are built by the same steps in the same order.
+    """
+    system = np.multiply(p_pi, mdp.gamma, out=out)
+    return np.subtract(np.eye(mdp.n_states), system, out=system)
+
+
 def _solve(mdp: Mdp, probs: np.ndarray, systems=None, rewards=None) -> np.ndarray:
     """Exact values of one policy or a stack, shaped like probs minus |A|.
 
@@ -79,8 +89,7 @@ def _solve(mdp: Mdp, probs: np.ndarray, systems=None, rewards=None) -> np.ndarra
     when those are given, by the same steps in the same order as without.
     """
     systems, rewards = _collapse(mdp, probs, systems, rewards)
-    np.multiply(systems, mdp.gamma, out=systems)
-    np.subtract(np.eye(mdp.n_states), systems, out=systems)
+    _system(mdp, systems, out=systems)
     return np.linalg.solve(systems, rewards[..., None])[..., 0]
 
 
@@ -88,8 +97,7 @@ def induce(mdp: Mdp, policy: Policy) -> InducedChain:
     """Collapse the MDP onto a policy: P_pi, r_pi and the resolvent."""
     _check_policy_shape(mdp, policy)
     p_pi, r_pi = _collapse(mdp, policy.probs)
-    eye = np.eye(mdp.n_states)
-    resolvent = np.linalg.solve(eye - mdp.gamma * p_pi, eye)
+    resolvent = np.linalg.solve(_system(mdp, p_pi), np.eye(mdp.n_states))
     return InducedChain(p_pi=p_pi, r_pi=r_pi, resolvent=resolvent)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vfpolytope import evaluation
+from vfpolytope import dynamics, evaluation
 from vfpolytope.errors import IterationCap, ShapeMismatch
 from vfpolytope.evaluation import (
     bellman_apply,
@@ -97,6 +97,29 @@ class TestInduce:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             induce(builtin_fixture("fig2c"), Policy.uniform(2, 2))
+
+    def test_every_solve_gets_the_same_system(self, monkeypatch):
+        # value_function, induce, discounted_distribution and the ascent
+        # step's stacked solve all hand LAPACK the matrix I - gamma P_pi,
+        # bit for bit; the visitation solve gets its transpose.
+        mdp = random_mdp(64, 3, 0.9, seed=1)
+        theta = np.random.default_rng(1).normal(size=(64, 3))
+        policy = dynamics.softmax_policy(theta)
+        seen = []
+        solve = np.linalg.solve
+
+        def record(a, b):
+            seen.append(np.array(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", record)
+        value_function(mdp, policy)
+        induce(mdp, policy)
+        dynamics.discounted_distribution(mdp, policy)
+        dynamics._evaluate_step(mdp, theta)
+        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T]
+        for system in systems[1:]:
+            assert np.array_equal(system, systems[0])
 
 
 class TestValueFunction:
