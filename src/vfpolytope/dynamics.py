@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import MissingPolicy, NonFiniteLogits, ShapeMismatch
 from .evaluation import (
+    _check_value_shape,
     _collapse,
     _policy_iteration,
     _system,
@@ -160,9 +161,7 @@ def run_value_iteration(
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    v = np.asarray(v0, dtype=float).reshape(-1)
-    if v.shape != (mdp.n_states,):
-        raise ShapeMismatch(f"v0 must have length {mdp.n_states}")
+    v = _check_value_shape(mdp, v0)
     points = [v]
     meta = [{"iteration": 0, "step_norm": 0.0}]
     for k in range(1, iterations + 1):
@@ -186,9 +185,7 @@ def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
     Raises:
         IterationCap: the policy did not settle within the cap.
     """
-    v = np.asarray(v0, dtype=float).reshape(-1)
-    if v.shape != (mdp.n_states,):
-        raise ShapeMismatch(f"v0 must have length {mdp.n_states}")
+    v = _check_value_shape(mdp, v0)
     points = [v]
     meta = [{"iteration": 0, "step_norm": 0.0}]
     steps = _policy_iteration(mdp, np.argmax(q_values(mdp, v), axis=1))

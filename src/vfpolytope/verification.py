@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DimensionUnsupported, UnknownSuite
 from .evaluation import (
+    _check_policy_shape,
+    _collapse,
     induce,
     optimal_value,
     value_function,
@@ -112,10 +114,10 @@ def neumann_value_oracle(mdp: Mdp, policy: Policy, config: OracleConfig) -> np.n
 
     Off the exact value by at most gamma^n * max|r| / (1 - gamma) in max-norm.
     """
-    chain = induce(mdp, policy)
-    term = chain.r_pi.copy()
+    _check_policy_shape(mdp, policy)
+    p_pi, term = _collapse(mdp, policy.probs)
     total = term.copy()
-    step = mdp.gamma * chain.p_pi
+    step = mdp.gamma * p_pi
     for _ in range(config.neumann_terms - 1):
         term = step @ term
         total += term
@@ -355,11 +357,11 @@ def _check_zeros(mdp: Mdp, rng: np.random.Generator):
     fixed = _random_states(rng, mdp.n_states, 1, mdp.n_states + 1)
     p1 = random_policy(mdp, rng)
     p2 = _redraw(p1, [s for s in range(mdp.n_states) if s not in fixed], rng)
-    chain1 = induce(mdp, p1)
-    chain2 = induce(mdp, p2)
+    p_pi1, r_pi1 = _collapse(mdp, p1.probs)
+    p_pi2, r_pi2 = _collapse(mdp, p2.probs)
     deviation = max(
-        float(np.max(np.abs(chain1.r_pi[fixed] - chain2.r_pi[fixed]))),
-        float(np.max(np.abs(chain1.p_pi[fixed] - chain2.p_pi[fixed]))),
+        float(np.max(np.abs(r_pi1[fixed] - r_pi2[fixed]))),
+        float(np.max(np.abs(p_pi1[fixed] - p_pi2[fixed]))),
     )
     return f"fixed={fixed}", deviation
 
