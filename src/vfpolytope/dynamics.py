@@ -313,28 +313,34 @@ def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
     return _fisher(policy.probs, d)
 
 
-def _natural_direction(
-    mdp: Mdp, probs: np.ndarray, v: np.ndarray, d: np.ndarray, damping: float
-) -> np.ndarray:
-    """natural_policy_gradient's arithmetic from a step's evaluation."""
-    grad = _gradient(mdp, probs, v, d)
-    fisher = _fisher(probs, d)
-    n = fisher.shape[0]
-    flat = np.linalg.solve(fisher + damping * np.eye(n), grad.reshape(-1))
-    return flat.reshape(mdp.n_states, mdp.n_actions)
-
-
 def natural_policy_gradient(
     mdp: Mdp, theta: np.ndarray, damping: float = 1e-6
 ) -> np.ndarray:
     """Damped natural gradient: solve (F + damping*I) g = grad J.
 
-    The gradient and the Fisher matrix share one evaluation of theta.
+    The gradient and the Fisher matrix share one evaluation of theta. This
+    is the oracle for run_npg, whose closed-form direction is its limit as
+    damping goes to 0.
     """
     if damping <= 0:
         raise ValueError("damping must be positive")
     policy, v, d = _evaluate_step(mdp, theta)
-    return _natural_direction(mdp, policy.probs, v, d, damping)
+    grad = _gradient(mdp, policy.probs, v, d)
+    fisher = _fisher(policy.probs, d)
+    flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
+    return flat.reshape(mdp.n_states, mdp.n_actions)
+
+
+def _natural_direction(mdp: Mdp, v: np.ndarray) -> np.ndarray:
+    """Undamped natural gradient of the tabular softmax, from the value alone.
+
+    Where d(s) > 0, F g = grad J holds for g(s, a) = A(s, a) / (1 - gamma)
+    plus any per-state constant (Kakade 2001; Agarwal et al. 2019,
+    arXiv:1908.00261). Centering each row of Q_v picks the solution with
+    zero row means, the limit of the damped solve as damping goes to 0.
+    """
+    q = q_values(mdp, v)
+    return (q - q.mean(axis=1, keepdims=True)) / (1.0 - mdp.gamma)
 
 
 def _logits_of(policy: Policy) -> np.ndarray:
@@ -411,18 +417,18 @@ def run_policy_gradient(
     )
 
 
-def run_npg(
-    mdp: Mdp, init, eta: float, iterations: int, damping: float = 1e-6
-) -> Trajectory:
-    """Natural-gradient ascent from the resolved init, recording values."""
-    if damping <= 0:
-        raise ValueError("damping must be positive")
+def run_npg(mdp: Mdp, init, eta: float, iterations: int) -> Trajectory:
+    """Natural-gradient ascent from the resolved init, recording values.
+
+    Each step's direction is the closed form of _natural_direction, taken
+    from the value the step already evaluated, so no Fisher matrix is built.
+    """
     return _ascend(
         mdp,
         init,
         eta,
         iterations,
-        lambda probs, v, d, entropy: _natural_direction(mdp, probs, v, d, damping),
+        lambda probs, v, d, entropy: _natural_direction(mdp, v),
         track_entropy=False,
     )
 

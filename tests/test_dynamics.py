@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -353,6 +355,26 @@ class TestNaturalGradient:
         )
         assert cosine > 1 - 1e-6
 
+    @pytest.mark.parametrize(
+        "mdp", [DYN2, random_mdp(8, 3, 0.9, seed=2)], ids=["dyn2", "random8"]
+    )
+    def test_damped_direction_tends_to_closed_form(self, mdp):
+        # The gap to run_npg's closed-form direction shrinks with the damping.
+        theta = np.random.default_rng(0).normal(size=(mdp.n_states, mdp.n_actions))
+        v = value_function(mdp, softmax_policy(theta))
+        closed = dynamics._natural_direction(mdp, v)
+        gaps = [
+            np.max(np.abs(natural_policy_gradient(mdp, theta, damping) - closed))
+            for damping in (1e-4, 1e-6, 1e-8)
+        ]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 80.0 < coarse / fine < 125.0
+
+    @pytest.mark.parametrize("kind", ["near_vertex", "near_boundary", "interior"])
+    def test_npg_reaches_optimal_value(self, kind):
+        traj = run_npg(DYN2, InitSpec(kind=kind), eta=0.05, iterations=500)
+        assert np.max(np.abs(traj.points[-1] - V_STAR)) < 1e-10
+
     def test_npg_faster_than_pg_on_dyn2(self):
         def first_hit(traj):
             gaps = np.max(np.abs(traj.points - V_STAR[None, :]), axis=1)
@@ -431,16 +453,18 @@ class TestOneEvaluationPerStep:
         monkeypatch.setattr(np.linalg, "solve", counted)
         return calls
 
-    @pytest.mark.parametrize("entropy_coeff", [0.0, 0.1])
-    def test_policy_gradient_run_solves_once_per_step(self, solves, entropy_coeff):
-        run_policy_gradient(
-            DYN2, InitSpec(kind="near_boundary"), 0.05, 9, entropy_coeff
-        )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            partial(run_policy_gradient, entropy_coeff=0.0),
+            partial(run_policy_gradient, entropy_coeff=0.1),
+            run_npg,
+        ],
+        ids=["0.0", "0.1", "npg"],
+    )
+    def test_policy_gradient_run_solves_once_per_step(self, solves, run):
+        run(DYN2, InitSpec(kind="near_boundary"), 0.05, 9)
         assert len(solves) == 9 + 1
-
-    def test_npg_run_solves_twice_per_step(self, solves):
-        run_npg(DYN2, InitSpec(kind="near_boundary"), 0.05, 9)
-        assert len(solves) == 2 * 9 + 1
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     def test_step_matches_separate_solves(self, n_states):
@@ -472,7 +496,7 @@ class TestOneEvaluationPerStep:
 
     def test_npg_rejects_nonpositive_damping(self):
         with pytest.raises(ValueError, match="damping"):
-            run_npg(DYN2, InitSpec(kind="interior"), 0.05, 3, damping=0.0)
+            natural_policy_gradient(DYN2, np.zeros((2, 2)), damping=0.0)
 
 
 class TestCem:
