@@ -52,12 +52,14 @@ CASES = {
 # alone and checks the boundary suite by exact value-set membership. The
 # verify-* cases were re-pinned on 0.3.1, which keys every verification
 # stream by (suite, instance) spawn keys. sample-mdp128 was recorded on 0.3.1.
+# The npg cases (dynamics-*-npg and dynamics-dyn2-svg) were re-pinned on
+# 0.4.0, which takes natural policy gradient steps in closed form.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
     }),
     "dynamics-dyn2-boundary-npg": (0, {
-        "out.csv": "14afc738c2baa4f30197174ed4304cbf330e48514972e00263d0ee915ef7dc79",
+        "out.csv": "a14d76194f10ecab02382478b7f98409c37684698fa7f405214345c573a6148c",
     }),
     "dynamics-dyn2-boundary-pg": (0, {
         "out.csv": "76f5025636b8da356814b0bdfdd467dbd29fe7d56a3c4995683dd53514b01dc1",
@@ -72,7 +74,7 @@ GOLDEN = {
         "out.csv": "4599208807bc3c817a47962d7f179c55c7de2ab6278cd4bf565d3498bce5b416",
     }),
     "dynamics-dyn2-npg": (0, {
-        "out.csv": "00b20ad4d17aa403c0b9915b5f973f8b1a44ed4f68e4500b5f4ea73b259ecbc3",
+        "out.csv": "b4a3258af6c31f332ce8df1aeb053ade26addddeed209235117c9fb256de792e",
     }),
     "dynamics-dyn2-pg": (0, {
         "out.csv": "1a113319d029e120ec6906732c824fe2e2e5985321dd8b658cf494bc0d87d64b",
@@ -81,8 +83,8 @@ GOLDEN = {
         "out.csv": "85f99dc1c35392de7286d9cd4773758b246a6002aef41667eeecf94a08df7187",
     }),
     "dynamics-dyn2-svg": (0, {
-        "out.csv": "daff4051eddfccd7e078e4cfdcc52f91c2f71121ca0e5db9950d092202b5594c",
-        "out.svg": "41cc2430b884687996db94cc7885733df5a1e5b8ecad54e6c0e85c1d09ac3c1e",
+        "out.csv": "ac4d97d881bb5746d92d7f0a0b73bd50e9b7ad3b7048d939e1f39be74f6ddfd2",
+        "out.svg": "81b50b371690eed88f28f83713a65e61cc98f961bd78daf44629dd71cf614791",
     }),
     "dynamics-dyn2-vi": (0, {
         "out.csv": "c7e951f937fe8b868debb182361ceaa7ab99cd6b1638712d1f636ddbffd98ff5",
@@ -97,7 +99,7 @@ GOLDEN = {
         "out.csv": "4b007c2b8de9dc9a49c89f712a30a9fdb72d6acd5b53ba81d4d68fd0faffd3e4",
     }),
     "dynamics-mdp3-npg": (0, {
-        "out.csv": "8143c3a43da17f55325d172f79376b8853e79bae02947e226b4b7befb5844de2",
+        "out.csv": "ca3cad5cc4a65f63e240b9289a2c6874446ea95e169fbf97778d51dee3bd845c",
     }),
     "dynamics-mdp3-pg": (0, {
         "out.csv": "03332120f4ee01ca1650c1f8f3ca75eb51b0a38cbfd2f010d1994a08db5ba59f",
