@@ -231,12 +231,9 @@ def _evaluate_step(
 ) -> tuple[Policy, np.ndarray, np.ndarray]:
     """Softmax policy of a logit matrix, its exact value and its visitation.
 
-    One collapse and one stacked solve serve both linear systems: the value
-    (I - gamma P_pi) v = r_pi and the uniform-start visitation
-    (I - gamma P_pi^T) d = rho0, scaled by 1 - gamma. Each system gets the
-    matrix evaluation._system builds for value_function and
-    discounted_distribution, and the same LAPACK call, so v and d are
-    bit-for-bit theirs.
+    One collapse and one stacked solve of _system's matrix and its transpose
+    give v and the uniform-start d, bit-for-bit those of value_function and
+    discounted_distribution, which make the same LAPACK call on each.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
@@ -318,9 +315,7 @@ def natural_policy_gradient(
 ) -> np.ndarray:
     """Damped natural gradient: solve (F + damping*I) g = grad J.
 
-    The gradient and the Fisher matrix share one evaluation of theta. This
-    is the oracle for run_npg, whose closed-form direction is its limit as
-    damping goes to 0.
+    The oracle for run_npg, whose closed form is its limit as damping -> 0.
     """
     if damping <= 0:
         raise ValueError("damping must be positive")
@@ -334,10 +329,9 @@ def natural_policy_gradient(
 def _natural_direction(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     """Undamped natural gradient of the tabular softmax, from the value alone.
 
-    Where d(s) > 0, F g = grad J holds for g(s, a) = A(s, a) / (1 - gamma)
-    plus any per-state constant (Kakade 2001; Agarwal et al. 2019,
-    arXiv:1908.00261). Centering each row of Q_v picks the solution with
-    zero row means, the limit of the damped solve as damping goes to 0.
+    Where d > 0, A / (1 - gamma) solves F g = grad J up to a per-state constant
+    (Kakade 2001; Agarwal et al. 2019); centering Q_v's rows picks the limit of
+    the damped solve as damping goes to 0.
     """
     q = q_values(mdp, v)
     return (q - q.mean(axis=1, keepdims=True)) / (1.0 - mdp.gamma)
@@ -418,11 +412,7 @@ def run_policy_gradient(
 
 
 def run_npg(mdp: Mdp, init, eta: float, iterations: int) -> Trajectory:
-    """Natural-gradient ascent from the resolved init, recording values.
-
-    Each step's direction is the closed form of _natural_direction, taken
-    from the value the step already evaluated, so no Fisher matrix is built.
-    """
+    """Natural-gradient ascent in closed form from the resolved init."""
     return _ascend(
         mdp,
         init,

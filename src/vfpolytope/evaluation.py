@@ -73,11 +73,7 @@ def _collapse(
 
 
 def _system(mdp: Mdp, p_pi: np.ndarray, out=None) -> np.ndarray:
-    """I - gamma * P_pi for one P_pi or a stack, written into out when given.
-
-    Every solve in the package builds its matrix here, so values that two
-    callers promise to share are built by the same steps in the same order.
-    """
+    """I - gamma * P_pi of one P_pi or a stack, in out if given; all solves use it."""
     system = np.multiply(p_pi, mdp.gamma, out=out)
     return np.subtract(np.eye(mdp.n_states), system, out=system)
 
@@ -85,8 +81,7 @@ def _system(mdp: Mdp, p_pi: np.ndarray, out=None) -> np.ndarray:
 def _solve(mdp: Mdp, probs: np.ndarray, systems=None, rewards=None) -> np.ndarray:
     """Exact values of one policy or a stack, shaped like probs minus |A|.
 
-    I - gamma * P_pi and r_pi are built in the buffers systems and rewards
-    when those are given, by the same steps in the same order as without.
+    The systems and r_pi are built in the buffers systems and rewards if given.
     """
     systems, rewards = _collapse(mdp, probs, systems, rewards)
     _system(mdp, systems, out=systems)
