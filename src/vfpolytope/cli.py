@@ -16,25 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    CemConfig,
-    InitSpec,
-    resolve_init,
-    run_cem,
-    run_npg,
-    run_policy_gradient,
-    run_policy_iteration,
-    run_value_iteration,
-)
 from .errors import VfpError
-from .evaluation import value_function
-from .geometry import (
-    AgreementSet,
-    interpolation_curve,
-    line_segment,
-    polytope_vertices_det,
-    sample_values,
-)
 from .mdp import (
     FIXTURE_NAMES,
     Mdp,
@@ -45,7 +27,9 @@ from .mdp import (
     random_policy,
 )
 from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
-from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
+
+# The geometry, dynamics and verification modules are imported by the
+# subcommands that use them, so no subcommand loads the others.
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -55,6 +39,10 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 # Policy iteration runs until it settles and takes no --iters.
 DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
+
+# verify's time grows linearly in --trials: about 25 ms per trial for all 13
+# suites on a 2-vCPU Xeon, so the cap allows a run of a few minutes.
+MAX_TRIALS = 10_000
 
 # Largest float64 array `sample`, `line` and `dynamics` may build (32 MiB):
 # --n*|S|*|A| sampled probabilities, --grid*|S| line values, --iters*|S|
@@ -118,6 +106,8 @@ def cmd_fixtures(args, argv: list[str]) -> int:
 
 
 def cmd_sample(args, argv: list[str]) -> int:
+    from .geometry import AgreementSet, polytope_vertices_det, sample_values
+
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     if args.svg is not None and mdp.n_states != 2:
@@ -175,6 +165,8 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
 
 
 def cmd_line(args, argv: list[str]) -> int:
+    from .geometry import interpolation_curve, line_segment
+
     mdp, inputs = _resolve_mdp(args.mdp)
     if not 0 <= args.state < mdp.n_states:
         raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
@@ -204,6 +196,8 @@ def cmd_line(args, argv: list[str]) -> int:
 
 
 def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
+    from .dynamics import InitSpec
+
     label = args.init
     named = {
         "vertex": "near_vertex",
@@ -225,6 +219,9 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
 
 
 def cmd_dynamics(args, argv: list[str]) -> int:
+    from . import dynamics
+    from .evaluation import value_function
+
     if args.algo not in ALGORITHMS:
         raise CliError(f"unknown --algo {args.algo!r}")
     mdp, inputs = _resolve_mdp(args.mdp)
@@ -247,24 +244,24 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
     elif args.entropy_coeff is not None:
         raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
-    start_policy = resolve_init(mdp, init_spec)
+    start_policy = dynamics.resolve_init(mdp, init_spec)
     if args.algo == "vi":
-        trajectory = run_value_iteration(
+        trajectory = dynamics.run_value_iteration(
             mdp, value_function(mdp, start_policy), iters
         )
     elif args.algo == "pi":
-        trajectory = run_policy_iteration(mdp, value_function(mdp, start_policy))
+        trajectory = dynamics.run_policy_iteration(mdp, value_function(mdp, start_policy))
     elif args.algo == "pg":
-        trajectory = run_policy_gradient(mdp, start_policy, eta, iters)
+        trajectory = dynamics.run_policy_gradient(mdp, start_policy, eta, iters)
     elif args.algo == "entpg":
-        trajectory = run_policy_gradient(
+        trajectory = dynamics.run_policy_gradient(
             mdp, start_policy, eta, iters, entropy_coeff=coeff
         )
     elif args.algo == "npg":
-        trajectory = run_npg(mdp, start_policy, eta, iters)
+        trajectory = dynamics.run_npg(mdp, start_policy, eta, iters)
     else:
         noise = 0.0 if args.algo == "cem" else 0.05
-        config = CemConfig(
+        config = dynamics.CemConfig(
             population=500,
             elites=50,
             init_cov_scale=0.1,
@@ -272,7 +269,7 @@ def cmd_dynamics(args, argv: list[str]) -> int:
             iterations=iters,
             seed=args.seed,
         )
-        trajectory = run_cem(mdp, np.log(start_policy.probs), config)
+        trajectory = dynamics.run_cem(mdp, np.log(start_policy.probs), config)
 
     meta_keys = sorted({k for m in trajectory.meta for k in m} - {"iteration"})
     header = (
@@ -290,6 +287,8 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     write_csv(out, header, rows)
     outputs = [out]
     if args.svg is not None:
+        from .geometry import polytope_vertices_det, sample_values
+
         cloud = sample_values(mdp, 4000, args.seed)
         vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
         svg_path = Path(args.svg)
@@ -318,10 +317,14 @@ def cmd_dynamics(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
+    from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
+
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise CliError(f"--trials must be at most {MAX_TRIALS}")
     mdp = None
     inputs: dict[str, str] = {}
     if args.mdp is not None:
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--svg")
 
     verify = sub.add_parser("verify", help="run property suites, write a JSON report")
-    verify.add_argument("--suite", required=True, help=f"all or one of {', '.join(SUITE_NAMES)}")
+    verify.add_argument("--suite", required=True, help="all or one suite; an unknown name lists them")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mdp", help="optional fixture name or JSON path")

@@ -89,7 +89,7 @@ def _check_logits(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"logits must have shape ({mdp.n_states}, {mdp.n_actions})"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NonFiniteLogits("logits contain NaN or infinity")
     return theta
 
@@ -220,28 +220,35 @@ def discounted_distribution(
     return (1.0 - mdp.gamma) * np.linalg.solve(_system(mdp, p_pi).T, rho0)
 
 
-def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    return -plogp.sum(axis=1)
+def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log pi, read as 0 where pi is 0, and the per-state entropy rows of probs."""
+    log_p = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return log_p, -(probs * log_p).sum(axis=1)
 
 
 def _evaluate_step(
-    mdp: Mdp, theta: np.ndarray
-) -> tuple[Policy, np.ndarray, np.ndarray]:
+    mdp: Mdp, theta: np.ndarray, systems: np.ndarray | None = None
+) -> tuple[Policy, np.ndarray, np.ndarray | None]:
     """Softmax policy of a logit matrix, its exact value and its visitation.
 
-    One collapse and one stacked solve of _system's matrix and its transpose
-    give v and the uniform-start d, bit-for-bit those of value_function and
-    discounted_distribution, which make the same LAPACK call on each.
+    _system's matrix is built in the buffer systems: a (2, |S|, |S|) one also
+    takes its transpose, for one stacked solve of v and the uniform-start d,
+    and an (|S|, |S|) one gives v alone and d None. v and d are bit-for-bit
+    those of value_function and discounted_distribution.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
-    p_pi, r_pi = _collapse(mdp, policy.probs)
-    system = _system(mdp, p_pi)
     n = mdp.n_states
-    rhs = np.stack([r_pi, np.full(n, 1.0 / n)])[..., None]
-    v, d = np.linalg.solve(np.stack([system, system.T]), rhs)[..., 0]
+    if systems is None:
+        systems = np.empty((2, n, n))
+    rhs = np.full((2, n, 1), 1.0 / n)
+    system = systems if systems.ndim == 2 else systems[0]
+    _collapse(mdp, policy.probs, system, rhs[0, :, 0])
+    _system(mdp, system, out=system)
+    if systems.ndim == 2:
+        return policy, np.linalg.solve(system, rhs[0])[:, 0], None
+    systems[1] = system.T
+    v, d = np.linalg.solve(systems, rhs)[..., 0]
     return policy, v, (1.0 - mdp.gamma) * d
 
 
@@ -251,19 +258,17 @@ def _gradient(
     v: np.ndarray,
     d: np.ndarray,
     entropy_coeff: float = 0.0,
-    entropy: np.ndarray | None = None,
+    log_entropy: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """policy_gradient's arithmetic from a step's policy, value and visitation.
 
-    entropy, when given, holds the per-state entropy rows of probs.
+    log_entropy, when given, is _log_entropy(probs).
     """
     q = q_values(mdp, v)
     advantage = q - v[:, None]
     grad = (d / (1.0 - mdp.gamma))[:, None] * probs * advantage
     if entropy_coeff != 0.0:
-        h = _entropy_rows(probs) if entropy is None else entropy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.where(probs > 0.0, np.log(probs), 0.0)
+        log_p, h = _log_entropy(probs) if log_entropy is None else log_entropy
         grad_h = d[:, None] * (-probs) * (log_p + h[:, None])
         grad = grad + entropy_coeff * grad_h
     return grad
@@ -354,45 +359,46 @@ def _resolve_start(mdp: Mdp, init) -> Policy:
 
 
 def _ascend(
-    mdp: Mdp, init, eta: float, iterations: int, direction, track_entropy: bool
+    mdp: Mdp, init, eta: float, iterations: int, direction, visitation: bool
 ) -> Trajectory:
     """Ascent on logits, recording exact values; one evaluation per step.
 
-    Each step evaluates its logits once (_evaluate_step: one collapse, v and
-    d from one stacked solve). The value is the recorded point, and the
-    next step's direction(probs, v, d, entropy) reuses the whole evaluation
-    instead of solving again. Every meta row holds the sup-norm value step
-    and direction; with track_entropy it also holds the mean per-state
-    policy entropy, whose rows are passed on to the direction (else None).
+    Each step evaluates its logits once, in a buffer allocated once per run;
+    the value is the recorded point, and direction(probs, v, d, log_entropy)
+    reuses the evaluation. Meta rows hold the sup-norm value step and
+    direction. With visitation (the policy-gradient runs) a step also solves
+    for d and records the mean entropy of _log_entropy; else both are None.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     theta = _logits_of(_resolve_start(mdp, init))
-    step = np.zeros_like(theta)
-    points: list[np.ndarray] = []
+    n = mdp.n_states
+    systems = np.empty((2, n, n) if visitation else (n, n))
+    points = np.empty((iterations + 1, n))
     meta: list[dict] = []
+    step = np.zeros_like(theta)
+    log_entropy = None
     for k in range(iterations + 1):
         if k > 0:
-            step = direction(policy.probs, v, d, entropy)
+            step = direction(policy.probs, v, d, log_entropy)
             # An overflowing update is reported once, by the step evaluation's
             # finiteness check, not also as a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + eta * step
-        policy, v, d = _evaluate_step(mdp, theta)
+        policy, v, d = _evaluate_step(mdp, theta, systems)
         row = {
             "iteration": k,
-            "step_norm": float(np.max(np.abs(v - points[-1]))) if points else 0.0,
-            "grad_norm": float(np.max(np.abs(step))),
+            "step_norm": float(abs(v - points[k - 1]).max()) if k else 0.0,
+            "grad_norm": float(abs(step).max()),
         }
-        entropy = None
-        if track_entropy:
-            entropy = _entropy_rows(policy.probs)
-            row["entropy"] = float(entropy.mean())
+        if visitation:
+            log_entropy = _log_entropy(policy.probs)
+            row["entropy"] = float(log_entropy[1].mean())
         meta.append(row)
-        points.append(v)
-    return Trajectory(points=np.stack(points), meta=meta)
+        points[k] = v
+    return Trajectory(points=points, meta=meta)
 
 
 def run_policy_gradient(
@@ -404,22 +410,22 @@ def run_policy_gradient(
         init,
         eta,
         iterations,
-        lambda probs, v, d, entropy: _gradient(
-            mdp, probs, v, d, entropy_coeff, entropy
+        lambda probs, v, d, log_entropy: _gradient(
+            mdp, probs, v, d, entropy_coeff, log_entropy
         ),
-        track_entropy=True,
+        visitation=True,
     )
 
 
 def run_npg(mdp: Mdp, init, eta: float, iterations: int) -> Trajectory:
-    """Natural-gradient ascent in closed form from the resolved init."""
+    """Natural-gradient ascent in closed form; each step solves for v alone."""
     return _ascend(
         mdp,
         init,
         eta,
         iterations,
-        lambda probs, v, d, entropy: _natural_direction(mdp, v),
-        track_entropy=False,
+        lambda probs, v, d, log_entropy: _natural_direction(mdp, v),
+        visitation=False,
     )
 
 

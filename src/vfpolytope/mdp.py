@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -35,20 +36,24 @@ DOCUMENT_KEYS = ("n_states", "n_actions", "gamma", "rewards", "transitions")
 
 def _stochastic_rows(raw: np.ndarray, what: str) -> np.ndarray:
     """Validate and (if needed) renormalize a matrix of probability rows."""
+    # Each check reads one whole-array reduction: the smallest and largest
+    # entry (NaN if any entry is NaN), then the largest row-sum deviation.
     rows = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(rows)):
+    lowest = rows.min(initial=0.0)
+    if not (math.isfinite(lowest) and math.isfinite(rows.max(initial=0.0))):
         raise InvalidStochasticRow(f"{what} contains non-finite entries")
-    if np.any(rows < 0.0):
+    if lowest < 0.0:
         bad = int(np.argwhere(rows < 0.0)[0][0])
         raise InvalidStochasticRow(f"{what} row {bad} has a negative entry")
     sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > ROW_SUM_ACCEPT):
+    off = abs(sums - 1.0)
+    worst = off.max(initial=0.0)
+    if worst > ROW_SUM_ACCEPT:
         bad = int(np.argmax(off))
         raise InvalidStochasticRow(
             f"{what} row {bad} sums to {sums[bad]!r}, off by more than {ROW_SUM_ACCEPT}"
         )
-    if np.any(off > ROW_SUM_KEEP):
+    if worst > ROW_SUM_KEEP:
         # Renormalizing only out-of-tolerance rows keeps reload idempotent:
         # already-normalized rows round-trip bit for bit.
         rows = rows.copy()

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vfpolytope.cli import main
+import vfpolytope
+from vfpolytope import verification
+from vfpolytope.cli import MAX_TRIALS, main
 from vfpolytope.mdp import (
     Mdp,
     builtin_fixture,
@@ -17,6 +19,11 @@ from vfpolytope.mdp import (
     load_mdp,
     random_mdp,
 )
+
+
+# Subprocesses import the package under test, whichever tree PYTHONPATH put
+# first for this run.
+PACKAGE_PATH = str(Path(vfpolytope.__file__).parents[1])
 
 
 def sha(path: Path) -> str:
@@ -234,7 +241,7 @@ class TestSizeCaps:
 
     @pytest.fixture
     def guarded(self, monkeypatch):
-        import vfpolytope.cli as cli
+        import vfpolytope.dynamics as dynamics
         import vfpolytope.geometry as geometry
 
         def reached(*args, **kwargs):
@@ -243,7 +250,7 @@ class TestSizeCaps:
         monkeypatch.setattr(np, "linspace", reached)
         monkeypatch.setattr(geometry, "sample_policy_probs", reached)
         for name in ("run_value_iteration", "run_policy_gradient", "run_npg", "run_cem"):
-            monkeypatch.setattr(cli, name, reached)
+            monkeypatch.setattr(dynamics, name, reached)
 
     @pytest.mark.parametrize(
         "flag, low, argv, cells_each",
@@ -370,7 +377,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exits_2_without_traceback(self, trials, tmp_path):
         report = tmp_path / "r.json"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
         proc = subprocess.run(
             [sys.executable, "-m", "vfpolytope.cli", "verify", "--suite", "all",
              "--trials", trials, "--report", str(report)],
@@ -379,6 +386,32 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stderr == "error: --trials must be at least 1\n"
         assert not report.exists()
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**30])
+    def test_trials_above_cap_exit_2_before_any_suite_runs(
+        self, trials, tmp_path, monkeypatch, capsys
+    ):
+        def reached(*args, **kwargs):
+            raise AssertionError("run_suite reached")
+
+        monkeypatch.setattr(verification, "run_suite", reached)
+        report = tmp_path / "r.json"
+        code = main(["verify", "--suite", "all", "--trials", str(trials),
+                     "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --trials must be at most {MAX_TRIALS}\n"
+        assert not report.exists()
+
+    def test_trials_at_cap_are_accepted(self, tmp_path, monkeypatch):
+        def suite(name, trials, seed, mdp):
+            return verification.CheckReport(check_name=name, instances_run=trials)
+
+        monkeypatch.setattr(verification, "run_suite", suite)
+        report = tmp_path / "r.json"
+        code = main(["verify", "--suite", "line", "--trials", str(MAX_TRIALS),
+                     "--report", str(report)])
+        assert code == 0
+        assert json.loads(report.read_text())["reports"][0]["instances_run"] == MAX_TRIALS
 
     def test_all_suites_skip_planar_suites_on_three_states(self, tmp_path, capsys):
         doc = tmp_path / "m3.json"
@@ -462,7 +495,7 @@ class TestVerifyCommand:
     ids=lambda a: a[0],
 )
 def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-m", "vfpolytope.cli", *argv, "--seed", "-1"],
         capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
@@ -473,7 +506,7 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
 
 
 def test_logit_overflow_is_one_error_line(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
          "--algo", "npg", "--eta", "1e308", "--iters", "5", "--out", "out"],
@@ -487,7 +520,7 @@ def test_vertex_init_near_gamma_one_finishes(tmp_path):
     # The vertex init solves for the optimal policy first.
     mdp_path = tmp_path / "mdp.json"
     mdp_path.write_text(dump_mdp(random_mdp(3, 2, 0.9999999, seed=0)) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", str(mdp_path),
          "--algo", "pi", "--init", "vertex", "--out", "out.csv"],
@@ -515,7 +548,7 @@ def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, ca
 
 @pytest.mark.parametrize("algo", ["pg", "pi", "cem"])
 def test_entropy_coeff_outside_entpg_exits_2(algo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
          "--algo", algo, "--entropy-coeff", "0.5", "--iters", "5", "--out", "out"],
@@ -530,7 +563,7 @@ def test_entropy_coeff_outside_entpg_exits_2(algo, tmp_path):
 
 @pytest.mark.parametrize("flag, used", [([], 0.1), (["--entropy-coeff", "0.3"], 0.3)])
 def test_entpg_manifest_records_the_coefficient_used(flag, used, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
         [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2",
          "--algo", "entpg", "--iters", "5", "--out", "out.csv", *flag],

@@ -466,6 +466,15 @@ class TestOneEvaluationPerStep:
         run(DYN2, InitSpec(kind="near_boundary"), 0.05, 9)
         assert len(solves) == 9 + 1
 
+    @pytest.mark.parametrize("n_states", [2, 3])
+    def test_npg_step_solves_the_value_system_alone(self, solves, n_states):
+        mdp = DYN2 if n_states == 2 else random_mdp(3, 2, 0.9, seed=0)
+        run_policy_gradient(mdp, InitSpec(kind="near_boundary"), 0.05, 9)
+        assert solves == [(2, n_states, n_states)] * 10
+        solves.clear()
+        run_npg(mdp, InitSpec(kind="near_boundary"), 0.05, 9)
+        assert solves == [(n_states, n_states)] * 10
+
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     def test_step_matches_separate_solves(self, n_states):
         mdp = random_mdp(n_states, 3, 0.9, seed=n_states)
@@ -474,6 +483,9 @@ class TestOneEvaluationPerStep:
         assert policy == softmax_policy(theta)
         assert np.array_equal(v, value_function(mdp, policy))
         assert np.array_equal(d, discounted_distribution(mdp, policy))
+        alone = dynamics._evaluate_step(mdp, theta, np.empty((n_states, n_states)))
+        assert alone[0] == policy and alone[2] is None
+        assert np.array_equal(alone[1], v)
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     @pytest.mark.parametrize("entropy_coeff", [0.0, 0.1])

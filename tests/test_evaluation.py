@@ -100,8 +100,8 @@ class TestInduce:
 
     def test_every_solve_gets_the_same_system(self, monkeypatch):
         # value_function, induce, discounted_distribution and the ascent
-        # step's stacked solve all hand LAPACK the matrix I - gamma P_pi,
-        # bit for bit; the visitation solve gets its transpose.
+        # step's stacked and value-only solves all hand LAPACK the matrix
+        # I - gamma P_pi, bit for bit; the visitation solve gets its transpose.
         mdp = random_mdp(64, 3, 0.9, seed=1)
         theta = np.random.default_rng(1).normal(size=(64, 3))
         policy = dynamics.softmax_policy(theta)
@@ -117,7 +117,8 @@ class TestInduce:
         induce(mdp, policy)
         dynamics.discounted_distribution(mdp, policy)
         dynamics._evaluate_step(mdp, theta)
-        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T]
+        dynamics._evaluate_step(mdp, theta, np.empty((64, 64)))
+        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4]]
         for system in systems[1:]:
             assert np.array_equal(system, systems[0])
 

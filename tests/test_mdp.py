@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfpolytope.errors import (
@@ -14,8 +14,11 @@ from vfpolytope.errors import (
 )
 from vfpolytope.mdp import (
     FIXTURE_NAMES,
+    ROW_SUM_ACCEPT,
+    ROW_SUM_KEEP,
     Mdp,
     Policy,
+    _stochastic_rows,
     builtin_fixture,
     deterministic_policies,
     dump_mdp,
@@ -290,3 +293,74 @@ class TestImmutability:
         p = Policy.uniform(2, 2)
         with pytest.raises(ValueError):
             p.probs[0, 0] = 0.7
+
+
+def reference_stochastic_rows(raw, what):
+    """_stochastic_rows as written before its checks became single reductions."""
+    rows = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise InvalidStochasticRow(f"{what} contains non-finite entries")
+    if np.any(rows < 0.0):
+        bad = int(np.argwhere(rows < 0.0)[0][0])
+        raise InvalidStochasticRow(f"{what} row {bad} has a negative entry")
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if np.any(off > ROW_SUM_ACCEPT):
+        bad = int(np.argmax(off))
+        raise InvalidStochasticRow(
+            f"{what} row {bad} sums to {sums[bad]!r}, off by more than {ROW_SUM_ACCEPT}"
+        )
+    if np.any(off > ROW_SUM_KEEP):
+        rows = rows.copy()
+        fix = off > ROW_SUM_KEEP
+        rows[fix] = rows[fix] / sums[fix, None]
+    return rows
+
+
+def row_outcome(validate, raw):
+    """The exception type and message, or the result's shape and bytes."""
+    try:
+        rows = validate(raw, "policy")
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return rows.shape, rows.dtype, rows.tobytes()
+
+
+@st.composite
+def probability_rows(draw):
+    """Rows off by 0, < 1e-12, 1e-12 to 1e-9 or > 1e-9, maybe with a bad entry."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    weights = st.floats(0.0, 1.0)
+    row = st.lists(weights, min_size=n_cols, max_size=n_cols)
+    rows = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)), dtype=float)
+    rows = rows.reshape(n_rows, n_cols)
+    sums = rows.sum(axis=1, keepdims=True)
+    rows = np.divide(rows, sums, out=rows, where=sums > 0.0)
+    offsets = st.one_of(
+        st.just(0.0),
+        st.floats(1e-16, ROW_SUM_KEEP),
+        st.floats(ROW_SUM_KEEP, ROW_SUM_ACCEPT),
+        st.floats(ROW_SUM_ACCEPT, 1.0),
+    )
+    for i in range(n_rows):
+        rows[i] *= 1.0 + draw(st.sampled_from([1.0, -1.0])) * draw(offsets)
+    if rows.size and draw(st.booleans()):
+        bad = st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.5, -0.0])
+        rows[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))] = draw(bad)
+    return rows
+
+
+class TestStochasticRows:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=500)
+    @given(probability_rows())
+    @example(np.empty((0, 0)))
+    @example(np.empty((0, 3)))
+    @example(np.empty((3, 0)))
+    @example(np.array([[1e308, 1e308]]))
+    @example(np.array([[-1.0, np.nan], [0.5, 0.5]]))
+    @example(np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5 - 5e-11]]))
+    def test_matches_reference(self, rows):
+        assert row_outcome(_stochastic_rows, rows) == row_outcome(
+            reference_stochastic_rows, rows
+        )
