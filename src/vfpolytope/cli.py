@@ -28,8 +28,8 @@ from .mdp import (
 )
 from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
 
-# The geometry, dynamics and verification modules are imported by the
-# subcommands that use them, so no subcommand loads the others.
+# The evaluation, geometry, dynamics and verification modules are imported
+# by the subcommands that use them, so no subcommand runs the others' code.
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3

@@ -46,7 +46,7 @@ def _stochastic_rows(raw: np.ndarray, what: str) -> np.ndarray:
         bad = int(np.argwhere(rows < 0.0)[0][0])
         raise InvalidStochasticRow(f"{what} row {bad} has a negative entry")
     sums = rows.sum(axis=1)
-    off = abs(sums - 1.0)
+    off = np.abs(sums - 1.0)
     worst = off.max(initial=0.0)
     if worst > ROW_SUM_ACCEPT:
         bad = int(np.argmax(off))
