@@ -1,109 +1,71 @@
-"""Exact value-function geometry and learning dynamics for finite MDPs.
-
-The package's modules load on first use: each is registered in sys.modules
-at import, so anything that looks modules up there finds them, but its code
-runs only when one of its attributes is first read. The public names below
-resolve the same way (PEP 562), so a `vfp` subcommand pays only for the
-modules it uses.
-"""
-import importlib.util
-import sys
+"""Exact value-function geometry and learning dynamics for finite MDPs."""
 
 __version__ = "0.4.0"
 
-_EXPORTS = {
-    "mdp": (
-        "FIXTURE_NAMES",
-        "Mdp",
-        "Policy",
-        "builtin_fixture",
-        "deterministic_policies",
-        "dump_mdp",
-        "example1_mdp",
-        "load_mdp",
-        "policy_matrix",
-        "random_mdp",
-        "random_policy",
-    ),
-    "evaluation": (
-        "InducedChain",
-        "bellman_apply",
-        "induce",
-        "optimal_value",
-        "optimality_bellman_apply",
-        "q_values",
-        "value_function",
-        "value_function_batch",
-    ),
-    "geometry": (
-        "AffineSlice",
-        "AgreementSet",
-        "InterpolationCurve",
-        "LineSegment",
-        "affine_slice",
-        "boundary_semidet_sample",
-        "hull_2d",
-        "interpolation_curve",
-        "line_segment",
-        "membership_gap",
-        "mix_policies",
-        "path_between",
-        "point_in_hull",
-        "polytope_vertices_det",
-        "sample_values",
-        "slice_rank",
-    ),
-    "dynamics": (
-        "CemConfig",
-        "InitSpec",
-        "Trajectory",
-        "discounted_distribution",
-        "fisher_information",
-        "natural_policy_gradient",
-        "policy_gradient",
-        "resolve_init",
-        "run_cem",
-        "run_npg",
-        "run_policy_gradient",
-        "run_policy_iteration",
-        "run_value_iteration",
-        "softmax_policy",
-    ),
-    "verification": (
-        "CheckReport",
-        "McEstimate",
-        "OracleConfig",
-        "SUITE_NAMES",
-        "compare_oracles",
-        "mc_value_oracle",
-        "neumann_value_oracle",
-        "run_suite",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_HOME)
-
-
-def _register(module_name: str):
-    spec = importlib.util.find_spec(f"{__name__}.{module_name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_MODULES = {name: _register(name) for name in _EXPORTS}
-globals().update(_MODULES)
-
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_MODULES[_HOME[name]], name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_HOME))
+from .mdp import (  # noqa: F401
+    FIXTURE_NAMES,
+    Mdp,
+    Policy,
+    builtin_fixture,
+    deterministic_policies,
+    dump_mdp,
+    example1_mdp,
+    load_mdp,
+    policy_matrix,
+    random_mdp,
+    random_policy,
+)
+from .evaluation import (  # noqa: F401
+    InducedChain,
+    bellman_apply,
+    induce,
+    optimal_value,
+    optimality_bellman_apply,
+    q_values,
+    value_function,
+    value_function_batch,
+)
+from .geometry import (  # noqa: F401
+    AffineSlice,
+    AgreementSet,
+    InterpolationCurve,
+    LineSegment,
+    affine_slice,
+    boundary_semidet_sample,
+    hull_2d,
+    interpolation_curve,
+    line_segment,
+    membership_gap,
+    mix_policies,
+    path_between,
+    point_in_hull,
+    polytope_vertices_det,
+    sample_values,
+    slice_rank,
+)
+from .dynamics import (  # noqa: F401
+    CemConfig,
+    InitSpec,
+    Trajectory,
+    discounted_distribution,
+    fisher_information,
+    natural_policy_gradient,
+    policy_gradient,
+    resolve_init,
+    run_cem,
+    run_npg,
+    run_policy_gradient,
+    run_policy_iteration,
+    run_value_iteration,
+    softmax_policy,
+)
+from .verification import (  # noqa: F401
+    CheckReport,
+    McEstimate,
+    OracleConfig,
+    SUITE_NAMES,
+    compare_oracles,
+    mc_value_oracle,
+    neumann_value_oracle,
+    run_suite,
+)

@@ -16,7 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dynamics import (
+    CemConfig,
+    InitSpec,
+    resolve_init,
+    run_cem,
+    run_npg,
+    run_policy_gradient,
+    run_policy_iteration,
+    run_value_iteration,
+)
 from .errors import VfpError
+from .evaluation import value_function
+from .geometry import (
+    AgreementSet,
+    interpolation_curve,
+    line_segment,
+    polytope_vertices_det,
+    sample_values,
+)
 from .mdp import (
     FIXTURE_NAMES,
     Mdp,
@@ -27,9 +45,7 @@ from .mdp import (
     random_policy,
 )
 from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
-
-# The evaluation, geometry, dynamics and verification modules are imported
-# by the subcommands that use them, so no subcommand runs the others' code.
+from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -106,8 +122,6 @@ def cmd_fixtures(args, argv: list[str]) -> int:
 
 
 def cmd_sample(args, argv: list[str]) -> int:
-    from .geometry import AgreementSet, polytope_vertices_det, sample_values
-
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     if args.svg is not None and mdp.n_states != 2:
@@ -165,8 +179,6 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
 
 
 def cmd_line(args, argv: list[str]) -> int:
-    from .geometry import interpolation_curve, line_segment
-
     mdp, inputs = _resolve_mdp(args.mdp)
     if not 0 <= args.state < mdp.n_states:
         raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
@@ -196,8 +208,6 @@ def cmd_line(args, argv: list[str]) -> int:
 
 
 def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
-    from .dynamics import InitSpec
-
     label = args.init
     named = {
         "vertex": "near_vertex",
@@ -219,9 +229,6 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
 
 
 def cmd_dynamics(args, argv: list[str]) -> int:
-    from . import dynamics
-    from .evaluation import value_function
-
     if args.algo not in ALGORITHMS:
         raise CliError(f"unknown --algo {args.algo!r}")
     mdp, inputs = _resolve_mdp(args.mdp)
@@ -244,24 +251,24 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
     elif args.entropy_coeff is not None:
         raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
-    start_policy = dynamics.resolve_init(mdp, init_spec)
+    start_policy = resolve_init(mdp, init_spec)
     if args.algo == "vi":
-        trajectory = dynamics.run_value_iteration(
+        trajectory = run_value_iteration(
             mdp, value_function(mdp, start_policy), iters
         )
     elif args.algo == "pi":
-        trajectory = dynamics.run_policy_iteration(mdp, value_function(mdp, start_policy))
+        trajectory = run_policy_iteration(mdp, value_function(mdp, start_policy))
     elif args.algo == "pg":
-        trajectory = dynamics.run_policy_gradient(mdp, start_policy, eta, iters)
+        trajectory = run_policy_gradient(mdp, start_policy, eta, iters)
     elif args.algo == "entpg":
-        trajectory = dynamics.run_policy_gradient(
+        trajectory = run_policy_gradient(
             mdp, start_policy, eta, iters, entropy_coeff=coeff
         )
     elif args.algo == "npg":
-        trajectory = dynamics.run_npg(mdp, start_policy, eta, iters)
+        trajectory = run_npg(mdp, start_policy, eta, iters)
     else:
         noise = 0.0 if args.algo == "cem" else 0.05
-        config = dynamics.CemConfig(
+        config = CemConfig(
             population=500,
             elites=50,
             init_cov_scale=0.1,
@@ -269,7 +276,7 @@ def cmd_dynamics(args, argv: list[str]) -> int:
             iterations=iters,
             seed=args.seed,
         )
-        trajectory = dynamics.run_cem(mdp, np.log(start_policy.probs), config)
+        trajectory = run_cem(mdp, np.log(start_policy.probs), config)
 
     meta_keys = sorted({k for m in trajectory.meta for k in m} - {"iteration"})
     header = (
@@ -287,8 +294,6 @@ def cmd_dynamics(args, argv: list[str]) -> int:
     write_csv(out, header, rows)
     outputs = [out]
     if args.svg is not None:
-        from .geometry import polytope_vertices_det, sample_values
-
         cloud = sample_values(mdp, 4000, args.seed)
         vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
         svg_path = Path(args.svg)
@@ -317,8 +322,6 @@ def cmd_dynamics(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
-    from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
-
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--svg")
 
     verify = sub.add_parser("verify", help="run property suites, write a JSON report")
-    verify.add_argument("--suite", required=True, help="all or one suite; an unknown name lists them")
+    verify.add_argument("--suite", required=True, help=f"all or one of {', '.join(SUITE_NAMES)}")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mdp", help="optional fixture name or JSON path")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vfpolytope
-from vfpolytope import verification
+from vfpolytope import cli
 from vfpolytope.cli import MAX_TRIALS, main
 from vfpolytope.mdp import (
     Mdp,
@@ -19,6 +19,7 @@ from vfpolytope.mdp import (
     load_mdp,
     random_mdp,
 )
+from vfpolytope.verification import CheckReport
 
 
 # Subprocesses import the package under test, whichever tree PYTHONPATH put
@@ -241,7 +242,7 @@ class TestSizeCaps:
 
     @pytest.fixture
     def guarded(self, monkeypatch):
-        import vfpolytope.dynamics as dynamics
+        import vfpolytope.cli as cli
         import vfpolytope.geometry as geometry
 
         def reached(*args, **kwargs):
@@ -250,7 +251,7 @@ class TestSizeCaps:
         monkeypatch.setattr(np, "linspace", reached)
         monkeypatch.setattr(geometry, "sample_policy_probs", reached)
         for name in ("run_value_iteration", "run_policy_gradient", "run_npg", "run_cem"):
-            monkeypatch.setattr(dynamics, name, reached)
+            monkeypatch.setattr(cli, name, reached)
 
     @pytest.mark.parametrize(
         "flag, low, argv, cells_each",
@@ -394,7 +395,7 @@ class TestVerifyCommand:
         def reached(*args, **kwargs):
             raise AssertionError("run_suite reached")
 
-        monkeypatch.setattr(verification, "run_suite", reached)
+        monkeypatch.setattr(cli, "run_suite", reached)
         report = tmp_path / "r.json"
         code = main(["verify", "--suite", "all", "--trials", str(trials),
                      "--report", str(report)])
@@ -404,9 +405,9 @@ class TestVerifyCommand:
 
     def test_trials_at_cap_are_accepted(self, tmp_path, monkeypatch):
         def suite(name, trials, seed, mdp):
-            return verification.CheckReport(check_name=name, instances_run=trials)
+            return CheckReport(check_name=name, instances_run=trials)
 
-        monkeypatch.setattr(verification, "run_suite", suite)
+        monkeypatch.setattr(cli, "run_suite", suite)
         report = tmp_path / "r.json"
         code = main(["verify", "--suite", "line", "--trials", str(MAX_TRIALS),
                      "--report", str(report)])

@@ -259,7 +259,7 @@ def test_suites_draw_from_distinct_streams(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     monkeypatch.setattr(verification, "_random_instance", instance)
-    monkeypatch.setattr(verification, "run_suite", suite)
+    monkeypatch.setattr(cli, "run_suite", suite)
     argv = ["verify", "--suite", "all", "--trials", "25", "--seed", "1",
             "--report", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
