@@ -17,6 +17,7 @@ from .evaluation import (
     _check_value_shape,
     _collapse,
     _policy_iteration,
+    _solve,
     _system,
     optimal_value,
     optimality_bellman_apply,
@@ -110,10 +111,11 @@ def _softmax_probs(theta: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _smoothed_one_hot(n_actions: int, action: int, epsilon: float) -> np.ndarray:
-    row = np.full(n_actions, epsilon / n_actions)
-    row[action] += 1.0 - epsilon
-    return row
+def _smoothed_one_hot(actions, n_actions: int, epsilon: float) -> np.ndarray:
+    """Rows one-hot at actions, each smoothed by epsilon toward uniform."""
+    rows = np.full((len(actions), n_actions), epsilon / n_actions)
+    rows[np.arange(len(actions)), actions] += 1.0 - epsilon
+    return rows
 
 
 def resolve_init(mdp: Mdp, spec: InitSpec) -> Policy:
@@ -128,16 +130,10 @@ def resolve_init(mdp: Mdp, spec: InitSpec) -> Policy:
     if spec.kind == "near_vertex":
         _, greedy = optimal_value(mdp)
         best_actions = np.argmax(greedy.probs, axis=1)
-        probs = np.stack(
-            [
-                _smoothed_one_hot(mdp.n_actions, int(a), spec.epsilon)
-                for a in best_actions
-            ]
-        )
-        return Policy(probs)
+        return Policy(_smoothed_one_hot(best_actions, mdp.n_actions, spec.epsilon))
     if spec.kind == "near_boundary":
         probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-        probs[0] = _smoothed_one_hot(mdp.n_actions, 0, spec.epsilon)
+        probs[:1] = _smoothed_one_hot([0], mdp.n_actions, spec.epsilon)
         return Policy(probs)
     if spec.policy is None:
         raise MissingPolicy("explicit_policy init requires a policy")
@@ -232,21 +228,22 @@ def _evaluate_step(
     """Softmax policy of a logit matrix, its exact value and its visitation.
 
     _system's matrix is built in the buffer systems: a (2, |S|, |S|) one also
-    takes its transpose, for one stacked solve of v and the uniform-start d,
-    and an (|S|, |S|) one gives v alone and d None. v and d are bit-for-bit
-    those of value_function and discounted_distribution.
+    takes its transpose, for one stacked solve of v and the uniform-start d;
+    an (|S|, |S|) one goes to value_function's own _solve for v alone, and d
+    is None. v and d are bit-for-bit those of value_function and
+    discounted_distribution.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
     n = mdp.n_states
     if systems is None:
         systems = np.empty((2, n, n))
+    if systems.ndim == 2:
+        return policy, _solve(mdp, policy.probs, systems), None
     rhs = np.full((2, n, 1), 1.0 / n)
-    system = systems if systems.ndim == 2 else systems[0]
+    system = systems[0]
     _collapse(mdp, policy.probs, system, rhs[0, :, 0])
     _system(mdp, system, out=system)
-    if systems.ndim == 2:
-        return policy, np.linalg.solve(system, rhs[0])[:, 0], None
     systems[1] = system.T
     v, d = np.linalg.solve(systems, rhs)[..., 0]
     return policy, v, (1.0 - mdp.gamma) * d
@@ -395,7 +392,8 @@ def _ascend(
         }
         if visitation:
             log_entropy = _log_entropy(policy.probs)
-            row["entropy"] = float(log_entropy[1].mean())
+            # sum / n has np.mean's bits without its Python-level overhead.
+            row["entropy"] = float(log_entropy[1].sum() / n)
         meta.append(row)
         points[k] = v
     return Trajectory(points=points, meta=meta)
@@ -405,28 +403,20 @@ def run_policy_gradient(
     mdp: Mdp, init, eta: float, iterations: int, entropy_coeff: float = 0.0
 ) -> Trajectory:
     """Gradient ascent on logits from the resolved init, recording values."""
-    return _ascend(
-        mdp,
-        init,
-        eta,
-        iterations,
-        lambda probs, v, d, log_entropy: _gradient(
-            mdp, probs, v, d, entropy_coeff, log_entropy
-        ),
-        visitation=True,
-    )
+
+    def direction(probs, v, d, log_entropy):
+        return _gradient(mdp, probs, v, d, entropy_coeff, log_entropy)
+
+    return _ascend(mdp, init, eta, iterations, direction, visitation=True)
 
 
 def run_npg(mdp: Mdp, init, eta: float, iterations: int) -> Trajectory:
     """Natural-gradient ascent in closed form; each step solves for v alone."""
-    return _ascend(
-        mdp,
-        init,
-        eta,
-        iterations,
-        lambda probs, v, d, log_entropy: _natural_direction(mdp, v),
-        visitation=False,
-    )
+
+    def direction(probs, v, d, log_entropy):
+        return _natural_direction(mdp, v)
+
+    return _ascend(mdp, init, eta, iterations, direction, visitation=False)
 
 
 # ---------------------------------------------------------------------------
