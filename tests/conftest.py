@@ -26,3 +26,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")
+
+
+def pytest_report_header(config):
+    import vfpolytope
+
+    return f"vfpolytope under test: {vfpolytope.__file__}"
