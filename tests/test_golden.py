@@ -20,7 +20,8 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
 # partial block of 6. The dyn2 --init boundary ascent cases pin the start the
-# learning-paths benchmark uses.
+# learning-paths benchmark uses. dynamics-dyn2-vi-converged stops on value
+# iteration's stop_tol after 205 rows, short of its 400 iterations.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
@@ -41,6 +42,7 @@ CASES = {
         f"dynamics-dyn2-boundary-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init boundary --iters 300 --seed 9 --out {{d}}/out.csv"
         for algo in ("pg", "entpg", "npg")
     },
+    "dynamics-dyn2-vi-converged": "dynamics --mdp dyn2 --algo vi --init interior --iters 400 --seed 1 --out {d}/out.csv",
     "dynamics-dyn2-svg": "dynamics --mdp dyn2 --algo npg --init boundary --iters 50 --seed 4 --out {d}/out.csv --svg {d}/out.svg",
     "verify-random": "verify --suite all --trials 2 --seed 1 --report {d}/out.json",
     "verify-dyn2": "verify --suite all --trials 2 --seed 1 --mdp dyn2 --report {d}/out.json",
@@ -56,6 +58,7 @@ CASES = {
 # 0.4.0, which takes natural policy gradient steps in closed form.
 # sample-mdp128 was re-pinned when conftest.py began pinning BLAS to one
 # thread: its LU at |S| = 128 gives other bits on two threads.
+# dynamics-dyn2-vi-converged was recorded on 0.4.0.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -90,6 +93,9 @@ GOLDEN = {
     }),
     "dynamics-dyn2-vi": (0, {
         "out.csv": "c7e951f937fe8b868debb182361ceaa7ab99cd6b1638712d1f636ddbffd98ff5",
+    }),
+    "dynamics-dyn2-vi-converged": (0, {
+        "out.csv": "6b9026ebb4bfbb56bdaeca229e37ce86eb1f3a68475a89bd4305b7d8464f12b4",
     }),
     "dynamics-mdp3-cem": (0, {
         "out.csv": "2c12739d53ebc07c2e2213cee5e9bd15d710ba312e756b50f06d97d0499c8a5b",
