@@ -191,9 +191,10 @@ def cmd_line(args, argv: list[str]) -> int:
     values = segment.v_low + curve.rhos[:, None] * (segment.v_high - segment.v_low)
     values[0], values[-1] = segment.v_low, segment.v_high
     header = ["mu", "rho"] + [f"v_s{i}" for i in range(mdp.n_states)] + ["endpoint_flag"]
-    flags = [1] + [0] * (args.grid - 2) + [1]
+    flags = np.zeros(args.grid, dtype=int)
+    flags[[0, -1]] = 1
     out = Path(args.out)
-    write_csv(out, header, np.column_stack([curve.mus, curve.rhos, values]), flags)
+    write_csv(out, header, curve.mus, curve.rhos, values, flags)
     write_manifest(
         out,
         argv,
@@ -278,20 +279,20 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         )
         trajectory = run_cem(mdp, np.log(start_policy.probs), config)
 
-    meta_keys = sorted({k for m in trajectory.meta for k in m} - {"iteration"})
+    names = sorted(trajectory.columns)
     header = (
         ["iter"]
         + [f"v_s{i}" for i in range(mdp.n_states)]
-        + [f"meta_{k}" for k in meta_keys]
+        + [f"meta_{k}" for k in names]
     )
-    rows = []
-    for point, meta in zip(trajectory.points, trajectory.meta):
-        rows.append(
-            [int(meta["iteration"]), *point]
-            + [float(meta.get(k, 0.0)) for k in meta_keys]
-        )
     out = Path(args.out)
-    write_csv(out, header, rows)
+    write_csv(
+        out,
+        header,
+        np.arange(len(trajectory)),
+        trajectory.points,
+        *(trajectory.columns[k] for k in names),
+    )
     outputs = [out]
     if args.svg is not None:
         cloud = sample_values(mdp, 4000, args.seed)

@@ -51,16 +51,30 @@ class InitSpec:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered value-space points of a run plus per-step scalar metadata."""
+    """Ordered value-space points of a run and named per-point columns.
+
+    columns maps a name to one float per point. Its step_norm column, the
+    sup-norm distance from the previous point (0 for the first), is derived
+    from points and replaces any given one.
+    """
 
     points: np.ndarray
-    meta: list[dict]
+    columns: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("trajectory needs at least one point")
+        columns = {k: np.asarray(c, dtype=float) for k, c in self.columns.items()}
+        for name, column in columns.items():
+            if column.shape != (len(points),):
+                raise ValueError(
+                    f"column {name!r} has shape {column.shape}, not ({len(points)},)"
+                )
+        columns["step_norm"] = np.zeros(len(points))
+        columns["step_norm"][1:] = np.abs(np.diff(points, axis=0)).max(axis=1)
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "columns", columns)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -159,16 +173,13 @@ def run_value_iteration(
         raise ValueError("iterations must be at least 1")
     v = _check_value_shape(mdp, v0)
     points = [v]
-    meta = [{"iteration": 0, "step_norm": 0.0}]
-    for k in range(1, iterations + 1):
-        v_next, _ = optimality_bellman_apply(mdp, v)
-        step = float(np.max(np.abs(v_next - v)))
+    for _ in range(iterations):
+        v_next = optimality_bellman_apply(mdp, v)[0]
         points.append(v_next)
-        meta.append({"iteration": k, "step_norm": step})
-        v = v_next
-        if step < stop_tol:
+        if np.max(np.abs(v_next - v)) < stop_tol:
             break
-    return Trajectory(points=np.stack(points), meta=meta)
+        v = v_next
+    return Trajectory(points=np.stack(points), columns={})
 
 
 def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
@@ -182,16 +193,9 @@ def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
         IterationCap: the policy did not settle within the cap.
     """
     v = _check_value_shape(mdp, v0)
-    points = [v]
-    meta = [{"iteration": 0, "step_norm": 0.0}]
     steps = _policy_iteration(mdp, np.argmax(q_values(mdp, v), axis=1))
-    for k, (v_next, _) in enumerate(steps, start=1):
-        points.append(v_next)
-        meta.append(
-            {"iteration": k, "step_norm": float(np.max(np.abs(v_next - v)))}
-        )
-        v = v_next
-    return Trajectory(points=np.stack(points), meta=meta)
+    points = [v, *(v_next for v_next, _ in steps)]
+    return Trajectory(points=np.stack(points), columns={})
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +366,10 @@ def _ascend(
 
     Each step evaluates its logits once, in a buffer allocated once per run;
     the value is the recorded point, and direction(probs, v, d, log_entropy)
-    reuses the evaluation. Meta rows hold the sup-norm value step and
-    direction. With visitation (the policy-gradient runs) a step also solves
-    for d and records the mean entropy of _log_entropy; else both are None.
+    reuses the evaluation. The grad_norm column holds the sup-norm of the
+    direction taken (0 at the start). With visitation (the policy-gradient
+    runs) a step also solves for d and the entropy column holds the mean
+    entropy of _log_entropy; else both are None.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -374,29 +379,25 @@ def _ascend(
     n = mdp.n_states
     systems = np.empty((2, n, n) if visitation else (n, n))
     points = np.empty((iterations + 1, n))
-    meta: list[dict] = []
-    step = np.zeros_like(theta)
+    columns = {"grad_norm": np.zeros(iterations + 1)}
+    if visitation:
+        columns["entropy"] = np.empty(iterations + 1)
     log_entropy = None
     for k in range(iterations + 1):
         if k > 0:
             step = direction(policy.probs, v, d, log_entropy)
+            columns["grad_norm"][k] = abs(step).max()
             # An overflowing update is reported once, by the step evaluation's
             # finiteness check, not also as a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + eta * step
         policy, v, d = _evaluate_step(mdp, theta, systems)
-        row = {
-            "iteration": k,
-            "step_norm": float(abs(v - points[k - 1]).max()) if k else 0.0,
-            "grad_norm": float(abs(step).max()),
-        }
+        points[k] = v
         if visitation:
             log_entropy = _log_entropy(policy.probs)
             # sum / n has np.mean's bits without its Python-level overhead.
-            row["entropy"] = float(log_entropy[1].sum() / n)
-        meta.append(row)
-        points[k] = v
-    return Trajectory(points=points, meta=meta)
+            columns["entropy"][k] = log_entropy[1].sum() / n
+    return Trajectory(points=points, columns=columns)
 
 
 def run_policy_gradient(
@@ -450,16 +451,12 @@ def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
     def mean_value(m: np.ndarray) -> np.ndarray:
         return value_function(mdp, softmax_policy(m.reshape(shape)))
 
-    v = mean_value(mean)
-    points = [v]
-    meta = [
-        {
-            "iteration": 0,
-            "step_norm": 0.0,
-            "cov_trace": float(np.trace(cov)),
-            "best_score": float(v.mean()),
-        }
-    ]
+    points = np.empty((config.iterations + 1, mdp.n_states))
+    cov_trace = np.empty(config.iterations + 1)
+    best_score = np.empty(config.iterations + 1)
+    points[0] = mean_value(mean)
+    cov_trace[0] = np.trace(cov)
+    best_score[0] = points[0].mean()
     for k in range(1, config.iterations + 1):
         root = _cov_sqrt(cov)
         rng = np.random.default_rng(
@@ -477,15 +474,9 @@ def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
         if config.noise_scale > 0.0:
             cov = cov + config.noise_scale * np.eye(dim)
         mean = new_mean
-        v_next = mean_value(mean)
-        meta.append(
-            {
-                "iteration": k,
-                "step_norm": float(np.max(np.abs(v_next - v))),
-                "cov_trace": float(np.trace(cov)),
-                "best_score": float(scores[elite_idx[0]]),
-            }
-        )
-        points.append(v_next)
-        v = v_next
-    return Trajectory(points=np.stack(points), meta=meta)
+        points[k] = mean_value(mean)
+        cov_trace[k] = np.trace(cov)
+        best_score[k] = scores[elite_idx[0]]
+    return Trajectory(
+        points=points, columns={"cov_trace": cov_trace, "best_score": best_score}
+    )

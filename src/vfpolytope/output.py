@@ -13,26 +13,35 @@ from pathlib import Path
 import numpy as np
 
 
-def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+# Rows formatted per string: a few hundred keep the Python objects of one
+# string small, however many rows an output has.
+_ROWS = 256
 
 
-def write_csv(path: Path, header: list[str], rows, int_column=None) -> None:
-    """Write rows under a header; int_column, if given, ends each row."""
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        # Same text as format_cell: repr of each cell as a Python float.
-        # Converting one row at a time keeps the whole array from being
-        # held as Python floats at once.
-        lines = (",".join(map(repr, row.tolist())) for row in rows)
-    else:
-        lines = (",".join(map(format_cell, row)) for row in rows)
-    if int_column is not None:
-        lines = (f"{line},{int(cell)}" for line, cell in zip(lines, int_column))
-    text = "\n".join([",".join(header), *lines]) + "\n"
+def _format_rows(row_template: str, blocks, sep: str = "\n"):
+    """Yield row_template % (the row's cells) for each row of the blocks.
+
+    The blocks are (n,) or (n, k) arrays whose rows sit side by side; each
+    cell is the .tolist() value of its entry. Each yielded string joins up
+    to _ROWS rows by sep.
+    """
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError("blocks must have the same number of rows")
+    for start in range(0, len(blocks[0]), _ROWS):
+        rows = list(zip(*(b[start : start + _ROWS].tolist() for b in blocks)))
+        cells = [cell for row in rows for part in row for cell in part]
+        yield sep.join([row_template] * len(rows)) % tuple(cells)
+
+
+def write_csv(path: Path, header: list[str], *blocks) -> None:
+    """Write the blocks side by side under a header, one row per line.
+
+    Each block is an (n,) or (n, k) array of ints or float64. A cell is the
+    repr of its .tolist() value: a plain int, or the shortest round-trip float.
+    """
+    row_template = ",".join(["%r"] * len(header))
+    text = "\n".join([",".join(header), *_format_rows(row_template, blocks)]) + "\n"
     Path(path).write_bytes(text.encode("ascii"))
 
 
@@ -82,23 +91,11 @@ _VIEW = 600.0
 _MARGIN_FRACTION = 0.05
 
 
-class _Projector:
-    """Linear map from data space onto the fixed SVG viewport (y flipped)."""
-
-    def __init__(self, points: np.ndarray) -> None:
-        pts = np.asarray(points, dtype=float)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = hi - lo
-        span[span == 0.0] = 1.0
-        margin = _MARGIN_FRACTION * span
-        self.lo = lo - margin
-        self.scale = _VIEW / (span + 2 * margin)
-
-    def __call__(self, point) -> tuple[str, str]:
-        x = (point[0] - self.lo[0]) * self.scale[0]
-        y = _VIEW - (point[1] - self.lo[1]) * self.scale[1]
-        return (f"{x:.3f}", f"{y:.3f}")
+def _xy(points) -> np.ndarray:
+    """points as an (n, 2) float array; None or empty gives no rows."""
+    if points is None or not len(points):
+        return np.empty((0, 2))
+    return np.asarray(points, dtype=float)
 
 
 def svg_scatter(points, vertices=None, path_points=None) -> str:
@@ -107,36 +104,37 @@ def svg_scatter(points, vertices=None, path_points=None) -> str:
     Fixed 600x600 viewport, linear axes fit to the data bounding box with a
     5% margin. Content only; no styling beyond flat fills.
     """
-    everything = [np.asarray(points, dtype=float)]
-    if vertices is not None and len(vertices):
-        everything.append(np.asarray(vertices, dtype=float))
-    if path_points is not None and len(path_points):
-        everything.append(np.asarray(path_points, dtype=float))
-    project = _Projector(np.vstack(everything))
+    cloud, path, corners = map(_xy, (points, path_points, vertices))
+    everything = np.vstack([cloud, path, corners])
+    # One linear map of every point onto the viewport, y flipped.
+    lo = everything.min(axis=0)
+    span = everything.max(axis=0) - lo
+    span[span == 0.0] = 1.0
+    margin = _MARGIN_FRACTION * span
+    xy = (everything - (lo - margin)) * (_VIEW / (span + 2 * margin))
+    xy[:, 1] = _VIEW - xy[:, 1]
+    cloud, path, corners = np.split(xy, np.cumsum([len(cloud), len(path)]))
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
         'viewBox="0 0 600 600">',
         '<rect width="600" height="600" fill="#ffffff"/>',
+        *_format_rows(
+            '<circle cx="%.3f" cy="%.3f" r="1.5" fill="#4477aa" fill-opacity="0.45"/>',
+            [cloud],
+        ),
     ]
-    for p in np.asarray(points, dtype=float):
-        x, y = project(p)
-        parts.append(
-            f'<circle cx="{x}" cy="{y}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>'
-        )
-    if path_points is not None and len(path_points):
-        path_array = np.asarray(path_points, dtype=float)
-        coords = " ".join(",".join(project(p)) for p in path_array)
+    if len(path):
+        coords = " ".join(_format_rows("%.3f,%.3f", [path], " "))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#222222" '
             'stroke-width="1.5"/>'
         )
-        for p in path_array:
-            x, y = project(p)
-            parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#222222"/>')
-    if vertices is not None and len(vertices):
-        for p in np.asarray(vertices, dtype=float):
-            x, y = project(p)
-            parts.append(f'<circle cx="{x}" cy="{y}" r="5" fill="#cc3311"/>')
+    parts.extend(
+        _format_rows('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#222222"/>', [path])
+    )
+    parts.extend(
+        _format_rows('<circle cx="%.3f" cy="%.3f" r="5" fill="#cc3311"/>', [corners])
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -264,7 +264,7 @@ def test_criterion_12_cem_collapse_and_noisy_convergence():
         iterations=100, seed=0,
     )
     collapse = run_cem(DYN2, np.log(near_vertex.probs), plain)
-    trace = collapse.meta[-1]["cov_trace"]
+    trace = collapse.columns["cov_trace"][-1]
     assert trace < 1e-3, trace
 
     gaps = []

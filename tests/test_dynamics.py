@@ -10,6 +10,7 @@ from vfpolytope import dynamics, evaluation
 from vfpolytope.dynamics import (
     CemConfig,
     InitSpec,
+    Trajectory,
     discounted_distribution,
     fisher_information,
     natural_policy_gradient,
@@ -516,7 +517,7 @@ class TestCem:
         init = resolve_init(DYN2, InitSpec(kind="near_vertex"))
         config = CemConfig(noise_scale=0.0, iterations=100, seed=0)
         traj = run_cem(DYN2, np.log(init.probs), config)
-        assert traj.meta[-1]["cov_trace"] < 1e-3
+        assert traj.columns["cov_trace"][-1] < 1e-3
 
     def test_noisy_variant_reaches_optimum_from_all_inits(self):
         for kind in ("near_vertex", "near_boundary", "interior"):
@@ -530,7 +531,7 @@ class TestCem:
         config = CemConfig(noise_scale=0.05, iterations=20, seed=3)
         traj = run_cem(DYN2, np.log(init.probs), config)
         floor = 0.05 * DYN2.n_states * DYN2.n_actions - 1e-12
-        assert all(m["cov_trace"] >= floor for m in traj.meta[1:])
+        assert all(traj.columns["cov_trace"][1:] >= floor)
 
     def test_bitwise_deterministic(self):
         init = resolve_init(DYN2, InitSpec(kind="interior"))
@@ -538,7 +539,8 @@ class TestCem:
         a = run_cem(DYN2, np.log(init.probs), config)
         b = run_cem(DYN2, np.log(init.probs), config)
         assert np.array_equal(a.points, b.points)
-        assert a.meta == b.meta
+        assert a.columns.keys() == b.columns.keys()
+        assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
         other = CemConfig(noise_scale=0.05, iterations=15, seed=12)
         c = run_cem(DYN2, np.log(init.probs), other)
         assert not np.array_equal(a.points[1:], c.points[1:])
@@ -575,10 +577,39 @@ class TestTrajectoryShape:
         v0 = value_function(DYN2, Policy.uniform(2, 2))
         traj = run_value_iteration(DYN2, v0, 5)
         np.testing.assert_array_equal(traj.points[0], v0)
-        assert traj.meta[0]["iteration"] == 0
+        assert traj.columns["step_norm"][0] == 0.0
 
     def test_meta_aligned_with_points(self):
         traj = run_policy_gradient(
             DYN2, InitSpec(kind="interior"), eta=0.05, iterations=7
         )
-        assert len(traj.meta) == len(traj.points) == 8
+        assert sorted(traj.columns) == ["entropy", "grad_norm", "step_norm"]
+        assert all(len(c) == len(traj.points) == 8 for c in traj.columns.values())
+
+    def test_wrong_length_column_raises(self):
+        with pytest.raises(ValueError, match="column 'x'"):
+            Trajectory(points=np.zeros((3, 2)), columns={"x": np.zeros(2)})
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda init: run_value_iteration(DYN2, value_function(DYN2, init), 30),
+            lambda init: run_policy_iteration(DYN2, value_function(DYN2, init)),
+            lambda init: run_policy_gradient(DYN2, init, 0.5, 30),
+            lambda init: run_policy_gradient(DYN2, init, 0.5, 30, entropy_coeff=0.1),
+            lambda init: run_npg(DYN2, init, 0.5, 30),
+            lambda init: run_cem(
+                DYN2, np.log(init.probs),
+                CemConfig(population=40, elites=8, iterations=10),
+            ),
+        ],
+        ids=["vi", "pi", "pg", "entpg", "npg", "cem"],
+    )
+    def test_step_norm_is_sup_norm_of_each_step(self, run):
+        traj = run(resolve_init(DYN2, InitSpec(kind="near_boundary")))
+        points = traj.points
+        expected = [0.0] + [
+            float(np.max(np.abs(b - a))) for a, b in zip(points, points[1:])
+        ]
+        assert len(points) > 1
+        assert traj.columns["step_norm"].tolist() == expected

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from vfpolytope.cli import main
 from vfpolytope.geometry import boundary_semidet_sample
 from vfpolytope.mdp import Mdp
-from vfpolytope.output import format_cell, svg_scatter, write_csv
+from vfpolytope.output import svg_scatter, write_csv
 
 
 def test_single_state_family_is_a_point():
@@ -33,42 +34,44 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     assert np.array_equal(parsed, expected)
 
 
-def test_format_cell_shortest_round_trip():
-    assert format_cell(0.1) == "0.1"
-    assert format_cell(1 / 3) == repr(1 / 3)
-    assert float(format_cell(np.float64(2.0) / 3.0)) == 2.0 / 3.0
-    assert format_cell(7) == "7"
-    assert format_cell(True) == "1"
+EDGE_FLOATS = np.array(
+    [[-0.0, 1e-05, 1e16], [np.nan, np.inf, -np.inf], [5e-324, 0.1, -2.5]]
+)
 
 
-def test_csv_float_array_matches_per_cell_formatting(tmp_path):
-    values = np.array(
-        [[-0.0, 1e-05, 1e16], [np.nan, np.inf, -np.inf], [5e-324, 0.1, -2.5]]
-    )
-    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
-    write_csv(fast, ["a", "b", "c"], values)
-    write_csv(cells, ["a", "b", "c"], [list(row) for row in values])
-    assert fast.read_bytes() == cells.read_bytes()
-    assert fast.read_text().splitlines()[1:] == [
-        "-0.0,1e-05,1e+16", "nan,inf,-inf", "5e-324,0.1,-2.5",
-    ]
-
-
-def test_csv_int_column_matches_per_cell_formatting(tmp_path):
-    values = np.array(
-        [[-0.0, 1e-05, 1e16], [np.nan, np.inf, -np.inf], [5e-324, 0.1, -2.5]]
-    )
-    flags = [1, 0, 1]
-    fast, cells = tmp_path / "fast.csv", tmp_path / "cells.csv"
-    write_csv(fast, ["a", "b", "c", "flag"], values, flags)
+def test_csv_cells_are_shortest_round_trip_floats_and_plain_ints(tmp_path):
+    out = tmp_path / "out.csv"
     write_csv(
-        cells, ["a", "b", "c", "flag"],
-        [[*map(float, row), flag] for row, flag in zip(values, flags)],
+        out, ["i", "a", "b", "c", "d", "flag"],
+        np.arange(3), EDGE_FLOATS, 1 / np.array([3.0, 7.0, 9.0]), np.array([1, 0, 1]),
     )
-    assert fast.read_bytes() == cells.read_bytes()
-    assert fast.read_text().splitlines()[1:] == [
-        "-0.0,1e-05,1e+16,1", "nan,inf,-inf,0", "5e-324,0.1,-2.5,1",
-    ]
+    assert out.read_bytes() == (
+        b"i,a,b,c,d,flag\n"
+        b"0,-0.0,1e-05,1e+16,0.3333333333333333,1\n"
+        b"1,nan,inf,-inf,0.14285714285714285,0\n"
+        b"2,5e-324,0.1,-2.5,0.1111111111111111,1\n"
+    )
+
+
+def test_csv_single_float_block(tmp_path):
+    out = tmp_path / "out.csv"
+    write_csv(out, ["a", "b", "c"], EDGE_FLOATS)
+    assert out.read_bytes() == (
+        b"a,b,c\n-0.0,1e-05,1e+16\nnan,inf,-inf\n5e-324,0.1,-2.5\n"
+    )
+
+
+def test_csv_rows_span_formatting_chunks(tmp_path):
+    values = np.arange(1000.0) / 7.0
+    out = tmp_path / "out.csv"
+    write_csv(out, ["i", "v"], np.arange(1000), values)
+    lines = out.read_text().splitlines()
+    assert lines[1:] == [f"{i},{v!r}" for i, v in enumerate(values.tolist())]
+
+
+def test_csv_blocks_of_unequal_length_raise(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", ["a", "b"], np.zeros(3), np.zeros(2))
 
 
 def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
