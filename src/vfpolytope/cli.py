@@ -1,6 +1,7 @@
 """Command-line front door: fixtures, sampling, line probes, dynamics, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capability
+Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
+unreadable input, an output path that cannot be written), 3 capability
 error (e.g. SVG requested for a non-planar MDP). Every file-writing command
 also emits a `<out>.manifest.json` recording argv, config, seed, input
 digests, and output digests; re-running the recorded argv reproduces the
@@ -79,8 +80,11 @@ def _resolve_mdp(spec: str) -> tuple[Mdp, dict[str, str]]:
     path = Path(spec)
     if not path.is_file():
         raise CliError(f"--mdp {spec!r} is neither a fixture name nor a file")
-    mdp = load_mdp(path.read_text())
-    return mdp, {str(path): sha256_file(path)}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"--mdp {spec!r} is not UTF-8 text: {exc.reason}") from None
+    return load_mdp(text), {str(path): sha256_file(path)}
 
 
 def _load_policy_file(path: Path, mdp: Mdp) -> Policy:
@@ -460,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except VfpError as exc:
+    except (VfpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

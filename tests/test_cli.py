@@ -506,6 +506,41 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixtures", "dump", "dyn2", "--out", "missing/out.json"],
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "missing/out.csv"],
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "out.csv",
+         "--svg", "missing/out.svg"],
+        ["line", "--mdp", "dyn2", "--state", "0", "--out", "missing/out.csv"],
+        ["dynamics", "--mdp", "dyn2", "--algo", "vi", "--iters", "3",
+         "--out", "missing/out.csv"],
+        ["dynamics", "--mdp", "dyn2", "--algo", "vi", "--iters", "3",
+         "--out", "out.csv", "--svg", "missing/out.svg"],
+        ["verify", "--suite", "order", "--trials", "1", "--report", "missing/r.json"],
+        ["sample", "--mdp", "latin1.json", "--n", "5", "--out", "out.csv"],
+        ["line", "--mdp", "latin1.json", "--state", "0", "--out", "out.csv"],
+        ["dynamics", "--mdp", "latin1.json", "--algo", "vi", "--out", "out.csv"],
+        ["verify", "--suite", "order", "--trials", "1", "--mdp", "latin1.json",
+         "--report", "r.json"],
+    ],
+    ids=[
+        "fixtures-out", "sample-out", "sample-svg", "line-out", "dynamics-out",
+        "dynamics-svg", "verify-report", "sample-mdp", "line-mdp", "dynamics-mdp",
+        "verify-mdp",
+    ],
+)
+def test_file_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_logit_overflow_is_one_error_line(tmp_path):
     env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(
