@@ -51,7 +51,8 @@ def _stochastic_rows(raw: np.ndarray, what: str) -> np.ndarray:
     if worst > ROW_SUM_ACCEPT:
         bad = int(np.argmax(off))
         raise InvalidStochasticRow(
-            f"{what} row {bad} sums to {sums[bad]!r}, off by more than {ROW_SUM_ACCEPT}"
+            f"{what} row {bad} sums to {float(sums[bad])!r}, "
+            f"off by more than {ROW_SUM_ACCEPT}"
         )
     if worst > ROW_SUM_KEEP:
         # Renormalizing only out-of-tolerance rows keeps reload idempotent:

@@ -541,6 +541,15 @@ def test_file_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_bad_policy_row_sum_is_a_plain_float(tmp_path, capsys):
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text(json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]}))
+    code = main(["dynamics", "--mdp", "dyn2", "--algo", "pg", "--init",
+                 str(policy_path), "--iters", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "sums to 0.9, off by more than" in capsys.readouterr().err
+
+
 def test_logit_overflow_is_one_error_line(tmp_path):
     env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(

@@ -308,7 +308,7 @@ def reference_stochastic_rows(raw, what):
     if np.any(off > ROW_SUM_ACCEPT):
         bad = int(np.argmax(off))
         raise InvalidStochasticRow(
-            f"{what} row {bad} sums to {sums[bad]!r}, off by more than {ROW_SUM_ACCEPT}"
+            f"{what} row {bad} sums to {float(sums[bad])!r}, off by more than {ROW_SUM_ACCEPT}"
         )
     if np.any(off > ROW_SUM_KEEP):
         rows = rows.copy()
