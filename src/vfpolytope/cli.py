@@ -290,13 +290,8 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         + [f"meta_{k}" for k in names]
     )
     out = Path(args.out)
-    write_csv(
-        out,
-        header,
-        np.arange(len(trajectory)),
-        trajectory.points,
-        *(trajectory.columns[k] for k in names),
-    )
+    columns = [trajectory.columns[k] for k in names]
+    write_csv(out, header, np.arange(len(trajectory)), trajectory.points, *columns)
     outputs = [out]
     if args.svg is not None:
         cloud = sample_values(mdp, 4000, args.seed)

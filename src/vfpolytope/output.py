@@ -8,30 +8,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 
-# Rows formatted per string: a few hundred keep the Python objects of one
-# string small, however many rows an output has.
+# Rows converted to Python objects at a time: a few hundred keep the
+# objects small, however many rows an output has.
 _ROWS = 256
-
-
-def _format_rows(row_template: str, blocks, sep: str = "\n"):
-    """Yield row_template % (the row's cells) for each row of the blocks.
-
-    The blocks are (n,) or (n, k) arrays whose rows sit side by side; each
-    cell is the .tolist() value of its entry. Each yielded string joins up
-    to _ROWS rows by sep.
-    """
-    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-    if len({len(b) for b in blocks}) > 1:
-        raise ValueError("blocks must have the same number of rows")
-    for start in range(0, len(blocks[0]), _ROWS):
-        rows = list(zip(*(b[start : start + _ROWS].tolist() for b in blocks)))
-        cells = [cell for row in rows for part in row for cell in part]
-        yield sep.join([row_template] * len(rows)) % tuple(cells)
 
 
 def write_csv(path: Path, header: list[str], *blocks) -> None:
@@ -40,8 +25,18 @@ def write_csv(path: Path, header: list[str], *blocks) -> None:
     Each block is an (n,) or (n, k) array of ints or float64. A cell is the
     repr of its .tolist() value: a plain int, or the shortest round-trip float.
     """
-    row_template = ",".join(["%r"] * len(header))
-    text = "\n".join([",".join(header), *_format_rows(row_template, blocks)]) + "\n"
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError("blocks must have the same number of rows")
+    chunks = (
+        zip(*(b[start : start + _ROWS].tolist() for b in blocks))
+        for start in range(0, len(blocks[0]), _ROWS)
+    )
+    lines = (
+        "\n".join([",".join(map(repr, chain.from_iterable(row))) for row in rows])
+        for rows in chunks
+    )
+    text = "\n".join([",".join(header), *lines]) + "\n"
     Path(path).write_bytes(text.encode("ascii"))
 
 
@@ -98,6 +93,13 @@ def _xy(points) -> np.ndarray:
     return np.asarray(points, dtype=float)
 
 
+def _format_xy(template: str, xy: np.ndarray, sep: str = "\n"):
+    """Yield template % (x, y) for each row of xy, _ROWS rows joined by sep."""
+    for start in range(0, len(xy), _ROWS):
+        chunk = xy[start : start + _ROWS]
+        yield sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def svg_scatter(points, vertices=None, path_points=None) -> str:
     """Static scatter of 2-D value samples with optional vertices and path.
 
@@ -118,23 +120,19 @@ def svg_scatter(points, vertices=None, path_points=None) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
         'viewBox="0 0 600 600">',
         '<rect width="600" height="600" fill="#ffffff"/>',
-        *_format_rows(
+        *_format_xy(
             '<circle cx="%.3f" cy="%.3f" r="1.5" fill="#4477aa" fill-opacity="0.45"/>',
-            [cloud],
+            cloud,
         ),
     ]
     if len(path):
-        coords = " ".join(_format_rows("%.3f,%.3f", [path], " "))
+        coords = " ".join(_format_xy("%.3f,%.3f", path, " "))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#222222" '
             'stroke-width="1.5"/>'
         )
-    parts.extend(
-        _format_rows('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#222222"/>', [path])
-    )
-    parts.extend(
-        _format_rows('<circle cx="%.3f" cy="%.3f" r="5" fill="#cc3311"/>', [corners])
-    )
+    parts.extend(_format_xy('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#222222"/>', path))
+    parts.extend(_format_xy('<circle cx="%.3f" cy="%.3f" r="5" fill="#cc3311"/>', corners))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
