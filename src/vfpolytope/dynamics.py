@@ -368,8 +368,9 @@ def _ascend(
     the value is the recorded point, and direction(probs, v, d, log_entropy)
     reuses the evaluation. The grad_norm column holds the sup-norm of the
     direction taken (0 at the start). With visitation (the policy-gradient
-    runs) a step also solves for d and the entropy column holds the mean
-    entropy of _log_entropy; else both are None.
+    runs) a step also solves for d and computes _log_entropy, whose mean
+    entropy fills the entropy column; else d and log_entropy are None and
+    there is no entropy column.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
