@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 
-# Rows converted to Python objects at a time: a few hundred keep the
-# objects small, however many rows an output has.
-_ROWS = 256
+# Cells converted to Python objects at a time: enough to spread the cost of
+# each conversion call, few enough that the objects stay small and cached.
+_CELLS = 2048
 
 
 def write_csv(path: Path, header: list[str], *blocks) -> None:
@@ -28,15 +27,17 @@ def write_csv(path: Path, header: list[str], *blocks) -> None:
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     if len({len(b) for b in blocks}) > 1:
         raise ValueError("blocks must have the same number of rows")
-    chunks = (
-        zip(*(b[start : start + _ROWS].tolist() for b in blocks))
-        for start in range(0, len(blocks[0]), _ROWS)
-    )
-    lines = (
-        "\n".join([",".join(map(repr, chain.from_iterable(row))) for row in rows])
-        for rows in chunks
-    )
-    text = "\n".join([",".join(header), *lines]) + "\n"
+    step = max(1, _CELLS // sum(b.shape[1] for b in blocks))
+
+    def lines(start: int) -> str:
+        parts = [
+            [",".join(map(repr, row)) for row in b[start : start + step].tolist()]
+            for b in blocks
+        ]
+        return "\n".join(map(",".join, zip(*parts)))
+
+    chunks = map(lines, range(0, len(blocks[0]), step))
+    text = "\n".join([",".join(header), *chunks]) + "\n"
     Path(path).write_bytes(text.encode("ascii"))
 
 
@@ -94,9 +95,9 @@ def _xy(points) -> np.ndarray:
 
 
 def _format_xy(template: str, xy: np.ndarray, sep: str = "\n"):
-    """Yield template % (x, y) for each row of xy, _ROWS rows joined by sep."""
-    for start in range(0, len(xy), _ROWS):
-        chunk = xy[start : start + _ROWS]
+    """Yield template % (x, y) for each row of xy, _CELLS // 2 rows joined by sep."""
+    for start in range(0, len(xy), _CELLS // 2):
+        chunk = xy[start : start + _CELLS // 2]
         yield sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 

@@ -62,9 +62,9 @@ def test_csv_single_float_block(tmp_path):
 
 
 def test_csv_rows_span_formatting_chunks(tmp_path):
-    values = np.arange(1000.0) / 7.0
+    values = np.arange(3000.0) / 7.0
     out = tmp_path / "out.csv"
-    write_csv(out, ["i", "v"], np.arange(1000), values)
+    write_csv(out, ["i", "v"], np.arange(3000), values)
     lines = out.read_text().splitlines()
     assert lines[1:] == [f"{i},{v!r}" for i, v in enumerate(values.tolist())]
 
@@ -97,6 +97,51 @@ def test_svg_is_deterministic_and_well_formed():
     assert a.startswith("<svg")
     assert a.rstrip().endswith("</svg>")
     assert 'width="600" height="600"' in a
+
+
+def reference_svg(points, vertices, path_points):
+    """svg_scatter as written with a per-point projection, before 0.5.0."""
+    everything = np.vstack([points, vertices, path_points])
+    lo, hi = everything.min(axis=0), everything.max(axis=0)
+    span = hi - lo
+    span[span == 0.0] = 1.0
+    margin = 0.05 * span
+    lo, scale = lo - margin, 600.0 / (span + 2 * margin)
+
+    def project(p):
+        x = (p[0] - lo[0]) * scale[0]
+        y = 600.0 - (p[1] - lo[1]) * scale[1]
+        return (f"{x:.3f}", f"{y:.3f}")
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
+        'viewBox="0 0 600 600">',
+        '<rect width="600" height="600" fill="#ffffff"/>',
+    ]
+    for x, y in map(project, points):
+        parts.append(
+            f'<circle cx="{x}" cy="{y}" r="1.5" fill="#4477aa" fill-opacity="0.45"/>'
+        )
+    coords = " ".join(",".join(project(p)) for p in path_points)
+    parts.append(
+        f'<polyline points="{coords}" fill="none" stroke="#222222" stroke-width="1.5"/>'
+    )
+    for x, y in map(project, path_points):
+        parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#222222"/>')
+    for x, y in map(project, vertices):
+        parts.append(f'<circle cx="{x}" cy="{y}" r="5" fill="#cc3311"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_svg_matches_per_point_projection_across_chunks():
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(2500, 2)) * [1.0, 1e-3]
+    vertices = rng.normal(size=(4, 2))
+    path_points = np.cumsum(rng.normal(size=(1500, 2)) * 0.01, axis=0)
+    assert svg_scatter(points, vertices, path_points) == reference_svg(
+        points, vertices, path_points
+    )
 
 
 def test_svg_degenerate_single_point():
