@@ -53,6 +53,33 @@ def test_csv_cells_are_shortest_round_trip_floats_and_plain_ints(tmp_path):
     )
 
 
+def test_format_cell_shortest_round_trip(tmp_path):
+    out = tmp_path / "out.csv"
+    write_csv(
+        out, ["x", "n"],
+        np.array([0.1, 1 / 3, np.float64(2.0) / 3.0]), np.array([7, 1, 0]),
+    )
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[0] == ["0.1", "7"]
+    assert rows[1] == [repr(1 / 3), "1"]
+    assert float(rows[2][0]) == 2.0 / 3.0
+    assert rows[2][1] == "0"
+
+
+def test_csv_int_column_matches_per_cell_formatting(tmp_path):
+    flags = np.array([1, 0, 1])
+    out = tmp_path / "out.csv"
+    write_csv(out, ["a", "b", "c", "flag"], EDGE_FLOATS, flags)
+    per_cell = [
+        ",".join(map(repr, [*map(float, row), int(flag)]))
+        for row, flag in zip(EDGE_FLOATS, flags)
+    ]
+    assert out.read_text().splitlines()[1:] == per_cell
+    assert per_cell == [
+        "-0.0,1e-05,1e+16,1", "nan,inf,-inf,0", "5e-324,0.1,-2.5,1",
+    ]
+
+
 def test_csv_single_float_block(tmp_path):
     out = tmp_path / "out.csv"
     write_csv(out, ["a", "b", "c"], EDGE_FLOATS)
