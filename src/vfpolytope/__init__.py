@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -31,7 +31,6 @@ from .geometry import (  # noqa: F401
     InterpolationCurve,
     LineSegment,
     affine_slice,
-    boundary_semidet_sample,
     hull_2d,
     interpolation_curve,
     line_segment,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -103,29 +104,22 @@ def _load_policy_file(path: Path, mdp: Mdp) -> Policy:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fixtures(args, argv: list[str]) -> int:
+def _vertices(mdp: Mdp) -> np.ndarray:
+    return np.stack([v for _, v in polytope_vertices_det(mdp)])
+
+
+def cmd_fixtures(args):
     if args.action == "list":
         for name in FIXTURE_NAMES:
             fx = builtin_fixture(name)
             print(f"{name}\t|S|={fx.n_states}\t|A|={fx.n_actions}\tgamma={fx.gamma}")
-        return 0
+        return None
     mdp = builtin_fixture(args.name)  # UnknownFixture -> exit 2 via main()
-    out = Path(args.out)
-    out.write_text(dump_mdp(mdp) + "\n")
-    write_manifest(
-        out,
-        argv,
-        "fixtures",
-        {"name": args.name},
-        None,
-        {"mdp": f"fixture:{args.name}"},
-        [out],
-        __version__,
-    )
-    return 0
+    Path(args.out).write_text(dump_mdp(mdp) + "\n")
+    return 0, {"name": args.name}, {"mdp": f"fixture:{args.name}"}
 
 
-def cmd_sample(args, argv: list[str]) -> int:
+def cmd_sample(args):
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     if args.svg is not None and mdp.n_states != 2:
@@ -137,26 +131,10 @@ def cmd_sample(args, argv: list[str]) -> int:
             base=random_policy(mdp, args.seed), fixed_states=tuple(fixed_states)
         )
     values = sample_values(mdp, args.n, args.seed, agreement)
-    header = [f"v_s{i}" for i in range(mdp.n_states)]
-    out = Path(args.out)
-    write_csv(out, header, values)
-    outputs = [out]
+    write_csv(args.out, [f"v_s{i}" for i in range(mdp.n_states)], values)
     if args.svg is not None:
-        vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
-        svg_path = Path(args.svg)
-        write_svg(svg_path, svg_scatter(values, vertices=vertices))
-        outputs.append(svg_path)
-    write_manifest(
-        out,
-        argv,
-        "sample",
-        {"n": args.n, "fix": sorted(fixed_states)},
-        args.seed,
-        inputs,
-        outputs,
-        __version__,
-    )
-    return 0
+        write_svg(args.svg, svg_scatter(values, vertices=_vertices(mdp)))
+    return 0, {"n": args.n, "fix": sorted(fixed_states)}, inputs
 
 
 def _check_count(flag: str, count: int, low: int, cells_each: int) -> None:
@@ -182,7 +160,7 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
     return fixed
 
 
-def cmd_line(args, argv: list[str]) -> int:
+def cmd_line(args):
     mdp, inputs = _resolve_mdp(args.mdp)
     if not 0 <= args.state < mdp.n_states:
         raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
@@ -197,19 +175,8 @@ def cmd_line(args, argv: list[str]) -> int:
     header = ["mu", "rho"] + [f"v_s{i}" for i in range(mdp.n_states)] + ["endpoint_flag"]
     flags = np.zeros(args.grid, dtype=int)
     flags[[0, -1]] = 1
-    out = Path(args.out)
-    write_csv(out, header, curve.mus, curve.rhos, values, flags)
-    write_manifest(
-        out,
-        argv,
-        "line",
-        {"state": args.state, "grid": args.grid},
-        args.seed,
-        inputs,
-        [out],
-        __version__,
-    )
-    return 0
+    write_csv(args.out, header, curve.mus, curve.rhos, values, flags)
+    return 0, {"state": args.state, "grid": args.grid}, inputs
 
 
 def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
@@ -233,29 +200,28 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
     )
 
 
-def cmd_dynamics(args, argv: list[str]) -> int:
-    if args.algo not in ALGORITHMS:
-        raise CliError(f"unknown --algo {args.algo!r}")
+def cmd_dynamics(args):
+    # A flag the algorithm does not use is recorded as null in the manifest.
+    eta = None
+    if args.algo in ("pg", "entpg", "npg"):
+        eta = 0.05 if args.eta is None else args.eta
+        if not 0 < eta < math.inf:
+            raise CliError("--eta must be positive and finite")
+    coeff = None
+    if args.algo == "entpg":
+        coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
+        if not math.isfinite(coeff):
+            raise CliError("--entropy-coeff must be finite")
+    elif args.entropy_coeff is not None:
+        raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
     mdp, inputs = _resolve_mdp(args.mdp)
     if args.svg is not None and mdp.n_states != 2:
         raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
     init_spec, init_inputs = _resolve_dynamics_init(args, mdp)
-    inputs = {**inputs, **init_inputs}
-    # A flag the algorithm does not use is recorded as null in the manifest.
     iters = None
     if args.algo != "pi":
         iters = DEFAULT_ITERS[args.algo] if args.iters is None else args.iters
         _check_count("--iters", iters, 1, mdp.n_states)
-    eta = None
-    if args.algo in ("pg", "entpg", "npg"):
-        eta = 0.05 if args.eta is None else args.eta
-        if eta <= 0:
-            raise CliError("--eta must be positive")
-    coeff = None
-    if args.algo == "entpg":
-        coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
-    elif args.entropy_coeff is not None:
-        raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
     start_policy = resolve_init(mdp, init_spec)
     if args.algo == "vi":
         trajectory = run_value_iteration(
@@ -289,39 +255,20 @@ def cmd_dynamics(args, argv: list[str]) -> int:
         + [f"v_s{i}" for i in range(mdp.n_states)]
         + [f"meta_{k}" for k in names]
     )
-    out = Path(args.out)
     columns = [trajectory.columns[k] for k in names]
-    write_csv(out, header, np.arange(len(trajectory)), trajectory.points, *columns)
-    outputs = [out]
+    write_csv(args.out, header, np.arange(len(trajectory)), trajectory.points, *columns)
     if args.svg is not None:
         cloud = sample_values(mdp, 4000, args.seed)
-        vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
-        svg_path = Path(args.svg)
         write_svg(
-            svg_path,
-            svg_scatter(cloud, vertices=vertices, path_points=trajectory.points),
+            args.svg,
+            svg_scatter(cloud, vertices=_vertices(mdp), path_points=trajectory.points),
         )
-        outputs.append(svg_path)
-    write_manifest(
-        out,
-        argv,
-        "dynamics",
-        {
-            "algo": args.algo,
-            "init": args.init,
-            "iters": iters,
-            "eta": eta,
-            "entropy_coeff": coeff,
-        },
-        args.seed,
-        inputs,
-        outputs,
-        __version__,
-    )
-    return 0
+    config = {"algo": args.algo, "init": args.init, "iters": iters, "eta": eta,
+              "entropy_coeff": coeff}
+    return 0, config, {**inputs, **init_inputs}
 
 
-def cmd_verify(args, argv: list[str]) -> int:
+def cmd_verify(args):
     if args.suite != "all" and args.suite not in SUITE_NAMES:
         raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
@@ -350,17 +297,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    out = Path(args.report)
-    out.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"))
-    write_manifest(
-        out,
-        argv,
-        "verify",
-        {"suite": args.suite, "trials": args.trials},
-        args.seed,
-        inputs,
-        [out],
-        __version__,
+    Path(args.report).write_bytes(
+        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
     )
     for name in skipped:
         print(f"skip {name}: needs a 2-state MDP, got |S|={mdp.n_states}")
@@ -370,7 +308,8 @@ def cmd_verify(args, argv: list[str]) -> int:
             f"{status} {report.check_name}: {report.instances_run} instances, "
             f"max deviation {report.max_deviation:.3e}"
         )
-    return 0 if payload["all_passed"] else 1
+    config = {"suite": args.suite, "trials": args.trials}
+    return (0 if payload["all_passed"] else 1), config, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each handler writes its files and returns (exit code, config, inputs) for
+# the manifest main() writes, or None when it writes no file.
 _HANDLERS = {
     "fixtures": cmd_fixtures,
     "sample": cmd_sample,
@@ -443,6 +384,22 @@ _HANDLERS = {
     "dynamics": cmd_dynamics,
     "verify": cmd_verify,
 }
+
+
+def _output_paths(args) -> list[Path]:
+    """The paths a command writes, primary first; each must be creatable as a file."""
+    paths = []
+    for flag in ("out", "report", "svg"):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        path = Path(value)
+        if path.is_dir():
+            raise CliError(f"--{flag} {value!r} is a directory")
+        if not path.parent.is_dir():
+            raise CliError(f"--{flag} {value!r}: no directory {str(path.parent)!r}")
+        paths.append(path)
+    return paths
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -455,7 +412,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise CliError("--seed must be non-negative")
-        return _HANDLERS[args.command](args, argv)
+        # Checked before the handler runs, so a bad path costs no work and
+        # leaves no file behind.
+        outputs = _output_paths(args)
+        result = _HANDLERS[args.command](args)
+        if result is None:
+            return 0
+        code, config, inputs = result
+        write_manifest(
+            outputs[0], argv, args.command, config, getattr(args, "seed", None),
+            inputs, outputs, __version__,
+        )
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -274,25 +274,6 @@ def polytope_vertices_det(
     return list(zip(policies, values))
 
 
-def boundary_semidet_sample(
-    mdp: Mdp, free_state: int, action: int, n: int, seed
-) -> np.ndarray:
-    """Values of n policies pinned to one action at one state, random elsewhere.
-
-    The pinned state takes `action` with probability one; every other row is
-    flat-Dirichlet. These families cover the boundary of the attainable set.
-    """
-    if not 0 <= free_state < mdp.n_states:
-        raise ShapeMismatch(f"state {free_state} out of range")
-    if not 0 <= action < mdp.n_actions:
-        raise ShapeMismatch(f"action {action} out of range")
-    probs = sample_policy_probs(mdp, n, seed)
-    one_hot = np.zeros(mdp.n_actions)
-    one_hot[action] = 1.0
-    probs[:, free_state, :] = one_hot
-    return value_function_batch(mdp, probs)
-
-
 def path_between(mdp: Mdp, p_from: Policy, p_to: Policy) -> list[Policy]:
     """Policy path switching one state's row at a time, in state order.
 

@@ -323,7 +323,8 @@ def _check_slice(mdp: Mdp, rng: np.random.Generator):
     sl = affine_slice(mdp, agreement)
     values = _sample(mdp, 200, rng, agreement)
     residual = max(sl.projection_residual(v) for v in values)
-    expected = mdp.n_states - len(fixed)
+    # With one action every policy is the same policy: the slice is a point.
+    expected = mdp.n_states - len(fixed) if mdp.n_actions > 1 else 0
     rank = slice_rank(values)
     deviation = residual if rank == expected else np.inf
     return f"k={len(fixed)} rank={rank}/{expected}", deviation

@@ -519,6 +519,7 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
         ["dynamics", "--mdp", "dyn2", "--algo", "vi", "--iters", "3",
          "--out", "out.csv", "--svg", "missing/out.svg"],
         ["verify", "--suite", "order", "--trials", "1", "--report", "missing/r.json"],
+        ["line", "--mdp", "dyn2", "--state", "0", "--out", "."],
         ["sample", "--mdp", "latin1.json", "--n", "5", "--out", "out.csv"],
         ["line", "--mdp", "latin1.json", "--state", "0", "--out", "out.csv"],
         ["dynamics", "--mdp", "latin1.json", "--algo", "vi", "--out", "out.csv"],
@@ -527,8 +528,8 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
     ],
     ids=[
         "fixtures-out", "sample-out", "sample-svg", "line-out", "dynamics-out",
-        "dynamics-svg", "verify-report", "sample-mdp", "line-mdp", "dynamics-mdp",
-        "verify-mdp",
+        "dynamics-svg", "verify-report", "line-out-dir", "sample-mdp", "line-mdp",
+        "dynamics-mdp", "verify-mdp",
     ],
 )
 def test_file_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -538,7 +539,42 @@ def test_file_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not list(tmp_path.glob("*.manifest.json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]
+
+
+def test_missing_report_directory_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    assert main(["verify", "--suite", "all", "--trials", "1",
+                 "--report", "missing/r.json"]) == 2
+    assert capsys.readouterr().err == "error: --report 'missing/r.json': no directory 'missing'\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--algo", "pg", "--eta", "nan"], "--eta must be positive and finite"),
+        (["--algo", "npg", "--eta", "inf"], "--eta must be positive and finite"),
+        (["--algo", "entpg", "--entropy-coeff", "inf"], "--entropy-coeff must be finite"),
+        (["--algo", "entpg", "--entropy-coeff=-inf"], "--entropy-coeff must be finite"),
+        (["--algo", "entpg", "--entropy-coeff", "nan"], "--entropy-coeff must be finite"),
+    ],
+    ids=["eta-nan", "eta-inf", "coeff-inf", "coeff-minus-inf", "coeff-nan"],
+)
+def test_non_finite_step_flags_exit_2_before_any_work(argv, message, tmp_path):
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vfpolytope.cli", "dynamics", "--mdp", "dyn2", *argv,
+         "--iters", "5", "--out", "o.csv"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_policy_row_sum_is_a_plain_float(tmp_path, capsys):

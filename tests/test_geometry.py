@@ -14,7 +14,6 @@ from vfpolytope.geometry import (
     SAMPLE_BLOCK,
     AgreementSet,
     affine_slice,
-    boundary_semidet_sample,
     hull_2d,
     interpolation_curve,
     line_segment,
@@ -344,22 +343,6 @@ class TestHull2d:
         hull = hull_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         assert point_in_hull([0.5, 1.0 + 5e-10], hull, tol=1e-9)
         assert not point_in_hull([0.5, 1.0 + 1e-6], hull, tol=1e-9)
-
-
-class TestBoundaryFamilies:
-    def test_pinned_row_is_one_hot_effectively(self):
-        m = builtin_fixture("dyn2")
-        values = boundary_semidet_sample(m, 0, 1, 200, 3)
-        base = Policy(np.array([[0.0, 1.0], [0.5, 0.5]]))
-        seg = line_segment(m, base, 1)
-        assert segment_distances(values, seg.v_low, seg.v_high).max() < 1e-9
-
-    def test_deterministic_per_seed(self):
-        m = builtin_fixture("dyn2")
-        np.testing.assert_array_equal(
-            boundary_semidet_sample(m, 1, 0, 50, 5),
-            boundary_semidet_sample(m, 1, 0, 50, 5),
-        )
 
 
 class TestPathBetween:

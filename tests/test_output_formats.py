@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vfpolytope.cli import main
-from vfpolytope.geometry import boundary_semidet_sample
-from vfpolytope.mdp import Mdp
+from vfpolytope.geometry import AgreementSet, sample_values
+from vfpolytope.mdp import Mdp, Policy
 from vfpolytope.output import svg_scatter, write_csv
 
 
@@ -15,7 +15,8 @@ def test_single_state_family_is_a_point():
         transitions=np.ones((3, 1)),
         gamma=0.5,
     )
-    values = boundary_semidet_sample(m, 0, 2, 50, 4)
+    pinned = AgreementSet(base=Policy(np.array([[0.0, 0.0, 1.0]])), fixed_states=(0,))
+    values = sample_values(m, 50, 4, pinned)
     assert np.ptp(values) == 0.0
     assert values[0, 0] == 0.7 / (1 - 0.5)
 
@@ -25,7 +26,6 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     assert main(
         ["sample", "--mdp", "fig2b", "--n", "100", "--seed", "13", "--out", str(out)]
     ) == 0
-    from vfpolytope.geometry import sample_values
     from vfpolytope.mdp import builtin_fixture
 
     expected = sample_values(builtin_fixture("fig2b"), 100, 13)

@@ -172,6 +172,16 @@ class TestSuites:
             report = run_suite(name, trials=trials, seed=9, mdp=mdp)
             assert report.passed, (name, report.failures)
 
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    def test_one_action_mdps_pass_all_suites(self, n_states):
+        # One action admits one policy, so every value set is a single point.
+        mdp = random_mdp(n_states, 1, 0.9, n_states)
+        for name in SUITE_NAMES:
+            if name in PLANAR_SUITES and n_states != 2:
+                continue
+            report = run_suite(name, trials=3, seed=0, mdp=mdp)
+            assert report.passed, (name, report.failures)
+
     def test_line_suite_tight_deviation(self):
         report = run_suite("line", trials=100, seed=1)
         assert report.passed
