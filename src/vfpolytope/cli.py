@@ -239,7 +239,7 @@ def cmd_dynamics(args):
         trajectory = run_npg(mdp, start_policy, eta, iters)
     else:
         noise = 0.0 if args.algo == "cem" else 0.05
-        config = CemConfig(
+        cem_config = CemConfig(
             population=500,
             elites=50,
             init_cov_scale=0.1,
@@ -247,7 +247,7 @@ def cmd_dynamics(args):
             iterations=iters,
             seed=args.seed,
         )
-        trajectory = run_cem(mdp, np.log(start_policy.probs), config)
+        trajectory = run_cem(mdp, np.log(start_policy.probs), cem_config)
 
     names = sorted(trajectory.columns)
     header = (

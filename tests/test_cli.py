@@ -550,7 +550,9 @@ def test_missing_report_directory_exits_2_before_any_suite(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "run_suite", no_suite)
     assert main(["verify", "--suite", "all", "--trials", "1",
                  "--report", "missing/r.json"]) == 2
-    assert capsys.readouterr().err == "error: --report 'missing/r.json': no directory 'missing'\n"
+    assert capsys.readouterr().err == (
+        "error: --report 'missing/r.json': no directory 'missing'\n"
+    )
     assert not list(tmp_path.iterdir())
 
 

@@ -51,7 +51,7 @@ def documents(draw):
     return text, n_states, n_actions
 
 
-def _past(cap: int) -> st.SearchStrategy:
+def _small_or_past(cap: int) -> st.SearchStrategy:
     return st.sampled_from(("1", "3", "5", str(cap + 1)))
 
 
@@ -61,7 +61,7 @@ def commands(draw, n_states: int, n_actions: int) -> list[str]:
     seed = ["--seed", str(draw(st.integers(0, 3)))]
     if command == "sample":
         argv = ["sample", "--mdp", "mdp.json", "--out", "out.csv",
-                "--n", draw(_past(MAX_CELLS // (n_states * n_actions)))]
+                "--n", draw(_small_or_past(MAX_CELLS // (n_states * n_actions)))]
         if draw(st.booleans()):
             argv += ["--fix", draw(st.sampled_from(("0=copy-of-base", "9=copy-of-base", "0")))]
         if draw(st.booleans()):
@@ -69,12 +69,12 @@ def commands(draw, n_states: int, n_actions: int) -> list[str]:
     elif command == "line":
         argv = ["line", "--mdp", "mdp.json", "--out", "out.csv",
                 "--state", str(draw(st.sampled_from((0, n_states - 1, n_states)))),
-                "--grid", draw(_past(MAX_CELLS // n_states))]
+                "--grid", draw(_small_or_past(MAX_CELLS // n_states))]
     elif command == "dynamics":
         algo = draw(st.sampled_from(ALGORITHMS))
         argv = ["dynamics", "--mdp", "mdp.json", "--out", "out.csv", "--algo", algo,
                 "--init", draw(st.sampled_from(("vertex", "boundary", "interior", "nope"))),
-                "--iters", draw(_past(MAX_CELLS // n_states))]
+                "--iters", draw(_small_or_past(MAX_CELLS // n_states))]
         if draw(st.booleans()):
             argv.append(f"--eta={draw(st.sampled_from((0.05, 10.0) + ODD_NUMBERS))}")
         if algo == "entpg" and draw(st.booleans()):
