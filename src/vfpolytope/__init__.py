@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -11,7 +11,6 @@ from .mdp import (  # noqa: F401
     dump_mdp,
     example1_mdp,
     load_mdp,
-    policy_matrix,
     random_mdp,
     random_policy,
 )
@@ -44,7 +43,6 @@ from .geometry import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     CemConfig,
-    InitSpec,
     Trajectory,
     discounted_distribution,
     fisher_information,

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    INIT_KINDS,
     CemConfig,
-    InitSpec,
     resolve_init,
     run_cem,
     run_npg,
@@ -28,7 +28,7 @@ from .dynamics import (
     run_policy_iteration,
     run_value_iteration,
 )
-from .errors import VfpError
+from .errors import DimensionUnsupported, VfpError
 from .evaluation import value_function
 from .geometry import (
     AgreementSet,
@@ -47,7 +47,7 @@ from .mdp import (
     random_policy,
 )
 from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
-from .verification import PLANAR_SUITES, SUITE_NAMES, run_suite
+from .verification import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -179,25 +179,15 @@ def cmd_line(args):
     return 0, {"state": args.state, "grid": args.grid}, inputs
 
 
-def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[InitSpec, dict[str, str]]:
-    label = args.init
-    named = {
-        "vertex": "near_vertex",
-        "boundary": "near_boundary",
-        "interior": "interior",
-    }
-    if label in named:
-        return InitSpec(kind=named[label]), {}
-    path = Path(label)
+def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
+    if args.init in INIT_KINDS:
+        return resolve_init(mdp, args.init), {}
+    path = Path(args.init)
     if not path.is_file():
         raise CliError(
-            f"--init must be vertex|boundary|interior or a policy file, got {label!r}"
+            f"--init must be vertex|boundary|interior or a policy file, got {args.init!r}"
         )
-    policy = _load_policy_file(path, mdp)
-    return (
-        InitSpec(kind="explicit_policy", policy=policy),
-        {str(path): sha256_file(path)},
-    )
+    return _load_policy_file(path, mdp), {str(path): sha256_file(path)}
 
 
 def cmd_dynamics(args):
@@ -217,37 +207,28 @@ def cmd_dynamics(args):
     mdp, inputs = _resolve_mdp(args.mdp)
     if args.svg is not None and mdp.n_states != 2:
         raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
-    init_spec, init_inputs = _resolve_dynamics_init(args, mdp)
+    start, init_inputs = _resolve_dynamics_init(args, mdp)
     iters = None
     if args.algo != "pi":
         iters = DEFAULT_ITERS[args.algo] if args.iters is None else args.iters
         _check_count("--iters", iters, 1, mdp.n_states)
-    start_policy = resolve_init(mdp, init_spec)
     if args.algo == "vi":
-        trajectory = run_value_iteration(
-            mdp, value_function(mdp, start_policy), iters
-        )
+        trajectory = run_value_iteration(mdp, value_function(mdp, start), iters)
     elif args.algo == "pi":
-        trajectory = run_policy_iteration(mdp, value_function(mdp, start_policy))
-    elif args.algo == "pg":
-        trajectory = run_policy_gradient(mdp, start_policy, eta, iters)
-    elif args.algo == "entpg":
+        trajectory = run_policy_iteration(mdp, value_function(mdp, start))
+    elif args.algo in ("pg", "entpg"):
         trajectory = run_policy_gradient(
-            mdp, start_policy, eta, iters, entropy_coeff=coeff
+            mdp, start, eta, iters, entropy_coeff=coeff or 0.0
         )
     elif args.algo == "npg":
-        trajectory = run_npg(mdp, start_policy, eta, iters)
+        trajectory = run_npg(mdp, start, eta, iters)
     else:
-        noise = 0.0 if args.algo == "cem" else 0.05
         cem_config = CemConfig(
-            population=500,
-            elites=50,
-            init_cov_scale=0.1,
-            noise_scale=noise,
+            noise_scale=0.0 if args.algo == "cem" else 0.05,
             iterations=iters,
             seed=args.seed,
         )
-        trajectory = run_cem(mdp, np.log(start_policy.probs), cem_config)
+        trajectory = run_cem(mdp, start, cem_config)
 
     names = sorted(trajectory.columns)
     header = (
@@ -280,19 +261,14 @@ def cmd_verify(args):
     if args.mdp is not None:
         mdp, inputs = _resolve_mdp(args.mdp)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    skipped = []
-    if mdp is not None and mdp.n_states != 2:
-        skipped = [name for name in names if name in PLANAR_SUITES]
-    if skipped and args.suite != "all":
-        raise CliError(
-            f"suite {args.suite!r} needs a 2-state MDP, got |S|={mdp.n_states}",
-            CAPABILITY_ERROR,
-        )
-    reports = [
-        run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp)
-        for name in names
-        if name not in skipped
-    ]
+    reports, skipped = [], []
+    for name in names:
+        try:
+            reports.append(run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp))
+        except DimensionUnsupported as exc:
+            if args.suite != "all":
+                raise CliError(str(exc), CAPABILITY_ERROR) from None
+            skipped.append(name)
     payload = {
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPolicy, NonFiniteLogits, ShapeMismatch
+from .errors import NonFiniteLogits, ShapeMismatch
 from .evaluation import (
     _check_value_shape,
     _collapse,
@@ -27,26 +27,7 @@ from .evaluation import (
 )
 from .mdp import Mdp, Policy
 
-INIT_KINDS = ("near_vertex", "near_boundary", "interior", "explicit_policy")
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    """Where a run starts: near a vertex, near a boundary, interior, or given.
-
-    The near_* kinds smooth a one-hot row by epsilon toward uniform, since
-    softmax parametrizations cannot sit exactly on the boundary.
-    """
-
-    kind: str
-    epsilon: float = 0.01
-    policy: Policy | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"unknown init kind {self.kind!r}; known: {INIT_KINDS}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 0.5)")
+INIT_KINDS = ("vertex", "boundary", "interior")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,28 +113,27 @@ def _smoothed_one_hot(actions, n_actions: int, epsilon: float) -> np.ndarray:
     return rows
 
 
-def resolve_init(mdp: Mdp, spec: InitSpec) -> Policy:
-    """Materialize an InitSpec as a concrete policy.
+def resolve_init(mdp: Mdp, kind: str, epsilon: float = 0.01) -> Policy:
+    """The policy a run starts from: near a vertex, near a boundary, or interior.
 
-    near_vertex smooths the greedy optimal deterministic policy; near_boundary
-    pins state 0 toward action 0 and leaves the rest uniform; interior is the
-    uniform policy.
+    vertex smooths the greedy optimal deterministic policy by epsilon toward
+    uniform; boundary pins state 0 toward action 0 the same way and leaves
+    the rest uniform; interior is the uniform policy. Softmax runs cannot
+    start exactly on the boundary, hence the smoothing.
     """
-    if spec.kind == "interior":
+    if kind not in INIT_KINDS:
+        raise ValueError(f"unknown init kind {kind!r}; known: {INIT_KINDS}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5)")
+    if kind == "interior":
         return Policy.uniform(mdp.n_states, mdp.n_actions)
-    if spec.kind == "near_vertex":
+    if kind == "vertex":
         _, greedy = optimal_value(mdp)
         best_actions = np.argmax(greedy.probs, axis=1)
-        return Policy(_smoothed_one_hot(best_actions, mdp.n_actions, spec.epsilon))
-    if spec.kind == "near_boundary":
-        probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-        probs[:1] = _smoothed_one_hot([0], mdp.n_actions, spec.epsilon)
-        return Policy(probs)
-    if spec.policy is None:
-        raise MissingPolicy("explicit_policy init requires a policy")
-    if spec.policy.probs.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatch("explicit init policy does not match the MDP")
-    return spec.policy
+        return Policy(_smoothed_one_hot(best_actions, mdp.n_actions, epsilon))
+    probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+    probs[:1] = _smoothed_one_hot([0], mdp.n_actions, epsilon)
+    return Policy(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +323,17 @@ def _natural_direction(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     return (q - q.mean(axis=1, keepdims=True)) / (1.0 - mdp.gamma)
 
 
-def _logits_of(policy: Policy) -> np.ndarray:
+def _logits_of(mdp: Mdp, policy: Policy) -> np.ndarray:
+    """The logits every softmax run starts from: the log of its start policy."""
     if np.any(policy.probs <= 0.0):
         raise NonFiniteLogits(
             "softmax runs need strictly positive initial probabilities"
         )
-    return np.log(policy.probs)
-
-
-def _resolve_start(mdp: Mdp, init) -> Policy:
-    if isinstance(init, Policy):
-        return init
-    if isinstance(init, InitSpec):
-        return resolve_init(mdp, init)
-    raise TypeError("init must be a Policy or an InitSpec")
+    return _check_logits(mdp, np.log(policy.probs))
 
 
 def _ascend(
-    mdp: Mdp, init, eta: float, iterations: int, direction, visitation: bool
+    mdp: Mdp, init: Policy, eta: float, iterations: int, direction, visitation: bool
 ) -> Trajectory:
     """Ascent on logits, recording exact values; one evaluation per step.
 
@@ -376,7 +349,7 @@ def _ascend(
         raise ValueError("eta must be positive")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    theta = _logits_of(_resolve_start(mdp, init))
+    theta = _logits_of(mdp, init)
     n = mdp.n_states
     systems = np.empty((2, n, n) if visitation else (n, n))
     points = np.empty((iterations + 1, n))
@@ -402,9 +375,9 @@ def _ascend(
 
 
 def run_policy_gradient(
-    mdp: Mdp, init, eta: float, iterations: int, entropy_coeff: float = 0.0
+    mdp: Mdp, init: Policy, eta: float, iterations: int, entropy_coeff: float = 0.0
 ) -> Trajectory:
-    """Gradient ascent on logits from the resolved init, recording values."""
+    """Gradient ascent on logits from the init policy, recording values."""
 
     def direction(probs, v, d, log_entropy):
         return _gradient(mdp, probs, v, d, entropy_coeff, log_entropy)
@@ -412,7 +385,7 @@ def run_policy_gradient(
     return _ascend(mdp, init, eta, iterations, direction, visitation=True)
 
 
-def run_npg(mdp: Mdp, init, eta: float, iterations: int) -> Trajectory:
+def run_npg(mdp: Mdp, init: Policy, eta: float, iterations: int) -> Trajectory:
     """Natural-gradient ascent in closed form; each step solves for v alone."""
 
     def direction(probs, v, d, log_entropy):
@@ -431,21 +404,21 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
     return u * np.sqrt(np.clip(w, 0.0, None))
 
 
-def run_cem(mdp: Mdp, init_mean: np.ndarray, config: CemConfig) -> Trajectory:
+def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     """Gaussian population search over flattened logits.
 
-    Each iteration samples `population` parameter vectors, scores them by the
-    uniform-start value of their softmax policy, refits mean and full
-    maximum-likelihood covariance on the top `elites`, then adds
-    noise_scale * I to the covariance. Iteration k draws its whole
-    (population, dim) block of standard normals from one stream, keyed by
-    the seed with spawn_key (k,); row j is member j's noise, so the first
-    p members of a larger population see the same noise as a population
-    of p, and results do not depend on how the population is batched.
+    The mean starts at the init policy's logits. Each iteration samples
+    `population` parameter vectors, scores them by the uniform-start value
+    of their softmax policy, refits mean and full maximum-likelihood
+    covariance on the top `elites`, then adds noise_scale * I to the
+    covariance. Iteration k draws its whole (population, dim) block of
+    standard normals from one stream, keyed by the seed with spawn_key (k,);
+    row j is member j's noise, so the first p members of a larger population
+    see the same noise as a population of p, and results do not depend on
+    how the population is batched.
     """
-    theta0 = _check_logits(mdp, init_mean)
     dim = mdp.n_states * mdp.n_actions
-    mean = theta0.reshape(-1).copy()
+    mean = _logits_of(mdp, init).reshape(-1)
     cov = config.init_cov_scale * np.eye(dim)
     shape = (mdp.n_states, mdp.n_actions)
 

@@ -54,11 +54,7 @@ class IterationCap(VfpError):
 
 
 class NonFiniteLogits(VfpError):
-    """Softmax parameters contain NaN or infinity."""
-
-
-class MissingPolicy(VfpError):
-    """An explicit-policy initialization was requested without a policy."""
+    """Softmax parameters contain NaN or infinity, or a start policy a zero."""
 
 
 class UnknownSuite(VfpError):

@@ -363,16 +363,3 @@ def deterministic_policies(mdp: Mdp, cap: int = ENUMERATION_CAP) -> list[Policy]
         Policy.deterministic(actions, mdp.n_actions)
         for actions in itertools.product(range(mdp.n_actions), repeat=mdp.n_states)
     ]
-
-
-def policy_matrix(policy: Policy) -> np.ndarray:
-    """Block-diagonal |S| x (|S||A|) matrix M with M[s, s*|A| + a] = probs[s, a].
-
-    Multiplying M by the flat transition matrix (or reward vector) gives the
-    state-to-state transitions (or per-state rewards) under the policy.
-    """
-    n_states, n_actions = policy.probs.shape
-    out = np.zeros((n_states, n_states * n_actions))
-    for s in range(n_states):
-        out[s, s * n_actions : (s + 1) * n_actions] = policy.probs[s]
-    return out

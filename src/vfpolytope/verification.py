@@ -46,6 +46,9 @@ from .mdp import Mdp, Policy, random_mdp, random_policy
 BOUNDARY_RAYS = 64
 BOUNDARY_HALVINGS = 64
 
+# The smooth suite's central-difference step; it compares it with its half.
+SMOOTH_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -54,14 +57,11 @@ class OracleConfig:
     neumann_terms: int = 200
     mc_horizon: int = 300
     mc_episodes: int = 100_000
-    fd_step: float = 1e-5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.neumann_terms, self.mc_horizon, self.mc_episodes) < 1:
             raise ValueError("oracle sizes must be positive")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass
@@ -455,7 +455,6 @@ def _check_dominance(mdp: Mdp, rng: np.random.Generator, samples: int = 50):
 
 def _check_smooth(mdp: Mdp, rng: np.random.Generator):
     """Directional derivatives of the policy-to-value map are step-size stable."""
-    h = OracleConfig().fd_step
     probs = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
     probs = (probs + 0.05) / (1.0 + 0.05 * mdp.n_actions)
     direction = rng.normal(size=probs.shape)
@@ -467,8 +466,8 @@ def _check_smooth(mdp: Mdp, rng: np.random.Generator):
         minus = value_function(mdp, Policy(probs - step * direction))
         return (plus - minus) / (2.0 * step)
 
-    coarse = fd(h)
-    fine = fd(h / 2.0)
+    coarse = fd(SMOOTH_STEP)
+    fine = fd(SMOOTH_STEP / 2.0)
     if np.linalg.norm(fine) < 1e-9:
         return "(flat)", float(np.linalg.norm(coarse)), 1e-7
     return "", abs(float(np.linalg.norm(coarse) / np.linalg.norm(fine)) - 1.0)

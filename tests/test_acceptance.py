@@ -12,7 +12,6 @@ import pytest
 from vfpolytope.cli import main as cli_main
 from vfpolytope.dynamics import (
     CemConfig,
-    InitSpec,
     policy_gradient,
     resolve_init,
     run_cem,
@@ -184,8 +183,7 @@ def test_criterion_09_policy_iteration():
         inits = [Policy.uniform(mdp.n_states, mdp.n_actions)]
         if name == "dyn2":
             inits += [
-                resolve_init(mdp, InitSpec(kind=k))
-                for k in ("near_vertex", "near_boundary")
+                resolve_init(mdp, k) for k in ("vertex", "boundary")
             ]
         for policy in inits:
             trajectory = run_policy_iteration(mdp, value_function(mdp, policy))
@@ -239,10 +237,10 @@ def test_criterion_10_policy_gradient_exactness():
 def test_criterion_11_entropy_regularization_interior():
     eta, iterations, coeff = 0.05, 1000, 0.1
     trajectory = run_policy_gradient(
-        DYN2, InitSpec(kind="interior"), eta=eta, iterations=iterations,
+        DYN2, resolve_init(DYN2, "interior"), eta=eta, iterations=iterations,
         entropy_coeff=coeff,
     )
-    theta = np.log(resolve_init(DYN2, InitSpec(kind="interior")).probs)
+    theta = np.log(resolve_init(DYN2, "interior").probs)
     for _ in range(iterations):
         theta = theta + eta * policy_gradient(DYN2, theta, coeff)
     final_policy = softmax_policy(theta)
@@ -258,27 +256,27 @@ def test_criterion_11_entropy_regularization_interior():
 
 
 def test_criterion_12_cem_collapse_and_noisy_convergence():
-    near_vertex = resolve_init(DYN2, InitSpec(kind="near_vertex"))
+    near_vertex = resolve_init(DYN2, "vertex")
     plain = CemConfig(
         population=500, elites=50, init_cov_scale=0.1, noise_scale=0.0,
         iterations=100, seed=0,
     )
-    collapse = run_cem(DYN2, np.log(near_vertex.probs), plain)
+    collapse = run_cem(DYN2, near_vertex, plain)
     trace = collapse.columns["cov_trace"][-1]
     assert trace < 1e-3, trace
 
     gaps = []
-    for kind in ("near_vertex", "near_boundary", "interior"):
-        init = resolve_init(DYN2, InitSpec(kind=kind))
+    for kind in ("vertex", "boundary", "interior"):
+        init = resolve_init(DYN2, kind)
         noisy = CemConfig(
             population=500, elites=50, init_cov_scale=0.1, noise_scale=0.05,
             iterations=100, seed=0,
         )
-        trajectory = run_cem(DYN2, np.log(init.probs), noisy)
+        trajectory = run_cem(DYN2, init, noisy)
         gaps.append(float(np.max(np.abs(trajectory.points[-1] - V_STAR))))
     assert max(gaps) < 0.05, gaps
 
-    again = run_cem(DYN2, np.log(near_vertex.probs), plain)
+    again = run_cem(DYN2, near_vertex, plain)
     assert np.array_equal(collapse.points, again.points)
     report(
         12,

@@ -588,6 +588,21 @@ def test_bad_policy_row_sum_is_a_plain_float(tmp_path, capsys):
     assert "sums to 0.9, off by more than" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algo", ["pg", "entpg", "npg", "cem", "cemcn"])
+def test_softmax_runs_reject_a_zero_init_probability(algo, tmp_path, capsys):
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text(json.dumps({"probs": [[1.0, 0.0], [0.5, 0.5]]}))
+    out = tmp_path / "x.csv"
+    code = main(["dynamics", "--mdp", "dyn2", "--algo", algo, "--init",
+                 str(policy_path), "--iters", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: softmax runs need strictly positive initial probabilities\n"
+    )
+    assert not out.exists()
+
+
 def test_logit_overflow_is_one_error_line(tmp_path):
     env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     proc = subprocess.run(

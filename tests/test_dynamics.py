@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as npst
 from vfpolytope import dynamics, evaluation
 from vfpolytope.dynamics import (
     CemConfig,
-    InitSpec,
     Trajectory,
     discounted_distribution,
     fisher_information,
@@ -23,7 +22,7 @@ from vfpolytope.dynamics import (
     run_value_iteration,
     softmax_policy,
 )
-from vfpolytope.errors import IterationCap, MissingPolicy, NonFiniteLogits
+from vfpolytope.errors import IterationCap, NonFiniteLogits
 from vfpolytope.evaluation import (
     optimal_value,
     q_values,
@@ -86,37 +85,33 @@ class TestSoftmax:
 
 class TestInits:
     def test_interior_uniform(self):
-        p = resolve_init(DYN2, InitSpec(kind="interior"))
+        p = resolve_init(DYN2, "interior")
         np.testing.assert_array_equal(p.probs, 0.5)
 
     def test_near_vertex_close_to_one_hot(self):
-        p = resolve_init(DYN2, InitSpec(kind="near_vertex", epsilon=0.01))
+        p = resolve_init(DYN2, "vertex", 0.01)
         assert np.all(p.probs.max(axis=1) >= 0.99)
 
     def test_near_vertex_tracks_optimal_policy(self):
         _, greedy = optimal_value(DYN2)
-        p = resolve_init(DYN2, InitSpec(kind="near_vertex"))
+        p = resolve_init(DYN2, "vertex")
         np.testing.assert_array_equal(
             np.argmax(p.probs, axis=1), np.argmax(greedy.probs, axis=1)
         )
 
     def test_near_boundary_shape(self):
-        p = resolve_init(DYN2, InitSpec(kind="near_boundary", epsilon=0.01))
+        p = resolve_init(DYN2, "boundary", 0.01)
         assert p.probs[0].max() >= 0.99
         np.testing.assert_array_equal(p.probs[1], 0.5)
 
-    def test_explicit_passthrough(self):
-        uniform = Policy.uniform(2, 2)
-        spec = InitSpec(kind="explicit_policy", policy=uniform)
-        assert resolve_init(DYN2, spec) == uniform
-
-    def test_explicit_missing_policy(self):
-        with pytest.raises(MissingPolicy):
-            resolve_init(DYN2, InitSpec(kind="explicit_policy"))
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            InitSpec(kind="weird")
+            resolve_init(DYN2, "weird")
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1])
+    def test_epsilon_outside_open_half_interval(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            resolve_init(DYN2, "vertex", epsilon)
 
 
 class TestValueIteration:
@@ -126,8 +121,8 @@ class TestValueIteration:
         np.testing.assert_allclose(traj.points[1], V_STAR, atol=1e-12)
 
     def test_contraction_every_step(self):
-        for kind in ("near_vertex", "near_boundary", "interior"):
-            v0 = value_function(DYN2, resolve_init(DYN2, InitSpec(kind=kind)))
+        for kind in ("vertex", "boundary", "interior"):
+            v0 = value_function(DYN2, resolve_init(DYN2, kind))
             traj = run_value_iteration(DYN2, v0, 80)
             gaps = np.max(np.abs(traj.points - V_STAR[None, :]), axis=1)
             assert np.all(gaps[1:] <= DYN2.gamma * gaps[:-1] + 1e-12)
@@ -174,8 +169,8 @@ class TestPolicyIteration:
         np.testing.assert_allclose(traj.points[1], V_STAR, atol=1e-10)
 
     def test_monotone_and_terminates(self):
-        for kind in ("near_vertex", "near_boundary", "interior"):
-            v0 = value_function(DYN2, resolve_init(DYN2, InitSpec(kind=kind)))
+        for kind in ("vertex", "boundary", "interior"):
+            v0 = value_function(DYN2, resolve_init(DYN2, kind))
             traj = run_policy_iteration(DYN2, v0)
             assert len(traj) <= 2**2 + 1
             diffs = traj.points[1:] - traj.points[:-1]
@@ -288,13 +283,13 @@ class TestPolicyGradient:
 
     def test_run_converges_on_dyn2(self):
         traj = run_policy_gradient(
-            DYN2, InitSpec(kind="interior"), eta=0.1, iterations=10_000
+            DYN2, resolve_init(DYN2, "interior"), eta=0.1, iterations=10_000
         )
         assert np.max(np.abs(traj.points[-1] - V_STAR)) < 1e-2
 
     def test_ascent_at_small_step(self):
         traj = run_policy_gradient(
-            DYN2, InitSpec(kind="interior"), eta=1e-3, iterations=300
+            DYN2, resolve_init(DYN2, "interior"), eta=1e-3, iterations=300
         )
         objective = traj.points.mean(axis=1)
         assert np.all(np.diff(objective) >= -1e-9)
@@ -302,12 +297,12 @@ class TestPolicyGradient:
     def test_entropy_regularized_interior_suboptimum(self):
         traj = run_policy_gradient(
             DYN2,
-            InitSpec(kind="interior"),
+            resolve_init(DYN2, "interior"),
             eta=0.05,
             iterations=1000,
             entropy_coeff=0.1,
         )
-        theta = np.log(resolve_init(DYN2, InitSpec(kind="interior")).probs)
+        theta = np.log(resolve_init(DYN2, "interior").probs)
         for _ in range(1000):
             theta = theta + 0.05 * policy_gradient(DYN2, theta, 0.1)
         probs = softmax_policy(theta).probs
@@ -371,9 +366,13 @@ class TestNaturalGradient:
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 80.0 < coarse / fine < 125.0
 
-    @pytest.mark.parametrize("kind", ["near_vertex", "near_boundary", "interior"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["vertex", "boundary", "interior"],
+        ids=["near_vertex", "near_boundary", "interior"],
+    )
     def test_npg_reaches_optimal_value(self, kind):
-        traj = run_npg(DYN2, InitSpec(kind=kind), eta=0.05, iterations=500)
+        traj = run_npg(DYN2, resolve_init(DYN2, kind), eta=0.05, iterations=500)
         assert np.max(np.abs(traj.points[-1] - V_STAR)) < 1e-10
 
     def test_npg_faster_than_pg_on_dyn2(self):
@@ -382,11 +381,11 @@ class TestNaturalGradient:
             hits = np.flatnonzero(gaps < 1e-2)
             return hits[0] if hits.size else np.inf
 
-        for kind in ("near_vertex", "near_boundary", "interior"):
+        for kind in ("vertex", "boundary", "interior"):
             pg = run_policy_gradient(
-                DYN2, InitSpec(kind=kind), eta=0.05, iterations=3000
+                DYN2, resolve_init(DYN2, kind), eta=0.05, iterations=3000
             )
-            npg = run_npg(DYN2, InitSpec(kind=kind), eta=0.05, iterations=500)
+            npg = run_npg(DYN2, resolve_init(DYN2, kind), eta=0.05, iterations=500)
             assert first_hit(npg) < first_hit(pg)
 
     def test_zero_rewards_stationary(self):
@@ -397,13 +396,13 @@ class TestNaturalGradient:
             transitions=DYN2.transitions,
             gamma=0.9,
         )
-        traj = run_npg(m, InitSpec(kind="interior"), eta=0.1, iterations=20)
+        traj = run_npg(m, resolve_init(m, "interior"), eta=0.1, iterations=20)
         assert np.max(np.abs(traj.points)) < 1e-12
 
     def test_stationary_at_optimal_vertex(self):
         traj = run_npg(
             DYN2,
-            InitSpec(kind="near_vertex", epsilon=1e-7),
+            resolve_init(DYN2, "vertex", 1e-7),
             eta=0.05,
             iterations=200,
         )
@@ -464,16 +463,16 @@ class TestOneEvaluationPerStep:
         ids=["0.0", "0.1", "npg"],
     )
     def test_policy_gradient_run_solves_once_per_step(self, solves, run):
-        run(DYN2, InitSpec(kind="near_boundary"), 0.05, 9)
+        run(DYN2, resolve_init(DYN2, "boundary"), 0.05, 9)
         assert len(solves) == 9 + 1
 
     @pytest.mark.parametrize("n_states", [2, 3])
     def test_npg_step_solves_the_value_system_alone(self, solves, n_states):
         mdp = DYN2 if n_states == 2 else random_mdp(3, 2, 0.9, seed=0)
-        run_policy_gradient(mdp, InitSpec(kind="near_boundary"), 0.05, 9)
+        run_policy_gradient(mdp, resolve_init(mdp, "boundary"), 0.05, 9)
         assert solves == [(2, n_states, n_states)] * 10
         solves.clear()
-        run_npg(mdp, InitSpec(kind="near_boundary"), 0.05, 9)
+        run_npg(mdp, resolve_init(mdp, "boundary"), 0.05, 9)
         assert solves == [(n_states, n_states)] * 10
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
@@ -514,35 +513,35 @@ class TestOneEvaluationPerStep:
 
 class TestCem:
     def test_covariance_collapses_without_noise(self):
-        init = resolve_init(DYN2, InitSpec(kind="near_vertex"))
+        init = resolve_init(DYN2, "vertex")
         config = CemConfig(noise_scale=0.0, iterations=100, seed=0)
-        traj = run_cem(DYN2, np.log(init.probs), config)
+        traj = run_cem(DYN2, init, config)
         assert traj.columns["cov_trace"][-1] < 1e-3
 
     def test_noisy_variant_reaches_optimum_from_all_inits(self):
-        for kind in ("near_vertex", "near_boundary", "interior"):
-            init = resolve_init(DYN2, InitSpec(kind=kind))
+        for kind in ("vertex", "boundary", "interior"):
+            init = resolve_init(DYN2, kind)
             config = CemConfig(noise_scale=0.05, iterations=100, seed=0)
-            traj = run_cem(DYN2, np.log(init.probs), config)
+            traj = run_cem(DYN2, init, config)
             assert np.max(np.abs(traj.points[-1] - V_STAR)) < 0.05
 
     def test_noise_floor_on_covariance_trace(self):
-        init = resolve_init(DYN2, InitSpec(kind="interior"))
+        init = resolve_init(DYN2, "interior")
         config = CemConfig(noise_scale=0.05, iterations=20, seed=3)
-        traj = run_cem(DYN2, np.log(init.probs), config)
+        traj = run_cem(DYN2, init, config)
         floor = 0.05 * DYN2.n_states * DYN2.n_actions - 1e-12
         assert all(traj.columns["cov_trace"][1:] >= floor)
 
     def test_bitwise_deterministic(self):
-        init = resolve_init(DYN2, InitSpec(kind="interior"))
+        init = resolve_init(DYN2, "interior")
         config = CemConfig(noise_scale=0.05, iterations=15, seed=11)
-        a = run_cem(DYN2, np.log(init.probs), config)
-        b = run_cem(DYN2, np.log(init.probs), config)
+        a = run_cem(DYN2, init, config)
+        b = run_cem(DYN2, init, config)
         assert np.array_equal(a.points, b.points)
         assert a.columns.keys() == b.columns.keys()
         assert all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
         other = CemConfig(noise_scale=0.05, iterations=15, seed=12)
-        c = run_cem(DYN2, np.log(init.probs), other)
+        c = run_cem(DYN2, init, other)
         assert not np.array_equal(a.points[1:], c.points[1:])
 
     def test_population_prefix_shares_noise(self, monkeypatch):
@@ -557,7 +556,7 @@ class TestCem:
 
             monkeypatch.setattr(dynamics, "value_function_batch", record)
             config = CemConfig(population=population, elites=4, iterations=1, seed=5)
-            run_cem(DYN2, np.zeros((2, 2)), config)
+            run_cem(DYN2, Policy.uniform(2, 2), config)
             monkeypatch.undo()
             return seen[0]
 
@@ -581,7 +580,7 @@ class TestTrajectoryShape:
 
     def test_meta_aligned_with_points(self):
         traj = run_policy_gradient(
-            DYN2, InitSpec(kind="interior"), eta=0.05, iterations=7
+            DYN2, resolve_init(DYN2, "interior"), eta=0.05, iterations=7
         )
         assert sorted(traj.columns) == ["entropy", "grad_norm", "step_norm"]
         assert all(len(c) == len(traj.points) == 8 for c in traj.columns.values())
@@ -599,14 +598,14 @@ class TestTrajectoryShape:
             lambda init: run_policy_gradient(DYN2, init, 0.5, 30, entropy_coeff=0.1),
             lambda init: run_npg(DYN2, init, 0.5, 30),
             lambda init: run_cem(
-                DYN2, np.log(init.probs),
+                DYN2, init,
                 CemConfig(population=40, elites=8, iterations=10),
             ),
         ],
         ids=["vi", "pi", "pg", "entpg", "npg", "cem"],
     )
     def test_step_norm_is_sup_norm_of_each_step(self, run):
-        traj = run(resolve_init(DYN2, InitSpec(kind="near_boundary")))
+        traj = run(resolve_init(DYN2, "boundary"))
         points = traj.points
         expected = [0.0] + [
             float(np.max(np.abs(b - a))) for a, b in zip(points, points[1:])

@@ -2,7 +2,8 @@
 
 Each example writes an MDP document, well formed or broken, builds one
 command whose size flags are each either small or one past their cap, and
-runs `cli.main` in a fresh directory. The run must return 0, 1, 2 or 3,
+runs `cli.main` in a fresh directory. A `dynamics` command may start from a
+written policy file, well formed or not. The run must return 0, 1, 2 or 3,
 print at most one line to stderr (a warning counts as a line), raise
 nothing and finish within a time bound. No example asks for a large array
 or starts a process: a flag past its cap is refused before anything is
@@ -51,12 +52,26 @@ def documents(draw):
     return text, n_states, n_actions
 
 
+def _policy_text(kind: str, n_states: int, n_actions: int) -> str:
+    """A --init policy file: uniform, or broken by one zero, a row sum or its shape."""
+    probs = [[1.0 / n_actions] * n_actions for _ in range(n_states)]
+    if kind == "zero":
+        probs[0] = [1.0] + [0.0] * (n_actions - 1)
+    elif kind == "off":
+        probs[0][0] += 0.1
+    elif kind == "shape":
+        probs.append(probs[0])
+    return json.dumps({"probs": probs})
+
+
 def _small_or_past(cap: int) -> st.SearchStrategy:
     return st.sampled_from(("1", "3", "5", str(cap + 1)))
 
 
 @st.composite
-def commands(draw, n_states: int, n_actions: int) -> list[str]:
+def commands(draw, n_states: int, n_actions: int) -> tuple[list[str], dict[str, str]]:
+    """argv and the files besides mdp.json that it reads."""
+    files = {}
     command = draw(st.sampled_from(("sample", "line", "dynamics", "verify")))
     seed = ["--seed", str(draw(st.integers(0, 3)))]
     if command == "sample":
@@ -72,9 +87,12 @@ def commands(draw, n_states: int, n_actions: int) -> list[str]:
                 "--grid", draw(_small_or_past(MAX_CELLS // n_states))]
     elif command == "dynamics":
         algo = draw(st.sampled_from(ALGORITHMS))
+        init = draw(st.sampled_from(("vertex", "boundary", "interior", "nope", "policy.json")))
+        if init == "policy.json":
+            kind = draw(st.sampled_from(("uniform", "zero", "off", "shape")))
+            files[init] = _policy_text(kind, n_states, n_actions)
         argv = ["dynamics", "--mdp", "mdp.json", "--out", "out.csv", "--algo", algo,
-                "--init", draw(st.sampled_from(("vertex", "boundary", "interior", "nope"))),
-                "--iters", draw(_small_or_past(MAX_CELLS // n_states))]
+                "--init", init, "--iters", draw(_small_or_past(MAX_CELLS // n_states))]
         if draw(st.booleans()):
             argv.append(f"--eta={draw(st.sampled_from((0.05, 10.0) + ODD_NUMBERS))}")
         if algo == "entpg" and draw(st.booleans()):
@@ -87,16 +105,17 @@ def commands(draw, n_states: int, n_actions: int) -> list[str]:
                 "--trials", draw(st.sampled_from(("1", str(MAX_TRIALS + 1))))]
         if draw(st.booleans()):
             argv += ["--mdp", "mdp.json"]
-    return argv + seed
+    return argv + seed, files
 
 
 @st.composite
 def invocations(draw):
     text, n_states, n_actions = draw(documents())
-    return text, draw(commands(n_states, n_actions))
+    argv, files = draw(commands(n_states, n_actions))
+    return {"mdp.json": text, **files}, argv
 
 
-def _run(text: str, argv: list[str]) -> tuple[int, str, float]:
+def _run(files: dict[str, str], argv: list[str]) -> tuple[int, str, float]:
     """Exit code, stderr plus one line per warning, and wall seconds of main(argv)."""
     err = io.StringIO()
     home = os.getcwd()
@@ -104,8 +123,9 @@ def _run(text: str, argv: list[str]) -> tuple[int, str, float]:
         warnings.simplefilter("always")
         os.chdir(tmp)
         try:
-            with open("mdp.json", "w", encoding="utf-8") as handle:
-                handle.write(text)
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.write(text)
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -119,8 +139,8 @@ def _run(text: str, argv: list[str]) -> tuple[int, str, float]:
 @settings(max_examples=400)
 @given(invocations())
 def test_every_input_ends_in_a_documented_exit(invocation):
-    text, argv = invocation
-    code, err, wall = _run(text, argv)
+    files, argv = invocation
+    code, err, wall = _run(files, argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert err.count("\n") <= 1, (argv, err)
     assert "Traceback" not in err

@@ -24,7 +24,6 @@ from vfpolytope.mdp import (
     dump_mdp,
     example1_mdp,
     load_mdp,
-    policy_matrix,
     random_mdp,
     random_policy,
 )
@@ -258,31 +257,6 @@ class TestDeterministicPolicies:
         m = random_mdp(8, 6, 0.9, seed=0)
         with pytest.raises(EnumerationTooLarge):
             deterministic_policies(m, cap=10**5)
-
-
-class TestPolicyMatrix:
-    def test_uniform_two_by_two(self):
-        p = Policy.uniform(2, 2)
-        np.testing.assert_array_equal(
-            policy_matrix(p), [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
-        )
-
-    def test_deterministic_is_binary(self):
-        p = Policy.deterministic([1, 0], 2)
-        m = policy_matrix(p)
-        assert np.all(np.isin(m, (0.0, 1.0)))
-        assert np.all(m.sum(axis=1) == 1.0)
-
-    def test_matches_induced_transitions(self):
-        from vfpolytope.evaluation import induce
-
-        mdp = builtin_fixture("fig2c")
-        p = random_policy(mdp, 5)
-        np.testing.assert_allclose(
-            policy_matrix(p) @ mdp.transitions,
-            induce(mdp, p).p_pi,
-            atol=1e-14,
-        )
 
 
 class TestImmutability:
