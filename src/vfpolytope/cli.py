@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
 unreadable input, an output path that cannot be written), 3 capability
-error (e.g. SVG requested for a non-planar MDP). Every file-writing command
-also emits a `<out>.manifest.json` recording argv, config, seed, input
-digests, and output digests; re-running the recorded argv reproduces the
-outputs byte for byte.
+error (e.g. SVG requested for a non-planar MDP, or gamma so near 1 that a
+system is singular). Every file-writing command also emits a
+`<out>.manifest.json` recording argv, config, seed, input digests, and
+output digests; re-running the recorded argv reproduces the outputs byte
+for byte.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .dynamics import (
     run_policy_iteration,
     run_value_iteration,
 )
-from .errors import DimensionUnsupported, VfpError
+from .errors import DimensionUnsupported, IllConditioned, VfpError
 from .evaluation import value_function
 from .geometry import (
     AgreementSet,
@@ -104,10 +105,6 @@ def _load_policy_file(path: Path, mdp: Mdp) -> Policy:
 # ---------------------------------------------------------------------------
 
 
-def _vertices(mdp: Mdp) -> np.ndarray:
-    return np.stack([v for _, v in polytope_vertices_det(mdp)])
-
-
 def cmd_fixtures(args):
     if args.action == "list":
         for name in FIXTURE_NAMES:
@@ -133,7 +130,7 @@ def cmd_sample(args):
     values = sample_values(mdp, args.n, args.seed, agreement)
     write_csv(args.out, [f"v_s{i}" for i in range(mdp.n_states)], values)
     if args.svg is not None:
-        write_svg(args.svg, svg_scatter(values, vertices=_vertices(mdp)))
+        write_svg(args.svg, svg_scatter(values, vertices=polytope_vertices_det(mdp)))
     return 0, {"n": args.n, "fix": sorted(fixed_states)}, inputs
 
 
@@ -240,10 +237,8 @@ def cmd_dynamics(args):
     write_csv(args.out, header, np.arange(len(trajectory)), trajectory.points, *columns)
     if args.svg is not None:
         cloud = sample_values(mdp, 4000, args.seed)
-        write_svg(
-            args.svg,
-            svg_scatter(cloud, vertices=_vertices(mdp), path_points=trajectory.points),
-        )
+        vertices = polytope_vertices_det(mdp)
+        write_svg(args.svg, svg_scatter(cloud, vertices, trajectory.points))
     config = {"algo": args.algo, "init": args.init, "iters": iters, "eta": eta,
               "entropy_coeff": coeff}
     return 0, config, {**inputs, **init_inputs}
@@ -405,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except (VfpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CAPABILITY_ERROR if isinstance(exc, IllConditioned) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .errors import NonFiniteLogits, ShapeMismatch
 from .evaluation import (
     _check_value_shape,
     _collapse,
+    _lapack_solve,
     _policy_iteration,
     _solve,
     _system,
@@ -197,7 +198,7 @@ def discounted_distribution(
         if rho0.shape != (mdp.n_states,):
             raise ShapeMismatch("rho0 must have one entry per state")
     p_pi, _ = _collapse(mdp, policy.probs)
-    return (1.0 - mdp.gamma) * np.linalg.solve(_system(mdp, p_pi).T, rho0)
+    return (1.0 - mdp.gamma) * _lapack_solve(mdp, _system(mdp, p_pi).T, rho0)
 
 
 def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +230,7 @@ def _evaluate_step(
     _collapse(mdp, policy.probs, system, rhs[0, :, 0])
     _system(mdp, system, out=system)
     systems[1] = system.T
-    v, d = np.linalg.solve(systems, rhs)[..., 0]
+    v, d = _lapack_solve(mdp, systems, rhs)[..., 0]
     return policy, v, (1.0 - mdp.gamma) * d
 
 
@@ -308,7 +309,7 @@ def natural_policy_gradient(
     policy, v, d = _evaluate_step(mdp, theta)
     grad = _gradient(mdp, policy.probs, v, d)
     fisher = _fisher(policy.probs, d)
-    flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
+    flat = _lapack_solve(mdp, fisher + damping * np.eye(len(fisher)), grad.ravel())
     return flat.reshape(mdp.n_states, mdp.n_actions)
 
 

@@ -33,14 +33,6 @@ class MuOutOfRange(VfpError):
     """Mixture coefficient outside [0, 1]."""
 
 
-class OrderViolation(VfpError):
-    """Single-state policy variants produced elementwise-incomparable values.
-
-    Values of policies that agree everywhere but one state are totally
-    ordered; incomparability beyond tolerance signals a numerical failure.
-    """
-
-
 class NotAgreeing(VfpError):
     """Two policies differ on a state that was required to be fixed."""
 
@@ -59,3 +51,7 @@ class NonFiniteLogits(VfpError):
 
 class UnknownSuite(VfpError):
     """Requested verification suite name does not exist."""
+
+
+class IllConditioned(VfpError):
+    """A linear system or slice basis is singular to working precision."""

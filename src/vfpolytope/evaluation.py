@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCap, ShapeMismatch
+from .errors import IllConditioned, IterationCap, ShapeMismatch
 from .mdp import Mdp, Policy
 
-# value_function_batch solves at most this many float64 entries of P_pi
+# _solve_blocks solves at most this many float64 entries of P_pi
 # (4 MiB) at a time, in one buffer it allocates per call, so its peak memory
 # grows with n only through the (n, |S|, |A|) input and the (n, |S|) output.
 _BLOCK_ENTRIES = 1 << 19
@@ -72,27 +72,88 @@ def _collapse(
     return p_pi, r_pi
 
 
+def _gather(mdp: Mdp, actions, p_out=None, r_out=None) -> tuple[np.ndarray, np.ndarray]:
+    """_collapse of the one-hot policies given as (..., |S|) actions, bit for bit."""
+    rows = actions + mdp.n_actions * np.arange(mdp.n_states)
+    p_pi = np.take(mdp.transitions, rows, axis=0, out=p_out)
+    # The one-hot sums start from +0.0, so they turn a -0.0 reward into +0.0,
+    # as + 0.0 does. A -0.0 in P_pi leaves _system's matrix unchanged.
+    return p_pi, np.add(np.take(mdp.rewards, rows), 0.0, out=r_out)
+
+
 def _system(mdp: Mdp, p_pi: np.ndarray, out=None) -> np.ndarray:
     """I - gamma * P_pi of one P_pi or a stack, in out if given; all solves use it."""
     system = np.multiply(p_pi, mdp.gamma, out=out)
     return np.subtract(np.eye(mdp.n_states), system, out=system)
 
 
-def _solve(mdp: Mdp, probs: np.ndarray, systems=None, rewards=None) -> np.ndarray:
-    """Exact values of one policy or a stack, shaped like probs minus |A|.
+def _lapack_solve(mdp: Mdp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve, looked up at each call; IllConditioned if a is singular."""
+    # Every solve of the package goes through here, so a patched
+    # np.linalg.solve sees each one.
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise IllConditioned(
+            f"linear system is singular to working precision at gamma = {mdp.gamma!r}"
+        ) from None
 
-    The systems and r_pi are built in the buffers systems and rewards if given.
+
+def _solve(mdp: Mdp, policies, systems=None, rewards=None, collapse=_collapse):
+    """Exact values of one policy or a stack, shaped like P_pi minus one axis.
+
+    collapse is _collapse for probability matrices or _gather for actions;
+    P_pi and r_pi are built in the buffers systems and rewards if given.
     """
-    systems, rewards = _collapse(mdp, probs, systems, rewards)
+    systems, rewards = collapse(mdp, policies, systems, rewards)
     _system(mdp, systems, out=systems)
-    return np.linalg.solve(systems, rewards[..., None])[..., 0]
+    return _lapack_solve(mdp, systems, rewards[..., None])[..., 0]
+
+
+def _solve_blocks(mdp: Mdp, policies, collapse=_collapse) -> np.ndarray:
+    """(n, |S|) values of n stacked policies, bit for bit those of single solves.
+
+    Blocks of max(1, _BLOCK_ENTRIES // |S|**2) policies go through _solve in
+    buffers allocated once per call, each with its own collapse and solve.
+    """
+    n, n_states = len(policies), mdp.n_states
+    block = max(1, _BLOCK_ENTRIES // n_states**2)
+    systems = np.empty((min(n, block), n_states, n_states))
+    rewards = np.empty((min(n, block), n_states))
+    values = np.empty((n, n_states))
+    for start in range(0, n, block):
+        chunk = policies[start : start + block]
+        k = len(chunk)
+        values[start : start + k] = _solve(mdp, chunk, systems[:k], rewards[:k], collapse)
+    return values
+
+
+def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
+    """The line theorem in one solve: (v, R_s, num, omega) for replacement rows.
+
+    Row q at `state` gives the value v + R_s * num / (1 - gamma * omega), with
+    R_s = (I - gamma P_pi)^{-1} e_s, num = q . Q_v(s, .) - v(s) and
+    omega = (q . P(s, ., .) - P_pi(s, .)) . R_s, one entry per row of rows.
+    """
+    # R_s >= 0 and the denominator is positive (the determinant lemma on two
+    # nonsingular M-matrices), so the variants are ordered by the scalar.
+    p_pi, r_pi = _collapse(mdp, probs)
+    rhs = np.zeros((mdp.n_states, 2))
+    rhs[:, 0], rhs[state, 1] = r_pi, 1.0
+    v, r_s = _lapack_solve(mdp, _system(mdp, p_pi), rhs).T
+    transitions = mdp.transition_tensor[state]
+    num = rows @ (mdp.reward_matrix[state] + mdp.gamma * (transitions @ v)) - v[state]
+    # _collapse's einsum, so one row's omega has the bits of the same product
+    # taken from two whole collapses.
+    omega = (np.einsum("ra,at->rt", rows, transitions) - p_pi[state]) @ r_s
+    return v, r_s, num, omega
 
 
 def induce(mdp: Mdp, policy: Policy) -> InducedChain:
     """Collapse the MDP onto a policy: P_pi, r_pi and the resolvent."""
     _check_policy_shape(mdp, policy)
     p_pi, r_pi = _collapse(mdp, policy.probs)
-    resolvent = np.linalg.solve(_system(mdp, p_pi), np.eye(mdp.n_states))
+    resolvent = _lapack_solve(mdp, _system(mdp, p_pi), np.eye(mdp.n_states))
     return InducedChain(p_pi=p_pi, r_pi=r_pi, resolvent=resolvent)
 
 
@@ -103,36 +164,16 @@ def value_function(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 
 def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
-    """Values of many policies, evaluated in blocks of bounded size.
+    """(n, |S|) exact values of an (n, |S|, |A|) policy stack, by _solve_blocks.
 
-    Policies go through the solve in consecutive blocks of
-    max(1, _BLOCK_ENTRIES // |S|**2), each built in buffers allocated once
-    per call. Each policy gets the same collapse and the same LAPACK solve
-    as in a single call over the whole stack, so the values are bit-for-bit
-    those of value_function, whatever n is.
-
-    Args:
-        probs: array of shape (n, |S|, |A|); each [i] is a row-stochastic
-            policy matrix. Rows are trusted, not re-validated.
-
-    Returns:
-        (n, |S|) array of exact values, one row per policy.
+    Rows are trusted, not re-validated.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 3 or probs.shape[1:] != (mdp.n_states, mdp.n_actions):
         raise ShapeMismatch(
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
-    n, n_states = probs.shape[:2]
-    block = max(1, _BLOCK_ENTRIES // n_states**2)
-    systems = np.empty((min(n, block), n_states, n_states))
-    rewards = np.empty((min(n, block), n_states))
-    values = np.empty((n, n_states))
-    for start in range(0, n, block):
-        chunk = probs[start : start + block]
-        k = len(chunk)
-        values[start : start + k] = _solve(mdp, chunk, systems[:k], rewards[:k])
-    return values
+    return _solve_blocks(mdp, probs)
 
 
 def bellman_apply(mdp: Mdp, policy: Policy, v: np.ndarray) -> np.ndarray:

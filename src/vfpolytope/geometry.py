@@ -16,15 +16,21 @@ import numpy as np
 
 from .errors import (
     DimensionUnsupported,
+    IllConditioned,
     MuOutOfRange,
     NotAgreeing,
-    OrderViolation,
     ShapeMismatch,
 )
-from .evaluation import _collapse, induce, value_function, value_function_batch
+from .evaluation import (
+    _check_policy_shape,
+    _gather,
+    _solve_blocks,
+    _switch,
+    induce,
+    value_function_batch,
+)
 from .mdp import ENUMERATION_CAP, Mdp, Policy, deterministic_policies
 
-INCOMPARABLE_TOL = 1e-8
 SAMPLE_BLOCK = 4096
 
 
@@ -66,7 +72,7 @@ class AffineSlice:
         if basis.size:
             norms = np.linalg.norm(basis, axis=0)
             if np.any(norms == 0) or np.linalg.svd(basis / norms, compute_uv=False)[-1] <= 1e-10:
-                raise ValueError("slice basis is numerically rank-deficient")
+                raise IllConditioned("slice basis is numerically rank-deficient")
 
     @property
     def dimension(self) -> int:
@@ -96,10 +102,6 @@ class LineSegment:
     v_high: np.ndarray
     state: int
 
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.v_high - self.v_low))
-
 
 @dataclass(frozen=True, eq=False)
 class InterpolationCurve:
@@ -114,8 +116,9 @@ class InterpolationCurve:
     row) and R for the resolvent of p1, omega = D[s, :] @ R[:, s]. Since
     v0 - v1 is a multiple of R[:, s], D[s, :] @ (v0 - v1) over that multiple
     is omega itself, so omega is the only coefficient. rho(0) = 0 and
-    rho(1) = 1 exactly. When v0 == v1 the whole mixture is constant and the
-    curve is flagged.
+    rho(1) = 1 exactly. When the rows at s are equal, or v0 and v1 differ
+    by less than 1e-12, the whole mixture is constant and the curve is
+    flagged.
     """
 
     mus: np.ndarray
@@ -133,41 +136,23 @@ def mix_policies(p0: Policy, p1: Policy, mu: float) -> Policy:
     return Policy(mu * p1.probs + (1.0 - mu) * p0.probs)
 
 
-def _one_hot_variants(policy: Policy, state: int) -> list[Policy]:
-    eye = np.eye(policy.n_actions)
-    return [policy.with_row(state, eye[a]) for a in range(policy.n_actions)]
-
-
 def line_segment(mdp: Mdp, policy: Policy, state: int) -> LineSegment:
     """Bracket the values of all policies agreeing with `policy` off `state`.
 
-    Evaluates every one-hot replacement of the row at `state` and returns the
-    elementwise-minimal and -maximal ones. Raises OrderViolation if two
-    variants are elementwise incomparable beyond tolerance, which the
-    single-state structure rules out up to float noise.
+    The one-hot replacements of the row at `state` have values v + c_a * R_s
+    with R_s >= 0 (evaluation._switch), so they are totally ordered by c_a.
+    The ends are the lowest-index argmin and argmax of c, each solved
+    directly.
     """
+    _check_policy_shape(mdp, policy)
     if not 0 <= state < mdp.n_states:
         raise ShapeMismatch(f"state {state} out of range for |S|={mdp.n_states}")
-    variants = _one_hot_variants(policy, state)
-    values = value_function_batch(mdp, np.stack([p.probs for p in variants]))
-    for i in range(len(variants)):
-        for j in range(i + 1, len(variants)):
-            d = values[i] - values[j]
-            if np.any(d > INCOMPARABLE_TOL) and np.any(d < -INCOMPARABLE_TOL):
-                raise OrderViolation(
-                    f"one-hot variants {i} and {j} at state {state} are "
-                    f"elementwise incomparable (max gap {np.max(np.abs(d)):.3e})"
-                )
-    totals = values.sum(axis=1)
-    low = int(np.argmin(totals))
-    high = int(np.argmax(totals))
-    return LineSegment(
-        pi_low=variants[low],
-        pi_high=variants[high],
-        v_low=values[low],
-        v_high=values[high],
-        state=state,
-    )
+    eye = np.eye(mdp.n_actions)
+    _, _, num, omega = _switch(mdp, policy.probs, state, eye)
+    c = num / (1.0 - mdp.gamma * omega)
+    ends = [policy.with_row(state, eye[a]) for a in (np.argmin(c), np.argmax(c))]
+    v_low, v_high = value_function_batch(mdp, np.stack([p.probs for p in ends]))
+    return LineSegment(*ends, v_low=v_low, v_high=v_high, state=state)
 
 
 def _single_disagreement_state(p0: Policy, p1: Policy, state: int) -> None:
@@ -188,20 +173,16 @@ def interpolation_curve(
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     _single_disagreement_state(p0, p1, state)
-    v0 = value_function(mdp, p0)
-    v1 = value_function(mdp, p1)
+    _check_policy_shape(mdp, p1)
     mus = np.linspace(0.0, 1.0, grid_size)
-    if np.max(np.abs(v0 - v1)) < 1e-12:
-        return InterpolationCurve(
-            mus=mus, rhos=np.zeros(grid_size), omega=0.0, constant=True
-        )
-    chain1 = induce(mdp, p1)
-    p_pi0, _ = _collapse(mdp, p0.probs)
-    omega = float((p_pi0[state] - chain1.p_pi[state]) @ chain1.resolvent[:, state])
-    gamma = mdp.gamma
-    rhos = mus + gamma * mus * (1.0 - mus) * omega / (
-        1.0 - omega * gamma * (1.0 - mus)
-    )
+    # p0 is p1 with the row at state replaced, so v0 = v1 + c * R_s.
+    _, r_s, num, omega = _switch(mdp, p1.probs, state, p0.probs[state][None])
+    c = num[0] / (1.0 - mdp.gamma * omega[0])
+    same_rows = np.array_equal(p0.probs[state], p1.probs[state])
+    if same_rows or abs(c) * np.max(np.abs(r_s)) < 1e-12:
+        return InterpolationCurve(mus, np.zeros(grid_size), omega=0.0, constant=True)
+    omega, gamma = float(omega[0]), mdp.gamma
+    rhos = mus + gamma * mus * (1.0 - mus) * omega / (1.0 - omega * gamma * (1.0 - mus))
     return InterpolationCurve(mus=mus, rhos=rhos, omega=omega, constant=False)
 
 
@@ -265,13 +246,13 @@ def sample_values(
     return value_function_batch(mdp, probs)
 
 
-def polytope_vertices_det(
-    mdp: Mdp, cap: int = ENUMERATION_CAP
-) -> list[tuple[Policy, np.ndarray]]:
-    """Every deterministic policy with its exact value, in lexicographic order."""
-    policies = deterministic_policies(mdp, cap=cap)
-    values = value_function_batch(mdp, np.stack([p.probs for p in policies]))
-    return list(zip(policies, values))
+def polytope_vertices_det(mdp: Mdp, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """(|A|^|S|, |S|) exact values of the deterministic policies.
+
+    Row i is the value of row i of deterministic_policies(mdp, cap), bit for
+    bit that of value_function_batch on the one-hot policy.
+    """
+    return _solve_blocks(mdp, deterministic_policies(mdp, cap), _gather)
 
 
 def path_between(mdp: Mdp, p_from: Policy, p_to: Policy) -> list[Policy]:

@@ -7,7 +7,6 @@ is the probability of landing in state ``t``.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -186,10 +185,7 @@ class Policy:
     @classmethod
     def deterministic(cls, actions, n_actions: int) -> "Policy":
         """One-hot policy taking actions[s] in state s."""
-        actions = np.asarray(actions, dtype=int)
-        probs = np.zeros((actions.shape[0], n_actions))
-        probs[np.arange(actions.shape[0]), actions] = 1.0
-        return cls(probs)
+        return cls(np.eye(n_actions)[np.asarray(actions, dtype=int)])
 
     def with_row(self, state: int, row) -> "Policy":
         """Copy of this policy with one state's action distribution replaced."""
@@ -351,15 +347,16 @@ def random_policy(mdp: Mdp, seed) -> Policy:
     return Policy(rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states))
 
 
-def deterministic_policies(mdp: Mdp, cap: int = ENUMERATION_CAP) -> list[Policy]:
-    """All |A|^|S| deterministic policies, lexicographic in the action tuple."""
+def deterministic_policies(mdp: Mdp, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """All |A|^|S| deterministic policies, lexicographic, as rows of actions.
+
+    Row i holds i's base-|A| digits, state 0 most significant.
+    """
     count = mdp.n_actions**mdp.n_states
     if count > cap:
         raise EnumerationTooLarge(
             f"{mdp.n_actions}^{mdp.n_states} = {count} deterministic policies "
             f"exceeds the cap of {cap}"
         )
-    return [
-        Policy.deterministic(actions, mdp.n_actions)
-        for actions in itertools.product(range(mdp.n_actions), repeat=mdp.n_states)
-    ]
+    powers = np.arange(mdp.n_states - 1, -1, -1)
+    return np.arange(count)[:, None] // mdp.n_actions**powers % mdp.n_actions

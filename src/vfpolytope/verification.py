@@ -369,8 +369,7 @@ def _check_zeros(mdp: Mdp, rng: np.random.Generator):
 
 def _check_hull(mdp: Mdp, rng: np.random.Generator, samples: int = 2_000):
     """Sampled values stay inside the deterministic-vertex hull (2-state)."""
-    vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
-    hull = hull_2d(vertices)
+    hull = hull_2d(polytope_vertices_det(mdp))
     cloud = _sample(mdp, samples, rng)
     return "", float(np.max(_hull_escape(cloud, hull)))
 

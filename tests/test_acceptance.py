@@ -108,7 +108,7 @@ def test_criterion_05_hull_inclusion_50k():
     worst = 0.0
     for name in TWO_STATE_FIXTURES:
         mdp = builtin_fixture(name)
-        vertices = np.stack([v for _, v in polytope_vertices_det(mdp)])
+        vertices = polytope_vertices_det(mdp)
         hull = hull_2d(vertices)
         cloud = sample_values(mdp, 50_000, 7)
         inside = points_in_hull(cloud, hull, tol=1e-9)
@@ -162,7 +162,7 @@ def test_criterion_08_value_iteration_contraction_and_hull_exit():
     worst_vertex = Policy.deterministic([0, 1], 2)
     start = Policy(0.99 * worst_vertex.probs + 0.01 / 2)
     trajectory = run_value_iteration(DYN2, value_function(DYN2, start), 100)
-    hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(DYN2)]))
+    hull = hull_2d(polytope_vertices_det(DYN2))
     inside = points_in_hull(trajectory.points, hull, tol=1e-9)
     assert not inside.all(), "expected at least one iterate outside the hull"
     report(
@@ -174,7 +174,7 @@ def test_criterion_08_value_iteration_contraction_and_hull_exit():
 
 def test_criterion_09_policy_iteration():
     det_values = {
-        name: np.stack([v for _, v in polytope_vertices_det(builtin_fixture(name))])
+        name: polytope_vertices_det(builtin_fixture(name))
         for name in FIXTURE_NAMES
     }
     for name in FIXTURE_NAMES:

@@ -309,7 +309,7 @@ class TestDynamicsCommand:
              "--out", str(out)]
         ) == 0
         _, data = read_csv(out)
-        det = np.stack([v for _, v in polytope_vertices_det(builtin_fixture("dyn2"))])
+        det = polytope_vertices_det(builtin_fixture("dyn2"))
         for row in data[1:, 1:3]:
             assert np.min(np.max(np.abs(det - row[None, :]), axis=1)) < 1e-8
 
@@ -627,6 +627,33 @@ def test_vertex_init_near_gamma_one_finishes(tmp_path):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert (tmp_path / "out.csv").exists()
+
+
+SINGULAR_AT_LAST_GAMMA = [
+    ((2, 2), ["sample", "--n", "100", "--out", "out.csv"]),
+    ((1, 2), ["sample", "--n", "100", "--out", "out.csv"]),
+    *(((n_s, n_a), ["dynamics", "--algo", "cem", "--out", "out.csv"])
+      for n_s, n_a in ((2, 2), (1, 2), (3, 3))),
+    *(((n_s, n_a), ["verify", "--suite", "all", "--trials", "1", "--report", "r.json"])
+      for n_s, n_a in ((2, 2), (1, 2), (3, 3), (3, 1))),
+]
+
+
+@pytest.mark.parametrize("shape, argv", SINGULAR_AT_LAST_GAMMA)
+def test_singular_system_near_gamma_one_exits_3(
+    shape, argv, tmp_path, monkeypatch, capsys
+):
+    # At gamma = 1 - 2^-53, the largest double below 1, I - gamma P_pi is
+    # singular to working precision for some policies, and (3, 1)'s slice
+    # basis is rank-deficient.
+    doc = json.loads(dump_mdp(random_mdp(*shape, 0.5, seed=0)))
+    doc["gamma"] = 1 - 2**-53
+    (tmp_path / "mdp.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--mdp", "mdp.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "gamma = 0.9999999999999999" in err or "rank-deficient" in err
 
 
 def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -157,7 +157,7 @@ class TestValueIteration:
         probs = 0.99 * worst.probs + 0.01 / 2
         v0 = value_function(DYN2, Policy(probs))
         traj = run_value_iteration(DYN2, v0, 100)
-        hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(DYN2)]))
+        hull = hull_2d(polytope_vertices_det(DYN2))
         inside = points_in_hull(traj.points, hull, tol=1e-9)
         assert not inside.all()
 
@@ -185,7 +185,7 @@ class TestPolicyIteration:
             run_policy_iteration(DYN2, value_function(DYN2, Policy.uniform(2, 2)))
 
     def test_intermediate_points_are_deterministic_values(self):
-        det_values = np.stack([v for _, v in polytope_vertices_det(DYN2)])
+        det_values = polytope_vertices_det(DYN2)
         v0 = value_function(DYN2, Policy.uniform(2, 2))
         traj = run_policy_iteration(DYN2, v0)
         for point in traj.points[1:]:

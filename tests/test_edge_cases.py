@@ -1,22 +1,11 @@
 import numpy as np
 import pytest
 
-import vfpolytope.geometry as geometry
 from vfpolytope.cli import main
-from vfpolytope.errors import OrderViolation, ShapeMismatch
+from vfpolytope.errors import ShapeMismatch
 from vfpolytope.geometry import hull_2d, line_segment, point_in_hull, sample_values
 from vfpolytope.mdp import Policy, builtin_fixture, dump_mdp, random_mdp, random_policy
 from vfpolytope.verification import run_suite
-
-
-def test_order_violation_signals_numerical_failure(monkeypatch):
-    # genuine MDPs cannot produce incomparable one-state variants, so fake
-    # the evaluations to exercise the guard
-    fake = np.array([[0.0, 1.0], [1.0, 0.0]])
-    monkeypatch.setattr(geometry, "value_function_batch", lambda mdp, probs: fake)
-    mdp = builtin_fixture("dyn2")
-    with pytest.raises(OrderViolation):
-        line_segment(mdp, Policy.uniform(2, 2), 0)
 
 
 def test_line_segment_state_out_of_range():

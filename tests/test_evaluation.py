@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vfpolytope import dynamics, evaluation
-from vfpolytope.errors import IterationCap, ShapeMismatch
+from vfpolytope.errors import IllConditioned, IterationCap, ShapeMismatch
 from vfpolytope.evaluation import (
     bellman_apply,
     induce,
@@ -18,7 +18,7 @@ from vfpolytope.evaluation import (
     value_function,
     value_function_batch,
 )
-from vfpolytope.geometry import sample_policy_probs
+from vfpolytope.geometry import polytope_vertices_det, sample_policy_probs
 from vfpolytope.mdp import (
     Mdp,
     Policy,
@@ -99,9 +99,11 @@ class TestInduce:
             induce(builtin_fixture("fig2c"), Policy.uniform(2, 2))
 
     def test_every_solve_gets_the_same_system(self, monkeypatch):
-        # value_function, induce, discounted_distribution and the ascent
-        # step's stacked and value-only solves all hand LAPACK the matrix
-        # I - gamma P_pi, bit for bit; the visitation solve gets its transpose.
+        # value_function, induce, discounted_distribution, the ascent step's
+        # stacked and value-only solves and the switch kernel all hand LAPACK
+        # the matrix I - gamma P_pi, bit for bit; the visitation solve gets
+        # its transpose. The vertex enumeration hands it, per deterministic
+        # policy, the matrix value_function builds for the one-hot policy.
         mdp = random_mdp(64, 3, 0.9, seed=1)
         theta = np.random.default_rng(1).normal(size=(64, 3))
         policy = dynamics.softmax_policy(theta)
@@ -118,9 +120,21 @@ class TestInduce:
         dynamics.discounted_distribution(mdp, policy)
         dynamics._evaluate_step(mdp, theta)
         dynamics._evaluate_step(mdp, theta, np.empty((64, 64)))
-        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4]]
+        evaluation._switch(mdp, policy.probs, 5, np.eye(3))
+        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4],
+                   seen[5]]
         for system in systems[1:]:
             assert np.array_equal(system, systems[0])
+
+        small = random_mdp(4, 3, 0.9, seed=1)
+        seen.clear()
+        polytope_vertices_det(small)
+        (vertex_systems,) = seen
+        actions = deterministic_policies(small)
+        for system, row in zip(vertex_systems, actions):
+            seen.clear()
+            value_function(small, Policy.deterministic(row, 3))
+            assert np.array_equal(system, seen[0])
 
 
 class TestValueFunction:
@@ -184,7 +198,7 @@ class TestValueFunction:
                          [0, 0, 1], [1, 0, 0]],
             gamma=0.9,
         )
-        det = np.stack([p.probs for p in deterministic_policies(mdp)])
+        det = np.eye(2)[deterministic_policies(mdp)]
         assert len(det) == 8
         probs = np.concatenate([det, sample_policy_probs(mdp, 500, 0)])
         assert_batch_is_stacked_singles(mdp, probs)
@@ -198,6 +212,63 @@ class TestValueFunction:
         # Two blocks of P_pi at |S|=64 are 8 MiB. Buffers reused across the
         # blocks peak near 5 MiB; three fresh 4 MiB stacks per block, near 13.
         assert batch_peak_bytes() < 8 * 2**20
+
+
+def switched_values(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
+    """Values of probs with row `state` replaced by each row, by the kernel."""
+    v, r_s, num, omega = evaluation._switch(mdp, probs, state, rows)
+    return v + (num / (1.0 - mdp.gamma * omega))[:, None] * r_s
+
+
+class TestSwitch:
+    def test_variants_match_direct_solves(self):
+        worst = 0.0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            mdp = random_mdp(
+                int(rng.integers(2, 7)), int(rng.integers(2, 6)),
+                float(rng.choice([0.0, 0.5, 0.9, 0.99, 0.999])), seed=seed,
+            )
+            probs = random_policy(mdp, seed + 1).probs
+            state = int(rng.integers(mdp.n_states))
+            rows = np.vstack(
+                [np.eye(mdp.n_actions), rng.dirichlet(np.ones(mdp.n_actions), 3)]
+            )
+            variants = np.repeat(probs[None], len(rows), axis=0)
+            variants[:, state] = rows
+            direct = value_function_batch(mdp, variants)
+            error = np.abs(switched_values(mdp, probs, state, rows) - direct).max()
+            worst = max(worst, error / max(1.0, np.abs(direct).max()))
+        assert worst < 1e-10
+
+    def test_direction_is_nonnegative_and_denominator_positive(self):
+        for seed in range(50):
+            mdp, policy = random_pair(seed)
+            state = seed % mdp.n_states
+            _, r_s, _, omega = evaluation._switch(
+                mdp, policy.probs, state, np.eye(mdp.n_actions)
+            )
+            assert r_s.min() >= 0.0 and r_s[state] >= 1.0
+            assert np.all(1.0 - mdp.gamma * omega > 0.0)
+
+    def test_returns_the_value_and_resolvent_column(self):
+        mdp, policy = random_pair(3)
+        chain = induce(mdp, policy)
+        v, r_s, _, _ = evaluation._switch(mdp, policy.probs, 1, np.eye(mdp.n_actions))
+        np.testing.assert_allclose(v, chain.value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r_s, chain.resolvent[:, 1], rtol=1e-12)
+
+    def test_singular_system_is_ill_conditioned(self):
+        # One state: the system is 1 - gamma * (p0 + p1). At the largest
+        # gamma below 1, a row summing to 1 + 2^-52 rounds it to exactly 0.
+        mdp = random_mdp(1, 2, 1 - 2**-53, seed=0)
+        policy = Policy(np.array([[0.5, 0.5 + 2**-52]]))
+        with pytest.raises(IllConditioned, match="gamma = 0.9999999999999999"):
+            evaluation._switch(mdp, policy.probs, 0, np.eye(2))
+        with pytest.raises(IllConditioned):
+            value_function(mdp, policy)
+        with pytest.raises(IllConditioned):
+            value_function_batch(mdp, np.stack([policy.probs] * 3))
 
 
 class TestBellmanOperators:
@@ -278,9 +349,7 @@ class TestOptimalValue:
     def test_matches_enumeration_on_dyn2(self):
         mdp = builtin_fixture("dyn2")
         v_star, _ = optimal_value(mdp)
-        values = np.stack(
-            [value_function(mdp, p) for p in deterministic_policies(mdp)]
-        )
+        values = value_function_batch(mdp, np.eye(2)[deterministic_policies(mdp)])
         np.testing.assert_allclose(v_star, values.max(axis=0), atol=1e-10)
 
     def test_dominates_random_policies(self):
@@ -326,7 +395,9 @@ class TestOptimalValue:
             float(rng.choice([0.0, 0.5, 0.9, 0.99, 0.999])), seed=seed,
         )
         v_star, greedy = optimal_value(mdp)
-        values = np.stack([value_function(mdp, p) for p in deterministic_policies(mdp)])
+        values = value_function_batch(
+            mdp, np.eye(mdp.n_actions)[deterministic_policies(mdp)]
+        )
         scale = max(1.0, np.max(np.abs(values)))
         assert np.max(np.abs(v_star - values.max(axis=0))) <= 1e-9 * scale
         q = q_values(mdp, v_star)

@@ -36,8 +36,10 @@ ODD_VALUES = (None, True, "x", [], {}, [[1.0]], *ODD_NUMBERS)
 def documents(draw):
     """(text, |S|, |A|) for an MDP document that may be broken on purpose."""
     n_states = draw(st.sampled_from((1, 2, 3)))
-    n_actions = draw(st.sampled_from((1, 2)))
-    gamma = draw(st.sampled_from((0.0, 0.9, 1 - 1e-12)))
+    # Many actions only on few states, where |A|^|S| vertices stay cheap.
+    n_actions = draw(st.sampled_from((1, 2, 200) if n_states <= 2 else (1, 2)))
+    # 1 - 2^-53 is the largest double below 1: some systems are singular there.
+    gamma = draw(st.sampled_from((0.0, 0.9, 1 - 1e-12, 1 - 2**-53)))
     doc = json.loads(dump_mdp(random_mdp(n_states, n_actions, gamma, 0)))
     # Half the documents are well formed, so that the commands get past loading.
     breakage = draw(st.sampled_from(("none",) * 3 + ("drop", "replace", "truncate")))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from vfpolytope.errors import (
     DimensionUnsupported,
+    EnumerationTooLarge,
     MuOutOfRange,
     NotAgreeing,
     ShapeMismatch,
@@ -30,8 +31,10 @@ from vfpolytope.geometry import (
 )
 from vfpolytope.mdp import (
     FIXTURE_NAMES,
+    Mdp,
     Policy,
     builtin_fixture,
+    deterministic_policies,
     example1_mdp,
     random_mdp,
     random_policy,
@@ -103,6 +106,23 @@ class TestLineSegment:
             seg = line_segment(m, random_policy(m, seed + 1), state)
             assert np.all(seg.v_low <= seg.v_high + 1e-10)
 
+    @pytest.mark.parametrize("n_actions", [100, 200])
+    def test_ends_are_the_extremes_of_direct_solves(self, n_actions):
+        # The reference evaluates every one-hot variant directly and picks
+        # the lowest-index argmin and argmax of the value totals.
+        m = random_mdp(2, n_actions, 0.9, seed=0)
+        for seed, state in ((0, 0), (1, 1), (2, 0)):
+            policy = random_policy(m, seed)
+            variants = np.repeat(policy.probs[None], n_actions, axis=0)
+            variants[:, state] = np.eye(n_actions)
+            values = value_function_batch(m, variants)
+            low, high = np.argmin(values.sum(axis=1)), np.argmax(values.sum(axis=1))
+            seg = line_segment(m, policy, state)
+            assert seg.pi_low == Policy(variants[low])
+            assert seg.pi_high == Policy(variants[high])
+            assert np.array_equal(seg.v_low, values[low])
+            assert np.array_equal(seg.v_high, values[high])
+
 
 class TestInterpolationCurve:
     def test_example1_closed_form(self):
@@ -118,6 +138,17 @@ class TestInterpolationCurve:
         curve = interpolation_curve(m, base, base, 1, grid_size=11)
         assert curve.constant
         np.testing.assert_array_equal(curve.rhos, np.zeros(11))
+
+    def test_single_action_curve_is_constant_near_gamma_one(self):
+        # Rounding in v alone can exceed 1e-12 at gamma = 0.999; the equal
+        # rows at the state still flag the curve.
+        for seed in range(20):
+            n_states = int(np.random.default_rng(seed).integers(2, 9))
+            m = random_mdp(n_states, 1, 0.999, seed)
+            p = Policy(np.ones((m.n_states, 1)))
+            curve = interpolation_curve(m, p, p, seed % m.n_states, grid_size=5)
+            assert curve.constant and curve.omega == 0.0
+            np.testing.assert_array_equal(curve.rhos, np.zeros(5))
 
     def test_matches_direct_evaluation(self):
         for seed in range(50):
@@ -177,7 +208,7 @@ class TestMembershipGap:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_deterministic_values_are_on_the_boundary(self, name):
         m = builtin_fixture(name)
-        vertices = np.stack([v for _, v in polytope_vertices_det(m)])
+        vertices = polytope_vertices_det(m)
         assert membership_gap(m, vertices).max() <= 1e-12
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -256,7 +287,7 @@ class TestSampleValues:
     def test_all_in_deterministic_hull(self):
         m = builtin_fixture("dyn2")
         values = sample_values(m, 50_000, 7)
-        hull = hull_2d(np.stack([v for _, v in polytope_vertices_det(m)]))
+        hull = hull_2d(polytope_vertices_det(m))
         assert points_in_hull(values, hull, tol=1e-9).all()
 
 
@@ -391,13 +422,37 @@ class TestSliceRank:
 class TestVertices:
     def test_example1_endpoints(self):
         m = example1_mdp()
-        values = np.stack([v for _, v in polytope_vertices_det(m)])
+        values = polytope_vertices_det(m)
         unique = np.unique(np.round(values, 12), axis=0)
         np.testing.assert_allclose(unique, [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
 
     def test_counts_and_bound_fig2c(self):
         m = builtin_fixture("fig2c")
-        pairs = polytope_vertices_det(m)
-        assert len(pairs) == 9
-        values = np.stack([v for _, v in pairs])
+        values = polytope_vertices_det(m)
+        assert values.shape == (9, 2)
         assert np.max(np.abs(values)) <= 0.93 / (1 - 0.9) + 1e-9
+
+    @pytest.mark.parametrize(
+        "m",
+        [builtin_fixture(name) for name in FIXTURE_NAMES]
+        + [random_mdp(s, a, g, seed=i) for i, (s, a, g) in enumerate(
+            [(1, 3, 0.5), (2, 5, 0.9), (3, 3, 0.99), (4, 2, 0.999), (5, 3, 0.0),
+             (6, 2, 0.9), (3, 7, 0.95)])]
+        + [random_mdp(64, 1, 0.9, seed=0), random_mdp(2, 100, 0.9, seed=0),
+           random_mdp(9, 4, 0.9, seed=1),
+           # Signed zeros: the one-hot sums turn every -0.0 reward into +0.0.
+           Mdp(3, 2, rewards=[0.0, -0.0, -0.0, -0.0, 1.0, -0.5],
+               transitions=[[1, 0, 0], [0, 0.5, 0.5], [0, 1, 0], [0.25, 0, 0.75],
+                            [0, 0, 1], [1, 0, 0]], gamma=0.9)],
+    )
+    def test_bit_equal_to_one_hot_batch(self, m):
+        # The reference builds the one-hot policy stack and solves it.
+        actions = deterministic_policies(m)
+        reference = value_function_batch(m, np.eye(m.n_actions)[actions])
+        values = polytope_vertices_det(m)
+        assert np.array_equal(values, reference)
+        assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+    def test_enumeration_cap(self):
+        with pytest.raises(EnumerationTooLarge):
+            polytope_vertices_det(random_mdp(8, 6, 0.9, seed=0), cap=10**5)

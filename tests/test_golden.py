@@ -16,7 +16,8 @@ from vfpolytope.mdp import dump_mdp, random_mdp
 ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
 # name -> argv; {d} is the output directory, {mdp3}, {mdp64} and {mdp128} are
-# 3-, 64- and 128-state MDP documents. The 64-state cases evaluate more
+# 3-, 64- and 128-state MDP documents, and {mdp2x40} has 2 states and 40
+# actions. The 64-state cases evaluate more
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
 # partial block of 6. The dyn2 --init boundary ascent cases pin the start the
@@ -30,6 +31,8 @@ CASES = {
     "sample-mdp64": "sample --mdp {mdp64} --n 300 --seed 11 --out {d}/out.csv",
     "line-mdp64": "line --mdp {mdp64} --state 37 --seed 6 --grid 201 --out {d}/out.csv",
     "sample-mdp128": "sample --mdp {mdp128} --n 70 --seed 13 --out {d}/out.csv",
+    "line-mdp2x40": "line --mdp {mdp2x40} --state 1 --seed 4 --grid 31 --out {d}/out.csv",
+    "sample-mdp2x40-svg": "sample --mdp {mdp2x40} --n 500 --seed 8 --out {d}/out.csv --svg {d}/out.svg",
     **{
         f"dynamics-dyn2-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init interior --seed 1 --out {{d}}/out.csv"
         for algo in ALGOS
@@ -58,7 +61,10 @@ CASES = {
 # 0.4.0, which takes natural policy gradient steps in closed form.
 # sample-mdp128 was re-pinned when conftest.py began pinning BLAS to one
 # thread: its LU at |S| = 128 gives other bits on two threads.
-# dynamics-dyn2-vi-converged was recorded on 0.4.0.
+# dynamics-dyn2-vi-converged was recorded on 0.4.0. line-mdp2x40 and
+# sample-mdp2x40-svg were recorded on 0.7.0, before line segments and vertex
+# values came from the single-state switch kernel and the action-array
+# enumeration, and pass unchanged on 0.8.0.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -121,6 +127,9 @@ GOLDEN = {
     "line-dyn2": (0, {
         "out.csv": "b6faaef29a6a7e3b49d02a81885b1d97d9074ceaafb5ff25a85c503cabd6da61",
     }),
+    "line-mdp2x40": (0, {
+        "out.csv": "02b2f2114b57c366b3c47a59dafa1cb79b9ed9a2de5f8842f441e5f80f42aaae",
+    }),
     "line-mdp3": (0, {
         "out.csv": "b9daba60cecb2835899755537de44b60f966d026cd974b05198d4ff130adb115",
     }),
@@ -130,6 +139,10 @@ GOLDEN = {
     "sample-dyn2": (0, {
         "out.csv": "62c36a5bee2e1eb75bf5ff001a9b06031eb6683846117bea32af783d8ea66346",
         "out.svg": "069680d6485f95fe8353d285ea5cc0b91ff606b85f5514cf6cde748d2fe076f2",
+    }),
+    "sample-mdp2x40-svg": (0, {
+        "out.csv": "588ba7e8db14d456ddae2c0858e0f4b1f7fdefa3dd0c581adc7f8467c2906cf4",
+        "out.svg": "9b2f8869af7ad52352fb7f8e83e7f36a65376e90a39f22383dca7ea5dbb73b97",
     }),
     "sample-mdp3-fix": (0, {
         "out.csv": "ed8ef212be2bb212558cd42185a0577c333c1138dcf8744baf39b01eaf235890",
@@ -157,6 +170,7 @@ def documents(tmp_path_factory):
         ("mdp3", random_mdp(3, 2, 0.9, 0)),
         ("mdp64", random_mdp(64, 3, 0.9, 1)),
         ("mdp128", random_mdp(128, 4, 0.95, 5)),
+        ("mdp2x40", random_mdp(2, 40, 0.9, 2)),
     ):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(dump_mdp(mdp) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -207,9 +208,9 @@ class TestRandomGeneration:
 
     def test_single_action(self):
         m = random_mdp(3, 1, 0.5, seed=1)
-        pols = deterministic_policies(m)
-        assert len(pols) == 1
-        assert random_policy(m, 0) == pols[0]
+        actions = deterministic_policies(m)
+        np.testing.assert_array_equal(actions, [[0, 0, 0]])
+        assert random_policy(m, 0) == Policy.deterministic(actions[0], 1)
 
     def test_invalid_gamma(self):
         with pytest.raises(InvalidGamma):
@@ -240,18 +241,22 @@ class TestDeterministicPolicies:
         assert len(deterministic_policies(builtin_fixture("threeaction"))) == 9
 
     def test_one_hot_rows_and_no_duplicates(self):
-        pols = deterministic_policies(builtin_fixture("threeaction"))
-        seen = set()
-        for p in pols:
-            assert np.all(np.isin(p.probs, (0.0, 1.0)))
-            assert np.all(p.probs.sum(axis=1) == 1.0)
-            seen.add(tuple(np.argmax(p.probs, axis=1)))
-        assert len(seen) == 9
+        actions = deterministic_policies(builtin_fixture("threeaction"))
+        assert actions.dtype.kind == "i" and actions.min() == 0 and actions.max() == 2
+        assert len({tuple(row) for row in actions.tolist()}) == 9
 
     def test_lexicographic_order(self):
-        pols = deterministic_policies(builtin_fixture("dyn2"))
-        actions = [tuple(np.argmax(p.probs, axis=1)) for p in pols]
-        assert actions == sorted(actions)
+        for n_states, n_actions in ((2, 3), (3, 2), (4, 3), (1, 5)):
+            m = random_mdp(n_states, n_actions, 0.9, seed=0)
+            expected = list(itertools.product(range(n_actions), repeat=n_states))
+            actions = deterministic_policies(m)
+            assert actions.shape == (n_actions**n_states, n_states)
+            assert [tuple(row) for row in actions.tolist()] == expected
+
+    def test_many_states_one_action(self):
+        # An enumeration with one array axis per state would pass numpy's 64 axes.
+        actions = deterministic_policies(random_mdp(64, 1, 0.9, seed=0))
+        np.testing.assert_array_equal(actions, np.zeros((1, 64), dtype=int))
 
     def test_cap(self):
         m = random_mdp(8, 6, 0.9, seed=0)
