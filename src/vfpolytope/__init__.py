@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -36,7 +36,6 @@ from .geometry import (  # noqa: F401
     membership_gap,
     mix_policies,
     path_between,
-    point_in_hull,
     polytope_vertices_det,
     sample_values,
     slice_rank,

@@ -18,7 +18,6 @@ from .evaluation import (
     _collapse,
     _lapack_solve,
     _policy_iteration,
-    _solve,
     _system,
     optimal_value,
     optimality_bellman_apply,
@@ -29,6 +28,15 @@ from .evaluation import (
 from .mdp import Mdp, Policy
 
 INIT_KINDS = ("vertex", "boundary", "interior")
+
+# resolve_init smooths one-hot rows by this much toward uniform.
+INIT_SMOOTHING = 0.01
+
+# Every CEM iteration draws CEM_POPULATION members, refits on the top
+# CEM_ELITES, and the covariance starts at CEM_INIT_COV * I.
+CEM_POPULATION = 500
+CEM_ELITES = 50
+CEM_INIT_COV = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,19 +72,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CemConfig:
-    """Cross-entropy method knobs: population, elites, covariance handling."""
+    """Cross-entropy method knobs: covariance noise, iterations, seed."""
 
-    population: int = 500
-    elites: int = 50
-    init_cov_scale: float = 0.1
     noise_scale: float = 0.0
     iterations: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 1 or not 1 <= self.elites <= self.population:
-            raise ValueError("need 1 <= elites <= population")
-        if self.init_cov_scale <= 0 or self.noise_scale < 0 or self.iterations < 1:
+        if self.noise_scale < 0 or self.iterations < 1:
             raise ValueError("bad CEM configuration")
 
 
@@ -107,33 +110,31 @@ def _softmax_probs(theta: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _smoothed_one_hot(actions, n_actions: int, epsilon: float) -> np.ndarray:
-    """Rows one-hot at actions, each smoothed by epsilon toward uniform."""
-    rows = np.full((len(actions), n_actions), epsilon / n_actions)
-    rows[np.arange(len(actions)), actions] += 1.0 - epsilon
+def _smoothed_one_hot(actions, n_actions: int) -> np.ndarray:
+    """Rows one-hot at actions, each smoothed by INIT_SMOOTHING toward uniform."""
+    rows = np.full((len(actions), n_actions), INIT_SMOOTHING / n_actions)
+    rows[np.arange(len(actions)), actions] += 1.0 - INIT_SMOOTHING
     return rows
 
 
-def resolve_init(mdp: Mdp, kind: str, epsilon: float = 0.01) -> Policy:
+def resolve_init(mdp: Mdp, kind: str) -> Policy:
     """The policy a run starts from: near a vertex, near a boundary, or interior.
 
-    vertex smooths the greedy optimal deterministic policy by epsilon toward
-    uniform; boundary pins state 0 toward action 0 the same way and leaves
-    the rest uniform; interior is the uniform policy. Softmax runs cannot
-    start exactly on the boundary, hence the smoothing.
+    vertex smooths the greedy optimal deterministic policy by INIT_SMOOTHING
+    toward uniform; boundary pins state 0 toward action 0 the same way and
+    leaves the rest uniform; interior is the uniform policy. Softmax runs
+    cannot start exactly on the boundary, hence the smoothing.
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"unknown init kind {kind!r}; known: {INIT_KINDS}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
     if kind == "interior":
         return Policy.uniform(mdp.n_states, mdp.n_actions)
     if kind == "vertex":
         _, greedy = optimal_value(mdp)
         best_actions = np.argmax(greedy.probs, axis=1)
-        return Policy(_smoothed_one_hot(best_actions, mdp.n_actions, epsilon))
+        return Policy(_smoothed_one_hot(best_actions, mdp.n_actions))
     probs = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-    probs[:1] = _smoothed_one_hot([0], mdp.n_actions, epsilon)
+    probs[:1] = _smoothed_one_hot([0], mdp.n_actions)
     return Policy(probs)
 
 
@@ -142,12 +143,10 @@ def resolve_init(mdp: Mdp, kind: str, epsilon: float = 0.01) -> Policy:
 # ---------------------------------------------------------------------------
 
 
-def run_value_iteration(
-    mdp: Mdp, v0: np.ndarray, iterations: int, stop_tol: float = 1e-10
-) -> Trajectory:
+def run_value_iteration(mdp: Mdp, v0: np.ndarray, iterations: int) -> Trajectory:
     """Iterate the optimality operator from v0, recording every iterate.
 
-    Stops early once the sup-norm step is below stop_tol. Iterates are raw
+    Stops early once the sup-norm step is below 1e-10. Iterates are raw
     vectors and need not be the value of any policy.
     """
     if iterations < 1:
@@ -155,9 +154,9 @@ def run_value_iteration(
     v = _check_value_shape(mdp, v0)
     points = [v]
     for _ in range(iterations):
-        v_next = optimality_bellman_apply(mdp, v)[0]
+        v_next = optimality_bellman_apply(mdp, v)
         points.append(v_next)
-        if np.max(np.abs(v_next - v)) < stop_tol:
+        if np.max(np.abs(v_next - v)) < 1e-10:
             break
         v = v_next
     return Trajectory(points=np.stack(points), columns={})
@@ -184,19 +183,12 @@ def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def discounted_distribution(
-    mdp: Mdp, policy: Policy, rho0: np.ndarray | None = None
-) -> np.ndarray:
+def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:
     """Discounted state-visit distribution (1-gamma) * sum_t gamma^t P(s_t = s).
 
-    rho0 defaults to uniform. The result is a probability vector.
+    The start state is uniform. The result is a probability vector.
     """
-    if rho0 is None:
-        rho0 = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    else:
-        rho0 = np.asarray(rho0, dtype=float).reshape(-1)
-        if rho0.shape != (mdp.n_states,):
-            raise ShapeMismatch("rho0 must have one entry per state")
+    rho0 = np.full(mdp.n_states, 1.0 / mdp.n_states)
     p_pi, _ = _collapse(mdp, policy.probs)
     return (1.0 - mdp.gamma) * _lapack_solve(mdp, _system(mdp, p_pi).T, rho0)
 
@@ -208,30 +200,26 @@ def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate_step(
-    mdp: Mdp, theta: np.ndarray, systems: np.ndarray | None = None
+    mdp: Mdp, theta: np.ndarray, systems: np.ndarray
 ) -> tuple[Policy, np.ndarray, np.ndarray | None]:
     """Softmax policy of a logit matrix, its exact value and its visitation.
 
-    _system's matrix is built in the buffer systems: a (2, |S|, |S|) one also
-    takes its transpose, for one stacked solve of v and the uniform-start d;
-    an (|S|, |S|) one goes to value_function's own _solve for v alone, and d
-    is None. v and d are bit-for-bit those of value_function and
+    _system's matrix is built in systems[0] of the (k, |S|, |S|) buffer
+    systems. With k = 2, systems[1] takes its transpose, for one stacked
+    solve of v and the uniform-start d; with k = 1 the solve gives v alone
+    and d is None. v and d are bit-for-bit those of value_function and
     discounted_distribution.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
-    n = mdp.n_states
-    if systems is None:
-        systems = np.empty((2, n, n))
-    if systems.ndim == 2:
-        return policy, _solve(mdp, policy.probs, systems), None
-    rhs = np.full((2, n, 1), 1.0 / n)
-    system = systems[0]
-    _collapse(mdp, policy.probs, system, rhs[0, :, 0])
-    _system(mdp, system, out=system)
-    systems[1] = system.T
-    v, d = _lapack_solve(mdp, systems, rhs)[..., 0]
-    return policy, v, (1.0 - mdp.gamma) * d
+    k, n = len(systems), mdp.n_states
+    rhs = np.full((k, n, 1), 1.0 / n)
+    _collapse(mdp, policy.probs, systems[0], rhs[0, :, 0])
+    _system(mdp, systems[0], out=systems[0])
+    systems[1:] = systems[0].T
+    solved = _lapack_solve(mdp, systems, rhs)[..., 0]
+    d = (1.0 - mdp.gamma) * solved[1] if k == 2 else None
+    return policy, solved[0], d
 
 
 def _gradient(
@@ -271,7 +259,8 @@ def policy_gradient(
     sum_s d(s) * H(pi(.|s)), holding d fixed within the step. V and d come
     from one evaluation of theta: one collapse and one stacked solve.
     """
-    policy, v, d = _evaluate_step(mdp, theta)
+    n = mdp.n_states
+    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
     return _gradient(mdp, policy.probs, v, d, entropy_coeff)
 
 
@@ -293,7 +282,8 @@ def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
     distribution and actions by the policy; block-diagonal across states
     because a log-probability only depends on its own state's row.
     """
-    policy, _, d = _evaluate_step(mdp, theta)
+    n = mdp.n_states
+    policy, _, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
     return _fisher(policy.probs, d)
 
 
@@ -306,7 +296,8 @@ def natural_policy_gradient(
     """
     if damping <= 0:
         raise ValueError("damping must be positive")
-    policy, v, d = _evaluate_step(mdp, theta)
+    n = mdp.n_states
+    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
     grad = _gradient(mdp, policy.probs, v, d)
     fisher = _fisher(policy.probs, d)
     flat = _lapack_solve(mdp, fisher + damping * np.eye(len(fisher)), grad.ravel())
@@ -352,7 +343,7 @@ def _ascend(
         raise ValueError("iterations must be at least 1")
     theta = _logits_of(mdp, init)
     n = mdp.n_states
-    systems = np.empty((2, n, n) if visitation else (n, n))
+    systems = np.empty((2 if visitation else 1, n, n))
     points = np.empty((iterations + 1, n))
     columns = {"grad_norm": np.zeros(iterations + 1)}
     if visitation:
@@ -408,19 +399,17 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
 def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     """Gaussian population search over flattened logits.
 
-    The mean starts at the init policy's logits. Each iteration samples
-    `population` parameter vectors, scores them by the uniform-start value
-    of their softmax policy, refits mean and full maximum-likelihood
-    covariance on the top `elites`, then adds noise_scale * I to the
-    covariance. Iteration k draws its whole (population, dim) block of
-    standard normals from one stream, keyed by the seed with spawn_key (k,);
-    row j is member j's noise, so the first p members of a larger population
-    see the same noise as a population of p, and results do not depend on
-    how the population is batched.
+    The mean starts at the init policy's logits and the covariance at
+    CEM_INIT_COV * I. Each iteration samples CEM_POPULATION parameter
+    vectors, scores them by the uniform-start value of their softmax policy,
+    refits mean and full maximum-likelihood covariance on the top
+    CEM_ELITES, then adds noise_scale * I to the covariance. Iteration k
+    draws its whole (CEM_POPULATION, dim) block of standard normals from one
+    stream, keyed by the seed with spawn_key (k,).
     """
     dim = mdp.n_states * mdp.n_actions
     mean = _logits_of(mdp, init).reshape(-1)
-    cov = config.init_cov_scale * np.eye(dim)
+    cov = CEM_INIT_COV * np.eye(dim)
     shape = (mdp.n_states, mdp.n_actions)
 
     def mean_value(m: np.ndarray) -> np.ndarray:
@@ -437,15 +426,15 @@ def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(k,))
         )
-        z = rng.standard_normal((config.population, dim))
+        z = rng.standard_normal((CEM_POPULATION, dim))
         samples = mean[None, :] + z @ root.T
-        logits = samples.reshape(config.population, *shape)
+        logits = samples.reshape(CEM_POPULATION, *shape)
         scores = value_function_batch(mdp, _softmax_probs(logits)).mean(axis=1)
-        elite_idx = np.argsort(-scores, kind="stable")[: config.elites]
+        elite_idx = np.argsort(-scores, kind="stable")[:CEM_ELITES]
         elites = samples[elite_idx]
         new_mean = elites.mean(axis=0)
         centered = elites - new_mean[None, :]
-        cov = centered.T @ centered / config.elites
+        cov = centered.T @ centered / CEM_ELITES
         if config.noise_scale > 0.0:
             cov = cov + config.noise_scale * np.eye(dim)
         mean = new_mean

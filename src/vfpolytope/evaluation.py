@@ -2,8 +2,9 @@
 
 Everything here is model-based and exact: value functions come from dense
 linear solves of (I - gamma * P_pi) v = r_pi, never from iteration. The
-matrix is always invertible because the spectral radius of gamma * P_pi is
-at most gamma < 1.
+matrix is invertible for gamma < 1, because the spectral radius of
+gamma * P_pi is at most gamma, but within a few ulps of gamma = 1 it can be
+singular in floating point; _lapack_solve then raises IllConditioned.
 """
 from __future__ import annotations
 
@@ -190,24 +191,20 @@ def q_values(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     return mdp.reward_matrix + mdp.gamma * (mdp.transition_tensor @ v)
 
 
-def optimality_bellman_apply(mdp: Mdp, v: np.ndarray) -> tuple[np.ndarray, Policy]:
-    """One application of the optimality operator, with its greedy policy.
-
-    Ties in the per-state max are broken toward the lowest action index.
-    """
+def optimality_bellman_apply(mdp: Mdp, v: np.ndarray) -> np.ndarray:
+    """One application of the optimality operator: max_a Q_v(s, a) per state."""
+    # Q_v at the lowest-index argmax, not q.max: where -0.0 ties +0.0 the
+    # two differ in the sign of the zero.
     q = q_values(mdp, v)
-    greedy_actions = np.argmax(q, axis=1)
-    return q[np.arange(mdp.n_states), greedy_actions], Policy.deterministic(
-        greedy_actions, mdp.n_actions
-    )
+    return q[np.arange(mdp.n_states), np.argmax(q, axis=1)]
 
 
-def _policy_iteration(mdp: Mdp, actions, tolerance: float = 1e-10):
+def _policy_iteration(mdp: Mdp, actions):
     """Policy iteration with exact evaluation (Puterman 1994, sec. 6.4).
 
     Starts from the deterministic policy taking actions[s] in state s and
     yields (v, Q_v) for each policy it evaluates. A state switches to its
-    greedy action only when that gains more than tolerance * max(1, |v|_inf)
+    greedy action only when that gains more than 1e-10 * max(1, |v|_inf)
     over the current action, so rounding noise does not make it cycle and
     its cost does not grow as gamma nears 1. Stops after the first policy at
     which no state switches.
@@ -215,8 +212,6 @@ def _policy_iteration(mdp: Mdp, actions, tolerance: float = 1e-10):
     Raises:
         IterationCap: no settled policy after _MAX_IMPROVEMENTS evaluations.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     states = np.arange(mdp.n_states)
     for _ in range(_MAX_IMPROVEMENTS):
         v = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
@@ -224,7 +219,7 @@ def _policy_iteration(mdp: Mdp, actions, tolerance: float = 1e-10):
         yield v, q
         best = np.argmax(q, axis=1)
         gain = q[states, best] - q[states, actions]
-        switch = gain > tolerance * max(1.0, float(np.max(np.abs(v))))
+        switch = gain > 1e-10 * max(1.0, float(np.max(np.abs(v))))
         if not switch.any():
             return
         actions = np.where(switch, best, actions)
@@ -233,7 +228,7 @@ def _policy_iteration(mdp: Mdp, actions, tolerance: float = 1e-10):
     )
 
 
-def optimal_value(mdp: Mdp, tolerance: float = 1e-10) -> tuple[np.ndarray, Policy]:
+def optimal_value(mdp: Mdp) -> tuple[np.ndarray, Policy]:
     """Optimal value and a greedy optimal deterministic policy.
 
     Runs _policy_iteration from the reward-greedy policy and returns
@@ -244,9 +239,7 @@ def optimal_value(mdp: Mdp, tolerance: float = 1e-10) -> tuple[np.ndarray, Polic
         IterationCap: no settled policy after _MAX_IMPROVEMENTS
             improvement steps.
     """
-    for _, q in _policy_iteration(
-        mdp, np.argmax(mdp.reward_matrix, axis=1), tolerance
-    ):
+    for _, q in _policy_iteration(mdp, np.argmax(mdp.reward_matrix, axis=1)):
         pass
     greedy = Policy.deterministic(np.argmax(q, axis=1), mdp.n_actions)
     return value_function(mdp, greedy), greedy

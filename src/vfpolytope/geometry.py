@@ -29,7 +29,7 @@ from .evaluation import (
     induce,
     value_function_batch,
 )
-from .mdp import ENUMERATION_CAP, Mdp, Policy, deterministic_policies
+from .mdp import Mdp, Policy, deterministic_policies
 
 SAMPLE_BLOCK = 4096
 
@@ -196,36 +196,35 @@ def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
     )
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, (tuple, list)):
-        return np.random.SeedSequence(tuple(int(s) for s in seed))
-    return np.random.SeedSequence((int(seed),))
+def _policy_blocks(mdp: Mdp, n: int, seed):
+    """Yield (start, block) over the blocks of sample_policy_probs(mdp, n, seed)."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence((int(seed),))
+    for block, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (block,))
+        )
+        size = (min(SAMPLE_BLOCK, n - start), mdp.n_states, mdp.n_actions)
+        draws = rng.standard_exponential(size)
+        draws /= draws.sum(axis=2, keepdims=True)
+        yield start, draws
 
 
 def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
     """(n, |S|, |A|) stack of flat-Dirichlet policies, one rng stream per block.
 
     Sample index i belongs to block i // SAMPLE_BLOCK, whose stream is keyed
-    by the seed with its spawn key extended by (block,). The seed is an int,
-    a tuple of ints (spawn key ()) or a SeedSequence. Each block draws its
-    exponential variates in one C-order call and normalizes them over
-    actions, which is a flat Dirichlet. The first m of n samples therefore
-    equal an m-sample run, so results do not depend on how a sample is split
-    into batches. The spawn key keeps every block stream distinct from a
-    generator seeded with the caller's key itself, such as
-    random_policy(mdp, seed).
+    by the seed with its spawn key extended by (block,). The seed is an int
+    (spawn key ()) or a SeedSequence. Each block draws its exponential
+    variates in one C-order call and normalizes them over actions, which is
+    a flat Dirichlet. The first m of n samples therefore equal an m-sample
+    run, so results do not depend on how a sample is split into batches.
+    The spawn key keeps every block stream distinct from a generator seeded
+    with the caller's key itself, such as random_policy(mdp, seed).
     """
-    root = _seed_sequence(seed)
     out = np.empty((n, mdp.n_states, mdp.n_actions))
-    for block, start in enumerate(range(0, n, SAMPLE_BLOCK)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (block,))
-        )
-        draws = out[start : start + SAMPLE_BLOCK]
-        rng.standard_exponential(out=draws)
-        draws /= draws.sum(axis=2, keepdims=True)
+    for start, draws in _policy_blocks(mdp, n, seed):
+        out[start : start + len(draws)] = draws
     return out
 
 
@@ -234,25 +233,29 @@ def sample_values(
 ) -> np.ndarray:
     """Values of n random policies, optionally constrained to an agreement class.
 
-    Rows at the agreement's fixed states are overwritten by the base policy
-    before evaluation. Returns an (n, |S|) array, deterministic per seed.
+    The policies are sample_policy_probs(mdp, n, seed), drawn and evaluated
+    one block at a time, so only one block of them is held. Rows at the
+    agreement's fixed states are overwritten by the base policy before
+    evaluation. Returns an (n, |S|) array, deterministic per seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    probs = sample_policy_probs(mdp, n, seed)
-    if agreement is not None:
-        for s in agreement.fixed_states:
-            probs[:, s, :] = agreement.base.probs[s]
-    return value_function_batch(mdp, probs)
+    values = np.empty((n, mdp.n_states))
+    for start, probs in _policy_blocks(mdp, n, seed):
+        if agreement is not None:
+            for s in agreement.fixed_states:
+                probs[:, s, :] = agreement.base.probs[s]
+        values[start : start + len(probs)] = value_function_batch(mdp, probs)
+    return values
 
 
-def polytope_vertices_det(mdp: Mdp, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
     """(|A|^|S|, |S|) exact values of the deterministic policies.
 
-    Row i is the value of row i of deterministic_policies(mdp, cap), bit for
-    bit that of value_function_batch on the one-hot policy.
+    Row i is the value of row i of deterministic_policies(mdp), bit for bit
+    that of value_function_batch on the one-hot policy.
     """
-    return _solve_blocks(mdp, deterministic_policies(mdp, cap), _gather)
+    return _solve_blocks(mdp, deterministic_policies(mdp), _gather)
 
 
 def path_between(mdp: Mdp, p_from: Policy, p_to: Policy) -> list[Policy]:
@@ -272,8 +275,8 @@ def path_between(mdp: Mdp, p_from: Policy, p_to: Policy) -> list[Policy]:
     return path
 
 
-def slice_rank(values: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Numerical rank of the span of {v_i - v_0} over a set of value vectors."""
+def slice_rank(values: np.ndarray) -> int:
+    """Rank of the span of {v_i - v_0}: singular values over 1e-8 of the largest."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("need at least two points")
@@ -281,7 +284,7 @@ def slice_rank(values: np.ndarray, rel_tol: float = 1e-8) -> int:
     svals = np.linalg.svd(diffs, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(np.sum(svals > 1e-8 * svals[0]))
 
 
 def _q_stack(mdp: Mdp, values: np.ndarray) -> np.ndarray:
@@ -377,20 +380,12 @@ def _hull_escape(points, hull) -> np.ndarray:
     return outside
 
 
-def point_in_hull(point, hull, tol: float = 1e-9) -> bool:
-    """Whether a point is inside the hull or within tol of its boundary.
+def points_in_hull(points, hull) -> np.ndarray:
+    """Mask of the (n, 2) points inside the hull or within 1e-9 of its boundary.
 
     The hull must be in counterclockwise order as produced by hull_2d.
     """
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.shape != (2,):
-        raise DimensionUnsupported("point must have exactly 2 components")
-    return bool(_hull_escape(p[None, :], hull)[0] <= tol)
-
-
-def points_in_hull(points, hull, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized point_in_hull for an (n, 2) array; returns a boolean mask."""
-    return _hull_escape(points, hull) <= tol
+    return _hull_escape(points, hull) <= 1e-9
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -193,8 +193,8 @@ class Policy:
         probs[state] = row
         return Policy(probs)
 
-    def is_deterministic_at(self, state: int, tol: float = 0.0) -> bool:
-        return bool(np.max(self.probs[state]) >= 1.0 - tol)
+    def is_deterministic_at(self, state: int) -> bool:
+        return bool(np.max(self.probs[state]) >= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +347,16 @@ def random_policy(mdp: Mdp, seed) -> Policy:
     return Policy(rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states))
 
 
-def deterministic_policies(mdp: Mdp, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def deterministic_policies(mdp: Mdp) -> np.ndarray:
     """All |A|^|S| deterministic policies, lexicographic, as rows of actions.
 
     Row i holds i's base-|A| digits, state 0 most significant.
     """
     count = mdp.n_actions**mdp.n_states
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise EnumerationTooLarge(
             f"{mdp.n_actions}^{mdp.n_states} = {count} deterministic policies "
-            f"exceeds the cap of {cap}"
+            f"exceeds the cap of {ENUMERATION_CAP}"
         )
     powers = np.arange(mdp.n_states - 1, -1, -1)
     return np.arange(count)[:, None] // mdp.n_actions**powers % mdp.n_actions

@@ -510,11 +510,7 @@ _ONCE_ON_GIVEN = {
 
 
 def run_suite(
-    suite_name: str,
-    trials: int = 100,
-    seed=0,
-    mdp: Mdp | None = None,
-    tolerance: float | None = None,
+    suite_name: str, trials: int = 100, seed=0, mdp: Mdp | None = None
 ) -> CheckReport:
     """Run one named property suite over seeded random instances.
 
@@ -523,10 +519,10 @@ def run_suite(
     has two states. Instance i draws from one stream keyed
     SeedSequence(seed, spawn_key=(tag, i)), where tag is the suite's
     position in SUITE_NAMES plus one, so no two suites share a stream. The
-    report is deterministic for a fixed (seed, trials, tolerance).
+    report is deterministic for a fixed (seed, trials).
     """
     try:
-        check, default_tol = _SUITES[suite_name]
+        check, tol = _SUITES[suite_name]
     except KeyError:
         raise UnknownSuite(
             f"unknown suite {suite_name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -539,7 +535,6 @@ def run_suite(
         )
     if mdp is not None and suite_name in _ONCE_ON_GIVEN:
         check, trials = _ONCE_ON_GIVEN[suite_name], 1
-    tol = default_tol if tolerance is None else tolerance
     tag = SUITE_NAMES.index(suite_name) + 1
     report = CheckReport(check_name=suite_name, instances_run=trials)
     for i in range(trials):

@@ -249,7 +249,7 @@ class TestSizeCaps:
             raise self.Reached
 
         monkeypatch.setattr(np, "linspace", reached)
-        monkeypatch.setattr(geometry, "sample_policy_probs", reached)
+        monkeypatch.setattr(geometry, "_policy_blocks", reached)
         for name in ("run_value_iteration", "run_policy_gradient", "run_npg", "run_cem"):
             monkeypatch.setattr(cli, name, reached)
 

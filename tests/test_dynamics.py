@@ -27,7 +27,6 @@ from vfpolytope.evaluation import (
     optimal_value,
     q_values,
     value_function,
-    value_function_batch,
 )
 from vfpolytope.geometry import hull_2d, points_in_hull, polytope_vertices_det
 from vfpolytope.mdp import (
@@ -89,7 +88,7 @@ class TestInits:
         np.testing.assert_array_equal(p.probs, 0.5)
 
     def test_near_vertex_close_to_one_hot(self):
-        p = resolve_init(DYN2, "vertex", 0.01)
+        p = resolve_init(DYN2, "vertex")
         assert np.all(p.probs.max(axis=1) >= 0.99)
 
     def test_near_vertex_tracks_optimal_policy(self):
@@ -100,18 +99,13 @@ class TestInits:
         )
 
     def test_near_boundary_shape(self):
-        p = resolve_init(DYN2, "boundary", 0.01)
+        p = resolve_init(DYN2, "boundary")
         assert p.probs[0].max() >= 0.99
         np.testing.assert_array_equal(p.probs[1], 0.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             resolve_init(DYN2, "weird")
-
-    @pytest.mark.parametrize("epsilon", [0.0, 0.5, -0.1])
-    def test_epsilon_outside_open_half_interval(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon"):
-            resolve_init(DYN2, "vertex", epsilon)
 
 
 class TestValueIteration:
@@ -158,7 +152,7 @@ class TestValueIteration:
         v0 = value_function(DYN2, Policy(probs))
         traj = run_value_iteration(DYN2, v0, 100)
         hull = hull_2d(polytope_vertices_det(DYN2))
-        inside = points_in_hull(traj.points, hull, tol=1e-9)
+        inside = points_in_hull(traj.points, hull)
         assert not inside.all()
 
 
@@ -195,9 +189,8 @@ class TestPolicyIteration:
 class TestDiscountedDistribution:
     def test_gamma_zero_returns_start(self):
         m = random_mdp(3, 2, 0.0, seed=1)
-        rho0 = np.array([0.2, 0.5, 0.3])
         np.testing.assert_allclose(
-            discounted_distribution(m, random_policy(m, 0), rho0), rho0, atol=1e-14
+            discounted_distribution(m, random_policy(m, 0)), 1.0 / 3.0, atol=1e-14
         )
 
     def test_absorbing_state(self):
@@ -208,8 +201,9 @@ class TestDiscountedDistribution:
             transitions=np.array([[1.0, 0.0], [1.0, 0.0]]),
             gamma=0.9,
         )
-        d = discounted_distribution(m, Policy(np.ones((2, 1))), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-12)
+        # From the uniform start: (1 - gamma) * 0.5 stays at state 1.
+        d = discounted_distribution(m, Policy(np.ones((2, 1))))
+        np.testing.assert_allclose(d, [0.95, 0.05], atol=1e-12)
 
     def test_matches_truncated_sum(self):
         policy = Policy.uniform(2, 2)
@@ -223,7 +217,7 @@ class TestDiscountedDistribution:
             total += weight
             weight = DYN2.gamma * chain.p_pi.T @ weight
         expected = (1 - DYN2.gamma) * total
-        d = discounted_distribution(DYN2, policy, rho0)
+        d = discounted_distribution(DYN2, policy)
         assert np.max(np.abs(d - expected)) < 1e-10
 
     def test_is_probability_vector(self):
@@ -402,7 +396,7 @@ class TestNaturalGradient:
     def test_stationary_at_optimal_vertex(self):
         traj = run_npg(
             DYN2,
-            resolve_init(DYN2, "vertex", 1e-7),
+            Policy((1.0 - 1e-7) * optimal_value(DYN2)[1].probs + 1e-7 / 2),
             eta=0.05,
             iterations=200,
         )
@@ -473,17 +467,19 @@ class TestOneEvaluationPerStep:
         assert solves == [(2, n_states, n_states)] * 10
         solves.clear()
         run_npg(mdp, resolve_init(mdp, "boundary"), 0.05, 9)
-        assert solves == [(n_states, n_states)] * 10
+        assert solves == [(1, n_states, n_states)] * 10
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     def test_step_matches_separate_solves(self, n_states):
         mdp = random_mdp(n_states, 3, 0.9, seed=n_states)
         theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
-        policy, v, d = dynamics._evaluate_step(mdp, theta)
+        policy, v, d = dynamics._evaluate_step(
+            mdp, theta, np.empty((2, n_states, n_states))
+        )
         assert policy == softmax_policy(theta)
         assert np.array_equal(v, value_function(mdp, policy))
         assert np.array_equal(d, discounted_distribution(mdp, policy))
-        alone = dynamics._evaluate_step(mdp, theta, np.empty((n_states, n_states)))
+        alone = dynamics._evaluate_step(mdp, theta, np.empty((1, n_states, n_states)))
         assert alone[0] == policy and alone[2] is None
         assert np.array_equal(alone[1], v)
 
@@ -544,31 +540,9 @@ class TestCem:
         c = run_cem(DYN2, init, other)
         assert not np.array_equal(a.points[1:], c.points[1:])
 
-    def test_population_prefix_shares_noise(self, monkeypatch):
-        # Member j's noise is row j of its iteration's block, whatever the
-        # population size, so a population of 2p extends one of p.
-        def first_population(population: int) -> np.ndarray:
-            seen = []
-
-            def record(mdp, policies):
-                seen.append(np.array(policies))
-                return value_function_batch(mdp, policies)
-
-            monkeypatch.setattr(dynamics, "value_function_batch", record)
-            config = CemConfig(population=population, elites=4, iterations=1, seed=5)
-            run_cem(DYN2, Policy.uniform(2, 2), config)
-            monkeypatch.undo()
-            return seen[0]
-
-        p = 37
-        small = first_population(p)
-        large = first_population(2 * p)
-        assert small.shape == (p, 2, 2) and large.shape == (2 * p, 2, 2)
-        np.testing.assert_array_equal(large[:p], small)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            CemConfig(population=10, elites=20)
+            CemConfig(iterations=0)
 
 
 class TestTrajectoryShape:
@@ -597,10 +571,7 @@ class TestTrajectoryShape:
             lambda init: run_policy_gradient(DYN2, init, 0.5, 30),
             lambda init: run_policy_gradient(DYN2, init, 0.5, 30, entropy_coeff=0.1),
             lambda init: run_npg(DYN2, init, 0.5, 30),
-            lambda init: run_cem(
-                DYN2, init,
-                CemConfig(population=40, elites=8, iterations=10),
-            ),
+            lambda init: run_cem(DYN2, init, CemConfig(iterations=10)),
         ],
         ids=["vi", "pi", "pg", "entpg", "npg", "cem"],
     )

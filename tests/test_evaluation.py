@@ -118,10 +118,10 @@ class TestInduce:
         value_function(mdp, policy)
         induce(mdp, policy)
         dynamics.discounted_distribution(mdp, policy)
-        dynamics._evaluate_step(mdp, theta)
-        dynamics._evaluate_step(mdp, theta, np.empty((64, 64)))
+        dynamics._evaluate_step(mdp, theta, np.empty((2, 64, 64)))
+        dynamics._evaluate_step(mdp, theta, np.empty((1, 64, 64)))
         evaluation._switch(mdp, policy.probs, 5, np.eye(3))
-        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4],
+        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4][0],
                    seen[5]]
         for system in systems[1:]:
             assert np.array_equal(system, systems[0])
@@ -305,17 +305,24 @@ class TestBellmanOperators:
 
     def test_optimality_on_example1(self):
         m = example1_mdp()
-        v, greedy = optimality_bellman_apply(m, np.zeros(2))
+        v = optimality_bellman_apply(m, np.zeros(2))
         np.testing.assert_array_equal(v, [1.0, 0.0])
-        assert np.argmax(greedy.probs[0]) == 1
+        assert np.argmax(q_values(m, np.zeros(2))[0]) == 1
 
     def test_optimality_single_action_equals_policy_backup(self):
         m = random_mdp(3, 1, 0.8, seed=4)
         v0 = np.array([0.3, -0.2, 0.8])
-        tv, _ = optimality_bellman_apply(m, v0)
+        tv = optimality_bellman_apply(m, v0)
         np.testing.assert_allclose(
             tv, bellman_apply(m, Policy(np.ones((3, 1))), v0), atol=1e-14
         )
+
+    def test_optimality_keeps_the_sign_of_a_tied_zero(self):
+        # Q_v(0, .) = (-0.0, +0.0): the value at the lowest-index argmax is
+        # -0.0, where q.max(axis=1) would give +0.0.
+        m = Mdp(2, 2, np.array([-0.0, 0.0, -1.0, -1.0]), np.full((4, 2), [0.0, 1.0]), 0.0)
+        v = optimality_bellman_apply(m, np.array([0.0, -1.0]))
+        assert np.signbit(v).tolist() == [True, True]
 
     def test_tie_breaks_to_lowest_action(self):
         m = Mdp(
@@ -325,7 +332,7 @@ class TestBellmanOperators:
             transitions=np.array([[1.0], [1.0], [1.0]]),
             gamma=0.5,
         )
-        _, greedy = optimality_bellman_apply(m, np.zeros(1))
+        _, greedy = optimal_value(m)
         assert np.argmax(greedy.probs[0]) == 0
 
 
@@ -383,7 +390,7 @@ class TestOptimalValue:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         assert elapsed < 1.0
-        backup, _ = optimality_bellman_apply(mdp, v)
+        backup = optimality_bellman_apply(mdp, v)
         assert np.max(np.abs(backup - v)) <= 1e-8 * max(1.0, np.max(np.abs(v)))
         np.testing.assert_array_equal(v, value_function(mdp, greedy))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,6 @@ from vfpolytope.geometry import (
     membership_gap,
     mix_policies,
     path_between,
-    point_in_hull,
     points_in_hull,
     polytope_vertices_det,
     sample_policy_probs,
@@ -288,7 +289,30 @@ class TestSampleValues:
         m = builtin_fixture("dyn2")
         values = sample_values(m, 50_000, 7)
         hull = hull_2d(polytope_vertices_det(m))
-        assert points_in_hull(values, hull, tol=1e-9).all()
+        assert points_in_hull(values, hull).all()
+
+    def test_equals_values_of_sampled_policies(self):
+        m = builtin_fixture("threeaction")
+        n = 2 * SAMPLE_BLOCK + 17
+        agreement = AgreementSet(base=random_policy(m, 1), fixed_states=(1,))
+        probs = sample_policy_probs(m, n, 5)
+        probs[:, 1, :] = agreement.base.probs[1]
+        values = sample_values(m, n, 5, agreement)
+        assert np.array_equal(values, value_function_batch(m, probs))
+        prefix = sample_values(m, SAMPLE_BLOCK + 1, 5, agreement)
+        assert np.array_equal(values[: SAMPLE_BLOCK + 1], prefix)
+
+    def test_holds_one_block_of_policies(self):
+        # 50,000 policies over 2 x 200 state-actions take 153 MiB at once;
+        # one block of 4096 takes 12.5 MiB.
+        m = random_mdp(2, 200, 0.9, 0)
+        tracemalloc.start()
+        try:
+            sample_values(m, 50_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, peak
 
 
 class TestSamplePolicyProbs:
@@ -301,7 +325,9 @@ class TestSamplePolicyProbs:
         np.testing.assert_array_equal(full[:m], sample_policy_probs(mdp, m, 4))
 
     def test_rows_on_simplex(self):
-        probs = sample_policy_probs(builtin_fixture("fig2c"), self.N, (2, 9))
+        probs = sample_policy_probs(
+            builtin_fixture("fig2c"), self.N, np.random.SeedSequence((2, 9))
+        )
         assert probs.shape == (self.N, 2, 3)
         assert np.all(probs >= 0.0)
         np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
@@ -329,7 +355,10 @@ class TestSamplePolicyProbs:
             ]
         )
         np.testing.assert_allclose(
-            sample_policy_probs(mdp, n, (3, 4)), reference, rtol=0, atol=4e-16
+            sample_policy_probs(mdp, n, np.random.SeedSequence((3, 4))),
+            reference,
+            rtol=0,
+            atol=4e-16,
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
@@ -366,14 +395,13 @@ class TestHull2d:
     def test_point_in_hull_vertex_and_centroid(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
         hull = hull_2d(pts)
-        assert point_in_hull([0.0, 0.0], hull)
-        assert point_in_hull(pts.mean(axis=0), hull)
-        assert not point_in_hull([3.0, 3.0], hull)
+        inside = points_in_hull([[0.0, 0.0], pts.mean(axis=0), [3.0, 3.0]], hull)
+        assert inside.tolist() == [True, True, False]
 
     def test_point_near_boundary_tolerance(self):
         hull = hull_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert point_in_hull([0.5, 1.0 + 5e-10], hull, tol=1e-9)
-        assert not point_in_hull([0.5, 1.0 + 1e-6], hull, tol=1e-9)
+        inside = points_in_hull([[0.5, 1.0 + 5e-10], [0.5, 1.0 + 1e-6]], hull)
+        assert inside.tolist() == [True, False]
 
 
 class TestPathBetween:
@@ -455,4 +483,4 @@ class TestVertices:
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):
-            polytope_vertices_det(random_mdp(8, 6, 0.9, seed=0), cap=10**5)
+            polytope_vertices_det(random_mdp(8, 6, 0.9, seed=0))

@@ -20,12 +20,15 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 # actions. The 64-state cases evaluate more
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
-# partial block of 6. The dyn2 --init boundary ascent cases pin the start the
-# learning-paths benchmark uses. dynamics-dyn2-vi-converged stops on value
-# iteration's stop_tol after 205 rows, short of its 400 iterations.
+# partial block of 6. sample-mdp3-blocks draws three policy-sampling blocks
+# of 4096, the last one partial. The dyn2 --init boundary ascent cases pin
+# the start the learning-paths benchmark uses. dynamics-dyn2-vi-converged
+# stops on value iteration's 1e-10 stop rule after 205 rows, short of its
+# 400 iterations.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
+    "sample-mdp3-blocks": "sample --mdp {mdp3} --n 10000 --seed 21 --fix 1=copy-of-base --out {d}/out.csv",
     "line-dyn2": "line --mdp dyn2 --state 0 --seed 3 --grid 21 --out {d}/out.csv",
     "line-mdp3": "line --mdp {mdp3} --state 2 --seed 5 --grid 11 --out {d}/out.csv",
     "sample-mdp64": "sample --mdp {mdp64} --n 300 --seed 11 --out {d}/out.csv",
@@ -64,7 +67,8 @@ CASES = {
 # dynamics-dyn2-vi-converged was recorded on 0.4.0. line-mdp2x40 and
 # sample-mdp2x40-svg were recorded on 0.7.0, before line segments and vertex
 # values came from the single-state switch kernel and the action-array
-# enumeration, and pass unchanged on 0.8.0.
+# enumeration, and pass unchanged on 0.8.0. sample-mdp3-blocks was recorded
+# on 0.8.0, before sample_values drew and evaluated one block at a time.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -143,6 +147,9 @@ GOLDEN = {
     "sample-mdp2x40-svg": (0, {
         "out.csv": "588ba7e8db14d456ddae2c0858e0f4b1f7fdefa3dd0c581adc7f8467c2906cf4",
         "out.svg": "9b2f8869af7ad52352fb7f8e83e7f36a65376e90a39f22383dca7ea5dbb73b97",
+    }),
+    "sample-mdp3-blocks": (0, {
+        "out.csv": "441265661abeaf5cb05294d9d8927e68d5c0eca2b61397f707ebd5450c5d5363",
     }),
     "sample-mdp3-fix": (0, {
         "out.csv": "ed8ef212be2bb212558cd42185a0577c333c1138dcf8744baf39b01eaf235890",

@@ -261,7 +261,7 @@ class TestDeterministicPolicies:
     def test_cap(self):
         m = random_mdp(8, 6, 0.9, seed=0)
         with pytest.raises(EnumerationTooLarge):
-            deterministic_policies(m, cap=10**5)
+            deterministic_policies(m)
 
 
 class TestImmutability:

@@ -10,6 +10,7 @@ from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_m
 from vfpolytope.verification import (
     PLANAR_SUITES,
     SUITE_NAMES,
+    CheckReport,
     OracleConfig,
     compare_oracles,
     mc_value_oracle,
@@ -225,7 +226,8 @@ class TestSuites:
         assert isinstance(payload["max_deviation"], float)
 
     def test_failure_recorded_with_descriptor(self):
-        report = run_suite("dominance", trials=3, seed=0, tolerance=-1.0)
+        report = CheckReport(check_name="dominance", instances_run=1)
+        report.record("instance 0", 0.5, 0.1)
         assert not report.passed
         assert report.failures[0]["instance"]
         assert report.failures[0]["deviation"] >= 0.0
