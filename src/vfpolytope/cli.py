@@ -11,6 +11,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -47,7 +48,7 @@ from .mdp import (
     load_mdp,
     random_policy,
 )
-from .output import sha256_file, svg_scatter, write_csv, write_manifest, write_svg
+from .output import write_csv, write_manifest, write_svg
 from .verification import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
@@ -63,9 +64,12 @@ DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
 # suites on a 2-vCPU Xeon, so the cap allows a run of a few minutes.
 MAX_TRIALS = 10_000
 
-# Largest float64 array `sample`, `line` and `dynamics` may build (32 MiB):
-# --n*|S|*|A| sampled probabilities, --grid*|S| line values, --iters*|S|
-# trajectory values. Checked before any is built.
+# Cap, in float64 cells (32 MiB), on --n*|S|*|A| for `sample`, --grid*|S|
+# for `line` and --iters*|S| for `dynamics`, checked before any work. Sampled
+# policies are drawn and evaluated one evaluation block at a time and every
+# output is written as it is formatted, so a command's peak memory is set by
+# its (--n, |S|) values, line values or trajectory values, each within the
+# cap, not by the text it writes.
 MAX_CELLS = 1 << 22
 
 
@@ -82,16 +86,23 @@ def _resolve_mdp(spec: str) -> tuple[Mdp, dict[str, str]]:
     path = Path(spec)
     if not path.is_file():
         raise CliError(f"--mdp {spec!r} is neither a fixture name nor a file")
+    text, digest = _read_input("--mdp", spec)
+    return load_mdp(text), {str(path): digest}
+
+
+def _read_input(flag: str, spec: str) -> tuple[str, str]:
+    """The UTF-8 text of an input file and the SHA-256 of those bytes, in one read."""
+    data = Path(spec).read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(f"--mdp {spec!r} is not UTF-8 text: {exc.reason}") from None
-    return load_mdp(text), {str(path): sha256_file(path)}
+        raise CliError(f"{flag} {spec!r} is not UTF-8 text: {exc.reason}") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
-def _load_policy_file(path: Path, mdp: Mdp) -> Policy:
+def _load_policy_file(path: Path, text: str, mdp: Mdp) -> Policy:
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
         policy = Policy(np.asarray(doc["probs"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad policy file {path}: {exc}") from exc
@@ -130,7 +141,7 @@ def cmd_sample(args):
     values = sample_values(mdp, args.n, args.seed, agreement)
     write_csv(args.out, [f"v_s{i}" for i in range(mdp.n_states)], values)
     if args.svg is not None:
-        write_svg(args.svg, svg_scatter(values, vertices=polytope_vertices_det(mdp)))
+        write_svg(args.svg, values, vertices=polytope_vertices_det(mdp))
     return 0, {"n": args.n, "fix": sorted(fixed_states)}, inputs
 
 
@@ -166,8 +177,10 @@ def cmd_line(args):
     curve = interpolation_curve(
         mdp, segment.pi_low, segment.pi_high, args.state, grid_size=args.grid
     )
-    # Line theorem: the value at mu is v_low + rho(mu) * (v_high - v_low).
-    values = segment.v_low + curve.rhos[:, None] * (segment.v_high - segment.v_low)
+    # Line theorem: the value at mu is v_low + rho(mu) * (v_high - v_low),
+    # summed in place so only one (grid, |S|) array is held.
+    values = curve.rhos[:, None] * (segment.v_high - segment.v_low)
+    values += segment.v_low
     values[0], values[-1] = segment.v_low, segment.v_high
     header = ["mu", "rho"] + [f"v_s{i}" for i in range(mdp.n_states)] + ["endpoint_flag"]
     flags = np.zeros(args.grid, dtype=int)
@@ -184,7 +197,8 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
         raise CliError(
             f"--init must be vertex|boundary|interior or a policy file, got {args.init!r}"
         )
-    return _load_policy_file(path, mdp), {str(path): sha256_file(path)}
+    text, digest = _read_input("--init", args.init)
+    return _load_policy_file(path, text, mdp), {str(path): digest}
 
 
 def cmd_dynamics(args):
@@ -238,7 +252,7 @@ def cmd_dynamics(args):
     if args.svg is not None:
         cloud = sample_values(mdp, 4000, args.seed)
         vertices = polytope_vertices_det(mdp)
-        write_svg(args.svg, svg_scatter(cloud, vertices, trajectory.points))
+        write_svg(args.svg, cloud, vertices, trajectory.points)
     config = {"algo": args.algo, "init": args.init, "iters": iters, "eta": eta,
               "entropy_coeff": coeff}
     return 0, config, {**inputs, **init_inputs}

@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .evaluation import (
+    _BLOCK_ENTRIES,
     _check_policy_shape,
     _gather,
     _solve_blocks,
@@ -197,17 +198,25 @@ def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
 
 
 def _policy_blocks(mdp: Mdp, n: int, seed):
-    """Yield (start, block) over the blocks of sample_policy_probs(mdp, n, seed)."""
+    """Yield (start, piece) over sample_policy_probs(mdp, n, seed).
+
+    A piece is one evaluation block, max(1, _BLOCK_ENTRIES // |S|**2)
+    policies. Consecutive draws from one generator give the variates of one
+    draw, so a block's pieces are bit for bit the block drawn at once.
+    """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence((int(seed),))
-    for block, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+    piece = max(1, _BLOCK_ENTRIES // mdp.n_states**2)
+    for block, block_start in enumerate(range(0, n, SAMPLE_BLOCK)):
         rng = np.random.default_rng(
             np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (block,))
         )
-        size = (min(SAMPLE_BLOCK, n - start), mdp.n_states, mdp.n_actions)
-        draws = rng.standard_exponential(size)
-        draws /= draws.sum(axis=2, keepdims=True)
-        yield start, draws
+        block_end = min(block_start + SAMPLE_BLOCK, n)
+        for start in range(block_start, block_end, piece):
+            size = (min(piece, block_end - start), mdp.n_states, mdp.n_actions)
+            draws = rng.standard_exponential(size)
+            draws /= draws.sum(axis=2, keepdims=True)
+            yield start, draws
 
 
 def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
@@ -216,8 +225,8 @@ def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
     Sample index i belongs to block i // SAMPLE_BLOCK, whose stream is keyed
     by the seed with its spawn key extended by (block,). The seed is an int
     (spawn key ()) or a SeedSequence. Each block draws its exponential
-    variates in one C-order call and normalizes them over actions, which is
-    a flat Dirichlet. The first m of n samples therefore equal an m-sample
+    variates in C order and normalizes them over actions, which is a flat
+    Dirichlet. The first m of n samples therefore equal an m-sample
     run, so results do not depend on how a sample is split into batches.
     The spawn key keeps every block stream distinct from a generator seeded
     with the caller's key itself, such as random_policy(mdp, seed).
@@ -234,9 +243,10 @@ def sample_values(
     """Values of n random policies, optionally constrained to an agreement class.
 
     The policies are sample_policy_probs(mdp, n, seed), drawn and evaluated
-    one block at a time, so only one block of them is held. Rows at the
-    agreement's fixed states are overwritten by the base policy before
-    evaluation. Returns an (n, |S|) array, deterministic per seed.
+    one piece of _policy_blocks at a time, so only one evaluation block of
+    them is held. Rows at the agreement's fixed states are overwritten by
+    the base policy before evaluation. Returns an (n, |S|) array,
+    deterministic per seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -23,26 +23,34 @@ def write_csv(path: Path, header: list[str], *blocks) -> None:
 
     Each block is an (n,) or (n, k) array of ints or float64. A cell is the
     repr of its .tolist() value: a plain int, or the shortest round-trip float.
+    Rows are written about _CELLS cells at a time, each chunk as it is made.
     """
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     if len({len(b) for b in blocks}) > 1:
         raise ValueError("blocks must have the same number of rows")
     step = max(1, _CELLS // sum(b.shape[1] for b in blocks))
 
-    def lines(start: int) -> str:
-        parts = [
-            [",".join(map(repr, row)) for row in b[start : start + step].tolist()]
-            for b in blocks
-        ]
-        return "\n".join(map(",".join, zip(*parts)))
+    def text():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(blocks[0]), step):
+            parts = [
+                [",".join(map(repr, row)) for row in b[start : start + step].tolist()]
+                for b in blocks
+            ]
+            yield "\n".join(map(",".join, zip(*parts))) + "\n"
 
-    chunks = map(lines, range(0, len(blocks[0]), step))
-    text = "\n".join([",".join(header), *chunks]) + "\n"
-    Path(path).write_bytes(text.encode("ascii"))
+    _write_text(path, text())
+
+
+def _write_text(path: Path, chunks) -> None:
+    """Write an iterable of ASCII text chunks to path, one chunk at a time."""
+    with open(path, "w", encoding="ascii", newline="") as handle:
+        handle.writelines(chunks)
 
 
 def sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def write_manifest(
@@ -94,49 +102,46 @@ def _xy(points) -> np.ndarray:
     return np.asarray(points, dtype=float)
 
 
-def _format_xy(template: str, xy: np.ndarray, sep: str = "\n"):
-    """Yield template % (x, y) for each row of xy, _CELLS // 2 rows joined by sep."""
-    for start in range(0, len(xy), _CELLS // 2):
-        chunk = xy[start : start + _CELLS // 2]
-        yield sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
-
-
-def svg_scatter(points, vertices=None, path_points=None) -> str:
+def write_svg(path: Path, points, vertices=None, path_points=None) -> None:
     """Static scatter of 2-D value samples with optional vertices and path.
 
     Fixed 600x600 viewport, linear axes fit to the data bounding box with a
-    5% margin. Content only; no styling beyond flat fills.
+    5% margin. Content only; no styling beyond flat fills. Points are
+    projected, formatted and written _CELLS // 2 at a time.
     """
-    cloud, path, corners = map(_xy, (points, path_points, vertices))
-    everything = np.vstack([cloud, path, corners])
+    cloud, path_xy, corners = map(_xy, (points, path_points, vertices))
     # One linear map of every point onto the viewport, y flipped.
-    lo = everything.min(axis=0)
-    span = everything.max(axis=0) - lo
+    present = [a for a in (cloud, path_xy, corners) if len(a)]
+    lo = np.min([a.min(axis=0) for a in present], axis=0)
+    span = np.max([a.max(axis=0) for a in present], axis=0) - lo
     span[span == 0.0] = 1.0
     margin = _MARGIN_FRACTION * span
-    xy = (everything - (lo - margin)) * (_VIEW / (span + 2 * margin))
-    xy[:, 1] = _VIEW - xy[:, 1]
-    cloud, path, corners = np.split(xy, np.cumsum([len(cloud), len(path)]))
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
-        'viewBox="0 0 600 600">',
-        '<rect width="600" height="600" fill="#ffffff"/>',
-        *_format_xy(
-            '<circle cx="%.3f" cy="%.3f" r="1.5" fill="#4477aa" fill-opacity="0.45"/>',
-            cloud,
-        ),
-    ]
-    if len(path):
-        coords = " ".join(_format_xy("%.3f,%.3f", path, " "))
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#222222" '
-            'stroke-width="1.5"/>'
+    origin, scale = lo - margin, _VIEW / (span + 2 * margin)
+
+    def formatted(template: str, rows: np.ndarray):
+        for start in range(0, len(rows), _CELLS // 2):
+            xy = (rows[start : start + _CELLS // 2] - origin) * scale
+            xy[:, 1] = _VIEW - xy[:, 1]
+            yield template * len(xy) % tuple(xy.ravel().tolist())
+
+    def text():
+        yield (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
+            'viewBox="0 0 600 600">\n<rect width="600" height="600" fill="#ffffff"/>\n'
         )
-    parts.extend(_format_xy('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#222222"/>', path))
-    parts.extend(_format_xy('<circle cx="%.3f" cy="%.3f" r="5" fill="#cc3311"/>', corners))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield from formatted(
+            '<circle cx="%.3f" cy="%.3f" r="1.5" fill="#4477aa" fill-opacity="0.45"/>\n',
+            cloud,
+        )
+        if len(path_xy):
+            yield '<polyline points="'
+            yield from formatted("%.3f,%.3f ", path_xy[:-1])
+            yield from formatted(
+                '%.3f,%.3f" fill="none" stroke="#222222" stroke-width="1.5"/>\n',
+                path_xy[-1:],
+            )
+        yield from formatted('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#222222"/>\n', path_xy)
+        yield from formatted('<circle cx="%.3f" cy="%.3f" r="5" fill="#cc3311"/>\n', corners)
+        yield "</svg>\n"
 
-
-def write_svg(path: Path, content: str) -> None:
-    Path(path).write_bytes(content.encode("ascii"))
+    _write_text(path, text())

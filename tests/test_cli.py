@@ -542,6 +542,57 @@ def test_file_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The file names passed to open() or to pathlib's reads, in call order."""
+    import builtins
+    import io
+
+    names, real_open = [], io.open
+
+    def counted(file, *args, **kwargs):
+        names.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    return names
+
+
+def test_each_input_file_is_read_once(tmp_path, opened):
+    mdp_path, policy_path = tmp_path / "m.json", tmp_path / "p.json"
+    mdp_path.write_text(dump_mdp(builtin_fixture("dyn2")))
+    policy_path.write_text(json.dumps({"probs": [[0.5, 0.5], [0.5, 0.5]]}))
+    out = tmp_path / "out.csv"
+    opened.clear()
+    assert main(
+        ["dynamics", "--mdp", str(mdp_path), "--algo", "pg", "--init", str(policy_path),
+         "--iters", "3", "--out", str(out)]
+    ) == 0
+    reads = [opened.count(str(path)) for path in (mdp_path, policy_path)]
+    assert reads == [1, 1]
+    inputs = json.loads((tmp_path / "out.csv.manifest.json").read_text())["inputs"]
+    assert inputs == {str(path): sha(path) for path in (mdp_path, policy_path)}
+
+
+def test_input_digest_names_the_parsed_bytes(tmp_path, monkeypatch):
+    # A file rewritten after it was read must not lend its digest to the run.
+    mdp_path = tmp_path / "m.json"
+    mdp_path.write_text(dump_mdp(builtin_fixture("dyn2")))
+    parsed = []
+
+    def load_then_rewrite(text):
+        parsed.append(text)
+        mdp_path.write_text(text + "\n")
+        return load_mdp(text)
+
+    monkeypatch.setattr(cli, "load_mdp", load_then_rewrite)
+    out = tmp_path / "out.csv"
+    assert main(["sample", "--mdp", str(mdp_path), "--n", "3", "--out", str(out)]) == 0
+    inputs = json.loads((tmp_path / "out.csv.manifest.json").read_text())["inputs"]
+    assert inputs == {str(mdp_path): hashlib.sha256(parsed[0].encode()).hexdigest()}
+
+
 def test_missing_report_directory_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
     def no_suite(*args, **kwargs):
         raise AssertionError("a suite ran")

@@ -314,6 +314,19 @@ class TestSampleValues:
             tracemalloc.stop()
         assert peak < 48 * 2**20, peak
 
+    def test_holds_one_evaluation_block_of_policies(self):
+        # At |S| = 128 a sampling block of 4096 policies takes 16 MiB, an
+        # evaluation block of 32 takes 128 KiB; the (4096, 128) values and
+        # the 32 systems of one evaluation block take 4 MiB each.
+        m = random_mdp(128, 4, 0.95, 0)
+        tracemalloc.start()
+        try:
+            sample_values(m, SAMPLE_BLOCK, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
+
 
 class TestSamplePolicyProbs:
     N = 2 * SAMPLE_BLOCK + 17

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vfpolytope.cli import main
 from vfpolytope.geometry import AgreementSet, sample_values
 from vfpolytope.mdp import Mdp, Policy
-from vfpolytope.output import svg_scatter, write_csv
+from vfpolytope.output import write_csv, write_svg
 
 
 def test_single_state_family_is_a_point():
@@ -115,11 +117,17 @@ def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "c.csv")]) == 0
 
 
-def test_svg_is_deterministic_and_well_formed():
+def svg_text(tmp_path, *args, **kwargs) -> str:
+    out = tmp_path / "out.svg"
+    write_svg(out, *args, **kwargs)
+    return out.read_bytes().decode("ascii")
+
+
+def test_svg_is_deterministic_and_well_formed(tmp_path):
     points = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
     vertices = np.array([[0.5, 0.5]])
-    a = svg_scatter(points, vertices=vertices, path_points=points[:2])
-    b = svg_scatter(points, vertices=vertices, path_points=points[:2])
+    a = svg_text(tmp_path, points, vertices=vertices, path_points=points[:2])
+    b = svg_text(tmp_path, points, vertices=vertices, path_points=points[:2])
     assert a == b
     assert a.startswith("<svg")
     assert a.rstrip().endswith("</svg>")
@@ -127,7 +135,7 @@ def test_svg_is_deterministic_and_well_formed():
 
 
 def reference_svg(points, vertices, path_points):
-    """svg_scatter as written with a per-point projection, before 0.5.0."""
+    """write_svg's text as built with a per-point projection, before 0.5.0."""
     everything = np.vstack([points, vertices, path_points])
     lo, hi = everything.min(axis=0), everything.max(axis=0)
     span = hi - lo
@@ -161,16 +169,57 @@ def reference_svg(points, vertices, path_points):
     return "\n".join(parts) + "\n"
 
 
-def test_svg_matches_per_point_projection_across_chunks():
+def test_svg_matches_per_point_projection_across_chunks(tmp_path):
     rng = np.random.default_rng(3)
     points = rng.normal(size=(2500, 2)) * [1.0, 1e-3]
     vertices = rng.normal(size=(4, 2))
     path_points = np.cumsum(rng.normal(size=(1500, 2)) * 0.01, axis=0)
-    assert svg_scatter(points, vertices, path_points) == reference_svg(
+    assert svg_text(tmp_path, points, vertices, path_points) == reference_svg(
         points, vertices, path_points
     )
 
 
-def test_svg_degenerate_single_point():
-    content = svg_scatter(np.array([[3.0, 3.0]]))
+@pytest.mark.parametrize("n_path", [1, 1024, 1025])
+def test_svg_path_matches_per_point_projection_at_chunk_edges(tmp_path, n_path):
+    rng = np.random.default_rng(n_path)
+    points = rng.normal(size=(1024, 2))
+    vertices = rng.normal(size=(3, 2))
+    path_points = rng.normal(size=(n_path, 2))
+    assert svg_text(tmp_path, points, vertices, path_points) == reference_svg(
+        points, vertices, path_points
+    )
+
+
+def test_svg_degenerate_single_point(tmp_path):
+    content = svg_text(tmp_path, np.array([[3.0, 3.0]]))
     assert "<circle" in content
+
+
+def traced_peak(write, *args) -> int:
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_is_written_in_bounded_memory(tmp_path):
+    # The 250,000-row text is about 10 MB; joined and then encoded whole it
+    # took about 20 MiB.
+    values = np.random.default_rng(0).normal(size=(250_000, 2))
+    out = tmp_path / "big.csv"
+    peak = traced_peak(write_csv, out, ["a", "b"], values)
+    assert peak < 4 * 2**20, peak
+    with open(out, "rb") as handle:
+        assert handle.readline() == b"a,b\n"
+        assert handle.readline() == ("%r,%r\n" % tuple(values[0].tolist())).encode()
+
+
+def test_svg_is_written_in_bounded_memory(tmp_path):
+    # 200,000 circles are about 15 MB of text, and their projection 3.2 MB.
+    points = np.random.default_rng(1).normal(size=(200_000, 2))
+    out = tmp_path / "big.svg"
+    peak = traced_peak(write_svg, out, points, points[:3], points[:1000])
+    assert peak < 4 * 2**20, peak
+    assert out.stat().st_size > 200_000 * 70
