@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -44,8 +44,6 @@ from .dynamics import (  # noqa: F401
     CemConfig,
     Trajectory,
     discounted_distribution,
-    fisher_information,
-    natural_policy_gradient,
     policy_gradient,
     resolve_init,
     run_cem,
@@ -57,11 +55,6 @@ from .dynamics import (  # noqa: F401
 )
 from .verification import (  # noqa: F401
     CheckReport,
-    McEstimate,
-    OracleConfig,
     SUITE_NAMES,
-    compare_oracles,
-    mc_value_oracle,
-    neumann_value_oracle,
     run_suite,
 )

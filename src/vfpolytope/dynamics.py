@@ -4,7 +4,10 @@ Six algorithms: value iteration, policy iteration, vanilla and
 entropy-regularized policy gradient, natural policy gradient, and the
 cross-entropy method with or without covariance noise. All updates are
 exact (no sampling noise except CEM's population draws, which are seeded),
-and every run returns a Trajectory of exact value vectors.
+and every run returns a Trajectory of exact value vectors. Besides the runs
+the module holds the exact policy gradient. Natural policy gradient steps
+along its closed form and builds no Fisher matrix; the damped Fisher solve
+whose limit that form is serves as a test oracle in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import numpy as np
 
 from .errors import NonFiniteLogits, ShapeMismatch
 from .evaluation import (
+    _check_policy_shape,
     _check_value_shape,
     _collapse,
     _lapack_solve,
@@ -188,6 +192,7 @@ def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:
 
     The start state is uniform. The result is a probability vector.
     """
+    _check_policy_shape(mdp, policy)
     rho0 = np.full(mdp.n_states, 1.0 / mdp.n_states)
     p_pi, _ = _collapse(mdp, policy.probs)
     return (1.0 - mdp.gamma) * _lapack_solve(mdp, _system(mdp, p_pi).T, rho0)
@@ -262,46 +267,6 @@ def policy_gradient(
     n = mdp.n_states
     policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
     return _gradient(mdp, policy.probs, v, d, entropy_coeff)
-
-
-def _fisher(probs: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Block-diagonal softmax Fisher matrix, state blocks weighted by d."""
-    n_states, a = probs.shape
-    fisher = np.zeros((n_states * a, n_states * a))
-    for s in range(n_states):
-        p = probs[s]
-        block = d[s] * (np.diag(p) - np.outer(p, p))
-        fisher[s * a : (s + 1) * a, s * a : (s + 1) * a] = block
-    return fisher
-
-
-def fisher_information(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
-    """Fisher matrix of the softmax policy over the flattened logit vector.
-
-    Expectation over states weighted by the discounted visitation
-    distribution and actions by the policy; block-diagonal across states
-    because a log-probability only depends on its own state's row.
-    """
-    n = mdp.n_states
-    policy, _, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
-    return _fisher(policy.probs, d)
-
-
-def natural_policy_gradient(
-    mdp: Mdp, theta: np.ndarray, damping: float = 1e-6
-) -> np.ndarray:
-    """Damped natural gradient: solve (F + damping*I) g = grad J.
-
-    The oracle for run_npg, whose closed form is its limit as damping -> 0.
-    """
-    if damping <= 0:
-        raise ValueError("damping must be positive")
-    n = mdp.n_states
-    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
-    grad = _gradient(mdp, policy.probs, v, d)
-    fisher = _fisher(policy.probs, d)
-    flat = _lapack_solve(mdp, fisher + damping * np.eye(len(fisher)), grad.ravel())
-    return flat.reshape(mdp.n_states, mdp.n_actions)
 
 
 def _natural_direction(mdp: Mdp, v: np.ndarray) -> np.ndarray:

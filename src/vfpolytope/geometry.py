@@ -268,7 +268,7 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
     return _solve_blocks(mdp, deterministic_policies(mdp), _gather)
 
 
-def path_between(mdp: Mdp, p_from: Policy, p_to: Policy) -> list[Policy]:
+def path_between(p_from: Policy, p_to: Policy) -> list[Policy]:
     """Policy path switching one state's row at a time, in state order.
 
     Consecutive policies differ at exactly one state, so each consecutive

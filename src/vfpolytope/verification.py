@@ -1,11 +1,12 @@
-"""Independent oracles and property suites over the geometric structure.
+"""Thirteen named property suites over the geometric structure.
 
 The suites re-check every structural claim the package relies on (segment
 images, total order, interpolation ratio, affine slices, span equality,
 agreement zeros, hull inclusion, boundary coverage, slice rank, one-state
 paths, optimal dominance, smoothness, boundedness) on seeded random
-instances, and the oracles triangulate exact policy evaluation against a
-truncated resolvent series and Monte Carlo rollouts.
+instances or on one given MDP; run_suite runs one of them. The independent
+value oracles (truncated series, Monte Carlo, exact rationals) live with the
+tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import DimensionUnsupported, UnknownSuite
 from .evaluation import (
-    _check_policy_shape,
     _collapse,
     induce,
     optimal_value,
@@ -32,7 +32,6 @@ from .geometry import (
     interpolation_curve,
     line_segment,
     membership_gap,
-    mix_policies,
     path_between,
     polytope_vertices_det,
     sample_values,
@@ -48,20 +47,6 @@ BOUNDARY_HALVINGS = 64
 
 # The smooth suite's central-difference step; it compares it with its half.
 SMOOTH_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the independent value oracles."""
-
-    neumann_terms: int = 200
-    mc_horizon: int = 300
-    mc_episodes: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.neumann_terms, self.mc_horizon, self.mc_episodes) < 1:
-            raise ValueError("oracle sizes must be positive")
 
 
 @dataclass
@@ -93,103 +78,6 @@ class CheckReport:
             "max_deviation": self.max_deviation,
             "passed": self.passed,
         }
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo value estimate with per-state standard errors."""
-
-    value: np.ndarray
-    stderr: np.ndarray
-    truncation_bound: float
-
-
-# ---------------------------------------------------------------------------
-# Value oracles
-# ---------------------------------------------------------------------------
-
-
-def neumann_value_oracle(mdp: Mdp, policy: Policy, config: OracleConfig) -> np.ndarray:
-    """Truncated series sum_{i<n} (gamma P_pi)^i r_pi.
-
-    Off the exact value by at most gamma^n * max|r| / (1 - gamma) in max-norm.
-    """
-    _check_policy_shape(mdp, policy)
-    p_pi, term = _collapse(mdp, policy.probs)
-    total = term.copy()
-    step = mdp.gamma * p_pi
-    for _ in range(config.neumann_terms - 1):
-        term = step @ term
-        total += term
-    return total
-
-
-def neumann_tail_bound(mdp: Mdp, n_terms: int) -> float:
-    return mdp.gamma**n_terms * mdp.max_abs_reward / (1.0 - mdp.gamma)
-
-
-def mc_value_oracle(mdp: Mdp, policy: Policy, config: OracleConfig) -> McEstimate:
-    """Average truncated discounted return over simulated rollouts.
-
-    One rng stream per start state; rollouts are vectorized over episodes.
-    Uses the model's expected rewards, so the only noise is transition noise.
-    """
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    cum_actions = np.cumsum(policy.probs, axis=1)
-    cum_next = np.cumsum(mdp.transitions, axis=1)
-    values = np.zeros(n_states)
-    stderrs = np.zeros(n_states)
-    for start in range(n_states):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(start,))
-        )
-        states = np.full(config.mc_episodes, start, dtype=np.int64)
-        returns = np.zeros(config.mc_episodes)
-        disc = 1.0
-        for _ in range(config.mc_horizon):
-            u = rng.random(config.mc_episodes)
-            actions = np.minimum(
-                (u[:, None] > cum_actions[states]).sum(axis=1), n_actions - 1
-            )
-            flat = states * n_actions + actions
-            returns += disc * mdp.rewards[flat]
-            u = rng.random(config.mc_episodes)
-            states = np.minimum(
-                (u[:, None] > cum_next[flat]).sum(axis=1), n_states - 1
-            )
-            disc *= mdp.gamma
-        values[start] = returns.mean()
-        spread = returns.std(ddof=1) if config.mc_episodes > 1 else 0.0
-        stderrs[start] = spread / np.sqrt(config.mc_episodes)
-    bound = mdp.gamma**config.mc_horizon * mdp.max_abs_reward / (1.0 - mdp.gamma)
-    return McEstimate(value=values, stderr=stderrs, truncation_bound=bound)
-
-
-def compare_oracles(
-    mdp: Mdp, policy: Policy, config: OracleConfig | None = None
-) -> CheckReport:
-    """Triangulate exact solve vs truncated series vs Monte Carlo."""
-    config = config or OracleConfig()
-    report = CheckReport(check_name="oracle_triangulation", instances_run=1)
-    exact = value_function(mdp, policy)
-    series = neumann_value_oracle(mdp, policy, config)
-    series_bound = neumann_tail_bound(mdp, config.neumann_terms)
-    report.record(
-        "exact_vs_series",
-        np.max(np.abs(exact - series)),
-        series_bound + 1e-12,
-    )
-    mc = mc_value_oracle(mdp, policy, config)
-    mc_tol = 3.0 * mc.stderr + mc.truncation_bound + 1e-12
-    report.record(
-        "exact_vs_mc", np.max(np.abs(exact - mc.value) - mc_tol), 0.0
-    )
-    report.record(
-        "series_vs_mc",
-        np.max(np.abs(series - mc.value) - (mc_tol + series_bound)),
-        0.0,
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +115,9 @@ def _redraw(policy: Policy, states, rng: np.random.Generator) -> Policy:
 
 
 def _grid_values(mdp: Mdp, p0: Policy, p1: Policy, grid: int) -> np.ndarray:
-    mixtures = np.stack(
-        [mix_policies(p0, p1, mu).probs for mu in np.linspace(0.0, 1.0, grid)]
-    )
-    return value_function_batch(mdp, mixtures)
+    """Values of mix_policies(p0, p1, mu) at grid evenly spaced mu, in one batch."""
+    mus = np.linspace(0.0, 1.0, grid)[:, None, None]
+    return value_function_batch(mdp, mus * p1.probs + (1.0 - mus) * p0.probs)
 
 
 def _segment_deviation(images: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -435,7 +322,7 @@ def _check_rank(mdp: Mdp, rng: np.random.Generator):
 
 def _check_path(mdp: Mdp, rng: np.random.Generator):
     """Each hop of a one-state-at-a-time policy path maps to a segment."""
-    hops = path_between(mdp, random_policy(mdp, rng), random_policy(mdp, rng))
+    hops = path_between(random_policy(mdp, rng), random_policy(mdp, rng))
     deviation = 0.0
     for a, b in zip(hops, hops[1:]):
         images = _grid_values(mdp, a, b, 21)

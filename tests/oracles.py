@@ -1,0 +1,164 @@
+"""Independent reference paths that only the tests use.
+
+Each computes what a package kernel computes by another route:
+
+- neumann_value_oracle: the truncated resolvent series sum_i (gamma P_pi)^i r_pi;
+- mc_value_oracle: Monte Carlo rollouts of the policy;
+- three_solve_gradient: the softmax policy gradient with separate solves for
+  the value and the visitation;
+- fisher_matrix and damped_natural_gradient: the softmax Fisher matrix and
+  the damped solve (F + damping*I) g = grad J, whose limit as damping -> 0
+  is run_npg's closed-form direction (Kakade 2001);
+- fraction_solve and exact_value: policy evaluation in exact rational
+  arithmetic, by Gaussian elimination over fractions.Fraction.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
+
+from vfpolytope.dynamics import discounted_distribution, softmax_policy
+from vfpolytope.evaluation import q_values, value_function
+from vfpolytope.mdp import Mdp, Policy
+
+
+def neumann_value_oracle(mdp: Mdp, policy: Policy, terms: int = 200) -> np.ndarray:
+    """Truncated series sum_{i<terms} (gamma P_pi)^i r_pi.
+
+    Off the exact value by at most neumann_tail_bound(mdp, terms) in max-norm.
+    """
+    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition_tensor)
+    term = np.einsum("sa,sa->s", policy.probs, mdp.reward_matrix)
+    total = term.copy()
+    step = mdp.gamma * p_pi
+    for _ in range(terms - 1):
+        term = step @ term
+        total += term
+    return total
+
+
+def neumann_tail_bound(mdp: Mdp, terms: int) -> float:
+    """gamma^terms * max|r| / (1 - gamma): the series' truncation error bound."""
+    return mdp.gamma**terms * mdp.max_abs_reward / (1.0 - mdp.gamma)
+
+
+class McEstimate(NamedTuple):
+    """Monte Carlo value estimate with per-state standard errors."""
+
+    value: np.ndarray
+    stderr: np.ndarray
+    truncation_bound: float
+
+
+def mc_value_oracle(
+    mdp: Mdp,
+    policy: Policy,
+    horizon: int = 300,
+    episodes: int = 100_000,
+    seed: int = 0,
+) -> McEstimate:
+    """Average truncated discounted return over simulated rollouts.
+
+    One rng stream per start state; rollouts are vectorized over episodes.
+    Uses the model's expected rewards, so the only noise is transition noise.
+    """
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    cum_actions = np.cumsum(policy.probs, axis=1)
+    cum_next = np.cumsum(mdp.transitions, axis=1)
+    values = np.zeros(n_states)
+    stderrs = np.zeros(n_states)
+    for start in range(n_states):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start,)))
+        states = np.full(episodes, start, dtype=np.int64)
+        returns = np.zeros(episodes)
+        disc = 1.0
+        for _ in range(horizon):
+            u = rng.random(episodes)
+            actions = np.minimum(
+                (u[:, None] > cum_actions[states]).sum(axis=1), n_actions - 1
+            )
+            flat = states * n_actions + actions
+            returns += disc * mdp.rewards[flat]
+            u = rng.random(episodes)
+            states = np.minimum(
+                (u[:, None] > cum_next[flat]).sum(axis=1), n_states - 1
+            )
+            disc *= mdp.gamma
+        values[start] = returns.mean()
+        spread = returns.std(ddof=1) if episodes > 1 else 0.0
+        stderrs[start] = spread / np.sqrt(episodes)
+    return McEstimate(values, stderrs, neumann_tail_bound(mdp, horizon))
+
+
+def three_solve_gradient(mdp: Mdp, theta, entropy_coeff: float = 0.0) -> np.ndarray:
+    """policy_gradient written out with separate solves for v and d."""
+    policy = softmax_policy(theta)
+    probs = policy.probs
+    v = value_function(mdp, policy)
+    d = discounted_distribution(mdp, policy)
+    grad = (d / (1.0 - mdp.gamma))[:, None] * probs * (q_values(mdp, v) - v[:, None])
+    if entropy_coeff != 0.0:
+        log_p = np.log(probs)
+        h = -(probs * log_p).sum(axis=1)
+        grad = grad + entropy_coeff * (d[:, None] * (-probs) * (log_p + h[:, None]))
+    return grad
+
+
+def fisher_matrix(probs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Softmax Fisher matrix over the flattened logits: diagonal blocks, by d.
+
+    Block s is d(s) * (diag(pi(.|s)) - pi(.|s) pi(.|s)^T); a log-probability
+    depends on its own state's row alone, so every other block is zero.
+    """
+    n_states, n_actions = probs.shape
+    fisher = np.zeros((n_states * n_actions, n_states * n_actions))
+    for s, p in enumerate(probs):
+        block = slice(s * n_actions, (s + 1) * n_actions)
+        fisher[block, block] = d[s] * (np.diag(p) - np.outer(p, p))
+    return fisher
+
+
+def damped_natural_gradient(mdp: Mdp, theta, damping: float) -> np.ndarray:
+    """Solve (F + damping*I) g = grad J, with d weighting F's blocks."""
+    policy = softmax_policy(theta)
+    fisher = fisher_matrix(policy.probs, discounted_distribution(mdp, policy))
+    grad = three_solve_gradient(mdp, theta)
+    flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
+    return flat.reshape(grad.shape)
+
+
+def fraction_solve(a, b) -> list[Fraction]:
+    """Solve a x = b exactly: Gauss-Jordan elimination over Fractions."""
+    n = len(b)
+    rows = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_value(mdp: Mdp, probs) -> list[Fraction]:
+    """V = (I - gamma P_pi)^{-1} r_pi in exact arithmetic.
+
+    Every float of the model and of probs (an |S| x |A| array of floats or
+    Fractions) is taken at its exact binary value, so the result is the
+    value of exactly the model the float kernels see.
+    """
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    gamma = Fraction(mdp.gamma)
+    p = [[Fraction(x) for x in row] for row in mdp.transitions.tolist()]
+    r = [Fraction(x) for x in mdp.rewards.tolist()]
+    pi = [[Fraction(x) for x in row] for row in np.asarray(probs, dtype=object)]
+    system, r_pi = [], []
+    for s, row in enumerate(pi):
+        sa = range(s * n_actions, (s + 1) * n_actions)
+        p_row = [sum(w * p[f][t] for w, f in zip(row, sa)) for t in range(n_states)]
+        system.append([int(s == t) - gamma * x for t, x in enumerate(p_row)])
+        r_pi.append(sum(w * r[f] for w, f in zip(row, sa)))
+    return fraction_solve(system, r_pi)

@@ -39,13 +39,9 @@ from vfpolytope.mdp import (
     random_mdp,
     random_policy,
 )
-from vfpolytope.verification import (
-    OracleConfig,
-    mc_value_oracle,
-    neumann_tail_bound,
-    neumann_value_oracle,
-    run_suite,
-)
+from vfpolytope.verification import run_suite
+
+from oracles import mc_value_oracle, neumann_tail_bound, neumann_value_oracle
 
 DYN2 = builtin_fixture("dyn2")
 V_STAR, _ = optimal_value(DYN2)
@@ -131,15 +127,14 @@ def test_criterion_06_boundary_semideterministic():
 def test_criterion_07_value_triangulation():
     uniform = Policy.uniform(2, 2)
     exact = value_function(DYN2, uniform)
-    config = OracleConfig(neumann_terms=200, mc_horizon=300, mc_episodes=100_000, seed=0)
 
-    series = neumann_value_oracle(DYN2, uniform, config)
+    series = neumann_value_oracle(DYN2, uniform, terms=200)
     bound = neumann_tail_bound(DYN2, 200)
     assert bound == pytest.approx(0.9**200 * 0.5 / 0.1)
     series_dev = float(np.max(np.abs(exact - series)))
     assert series_dev <= bound, (series_dev, bound)
 
-    mc = mc_value_oracle(DYN2, uniform, config)
+    mc = mc_value_oracle(DYN2, uniform, horizon=300, episodes=100_000, seed=0)
     mc_dev = np.abs(exact - mc.value)
     assert np.all(mc_dev <= 3.0 * mc.stderr + mc.truncation_bound)
     report(

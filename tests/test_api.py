@@ -21,10 +21,8 @@ API = {
     "InducedChain": ("p_pi", "r_pi", "resolvent"),
     "InterpolationCurve": ("mus", "rhos", "omega", "constant"),
     "LineSegment": ("pi_low", "pi_high", "v_low", "v_high", "state"),
-    "McEstimate": ("value", "stderr", "truncation_bound"),
     "Mdp": ("n_states", "n_actions", "rewards", "transitions", "gamma"),
     "Mdp.value_bound": (),
-    "OracleConfig": ("neumann_terms", "mc_horizon", "mc_episodes", "seed"),
     "Policy": ("probs",),
     "Policy.uniform": ("n_states", "n_actions"),
     "Policy.deterministic": ("actions", "n_actions"),
@@ -34,25 +32,20 @@ API = {
     "affine_slice": ("mdp", "agreement"),
     "bellman_apply": ("mdp", "policy", "v"),
     "builtin_fixture": ("name",),
-    "compare_oracles": ("mdp", "policy", "config"),
     "deterministic_policies": ("mdp",),
     "discounted_distribution": ("mdp", "policy"),
     "dump_mdp": ("mdp",),
     "example1_mdp": ("gamma",),
-    "fisher_information": ("mdp", "theta"),
     "hull_2d": ("points",),
     "induce": ("mdp", "policy"),
     "interpolation_curve": ("mdp", "p0", "p1", "state", "grid_size"),
     "line_segment": ("mdp", "policy", "state"),
     "load_mdp": ("text",),
-    "mc_value_oracle": ("mdp", "policy", "config"),
     "membership_gap": ("mdp", "values"),
     "mix_policies": ("p0", "p1", "mu"),
-    "natural_policy_gradient": ("mdp", "theta", "damping"),
-    "neumann_value_oracle": ("mdp", "policy", "config"),
     "optimal_value": ("mdp",),
     "optimality_bellman_apply": ("mdp", "v"),
-    "path_between": ("mdp", "p_from", "p_to"),
+    "path_between": ("p_from", "p_to"),
     "policy_gradient": ("mdp", "theta", "entropy_coeff"),
     "polytope_vertices_det": ("mdp",),
     "q_values": ("mdp", "v"),

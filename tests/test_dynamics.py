@@ -11,8 +11,6 @@ from vfpolytope.dynamics import (
     CemConfig,
     Trajectory,
     discounted_distribution,
-    fisher_information,
-    natural_policy_gradient,
     policy_gradient,
     resolve_init,
     run_cem,
@@ -22,12 +20,8 @@ from vfpolytope.dynamics import (
     run_value_iteration,
     softmax_policy,
 )
-from vfpolytope.errors import IterationCap, NonFiniteLogits
-from vfpolytope.evaluation import (
-    optimal_value,
-    q_values,
-    value_function,
-)
+from vfpolytope.errors import IterationCap, NonFiniteLogits, ShapeMismatch
+from vfpolytope.evaluation import optimal_value, value_function
 from vfpolytope.geometry import hull_2d, points_in_hull, polytope_vertices_det
 from vfpolytope.mdp import (
     Mdp,
@@ -36,6 +30,8 @@ from vfpolytope.mdp import (
     random_mdp,
     random_policy,
 )
+
+from oracles import damped_natural_gradient, fisher_matrix, three_solve_gradient
 
 DYN2 = builtin_fixture("dyn2")
 V_STAR, _ = optimal_value(DYN2)
@@ -231,6 +227,10 @@ class TestDiscountedDistribution:
             assert np.all(d >= -1e-12)
             assert abs(d.sum() - 1.0) < 1e-10
 
+    def test_rejects_a_policy_of_the_wrong_shape(self):
+        with pytest.raises(ShapeMismatch, match=r"policy shape \(3, 2\)"):
+            discounted_distribution(DYN2, Policy.uniform(3, 2))
+
 
 class TestPolicyGradient:
     def test_matches_finite_differences(self):
@@ -306,7 +306,8 @@ class TestPolicyGradient:
 
 class TestNaturalGradient:
     def test_fisher_block_diagonal(self):
-        fisher = fisher_information(DYN2, np.zeros((2, 2)))
+        uniform = Policy.uniform(2, 2)
+        fisher = fisher_matrix(uniform.probs, discounted_distribution(DYN2, uniform))
         assert np.max(np.abs(fisher[:2, 2:])) == 0.0
         assert np.max(np.abs(fisher[2:, :2])) == 0.0
 
@@ -314,7 +315,7 @@ class TestNaturalGradient:
         theta = np.array([[0.4, -0.3], [0.1, 0.8]])
         policy = softmax_policy(theta)
         d = discounted_distribution(DYN2, policy)
-        fisher = fisher_information(DYN2, theta)
+        fisher = fisher_matrix(policy.probs, d)
         rng = np.random.default_rng(0)
         n = 100_000
         states = rng.choice(2, size=n, p=d)
@@ -339,7 +340,7 @@ class TestNaturalGradient:
     def test_large_damping_recovers_vanilla_direction(self):
         theta = np.array([[0.5, -0.5], [0.2, 0.0]])
         vanilla = policy_gradient(DYN2, theta)
-        natural = natural_policy_gradient(DYN2, theta, damping=1e6)
+        natural = damped_natural_gradient(DYN2, theta, damping=1e6)
         cosine = np.sum(vanilla * natural) / (
             np.linalg.norm(vanilla) * np.linalg.norm(natural)
         )
@@ -354,7 +355,7 @@ class TestNaturalGradient:
         v = value_function(mdp, softmax_policy(theta))
         closed = dynamics._natural_direction(mdp, v)
         gaps = [
-            np.max(np.abs(natural_policy_gradient(mdp, theta, damping) - closed))
+            np.max(np.abs(damped_natural_gradient(mdp, theta, damping) - closed))
             for damping in (1e-4, 1e-6, 1e-8)
         ]
         for coarse, fine in zip(gaps, gaps[1:]):
@@ -401,37 +402,6 @@ class TestNaturalGradient:
             iterations=200,
         )
         assert np.max(np.abs(traj.points - V_STAR[None, :])) < 1e-6
-
-
-def three_solve_gradient(mdp, theta, entropy_coeff=0.0):
-    """policy_gradient written out with separate solves for v and d."""
-    policy = softmax_policy(theta)
-    probs = policy.probs
-    v = value_function(mdp, policy)
-    d = discounted_distribution(mdp, policy)
-    grad = (d / (1.0 - mdp.gamma))[:, None] * probs * (q_values(mdp, v) - v[:, None])
-    if entropy_coeff != 0.0:
-        log_p = np.log(probs)
-        h = -(probs * log_p).sum(axis=1)
-        grad = grad + entropy_coeff * (d[:, None] * (-probs) * (log_p + h[:, None]))
-    return grad
-
-
-def three_solve_natural(mdp, theta, damping):
-    """natural_policy_gradient with its own solves for v, d and the Fisher d."""
-    grad = three_solve_gradient(mdp, theta)
-    policy = softmax_policy(theta)
-    probs = policy.probs
-    d = discounted_distribution(mdp, policy)
-    a = mdp.n_actions
-    fisher = np.zeros((mdp.n_states * a, mdp.n_states * a))
-    for s in range(mdp.n_states):
-        p = probs[s]
-        fisher[s * a : (s + 1) * a, s * a : (s + 1) * a] = d[s] * (
-            np.diag(p) - np.outer(p, p)
-        )
-    flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
-    return flat.reshape(mdp.n_states, mdp.n_actions)
 
 
 class TestOneEvaluationPerStep:
@@ -492,19 +462,6 @@ class TestOneEvaluationPerStep:
             policy_gradient(mdp, theta, entropy_coeff),
             three_solve_gradient(mdp, theta, entropy_coeff),
         )
-
-    @pytest.mark.parametrize("n_states", [2, 3, 64])
-    def test_natural_gradient_matches_three_solve_form(self, n_states):
-        mdp = random_mdp(n_states, 3, 0.9, seed=n_states + 2)
-        theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
-        assert np.array_equal(
-            natural_policy_gradient(mdp, theta, 1e-3),
-            three_solve_natural(mdp, theta, 1e-3),
-        )
-
-    def test_npg_rejects_nonpositive_damping(self):
-        with pytest.raises(ValueError, match="damping"):
-            natural_policy_gradient(DYN2, np.zeros((2, 2)), damping=0.0)
 
 
 class TestCem:

@@ -421,18 +421,18 @@ class TestPathBetween:
     def test_identical_policies(self):
         m = builtin_fixture("dyn2")
         p = random_policy(m, 1)
-        assert path_between(m, p, p) == [p]
+        assert path_between(p, p) == [p]
 
     def test_single_disagreement(self):
         m = builtin_fixture("dyn2")
         p = random_policy(m, 1)
         q = p.with_row(1, np.array([0.2, 0.8]))
-        assert path_between(m, p, q) == [p, q]
+        assert path_between(p, q) == [p, q]
 
     def test_consecutive_hops_collinear(self):
         m = builtin_fixture("dyn2")
         p, q = random_policy(m, 21), random_policy(m, 22)
-        hops = path_between(m, p, q)
+        hops = path_between(p, q)
         assert 1 <= len(hops) <= m.n_states + 1
         for a, b in zip(hops, hops[1:]):
             images = value_function_batch(

@@ -7,28 +7,19 @@ from vfpolytope import verification
 from vfpolytope.errors import DimensionUnsupported, UnknownSuite
 from vfpolytope.evaluation import value_function
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
-from vfpolytope.verification import (
-    PLANAR_SUITES,
-    SUITE_NAMES,
-    CheckReport,
-    OracleConfig,
-    compare_oracles,
-    mc_value_oracle,
-    neumann_tail_bound,
-    neumann_value_oracle,
-    run_suite,
-)
+from vfpolytope.verification import PLANAR_SUITES, SUITE_NAMES, CheckReport, run_suite
+
+from oracles import mc_value_oracle, neumann_tail_bound, neumann_value_oracle
 
 DYN2 = builtin_fixture("dyn2")
 UNIFORM2 = Policy.uniform(2, 2)
 
-FAST = OracleConfig(mc_episodes=20_000, mc_horizon=200, seed=0)
+FAST = {"episodes": 20_000, "horizon": 200, "seed": 0}
 
 
 class TestNeumannOracle:
     def test_one_term_is_expected_reward(self):
-        cfg = OracleConfig(neumann_terms=1)
-        out = neumann_value_oracle(DYN2, UNIFORM2, cfg)
+        out = neumann_value_oracle(DYN2, UNIFORM2, terms=1)
         np.testing.assert_allclose(out, [-0.275, 0.5], atol=1e-15)
 
     def test_gamma_zero_is_exact(self):
@@ -39,12 +30,11 @@ class TestNeumannOracle:
             transitions=DYN2.transitions,
             gamma=0.0,
         )
-        out = neumann_value_oracle(m, UNIFORM2, OracleConfig(neumann_terms=1))
+        out = neumann_value_oracle(m, UNIFORM2, terms=1)
         np.testing.assert_allclose(out, value_function(m, UNIFORM2), atol=1e-15)
 
     def test_within_tail_bound_on_dyn2(self):
-        cfg = OracleConfig(neumann_terms=200)
-        out = neumann_value_oracle(DYN2, UNIFORM2, cfg)
+        out = neumann_value_oracle(DYN2, UNIFORM2, terms=200)
         exact = value_function(DYN2, UNIFORM2)
         bound = neumann_tail_bound(DYN2, 200)
         assert bound == pytest.approx(0.9**200 * 0.5 / 0.1)
@@ -61,10 +51,9 @@ class TestNeumannOracle:
                 rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
             )
             for terms in (1, 5, 40):
-                cfg = OracleConfig(neumann_terms=terms)
                 dev = np.max(
                     np.abs(
-                        neumann_value_oracle(mdp, policy, cfg)
+                        neumann_value_oracle(mdp, policy, terms)
                         - value_function(mdp, policy)
                     )
                 )
@@ -80,8 +69,9 @@ class TestMonteCarloOracle:
             transitions=np.array([[1.0]]),
             gamma=0.9,
         )
-        cfg = OracleConfig(mc_episodes=16, mc_horizon=300, seed=1)
-        est = mc_value_oracle(m, Policy(np.ones((1, 1))), cfg)
+        est = mc_value_oracle(
+            m, Policy(np.ones((1, 1))), horizon=300, episodes=16, seed=1
+        )
         assert abs(est.value[0] - 10.0) <= 1e-10 + est.truncation_bound
         assert est.stderr[0] == 0.0
 
@@ -93,27 +83,45 @@ class TestMonteCarloOracle:
             transitions=DYN2.transitions,
             gamma=0.9,
         )
-        est = mc_value_oracle(m, UNIFORM2, OracleConfig(mc_episodes=100, seed=2))
+        est = mc_value_oracle(m, UNIFORM2, episodes=100, seed=2)
         np.testing.assert_array_equal(est.value, [0.0, 0.0])
         np.testing.assert_array_equal(est.stderr, [0.0, 0.0])
 
     def test_consistent_with_exact_on_dyn2(self):
-        est = mc_value_oracle(DYN2, UNIFORM2, FAST)
+        est = mc_value_oracle(DYN2, UNIFORM2, **FAST)
         exact = value_function(DYN2, UNIFORM2)
         assert np.all(
             np.abs(est.value - exact) <= 3 * est.stderr + est.truncation_bound
         )
 
     def test_seeded_determinism(self):
-        a = mc_value_oracle(DYN2, UNIFORM2, OracleConfig(mc_episodes=500, seed=5))
-        b = mc_value_oracle(DYN2, UNIFORM2, OracleConfig(mc_episodes=500, seed=5))
+        a = mc_value_oracle(DYN2, UNIFORM2, episodes=500, seed=5)
+        b = mc_value_oracle(DYN2, UNIFORM2, episodes=500, seed=5)
         np.testing.assert_array_equal(a.value, b.value)
+
+
+def triangulate(mdp, policy):
+    """Exact solve vs truncated series vs Monte Carlo; each gap's excess over its bound.
+
+    Exact vs series is held to the series tail bound; a Monte Carlo estimate
+    to 3 standard errors plus its truncation bound, plus the tail bound when
+    it is compared with the series.
+    """
+    exact = value_function(mdp, policy)
+    series = neumann_value_oracle(mdp, policy)
+    series_bound = neumann_tail_bound(mdp, 200)
+    mc = mc_value_oracle(mdp, policy, **FAST)
+    mc_tol = 3.0 * mc.stderr + mc.truncation_bound + 1e-12
+    return (
+        np.max(np.abs(exact - series)) - (series_bound + 1e-12),
+        np.max(np.abs(exact - mc.value) - mc_tol),
+        np.max(np.abs(series - mc.value) - (mc_tol + series_bound)),
+    )
 
 
 class TestCompareOracles:
     def test_dyn2_uniform_triangulates(self):
-        report = compare_oracles(DYN2, UNIFORM2, FAST)
-        assert report.passed
+        assert max(triangulate(DYN2, UNIFORM2)) <= 0.0
 
     def test_zero_reward_exact_agreement(self):
         m = Mdp(
@@ -123,9 +131,9 @@ class TestCompareOracles:
             transitions=DYN2.transitions,
             gamma=0.9,
         )
-        report = compare_oracles(m, UNIFORM2, FAST)
-        assert report.passed
-        assert report.max_deviation <= 0.0
+        assert max(triangulate(m, UNIFORM2)) <= 0.0
+        exact = value_function(m, UNIFORM2)
+        assert np.max(np.abs(exact - neumann_value_oracle(m, UNIFORM2))) == 0.0
 
     def test_gamma_zero_single_step(self):
         m = Mdp(
@@ -135,8 +143,7 @@ class TestCompareOracles:
             transitions=DYN2.transitions,
             gamma=0.0,
         )
-        report = compare_oracles(m, UNIFORM2, FAST)
-        assert report.passed
+        assert max(triangulate(m, UNIFORM2)) <= 0.0
 
 
 class TestSuites:
