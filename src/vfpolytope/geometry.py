@@ -80,12 +80,19 @@ class AffineSlice:
         return self.basis.shape[1] if self.basis.size else 0
 
     def projection_residual(self, point: np.ndarray) -> float:
-        """Max-norm distance from a point to this affine space."""
-        delta = np.asarray(point, dtype=float) - self.anchor
+        """Largest max-norm distance to this affine space.
+
+        point is one (|S|,) point or an (n, |S|) stack of them. One
+        least-squares solve covers the whole stack: its right-hand side is
+        the (|S|, n) block of offsets from the anchor.
+        """
+        offsets = (np.asarray(point, dtype=float) - self.anchor).T
+        if not offsets.size:
+            return 0.0
         if self.dimension == 0:
-            return float(np.max(np.abs(delta))) if delta.size else 0.0
-        coeffs, *_ = np.linalg.lstsq(self.basis, delta, rcond=None)
-        return float(np.max(np.abs(delta - self.basis @ coeffs)))
+            return float(np.max(np.abs(offsets)))
+        coeffs, *_ = np.linalg.lstsq(self.basis, offsets, rcond=None)
+        return float(np.max(np.abs(offsets - self.basis @ coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +153,18 @@ def line_segment(mdp: Mdp, policy: Policy, state: int) -> LineSegment:
     directly.
     """
     _check_policy_shape(mdp, policy)
-    if not 0 <= state < mdp.n_states:
-        raise ShapeMismatch(f"state {state} out of range for |S|={mdp.n_states}")
+    _check_state(mdp, state)
     eye = np.eye(mdp.n_actions)
     _, _, num, omega = _switch(mdp, policy.probs, state, eye)
     c = num / (1.0 - mdp.gamma * omega)
     ends = [policy.with_row(state, eye[a]) for a in (np.argmin(c), np.argmax(c))]
     v_low, v_high = value_function_batch(mdp, np.stack([p.probs for p in ends]))
     return LineSegment(*ends, v_low=v_low, v_high=v_high, state=state)
+
+
+def _check_state(mdp: Mdp, state: int) -> None:
+    if not 0 <= state < mdp.n_states:
+        raise ShapeMismatch(f"state {state} out of range for |S|={mdp.n_states}")
 
 
 def _single_disagreement_state(p0: Policy, p1: Policy, state: int) -> None:
@@ -173,6 +184,7 @@ def interpolation_curve(
     """Closed-form rho(mu) for the mixture path from p0 to p1 at one state."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    _check_state(mdp, state)
     _single_disagreement_state(p0, p1, state)
     _check_policy_shape(mdp, p1)
     mus = np.linspace(0.0, 1.0, grid_size)
@@ -250,6 +262,8 @@ def sample_values(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if agreement is not None:
+        _check_policy_shape(mdp, agreement.base)
     values = np.empty((n, mdp.n_states))
     for start, probs in _policy_blocks(mdp, n, seed):
         if agreement is not None:
@@ -324,6 +338,17 @@ def membership_gap(mdp: Mdp, values) -> np.ndarray:
     return gap / np.maximum(1.0, np.abs(values).max(axis=1))
 
 
+def _members(mdp: Mdp, values: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, |S|) stack that are values.
+
+    This is membership_gap(mdp, values) <= 0.0, decided from the bounds
+    min_a Q_v(s,a) <= v(s) <= max_a Q_v(s,a) without forming or scaling
+    the gap.
+    """
+    q = _q_stack(mdp, values)
+    return np.all((q.min(axis=2) <= values) & (values <= q.max(axis=2)), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Planar hull helpers (2-state MDPs)
 # ---------------------------------------------------------------------------
@@ -351,7 +376,12 @@ def hull_2d(points) -> np.ndarray:
     collapsed; the starting vertex is the lexicographic minimum.
     """
     pts = _as_points_2d(points)
-    uniq = np.unique(pts, axis=0)  # lexicographic sort, exact duplicates out
+    # Lexicographic sort, then exact duplicates out (np.unique(pts, axis=0)
+    # keeps the same rows, but its first call imports numpy.ma).
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    uniq = pts[keep]
     if uniq.shape[0] == 1:
         return uniq
     lower: list[np.ndarray] = []

@@ -26,12 +26,12 @@ from .evaluation import (
 from .geometry import (
     AgreementSet,
     _hull_escape,
+    _members,
     _q_stack,
     affine_slice,
     hull_2d,
     interpolation_curve,
     line_segment,
-    membership_gap,
     path_between,
     polytope_vertices_det,
     sample_values,
@@ -209,7 +209,7 @@ def _check_slice(mdp: Mdp, rng: np.random.Generator):
     agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
     sl = affine_slice(mdp, agreement)
     values = _sample(mdp, 200, rng, agreement)
-    residual = max(sl.projection_residual(v) for v in values)
+    residual = sl.projection_residual(values)
     # With one action every policy is the same policy: the slice is a point.
     expected = mdp.n_states - len(fixed) if mdp.n_actions > 1 else 0
     rank = slice_rank(values)
@@ -265,10 +265,11 @@ def _check_boundary(mdp: Mdp, rng: np.random.Generator):
     """Exact boundary points are values of semi-deterministic policies.
 
     From the uniform policy's value, BOUNDARY_RAYS random rays are bisected
-    on membership_gap to float resolution, keeping the last member found on
-    each. At each such boundary point every state's row mixes the actions of
-    min and max Q_v(s, .) to average v(s), and the tightest state is snapped
-    to its extreme action. The policy's solved value must match the point;
+    to float resolution on value-set membership (membership_gap <= 0,
+    decided from the Q bounds alone), keeping the last member found on each.
+    At each such boundary point every state's row mixes the actions of min
+    and max Q_v(s, .) to average v(s), and the tightest state is snapped to
+    its extreme action. The policy's solved value must match the point;
     on 2-state instances the point must also lie on one of the
     one-state-pinned family segments. Distances are scaled by
     max(1, |v|_inf).
@@ -282,7 +283,7 @@ def _check_boundary(mdp: Mdp, rng: np.random.Generator):
     hi = np.full(BOUNDARY_RAYS, 2.0 * mdp.value_bound() + 1.0)
     for _ in range(BOUNDARY_HALVINGS):
         mid = 0.5 * (lo + hi)
-        inside = membership_gap(mdp, start + mid[:, None] * rays) <= 0.0
+        inside = _members(mdp, start + mid[:, None] * rays)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     points = start + lo[:, None] * rays

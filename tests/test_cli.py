@@ -796,3 +796,20 @@ class TestReproducibility:
         for path, digest in recorded.items():
             assert sha(Path(path)) == digest
         assert json.loads(manifest_path.read_text()) == manifest
+
+
+def test_verify_hull_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique(..., axis=0) imports numpy.ma on its first call, 10-16 ms of
+    # a cold `vfp verify`; hull_2d deduplicates without it.
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
+    code = (
+        "import sys; from vfpolytope.cli import main; status = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(status)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--suite", "hull", "--trials", "1",
+         "--mdp", "dyn2", "--report", "r.json"],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vfpolytope import geometry
 from vfpolytope.errors import (
     DimensionUnsupported,
     EnumerationTooLarge,
@@ -40,6 +41,7 @@ from vfpolytope.mdp import (
     random_mdp,
     random_policy,
 )
+from vfpolytope.verification import semidet_family_segments
 
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -132,6 +134,13 @@ class TestInterpolationCurve:
         expected = curve.mus / (1.0 - 0.9 * (1.0 - curve.mus))
         np.testing.assert_allclose(curve.rhos, expected, atol=1e-12)
         assert curve.rhos[50] == pytest.approx(0.5 / 0.55, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [-7, -1, 2, 5])
+    def test_state_out_of_range(self, state):
+        m = builtin_fixture("dyn2")
+        u = Policy.uniform(2, 2)
+        with pytest.raises(ShapeMismatch, match=f"state {state} out of range for"):
+            interpolation_curve(m, u, u, state)
 
     def test_constant_curve_flagged(self):
         m = builtin_fixture("dyn2")
@@ -231,6 +240,24 @@ class TestMembershipGap:
             expected.append(worst / max(1.0, np.max(np.abs(v))))
         np.testing.assert_allclose(membership_gap(m, points), expected, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_members_mask_is_the_gap_decision(self, seed):
+        # The boundary suite bisects on _members; it must decide exactly as
+        # membership_gap <= 0 did, also on boundary points.
+        rng = np.random.default_rng(seed)
+        m = random_mdp(2 + seed % 3, int(rng.integers(2, 4)), 0.9, seed=seed)
+        stacks = [
+            rng.uniform(-1.2, 1.2, size=(500, m.n_states)) * m.value_bound(),
+            sample_values(m, 200, seed),
+            polytope_vertices_det(m),
+        ]
+        if m.n_states == 2:
+            t = np.linspace(0.0, 1.0, 33)[:, None]
+            stacks += [a + t * (b - a) for a, b in semidet_family_segments(m)]
+        for values in stacks:
+            expected = membership_gap(m, values) <= 0.0
+            assert np.array_equal(geometry._members(m, values), expected)
+
     def test_rejects_wrong_shape(self):
         m = builtin_fixture("dyn2")
         with pytest.raises(ShapeMismatch):
@@ -259,6 +286,35 @@ class TestAffineSlice:
         values = sample_values(m, 500, 11, agreement)
         assert max(sl.projection_residual(v) for v in values) < 1e-9
 
+    @staticmethod
+    def _point_residual(sl, point):
+        # One-point projection as every earlier version computed it.
+        delta = np.asarray(point, dtype=float) - sl.anchor
+        if sl.dimension == 0:
+            return float(np.max(np.abs(delta)))
+        coeffs, *_ = np.linalg.lstsq(sl.basis, delta, rcond=None)
+        return float(np.max(np.abs(delta - sl.basis @ coeffs)))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stack_is_the_largest_point_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_mdp(int(rng.integers(2, 5)), int(rng.integers(2, 4)), 0.9, seed=seed)
+        fixed = sorted(rng.choice(m.n_states, size=int(rng.integers(0, m.n_states + 1)),
+                                  replace=False).tolist())
+        agreement = AgreementSet(base=random_policy(m, seed), fixed_states=fixed)
+        sl = affine_slice(m, agreement)
+        values = sample_values(m, 200, seed, agreement)
+        # Off-slice points too, so the residuals are not all rounding noise.
+        values[:100] += rng.normal(scale=1e-3, size=(100, m.n_states))
+        points = [sl.projection_residual(v) for v in values]
+        assert points == [self._point_residual(sl, v) for v in values]
+        stack = sl.projection_residual(values)
+        if sl.dimension == 0:
+            assert stack == max(points)
+        else:
+            scale = max(1.0, float(np.max(np.abs(values - sl.anchor))))
+            assert abs(stack - max(points)) <= 4 * np.finfo(float).eps * scale
+
     def test_duplicate_states_rejected(self):
         with pytest.raises(ValueError):
             AgreementSet(base=Policy.uniform(2, 2), fixed_states=(0, 0))
@@ -279,6 +335,15 @@ class TestSampleValues:
         )
         target = value_function(m, base)
         np.testing.assert_allclose(values, np.tile(target, (5, 1)), atol=1e-12)
+
+    def test_mismatched_agreement_base_rejected_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("policies drawn before the base was checked")
+
+        monkeypatch.setattr(geometry, "_policy_blocks", no_draws)
+        agreement = AgreementSet(base=Policy.uniform(2, 3), fixed_states=[0])
+        with pytest.raises(ShapeMismatch, match="does not match MDP"):
+            sample_values(builtin_fixture("dyn2"), 3, 0, agreement)
 
     def test_bounded_by_reward_scale(self):
         m = builtin_fixture("fig2a")
@@ -404,6 +469,37 @@ class TestHull2d:
     def test_dimension_guard(self):
         with pytest.raises(DimensionUnsupported):
             hull_2d(np.zeros((4, 3)))
+
+    @staticmethod
+    def _unique_hull(points):
+        # hull_2d as 0.11.0 wrote it, deduplicating with np.unique.
+        uniq = np.unique(np.asarray(points, dtype=float), axis=0)
+        if uniq.shape[0] == 1:
+            return uniq
+        chains = []
+        for ordered in (uniq, uniq[::-1]):
+            chain = []
+            for p in ordered:
+                while len(chain) >= 2 and geometry._cross(chain[-2], chain[-1], p) <= 0.0:
+                    chain.pop()
+                chain.append(p)
+            chains += chain[:-1]
+        return np.array(chains)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_rows_as_unique_version(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-2, 3, size=(60, 2)).astype(float)
+        clouds = [
+            # Exact duplicates on a small lattice, with signed zeros.
+            np.where(rng.random(grid.shape) < 0.5, -grid, grid) * 0.5,
+            # Collinear runs, repeated, in shuffled order.
+            rng.permutation(np.repeat(np.outer(rng.integers(0, 9, 40), [1.0, -2.0]), 2, axis=0)),
+            np.vstack([rng.normal(size=(30, 2))] * 3),
+        ]
+        clouds += [cloud[:1].repeat(5, axis=0) for cloud in clouds]
+        for cloud in clouds:
+            assert np.array_equal(hull_2d(cloud), self._unique_hull(cloud))
 
     def test_point_in_hull_vertex_and_centroid(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])

@@ -6,6 +6,7 @@ import pytest
 from vfpolytope import verification
 from vfpolytope.errors import DimensionUnsupported, UnknownSuite
 from vfpolytope.evaluation import value_function
+from vfpolytope.geometry import membership_gap
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
 from vfpolytope.verification import PLANAR_SUITES, SUITE_NAMES, CheckReport, run_suite
 
@@ -164,6 +165,22 @@ class TestSuites:
             DimensionUnsupported, match=f"suite '{name}' needs a 2-state MDP, got"
         ):
             run_suite(name, trials=1, mdp=random_mdp(3, 2, 0.9, 0))
+
+    @pytest.mark.parametrize("seed", [1, 7, 31337])
+    def test_boundary_bisection_decides_as_membership_gap(self, seed, monkeypatch):
+        # Bisecting on the Q bounds must give every bit of the reports that
+        # bisecting on membership_gap(...) <= 0.0 gave.
+        def reports():
+            return json.dumps([
+                run_suite("boundary", trials=10, seed=seed, mdp=builtin_fixture("dyn2")).to_dict(),
+                run_suite("boundary", trials=10, seed=seed).to_dict(),
+            ])
+
+        current = reports()
+        monkeypatch.setattr(
+            verification, "_members", lambda mdp, v: membership_gap(mdp, v) <= 0.0
+        )
+        assert current == reports()
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_random_family_passes(self, name):
