@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -16,7 +16,6 @@ from .mdp import (  # noqa: F401
 )
 from .evaluation import (  # noqa: F401
     InducedChain,
-    bellman_apply,
     induce,
     optimal_value,
     optimality_bellman_apply,
@@ -30,11 +29,9 @@ from .geometry import (  # noqa: F401
     InterpolationCurve,
     LineSegment,
     affine_slice,
-    hull_2d,
     interpolation_curve,
     line_segment,
     membership_gap,
-    mix_policies,
     path_between,
     polytope_vertices_det,
     sample_values,
@@ -43,8 +40,6 @@ from .geometry import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     CemConfig,
     Trajectory,
-    discounted_distribution,
-    policy_gradient,
     resolve_init,
     run_cem,
     run_npg,

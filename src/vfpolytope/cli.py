@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
 unreadable input, an output path that cannot be written), 3 capability
-error (e.g. SVG requested for a non-planar MDP, or gamma so near 1 that a
-system is singular). Every file-writing command also emits a
+error (e.g. SVG requested for a non-planar MDP, `verify --suite hull` on
+an MDP whose hull certificate passes the enumeration cap, or gamma so near
+1 that a system is singular). Every file-writing command also emits a
 `<out>.manifest.json` recording argv, config, seed, input digests, and
 output digests; re-running the recorded argv reproduces the outputs byte
 for byte.
@@ -30,7 +31,7 @@ from .dynamics import (
     run_policy_iteration,
     run_value_iteration,
 )
-from .errors import DimensionUnsupported, IllConditioned, VfpError
+from .errors import EnumerationTooLarge, IllConditioned, VfpError
 from .evaluation import value_function
 from .geometry import (
     AgreementSet,
@@ -274,10 +275,10 @@ def cmd_verify(args):
     for name in names:
         try:
             reports.append(run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp))
-        except DimensionUnsupported as exc:
+        except EnumerationTooLarge as exc:
             if args.suite != "all":
                 raise CliError(str(exc), CAPABILITY_ERROR) from None
-            skipped.append(name)
+            skipped.append((name, exc))
     payload = {
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
@@ -285,8 +286,8 @@ def cmd_verify(args):
     Path(args.report).write_bytes(
         (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
     )
-    for name in skipped:
-        print(f"skip {name}: needs a 2-state MDP, got |S|={mdp.n_states}")
+    for name, exc in skipped:
+        print(f"skip {name}: {exc}")
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(

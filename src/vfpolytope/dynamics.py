@@ -4,10 +4,11 @@ Six algorithms: value iteration, policy iteration, vanilla and
 entropy-regularized policy gradient, natural policy gradient, and the
 cross-entropy method with or without covariance noise. All updates are
 exact (no sampling noise except CEM's population draws, which are seeded),
-and every run returns a Trajectory of exact value vectors. Besides the runs
-the module holds the exact policy gradient. Natural policy gradient steps
-along its closed form and builds no Fisher matrix; the damped Fisher solve
-whose limit that form is serves as a test oracle in tests/oracles.py.
+and every run returns a Trajectory of exact value vectors. Natural policy
+gradient steps along its closed form and builds no Fisher matrix. The
+standalone policy gradient, the visitation distribution and the damped
+Fisher solve whose limit that form is serve as test oracles in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import NonFiniteLogits, ShapeMismatch
 from .evaluation import (
-    _check_policy_shape,
     _check_value_shape,
     _collapse,
     _lapack_solve,
@@ -187,17 +187,6 @@ def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:
-    """Discounted state-visit distribution (1-gamma) * sum_t gamma^t P(s_t = s).
-
-    The start state is uniform. The result is a probability vector.
-    """
-    _check_policy_shape(mdp, policy)
-    rho0 = np.full(mdp.n_states, 1.0 / mdp.n_states)
-    p_pi, _ = _collapse(mdp, policy.probs)
-    return (1.0 - mdp.gamma) * _lapack_solve(mdp, _system(mdp, p_pi).T, rho0)
-
-
 def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log pi, read as 0 where pi is 0, and the per-state entropy rows of probs."""
     log_p = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
@@ -212,8 +201,8 @@ def _evaluate_step(
     _system's matrix is built in systems[0] of the (k, |S|, |S|) buffer
     systems. With k = 2, systems[1] takes its transpose, for one stacked
     solve of v and the uniform-start d; with k = 1 the solve gives v alone
-    and d is None. v and d are bit-for-bit those of value_function and
-    discounted_distribution.
+    and d is None. v is bit for bit value_function's, and d is
+    (1 - gamma) (I - gamma P_pi)^{-T} of the uniform start distribution.
     """
     theta = _check_logits(mdp, theta)
     policy = Policy(_softmax_probs(theta))
@@ -235,9 +224,16 @@ def _gradient(
     entropy_coeff: float = 0.0,
     log_entropy: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """policy_gradient's arithmetic from a step's policy, value and visitation.
+    """Exact softmax policy gradient from a step's policy, value and visitation.
 
-    log_entropy, when given, is _log_entropy(probs).
+    For J(theta) = mean_s V(s) the tabular softmax gradient is
+
+        dJ/dtheta[s, a] = d(s)/(1-gamma) * pi(a|s) * (Q(s, a) - V(s))
+
+    with d the discounted visitation distribution from a uniform start.
+    A nonzero entropy_coeff adds that multiple of the gradient of
+    sum_s d(s) * H(pi(.|s)), holding d fixed within the step. log_entropy,
+    when given, is _log_entropy(probs).
     """
     q = q_values(mdp, v)
     advantage = q - v[:, None]
@@ -247,26 +243,6 @@ def _gradient(
         grad_h = d[:, None] * (-probs) * (log_p + h[:, None])
         grad = grad + entropy_coeff * grad_h
     return grad
-
-
-def policy_gradient(
-    mdp: Mdp, theta: np.ndarray, entropy_coeff: float = 0.0
-) -> np.ndarray:
-    """Exact gradient of the uniform-start objective J(theta) = mean_s V(s).
-
-    For the tabular softmax the gradient contracts the advantage with the
-    visitation weights:
-
-        dJ/dtheta[s, a] = d(s)/(1-gamma) * pi(a|s) * (Q(s, a) - V(s))
-
-    with d the discounted visitation distribution from a uniform start.
-    A nonzero entropy_coeff adds that multiple of the gradient of
-    sum_s d(s) * H(pi(.|s)), holding d fixed within the step. V and d come
-    from one evaluation of theta: one collapse and one stacked solve.
-    """
-    n = mdp.n_states
-    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
-    return _gradient(mdp, policy.probs, v, d, entropy_coeff)
 
 
 def _natural_direction(mdp: Mdp, v: np.ndarray) -> np.ndarray:

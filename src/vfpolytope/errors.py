@@ -22,23 +22,15 @@ class UnknownFixture(VfpError):
 
 
 class EnumerationTooLarge(VfpError):
-    """|A|^|S| exceeds the deterministic-policy enumeration cap."""
+    """|A|^|S| policies, or a hull certificate's leaves, exceed the enumeration cap."""
 
 
 class ShapeMismatch(VfpError):
     """Array shapes are inconsistent with the MDP dimensions."""
 
 
-class MuOutOfRange(VfpError):
-    """Mixture coefficient outside [0, 1]."""
-
-
 class NotAgreeing(VfpError):
     """Two policies differ on a state that was required to be fixed."""
-
-
-class DimensionUnsupported(VfpError):
-    """Planar geometry helpers and suites need 2-component points or 2 states."""
 
 
 class IterationCap(VfpError):

@@ -135,18 +135,24 @@ def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     Row q at `state` gives the value v + R_s * num / (1 - gamma * omega), with
     R_s = (I - gamma P_pi)^{-1} e_s, num = q . Q_v(s, .) - v(s) and
     omega = (q . P(s, ., .) - P_pi(s, .)) . R_s, one entry per row of rows.
+    probs is one (|S|, |A|) policy or a (..., |S|, |A|) stack; every output
+    gains its leading axes, and each policy of a stack gets the bits of its
+    own call.
     """
     # R_s >= 0 and the denominator is positive (the determinant lemma on two
     # nonsingular M-matrices), so the variants are ordered by the scalar.
     p_pi, r_pi = _collapse(mdp, probs)
-    rhs = np.zeros((mdp.n_states, 2))
-    rhs[:, 0], rhs[state, 1] = r_pi, 1.0
-    v, r_s = _lapack_solve(mdp, _system(mdp, p_pi), rhs).T
+    rhs = np.zeros(r_pi.shape + (2,))
+    rhs[..., 0], rhs[..., state, 1] = r_pi, 1.0
+    solved = _lapack_solve(mdp, _system(mdp, p_pi), rhs)
+    v, r_s = solved[..., 0], solved[..., 1]
     transitions = mdp.transition_tensor[state]
-    num = rows @ (mdp.reward_matrix[state] + mdp.gamma * (transitions @ v)) - v[state]
+    q = mdp.reward_matrix[state] + mdp.gamma * (transitions @ v[..., None])[..., 0]
+    num = (rows @ q[..., None])[..., 0] - v[..., state, None]
     # _collapse's einsum, so one row's omega has the bits of the same product
     # taken from two whole collapses.
-    omega = (np.einsum("ra,at->rt", rows, transitions) - p_pi[state]) @ r_s
+    step = np.einsum("ra,at->rt", rows, transitions) - p_pi[..., state, None, :]
+    omega = (step @ r_s[..., None])[..., 0]
     return v, r_s, num, omega
 
 
@@ -175,14 +181,6 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
     return _solve_blocks(mdp, probs)
-
-
-def bellman_apply(mdp: Mdp, policy: Policy, v: np.ndarray) -> np.ndarray:
-    """One application of the policy's Bellman operator: r_pi + gamma P_pi v."""
-    _check_policy_shape(mdp, policy)
-    v = _check_value_shape(mdp, v)
-    p_pi, r_pi = _collapse(mdp, policy.probs)
-    return r_pi + mdp.gamma * (p_pi @ v)
 
 
 def q_values(mdp: Mdp, v: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ Policies that agree everywhere except one state map to a monotone line
 segment in value space, bracketed by one-hot choices at the free state;
 fixing k states confines the image to an affine slice spanned by the
 resolvent columns of the free states; and the whole image sits inside the
-convex hull of the deterministic-policy values. The operations here
-construct those objects exactly and support sampling-based checks of each
-property; membership_gap decides exactly whether a vector is a value at all.
+convex hull of the deterministic-policy values, since applying the line
+theorem one state at a time writes every value as a convex combination of
+them (verification's hull suite checks those weights). The operations here
+construct these objects exactly, in any dimension, and support
+sampling-based checks of each property; membership_gap decides exactly
+whether a vector is a value at all.
 """
 from __future__ import annotations
 
@@ -14,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionUnsupported,
-    IllConditioned,
-    MuOutOfRange,
-    NotAgreeing,
-    ShapeMismatch,
-)
+from .errors import IllConditioned, NotAgreeing, ShapeMismatch
 from .evaluation import (
     _BLOCK_ENTRIES,
     _check_policy_shape,
@@ -82,11 +79,19 @@ class AffineSlice:
     def projection_residual(self, point: np.ndarray) -> float:
         """Largest max-norm distance to this affine space.
 
-        point is one (|S|,) point or an (n, |S|) stack of them. One
-        least-squares solve covers the whole stack: its right-hand side is
-        the (|S|, n) block of offsets from the anchor.
+        point is one (|S|,) point or an (n, |S|) stack of them; any other
+        shape raises ShapeMismatch. One least-squares solve covers the whole
+        stack: its right-hand side is the (|S|, n) block of offsets from the
+        anchor.
         """
-        offsets = (np.asarray(point, dtype=float) - self.anchor).T
+        point = np.asarray(point, dtype=float)
+        n_states = len(self.anchor)
+        if point.ndim not in (1, 2) or point.shape[-1] != n_states:
+            raise ShapeMismatch(
+                f"expected a ({n_states},) point or an (n, {n_states}) stack, "
+                f"got {point.shape}"
+            )
+        offsets = (point - self.anchor).T
         if not offsets.size:
             return 0.0
         if self.dimension == 0:
@@ -133,15 +138,6 @@ class InterpolationCurve:
     rhos: np.ndarray
     omega: float
     constant: bool
-
-
-def mix_policies(p0: Policy, p1: Policy, mu: float) -> Policy:
-    """Rowwise convex combination mu*p1 + (1-mu)*p0."""
-    if not 0.0 <= mu <= 1.0:
-        raise MuOutOfRange(f"mu must lie in [0, 1], got {mu!r}")
-    if p0.probs.shape != p1.probs.shape:
-        raise ShapeMismatch("policies have different shapes")
-    return Policy(mu * p1.probs + (1.0 - mu) * p0.probs)
 
 
 def line_segment(mdp: Mdp, policy: Policy, state: int) -> LineSegment:
@@ -347,85 +343,6 @@ def _members(mdp: Mdp, values: np.ndarray) -> np.ndarray:
     """
     q = _q_stack(mdp, values)
     return np.all((q.min(axis=2) <= values) & (values <= q.max(axis=2)), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Planar hull helpers (2-state MDPs)
-# ---------------------------------------------------------------------------
-
-
-def _as_points_2d(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DimensionUnsupported(
-            f"expected an (n, 2) point array, got shape {pts.shape}"
-        )
-    if pts.shape[0] < 1:
-        raise DimensionUnsupported("need at least one point")
-    return pts
-
-
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def hull_2d(points) -> np.ndarray:
-    """Counterclockwise convex hull of planar points (monotone chain).
-
-    Collinear points interior to an edge are dropped; duplicate points are
-    collapsed; the starting vertex is the lexicographic minimum.
-    """
-    pts = _as_points_2d(points)
-    # Lexicographic sort, then exact duplicates out (np.unique(pts, axis=0)
-    # keeps the same rows, but its first call imports numpy.ma).
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    uniq = pts[keep]
-    if uniq.shape[0] == 1:
-        return uniq
-    lower: list[np.ndarray] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in uniq[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _hull_escape(points, hull) -> np.ndarray:
-    """Distance by which each of the (n, 2) points lies outside the hull.
-
-    Zero inside. For a hull of three or more counterclockwise vertices (as
-    produced by hull_2d) this is the largest signed distance past any edge
-    line; degenerate hulls (single point, segment) use the distance to the
-    segment.
-    """
-    pts = _as_points_2d(points)
-    hull = _as_points_2d(hull)
-    if hull.shape[0] < 3:
-        return segment_distances(pts, hull[0], hull[-1])
-    outside = np.zeros(pts.shape[0])
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        edge = b - a
-        edge_len = float(np.linalg.norm(edge))
-        if edge_len == 0.0:
-            continue
-        cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
-        outside = np.maximum(outside, -cross / edge_len)
-    return outside
-
-
-def points_in_hull(points, hull) -> np.ndarray:
-    """Mask of the (n, 2) points inside the hull or within 1e-9 of its boundary.
-
-    The hull must be in counterclockwise order as produced by hull_2d.
-    """
-    return _hull_escape(points, hull) <= 1e-9
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

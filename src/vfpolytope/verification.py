@@ -4,9 +4,13 @@ The suites re-check every structural claim the package relies on (segment
 images, total order, interpolation ratio, affine slices, span equality,
 agreement zeros, hull inclusion, boundary coverage, slice rank, one-state
 paths, optimal dominance, smoothness, boundedness) on seeded random
-instances or on one given MDP; run_suite runs one of them. The independent
-value oracles (truncated series, Monte Carlo, exact rationals) live with the
-tests, in tests/oracles.py.
+instances or on one given MDP; run_suite runs one of them. Every suite runs
+in any dimension. Hull inclusion is certified rather than tested against a
+hull: the line theorem, applied one state at a time, gives each sampled
+value convex weights over the deterministic-policy values, and the suite
+checks those weights against independently solved vertices. The independent
+oracles (truncated series, Monte Carlo, exact rationals, a planar hull) live
+with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -15,9 +19,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionUnsupported, UnknownSuite
+from .errors import EnumerationTooLarge, UnknownSuite
 from .evaluation import (
+    _BLOCK_ENTRIES,
     _collapse,
+    _switch,
     induce,
     optimal_value,
     value_function,
@@ -25,11 +31,10 @@ from .evaluation import (
 )
 from .geometry import (
     AgreementSet,
-    _hull_escape,
     _members,
+    _policy_blocks,
     _q_stack,
     affine_slice,
-    hull_2d,
     interpolation_curve,
     line_segment,
     path_between,
@@ -38,7 +43,7 @@ from .geometry import (
     segment_distances,
     slice_rank,
 )
-from .mdp import Mdp, Policy, random_mdp, random_policy
+from .mdp import ENUMERATION_CAP, Mdp, Policy, random_mdp, random_policy
 
 # The boundary suite bisects this many rays per instance, each this many
 # times: enough halvings to shrink any starting interval to float resolution.
@@ -63,9 +68,10 @@ class CheckReport:
         return not self.failures
 
     def record(self, descriptor: str, deviation: float, tolerance: float) -> None:
+        """Keep the worst deviation; one that is not <= tolerance, NaN too, fails."""
         deviation = float(deviation)
-        self.max_deviation = max(self.max_deviation, deviation)
-        if deviation > tolerance:
+        self.max_deviation = float(np.maximum(self.max_deviation, deviation))
+        if not deviation <= tolerance:
             self.failures.append(
                 {"instance": descriptor, "deviation": deviation, "tolerance": tolerance}
             )
@@ -85,12 +91,12 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _random_instance(seed, index: int, two_state: bool = False) -> Mdp:
+def _random_instance(seed, index: int) -> Mdp:
     """Random instance `index`, shared by every suite of one seed."""
     rng = np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(0, int(index)))
     )
-    n_states = 2 if two_state else int(rng.integers(2, 5))
+    n_states = int(rng.integers(2, 5))
     n_actions = int(rng.integers(2, 4))
     gamma = float(rng.uniform(0.3, 0.95))
     return random_mdp(n_states, n_actions, gamma, seed=rng)
@@ -254,11 +260,87 @@ def _check_zeros(mdp: Mdp, rng: np.random.Generator):
     return f"fixed={fixed}", deviation
 
 
-def _check_hull(mdp: Mdp, rng: np.random.Generator, samples: int = 2_000):
-    """Sampled values stay inside the deterministic-vertex hull (2-state)."""
-    hull = hull_2d(polytope_vertices_det(mdp))
-    cloud = _sample(mdp, samples, rng)
-    return "", float(np.max(_hull_escape(cloud, hull)))
+def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The line theorem's two ends and their weights over c's last axis.
+
+    c holds the offsets c_a of a policy's one-hot variants along one
+    direction, in which the policy itself sits at 0. The ends are the
+    lowest-index argmin and argmax of c, and their weights (1 - t, t), with
+    t = -c_lo / (c_hi - c_lo) (0 where every c_a is equal), mix them to 0.
+    """
+    ends = np.stack([c.argmin(axis=-1), c.argmax(axis=-1)], axis=-1)
+    low, high = np.moveaxis(np.take_along_axis(c, ends, axis=-1), -1, 0)
+    width = high - low
+    t = np.divide(-low, width, out=np.zeros_like(width), where=width != 0.0)
+    return ends, np.stack([1.0 - t, t], axis=-1)
+
+
+def _hull_deviation(mdp: Mdp, vertices: np.ndarray, probs: np.ndarray) -> float:
+    """Worst error of the line-theorem hull certificate of n stacked policies.
+
+    vertices is polytope_vertices_det(mdp) and probs an (n, |S|, |A|) stack.
+    At state s a policy's one-hot variants have values v + c_a R_s
+    (evaluation._switch), and v is (1 - t) v_lo + t v_hi of the extreme two
+    (_split). States 0 .. |S|-2 are split in turn, one stacked _switch per
+    state. That leaves 2^(|S|-1) policies per sample, deterministic but at
+    the last state, whose variants there are vertices; R_s(s) >= 1 orders
+    those by their last coordinate, from which t is read with no solve. The
+    weights lam of the 2^|S| vertex leaves are products of the t's. The
+    error is the largest of |sum lam V_leaf - V|_inf / max(1, |V|_inf),
+    with V the first solve's value, of -min lam and of |sum lam - 1|.
+    """
+    n, n_states, n_actions = probs.shape
+    eye = np.eye(n_actions)
+    nodes, weights = probs[:, None], np.ones((n, 1))
+    # Each node's vertex row, one base-|A| digit per split state.
+    index = np.zeros((n, 1), dtype=np.intp)
+    # The nodes' values at the last state; with one state, the policies'.
+    last = target = value_function_batch(mdp, probs) if n_states == 1 else None
+    for s in range(n_states - 1):
+        v, r_s, num, omega = _switch(mdp, nodes, s, eye)
+        target = v[:, 0] if s == 0 else target
+        c = num / (1.0 - mdp.gamma * omega)
+        ends, split = _split(c)
+        ends_c = np.take_along_axis(c, ends, axis=-1)
+        last = (v[..., -1, None] + ends_c * r_s[..., -1, None]).reshape(n, -1)
+        weights = (weights[..., None] * split).reshape(n, -1)
+        index = (index[..., None] + ends * n_actions ** (n_states - 1 - s)).reshape(n, -1)
+        nodes = np.repeat(nodes, 2, axis=1)
+        nodes[:, :, s] = eye[ends.reshape(n, -1)]
+    leaves = index[..., None] + np.arange(n_actions)
+    ends, split = _split(vertices[leaves, -1] - last[..., None])
+    weights = (weights[..., None] * split).reshape(n, -1)
+    leaves = np.take_along_axis(leaves, ends, axis=-1).reshape(n, -1)
+    mixture = np.einsum("nk,nks->ns", weights, vertices[leaves])
+    scale = np.maximum(1.0, np.abs(target).max(axis=1))
+    residual = np.abs(mixture - target).max(axis=1) / scale
+    return float(np.max([
+        residual.max(), -weights.min(), np.abs(weights.sum(axis=1) - 1.0).max(), 0.0
+    ]))
+
+
+def _check_hull(mdp: Mdp, rng: np.random.Generator):
+    """Sampled values are convex combinations of the deterministic values.
+
+    2,000 of _sample's policies are certified by _hull_deviation, in chunks
+    whose 2^|S| leaves of |S| x |S| systems stay within _BLOCK_ENTRIES
+    entries.
+    """
+    samples = 2_000
+    leaves = samples << mdp.n_states
+    if leaves > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"hull certificate of {samples} policies at |S|={mdp.n_states} has "
+            f"{leaves} vertex leaves, over the cap of {ENUMERATION_CAP}"
+        )
+    vertices = polytope_vertices_det(mdp)
+    chunk = max(1, _BLOCK_ENTRIES // (mdp.n_states**2 << mdp.n_states))
+    deviation = 0.0
+    for _, probs in _policy_blocks(mdp, samples, rng.bit_generator.seed_seq.spawn(1)[0]):
+        for start in range(0, len(probs), chunk):
+            piece = _hull_deviation(mdp, vertices, probs[start : start + chunk])
+            deviation = np.maximum(deviation, piece)
+    return "", float(deviation)
 
 
 def _check_boundary(mdp: Mdp, rng: np.random.Generator):
@@ -386,13 +468,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# Suites that need a planar value set; on a given MDP they need |S| = 2.
-PLANAR_SUITES = ("hull",)
-
 # On a given MDP these suites run once, on a larger sample than each random
 # instance gets.
 _ONCE_ON_GIVEN = {
-    "hull": partial(_check_hull, samples=50_000),
     "dominance": partial(_check_dominance, samples=1_000),
 }
 
@@ -402,9 +480,9 @@ def run_suite(
 ) -> CheckReport:
     """Run one named property suite over seeded random instances.
 
-    When an MDP is given the suite checks it instead of random instances;
-    a suite in PLANAR_SUITES then raises DimensionUnsupported unless the MDP
-    has two states. Instance i draws from one stream keyed
+    When an MDP is given the suite checks it instead of random instances.
+    The hull suite raises EnumerationTooLarge, before it draws anything,
+    when its certificate would pass the enumeration cap. Instance i draws from one stream keyed
     SeedSequence(seed, spawn_key=(tag, i)), where tag is the suite's
     position in SUITE_NAMES plus one, so no two suites share a stream. The
     report is deterministic for a fixed (seed, trials).
@@ -417,16 +495,12 @@ def run_suite(
         ) from None
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if mdp is not None and mdp.n_states != 2 and suite_name in PLANAR_SUITES:
-        raise DimensionUnsupported(
-            f"suite {suite_name!r} needs a 2-state MDP, got |S|={mdp.n_states}"
-        )
     if mdp is not None and suite_name in _ONCE_ON_GIVEN:
         check, trials = _ONCE_ON_GIVEN[suite_name], 1
     tag = SUITE_NAMES.index(suite_name) + 1
     report = CheckReport(check_name=suite_name, instances_run=trials)
     for i in range(trials):
-        instance = mdp or _random_instance(seed, i, suite_name in PLANAR_SUITES)
+        instance = mdp or _random_instance(seed, i)
         rng = np.random.default_rng(
             np.random.SeedSequence(int(seed), spawn_key=(tag, i))
         )

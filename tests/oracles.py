@@ -4,13 +4,19 @@ Each computes what a package kernel computes by another route:
 
 - neumann_value_oracle: the truncated resolvent series sum_i (gamma P_pi)^i r_pi;
 - mc_value_oracle: Monte Carlo rollouts of the policy;
+- bellman_apply and mix_policies: one Bellman backup of a fixed policy, and
+  the rowwise mixture of two policies;
+- discounted_distribution and policy_gradient: the visitation distribution
+  and the softmax policy gradient of one logit matrix, outside any run;
 - three_solve_gradient: the softmax policy gradient with separate solves for
   the value and the visitation;
 - fisher_matrix and damped_natural_gradient: the softmax Fisher matrix and
   the damped solve (F + damping*I) g = grad J, whose limit as damping -> 0
   is run_npg's closed-form direction (Kakade 2001);
 - fraction_solve and exact_value: policy evaluation in exact rational
-  arithmetic, by Gaussian elimination over fractions.Fraction.
+  arithmetic, by Gaussian elimination over fractions.Fraction;
+- hull_2d and points_in_hull: a planar convex hull by monotone chain and
+  the points within 1e-9 of it, for 2-state value sets.
 """
 from __future__ import annotations
 
@@ -19,8 +25,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vfpolytope.dynamics import discounted_distribution, softmax_policy
-from vfpolytope.evaluation import q_values, value_function
+from vfpolytope.dynamics import _evaluate_step, _gradient, softmax_policy
+from vfpolytope.errors import ShapeMismatch
+from vfpolytope.evaluation import (
+    _check_policy_shape,
+    _check_value_shape,
+    _collapse,
+    _lapack_solve,
+    _system,
+    q_values,
+    value_function,
+)
+from vfpolytope.geometry import segment_distances
 from vfpolytope.mdp import Mdp, Policy
 
 
@@ -90,6 +106,45 @@ def mc_value_oracle(
         spread = returns.std(ddof=1) if episodes > 1 else 0.0
         stderrs[start] = spread / np.sqrt(episodes)
     return McEstimate(values, stderrs, neumann_tail_bound(mdp, horizon))
+
+
+def bellman_apply(mdp: Mdp, policy: Policy, v: np.ndarray) -> np.ndarray:
+    """One application of the policy's Bellman operator: r_pi + gamma P_pi v."""
+    _check_policy_shape(mdp, policy)
+    v = _check_value_shape(mdp, v)
+    p_pi, r_pi = _collapse(mdp, policy.probs)
+    return r_pi + mdp.gamma * (p_pi @ v)
+
+
+def mix_policies(p0: Policy, p1: Policy, mu: float) -> Policy:
+    """Rowwise convex combination mu*p1 + (1-mu)*p0."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
+    if p0.probs.shape != p1.probs.shape:
+        raise ShapeMismatch("policies have different shapes")
+    return Policy(mu * p1.probs + (1.0 - mu) * p0.probs)
+
+
+def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:
+    """Discounted state-visit distribution (1-gamma) * sum_t gamma^t P(s_t = s).
+
+    The start state is uniform. The result is a probability vector.
+    """
+    _check_policy_shape(mdp, policy)
+    rho0 = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    p_pi, _ = _collapse(mdp, policy.probs)
+    return (1.0 - mdp.gamma) * _lapack_solve(mdp, _system(mdp, p_pi).T, rho0)
+
+
+def policy_gradient(mdp: Mdp, theta: np.ndarray, entropy_coeff: float = 0.0) -> np.ndarray:
+    """Exact gradient of J(theta) = mean_s V(s), from one evaluation of theta.
+
+    The package's step arithmetic (dynamics._gradient) on one collapse and
+    one stacked solve of v and d, as a policy-gradient run takes each step.
+    """
+    n = mdp.n_states
+    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
+    return _gradient(mdp, policy.probs, v, d, entropy_coeff)
 
 
 def three_solve_gradient(mdp: Mdp, theta, entropy_coeff: float = 0.0) -> np.ndarray:
@@ -162,3 +217,75 @@ def exact_value(mdp: Mdp, probs) -> list[Fraction]:
         system.append([int(s == t) - gamma * x for t, x in enumerate(p_row)])
         r_pi.append(sum(w * r[f] for w, f in zip(row, sa)))
     return fraction_solve(system, r_pi)
+
+
+def _as_points_2d(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) point array, got shape {pts.shape}")
+    if pts.shape[0] < 1:
+        raise ValueError("need at least one point")
+    return pts
+
+
+def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def hull_2d(points) -> np.ndarray:
+    """Counterclockwise convex hull of planar points (monotone chain).
+
+    Collinear points interior to an edge are dropped; duplicate points are
+    collapsed; the starting vertex is the lexicographic minimum.
+    """
+    pts = _as_points_2d(points)
+    # Lexicographic sort, then exact duplicates out (np.unique(pts, axis=0)
+    # keeps the same rows, but its first call imports numpy.ma).
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    uniq = pts[keep]
+    if uniq.shape[0] == 1:
+        return uniq
+    lower: list[np.ndarray] = []
+    for p in uniq:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in uniq[::-1]:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _hull_escape(points, hull) -> np.ndarray:
+    """Distance by which each of the (n, 2) points lies outside the hull.
+
+    Zero inside. For a hull of three or more counterclockwise vertices (as
+    produced by hull_2d) this is the largest signed distance past any edge
+    line; degenerate hulls (single point, segment) use the distance to the
+    segment.
+    """
+    pts = _as_points_2d(points)
+    hull = _as_points_2d(hull)
+    if hull.shape[0] < 3:
+        return segment_distances(pts, hull[0], hull[-1])
+    outside = np.zeros(pts.shape[0])
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+        edge = b - a
+        edge_len = float(np.linalg.norm(edge))
+        if edge_len == 0.0:
+            continue
+        cross = edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])
+        outside = np.maximum(outside, -cross / edge_len)
+    return outside
+
+
+def points_in_hull(points, hull) -> np.ndarray:
+    """Mask of the (n, 2) points inside the hull or within 1e-9 of its boundary.
+
+    The hull must be in counterclockwise order as produced by hull_2d.
+    """
+    return _hull_escape(points, hull) <= 1e-9

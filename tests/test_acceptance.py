@@ -12,7 +12,6 @@ import pytest
 from vfpolytope.cli import main as cli_main
 from vfpolytope.dynamics import (
     CemConfig,
-    policy_gradient,
     resolve_init,
     run_cem,
     run_policy_gradient,
@@ -24,9 +23,6 @@ from vfpolytope.evaluation import optimal_value, value_function
 from vfpolytope.geometry import (
     AgreementSet,
     affine_slice,
-    hull_2d,
-    mix_policies,
-    points_in_hull,
     polytope_vertices_det,
     sample_values,
     slice_rank,
@@ -41,7 +37,15 @@ from vfpolytope.mdp import (
 )
 from vfpolytope.verification import run_suite
 
-from oracles import mc_value_oracle, neumann_tail_bound, neumann_value_oracle
+from oracles import (
+    hull_2d,
+    mc_value_oracle,
+    mix_policies,
+    neumann_tail_bound,
+    neumann_value_oracle,
+    points_in_hull,
+    policy_gradient,
+)
 
 DYN2 = builtin_fixture("dyn2")
 V_STAR, _ = optimal_value(DYN2)

@@ -30,23 +30,18 @@ API = {
     "Policy.is_deterministic_at": ("state",),
     "Trajectory": ("points", "columns"),
     "affine_slice": ("mdp", "agreement"),
-    "bellman_apply": ("mdp", "policy", "v"),
     "builtin_fixture": ("name",),
     "deterministic_policies": ("mdp",),
-    "discounted_distribution": ("mdp", "policy"),
     "dump_mdp": ("mdp",),
     "example1_mdp": ("gamma",),
-    "hull_2d": ("points",),
     "induce": ("mdp", "policy"),
     "interpolation_curve": ("mdp", "p0", "p1", "state", "grid_size"),
     "line_segment": ("mdp", "policy", "state"),
     "load_mdp": ("text",),
     "membership_gap": ("mdp", "values"),
-    "mix_policies": ("p0", "p1", "mu"),
     "optimal_value": ("mdp",),
     "optimality_bellman_apply": ("mdp", "v"),
     "path_between": ("p_from", "p_to"),
-    "policy_gradient": ("mdp", "theta", "entropy_coeff"),
     "polytope_vertices_det": ("mdp",),
     "q_values": ("mdp", "v"),
     "random_mdp": ("n_states", "n_actions", "gamma", "seed"),

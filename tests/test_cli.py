@@ -19,7 +19,7 @@ from vfpolytope.mdp import (
     load_mdp,
     random_mdp,
 )
-from vfpolytope.verification import CheckReport
+from vfpolytope.verification import SUITE_NAMES, CheckReport
 
 
 # Subprocesses import the package under test, whichever tree PYTHONPATH put
@@ -181,7 +181,8 @@ class TestLineCommand:
     @staticmethod
     def _check_rows_against_solves(mdp, state, seed, grid, tmp_path):
         from vfpolytope.evaluation import value_function
-        from vfpolytope.geometry import line_segment, mix_policies
+        from vfpolytope.geometry import line_segment
+        from oracles import mix_policies
         from vfpolytope.mdp import random_policy
 
         mdp_path = tmp_path / "mdp.json"
@@ -414,7 +415,7 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(report.read_text())["reports"][0]["instances_run"] == MAX_TRIALS
 
-    def test_all_suites_skip_planar_suites_on_three_states(self, tmp_path, capsys):
+    def test_all_suites_run_hull_on_three_states(self, tmp_path, capsys):
         doc = tmp_path / "m3.json"
         doc.write_text(dump_mdp(random_mdp(3, 2, 0.9, 0)))
         report = tmp_path / "rep.json"
@@ -423,21 +424,34 @@ class TestVerifyCommand:
              "--mdp", str(doc), "--report", str(report)]
         )
         assert code == 0
-        names = [r["check_name"] for r in json.loads(report.read_text())["reports"]]
-        assert names == [
-            "line", "order", "rho", "slice", "span", "zeros", "boundary", "rank",
-            "path", "dominance", "smooth", "bounded",
-        ]
+        reports = json.loads(report.read_text())["reports"]
+        assert [r["check_name"] for r in reports] == list(SUITE_NAMES)
+        assert all(r["instances_run"] == (1 if r["check_name"] == "dominance" else 2)
+                   for r in reports)
         out = capsys.readouterr().out.splitlines()
-        assert [line for line in out if line.startswith("skip")] == [
-            "skip hull: needs a 2-state MDP, got |S|=3"
-        ]
+        assert len(out) == 13 and not [line for line in out if line.startswith("skip")]
+
+    def test_hull_past_the_enumeration_cap_is_skipped_or_exits_3(self, tmp_path, capsys):
+        # 2,000 sampled policies of 2^9 vertex leaves each pass the cap.
+        doc = tmp_path / "m9.json"
+        doc.write_text(dump_mdp(random_mdp(9, 2, 0.9, 0)))
+        report = tmp_path / "rep.json"
+        code = main(
+            ["verify", "--suite", "all", "--trials", "1", "--mdp", str(doc),
+             "--report", str(report)]
+        )
+        assert code == 0
+        names = [r["check_name"] for r in json.loads(report.read_text())["reports"]]
+        assert names == [name for name in SUITE_NAMES if name != "hull"]
+        message = ("hull certificate of 2000 policies at |S|=9 has 1024000 vertex "
+                   "leaves, over the cap of 1000000")
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("skip")] == [f"skip hull: {message}"]
         explicit = tmp_path / "hull.json"
         assert main(
             ["verify", "--suite", "hull", "--mdp", str(doc), "--report", str(explicit)]
         ) == 3
-        err = capsys.readouterr().err
-        assert err == "error: suite 'hull' needs a 2-state MDP, got |S|=3\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not explicit.exists()
 
     @pytest.mark.parametrize("seed", ["13", "16"])
@@ -800,11 +814,12 @@ class TestReproducibility:
 
 def test_verify_hull_leaves_numpy_ma_unimported(tmp_path):
     # np.unique(..., axis=0) imports numpy.ma on its first call, 10-16 ms of
-    # a cold `vfp verify`; hull_2d deduplicates without it.
+    # a cold `vfp verify`; the hull certificate calls nothing that imports it.
+    # scipy is a test-only dependency, so no command may import it either.
     env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     code = (
         "import sys; from vfpolytope.cli import main; status = main(sys.argv[1:]); "
-        "print('numpy.ma' in sys.modules); sys.exit(status)"
+        "print('numpy.ma' in sys.modules, 'scipy' in sys.modules); sys.exit(status)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, "verify", "--suite", "hull", "--trials", "1",
@@ -812,4 +827,4 @@ def test_verify_hull_leaves_numpy_ma_unimported(tmp_path):
         capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"

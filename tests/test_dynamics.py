@@ -10,8 +10,6 @@ from vfpolytope import dynamics, evaluation
 from vfpolytope.dynamics import (
     CemConfig,
     Trajectory,
-    discounted_distribution,
-    policy_gradient,
     resolve_init,
     run_cem,
     run_npg,
@@ -22,7 +20,7 @@ from vfpolytope.dynamics import (
 )
 from vfpolytope.errors import IterationCap, NonFiniteLogits, ShapeMismatch
 from vfpolytope.evaluation import optimal_value, value_function
-from vfpolytope.geometry import hull_2d, points_in_hull, polytope_vertices_det
+from vfpolytope.geometry import polytope_vertices_det
 from vfpolytope.mdp import (
     Mdp,
     Policy,
@@ -31,7 +29,15 @@ from vfpolytope.mdp import (
     random_policy,
 )
 
-from oracles import damped_natural_gradient, fisher_matrix, three_solve_gradient
+from oracles import (
+    damped_natural_gradient,
+    discounted_distribution,
+    fisher_matrix,
+    hull_2d,
+    points_in_hull,
+    policy_gradient,
+    three_solve_gradient,
+)
 
 DYN2 = builtin_fixture("dyn2")
 V_STAR, _ = optimal_value(DYN2)

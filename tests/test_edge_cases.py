@@ -3,9 +3,11 @@ import pytest
 
 from vfpolytope.cli import main
 from vfpolytope.errors import ShapeMismatch
-from vfpolytope.geometry import hull_2d, line_segment, points_in_hull, sample_values
+from vfpolytope.geometry import line_segment, sample_values
 from vfpolytope.mdp import Policy, builtin_fixture, dump_mdp, random_mdp, random_policy
 from vfpolytope.verification import run_suite
+
+from oracles import hull_2d, points_in_hull
 
 
 def test_line_segment_state_out_of_range():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vfpolytope import dynamics, evaluation
 from vfpolytope.errors import IllConditioned, IterationCap, ShapeMismatch
 from vfpolytope.evaluation import (
-    bellman_apply,
     induce,
     optimal_value,
     optimality_bellman_apply,
@@ -28,6 +27,8 @@ from vfpolytope.mdp import (
     random_mdp,
     random_policy,
 )
+
+from oracles import bellman_apply, discounted_distribution
 
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -117,7 +118,7 @@ class TestInduce:
         monkeypatch.setattr(np.linalg, "solve", record)
         value_function(mdp, policy)
         induce(mdp, policy)
-        dynamics.discounted_distribution(mdp, policy)
+        discounted_distribution(mdp, policy)
         dynamics._evaluate_step(mdp, theta, np.empty((2, 64, 64)))
         dynamics._evaluate_step(mdp, theta, np.empty((1, 64, 64)))
         evaluation._switch(mdp, policy.probs, 5, np.eye(3))
@@ -257,6 +258,19 @@ class TestSwitch:
         v, r_s, _, _ = evaluation._switch(mdp, policy.probs, 1, np.eye(mdp.n_actions))
         np.testing.assert_allclose(v, chain.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(r_s, chain.resolvent[:, 1], rtol=1e-12)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 5, 33, 128])
+    def test_stack_rows_have_the_bits_of_single_calls(self, n_states):
+        mdp = random_mdp(n_states, 3, 0.99, seed=n_states)
+        rng = np.random.default_rng(n_states)
+        probs = rng.dirichlet(np.ones(3), size=(2, 3, n_states))
+        state = n_states // 2
+        for rows in (np.eye(3), probs[0, 0, state][None]):
+            stacked = evaluation._switch(mdp, probs, state, rows)
+            for i, j in np.ndindex(2, 3):
+                single = evaluation._switch(mdp, probs[i, j], state, rows)
+                for whole, one in zip(stacked, single):
+                    assert np.array_equal(whole[i, j], one)
 
     def test_singular_system_is_ill_conditioned(self):
         # One state: the system is 1 - gamma * (p0 + p1). At the largest

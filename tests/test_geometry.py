@@ -6,25 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vfpolytope import geometry
-from vfpolytope.errors import (
-    DimensionUnsupported,
-    EnumerationTooLarge,
-    MuOutOfRange,
-    NotAgreeing,
-    ShapeMismatch,
-)
+from vfpolytope.errors import EnumerationTooLarge, NotAgreeing, ShapeMismatch
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
     SAMPLE_BLOCK,
     AgreementSet,
     affine_slice,
-    hull_2d,
     interpolation_curve,
     line_segment,
     membership_gap,
-    mix_policies,
     path_between,
-    points_in_hull,
     polytope_vertices_det,
     sample_policy_probs,
     sample_values,
@@ -43,6 +34,8 @@ from vfpolytope.mdp import (
 )
 from vfpolytope.verification import semidet_family_segments
 
+from oracles import _cross, hull_2d, mix_policies, points_in_hull
+
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -59,7 +52,7 @@ class TestMixPolicies:
         np.testing.assert_array_equal(mixed.probs[0], [0.5, 0.5])
 
     def test_mu_out_of_range(self):
-        with pytest.raises(MuOutOfRange):
+        with pytest.raises(ValueError):
             mix_policies(STAY, QUIT, 1.5)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
@@ -319,6 +312,13 @@ class TestAffineSlice:
         with pytest.raises(ValueError):
             AgreementSet(base=Policy.uniform(2, 2), fixed_states=(0, 0))
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2)])
+    def test_projection_residual_rejects_a_wrong_shape(self, shape):
+        m = builtin_fixture("dyn2")
+        sl = affine_slice(m, AgreementSet(base=random_policy(m, 1), fixed_states=(0,)))
+        with pytest.raises(ShapeMismatch, match=r"expected a \(2,\) point or an \(n, 2\) stack"):
+            sl.projection_residual(np.zeros(shape))
+
 
 class TestSampleValues:
     def test_deterministic_per_seed(self):
@@ -467,7 +467,7 @@ class TestHull2d:
         np.testing.assert_array_equal(hull, [[0, 0], [3, 3]])
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionUnsupported):
+        with pytest.raises(ValueError):
             hull_2d(np.zeros((4, 3)))
 
     @staticmethod
@@ -480,7 +480,7 @@ class TestHull2d:
         for ordered in (uniq, uniq[::-1]):
             chain = []
             for p in ordered:
-                while len(chain) >= 2 and geometry._cross(chain[-2], chain[-1], p) <= 0.0:
+                while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
                     chain.pop()
                 chain.append(p)
             chains += chain[:-1]

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from vfpolytope import verification
-from vfpolytope.errors import DimensionUnsupported, UnknownSuite
-from vfpolytope.evaluation import value_function
-from vfpolytope.geometry import membership_gap
+from vfpolytope.errors import EnumerationTooLarge, UnknownSuite
+from vfpolytope.evaluation import value_function, value_function_batch
+from vfpolytope.geometry import membership_gap, polytope_vertices_det, sample_policy_probs
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
-from vfpolytope.verification import PLANAR_SUITES, SUITE_NAMES, CheckReport, run_suite
+from vfpolytope.verification import SUITE_NAMES, CheckReport, run_suite
 
-from oracles import mc_value_oracle, neumann_tail_bound, neumann_value_oracle
+from oracles import (
+    hull_2d,
+    mc_value_oracle,
+    neumann_tail_bound,
+    neumann_value_oracle,
+    points_in_hull,
+)
 
 DYN2 = builtin_fixture("dyn2")
 UNIFORM2 = Policy.uniform(2, 2)
@@ -152,19 +158,19 @@ class TestSuites:
         with pytest.raises(UnknownSuite):
             run_suite("nope")
 
-    @pytest.mark.parametrize("name", PLANAR_SUITES)
-    def test_planar_suite_rejects_other_dimensions_before_sampling(
-        self, name, monkeypatch
-    ):
-        def sampled(*args, **kwargs):
-            raise AssertionError("sampled before the dimension check")
+    def test_hull_suite_rejects_past_the_cap_before_sampling(self, monkeypatch):
+        # 2,000 policies of 2^9 vertex leaves each pass the cap of 10^6.
+        def reached(*args, **kwargs):
+            raise AssertionError("drew or solved before the cap check")
 
-        monkeypatch.setattr(verification, "sample_values", sampled)
-        monkeypatch.setattr(verification, "value_function_batch", sampled)
+        for name in ("_policy_blocks", "polytope_vertices_det", "value_function_batch"):
+            monkeypatch.setattr(verification, name, reached)
         with pytest.raises(
-            DimensionUnsupported, match=f"suite '{name}' needs a 2-state MDP, got"
+            EnumerationTooLarge,
+            match=r"^hull certificate of 2000 policies at \|S\|=9 has 1024000 vertex "
+            r"leaves, over the cap of 1000000$",
         ):
-            run_suite(name, trials=1, mdp=random_mdp(3, 2, 0.9, 0))
+            run_suite("hull", trials=1, mdp=random_mdp(9, 2, 0.9, 0))
 
     @pytest.mark.parametrize("seed", [1, 7, 31337])
     def test_boundary_bisection_decides_as_membership_gap(self, seed, monkeypatch):
@@ -202,8 +208,6 @@ class TestSuites:
         # One action admits one policy, so every value set is a single point.
         mdp = random_mdp(n_states, 1, 0.9, n_states)
         for name in SUITE_NAMES:
-            if name in PLANAR_SUITES and n_states != 2:
-                continue
             report = run_suite(name, trials=3, seed=0, mdp=mdp)
             assert report.passed, (name, report.failures)
 
@@ -235,6 +239,7 @@ class TestSuites:
     def test_hull_suite_on_dyn2(self):
         report = run_suite("hull", seed=7, mdp=DYN2)
         assert report.passed
+        assert report.instances_run == 100
 
     def test_reports_deterministic(self):
         a = run_suite("rho", trials=10, seed=4)
@@ -248,6 +253,15 @@ class TestSuites:
         assert payload["passed"] is True
         assert payload["instances_run"] == 5
         assert isinstance(payload["max_deviation"], float)
+
+    def test_nan_deviation_fails_and_shows(self):
+        report = CheckReport(check_name="hull", instances_run=2)
+        report.record("instance 0", 1e-15, 1e-9)
+        report.record("instance 1", float("nan"), 1e-9)
+        report.record("instance 2", 1e-14, 1e-9)
+        assert not report.passed
+        assert [f["instance"] for f in report.failures] == ["instance 1"]
+        assert np.isnan(report.max_deviation)
 
     def test_failure_recorded_with_descriptor(self):
         report = CheckReport(check_name="dominance", instances_run=1)
@@ -302,3 +316,83 @@ def test_suites_draw_from_distinct_streams(tmp_path, monkeypatch):
     assert set().union(*users.values()) == set(SUITE_NAMES)
     shared = {state: names for state, names in users.items() if len(names) > 1}
     assert not shared, sorted(map(sorted, shared.values()))
+
+
+def _certify(mdp, probs):
+    """Worst hull-certificate error of the policies in probs, 2^12 leaves at a time."""
+    vertices = polytope_vertices_det(mdp)
+    chunk = max(1, 4096 >> mdp.n_states)
+    return max(
+        verification._hull_deviation(mdp, vertices, probs[i : i + chunk])
+        for i in range(0, len(probs), chunk)
+    )
+
+
+class TestHullCertificate:
+    """The line-theorem weights certify hull inclusion in any dimension."""
+
+    def test_random_instances(self):
+        worst = 0.0
+        for i in range(200):
+            mdp = verification._random_instance(5, i)
+            worst = max(worst, _certify(mdp, sample_policy_probs(mdp, 2_000, i)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "args, bound",
+        [((8, 2, 0.99, 3), 1e-12), ((10, 2, 0.999, 3), 2e-12)],
+        ids=["8-states-0.99", "10-states-0.999"],
+    )
+    def test_near_gamma_one(self, args, bound):
+        mdp = random_mdp(*args)
+        assert _certify(mdp, sample_policy_probs(mdp, 500, 0)) <= bound
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 5])
+    def test_one_action(self, n_states):
+        mdp = random_mdp(n_states, 1, 0.9, n_states)
+        assert _certify(mdp, sample_policy_probs(mdp, 50, 2)) <= 1e-12
+
+    def test_certified_values_are_inside_scipy_hull(self):
+        from scipy.spatial import ConvexHull
+
+        checked = 0
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            mdp = random_mdp(int(rng.integers(3, 5)), int(rng.integers(2, 4)), 0.9, seed)
+            vertices = polytope_vertices_det(mdp)
+            spread = np.linalg.svd(vertices - vertices.mean(axis=0), compute_uv=False)
+            if spread[-1] <= 1e-8 * spread[0]:
+                continue  # the vertices do not span the value space
+            probs = sample_policy_probs(mdp, 2_000, seed)
+            assert _certify(mdp, probs) <= 1e-12
+            # Unit outer facet normals n and offsets b: n . x + b <= 0 inside.
+            facets = ConvexHull(vertices).equations
+            values = value_function_batch(mdp, probs)
+            assert np.max(values @ facets[:, :-1].T + facets[:, -1]) <= 1e-9
+            checked += 1
+        assert checked >= 12
+
+    @pytest.mark.parametrize(
+        "mdp",
+        [builtin_fixture(name) for name in FIXTURE_NAMES]
+        + [random_mdp(2, n_actions, 0.95, 7) for n_actions in (2, 4)],
+        ids=[*FIXTURE_NAMES, "random-2x2", "random-2x4"],
+    )
+    def test_certified_values_pass_the_planar_oracle(self, mdp):
+        probs = sample_policy_probs(mdp, 2_000, 3)
+        assert _certify(mdp, probs) <= 1e-12
+        hull = hull_2d(polytope_vertices_det(mdp))
+        assert points_in_hull(value_function_batch(mdp, probs), hull).all()
+
+    def test_a_target_at_another_gamma_fails(self):
+        # The leaves are the independently solved vertices, so a tree built
+        # at gamma * 1.01 cannot reproduce them.
+        mdp = random_mdp(3, 2, 0.9, 4)
+        shifted = Mdp(mdp.n_states, mdp.n_actions, mdp.rewards, mdp.transitions,
+                      mdp.gamma * 1.01)
+        probs = sample_policy_probs(mdp, 200, 0)
+        deviation = verification._hull_deviation(
+            shifted, polytope_vertices_det(mdp), probs
+        )
+        assert deviation > 1e-3
+        assert _certify(mdp, probs) <= 1e-12
