@@ -334,15 +334,31 @@ def membership_gap(mdp: Mdp, values) -> np.ndarray:
     return gap / np.maximum(1.0, np.abs(values).max(axis=1))
 
 
-def _members(mdp: Mdp, values: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (n, |S|) stack that are values.
+def _ray_exit(mdp: Mdp, start: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Smallest t >= 0 at which start + t*u leaves the value set, per ray u.
 
-    This is membership_gap(mdp, values) <= 0.0, decided from the bounds
-    min_a Q_v(s,a) <= v(s) <= max_a Q_v(s,a) without forming or scaling
-    the gap.
+    start is an (|S|,) value x and rays an (n, |S|) stack. Q_v is affine in
+    v, so along a ray Q_{x+tu}(s,a) - (x+tu)(s) is the line alpha + beta*t,
+    with alpha = Q_x(s,a) - x(s) and beta = gamma*P(s,a,.)u - u(s). The
+    bound max_a Q >= v(s) fails exactly where all |A| of its lines are
+    negative: on the open interval from the largest -alpha/beta with
+    beta < 0 to the smallest with beta > 0, which is empty if some line has
+    beta = 0 <= alpha. The bound v(s) >= min_a Q fails where all of
+    -alpha - beta*t are negative. The exit is the smallest left end,
+    clipped at 0, of the 2|S| intervals that reach past 0.
     """
-    q = _q_stack(mdp, values)
-    return np.all((q.min(axis=2) <= values) & (values <= q.max(axis=2)), axis=1)
+    alpha = _q_stack(mdp, start[None])[0] - start[:, None]
+    beta = mdp.gamma * np.einsum("sat,nt->nsa", mdp.transition_tensor, rays)
+    beta -= rays[:, :, None]
+    # Axis 1 picks the bound: the upper one's lines, then the lower one's.
+    a = np.stack([alpha, -alpha])
+    b = np.stack([beta, -beta], axis=1)
+    root = np.divide(-a, b, out=np.zeros_like(b), where=b != 0.0)
+    left = np.where(b < 0.0, root, -np.inf).max(axis=3)
+    right = np.where(b > 0.0, root, np.inf).min(axis=3)
+    held = ((b == 0.0) & (a >= 0.0)).any(axis=3)
+    fails = (left < right) & (right > 0.0) & ~held
+    return np.maximum(np.where(fails, left, np.inf).min(axis=(1, 2)), 0.0)
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ instances or on one given MDP; run_suite runs one of them. Every suite runs
 in any dimension. Hull inclusion is certified rather than tested against a
 hull: the line theorem, applied one state at a time, gives each sampled
 value convex weights over the deterministic-policy values, and the suite
-checks those weights against independently solved vertices. The independent
-oracles (truncated series, Monte Carlo, exact rationals, a planar hull) live
-with the tests, in tests/oracles.py.
+checks those weights against independently solved vertices. Boundary
+points are where random rays first leave the value set, read off the Q
+bounds in closed form rather than bisected. The independent oracles
+(truncated series, Monte Carlo, exact rationals, a planar hull, a
+bisection on membership_gap) live with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ from .evaluation import (
 )
 from .geometry import (
     AgreementSet,
-    _members,
     _policy_blocks,
     _q_stack,
+    _ray_exit,
     affine_slice,
     interpolation_curve,
     line_segment,
@@ -45,10 +47,8 @@ from .geometry import (
 )
 from .mdp import ENUMERATION_CAP, Mdp, Policy, random_mdp, random_policy
 
-# The boundary suite bisects this many rays per instance, each this many
-# times: enough halvings to shrink any starting interval to float resolution.
+# The boundary suite follows this many random rays per instance.
 BOUNDARY_RAYS = 64
-BOUNDARY_HALVINGS = 64
 
 # The smooth suite's central-difference step; it compares it with its half.
 SMOOTH_STEP = 1e-5
@@ -319,12 +319,13 @@ def _hull_deviation(mdp: Mdp, vertices: np.ndarray, probs: np.ndarray) -> float:
     ]))
 
 
-def _check_hull(mdp: Mdp, rng: np.random.Generator):
+def _check_hull(mdp: Mdp):
     """Sampled values are convex combinations of the deterministic values.
 
     2,000 of _sample's policies are certified by _hull_deviation, in chunks
     whose 2^|S| leaves of |S| x |S| systems stay within _BLOCK_ENTRIES
-    entries.
+    entries. The cap check and the vertices are per-MDP work: this returns
+    the check of one trial's stream.
     """
     samples = 2_000
     leaves = samples << mdp.n_states
@@ -335,63 +336,64 @@ def _check_hull(mdp: Mdp, rng: np.random.Generator):
         )
     vertices = polytope_vertices_det(mdp)
     chunk = max(1, _BLOCK_ENTRIES // (mdp.n_states**2 << mdp.n_states))
-    deviation = 0.0
-    for _, probs in _policy_blocks(mdp, samples, rng.bit_generator.seed_seq.spawn(1)[0]):
-        for start in range(0, len(probs), chunk):
-            piece = _hull_deviation(mdp, vertices, probs[start : start + chunk])
-            deviation = np.maximum(deviation, piece)
-    return "", float(deviation)
+
+    def check(rng: np.random.Generator):
+        deviation = 0.0
+        seed = rng.bit_generator.seed_seq.spawn(1)[0]
+        for _, probs in _policy_blocks(mdp, samples, seed):
+            for start in range(0, len(probs), chunk):
+                piece = _hull_deviation(mdp, vertices, probs[start : start + chunk])
+                deviation = np.maximum(deviation, piece)
+        return "", float(deviation)
+
+    return check
 
 
-def _check_boundary(mdp: Mdp, rng: np.random.Generator):
+def _check_boundary(mdp: Mdp):
     """Exact boundary points are values of semi-deterministic policies.
 
-    From the uniform policy's value, BOUNDARY_RAYS random rays are bisected
-    to float resolution on value-set membership (membership_gap <= 0,
-    decided from the Q bounds alone), keeping the last member found on each.
-    At each such boundary point every state's row mixes the actions of min
-    and max Q_v(s, .) to average v(s), and the tightest state is snapped to
-    its extreme action. The policy's solved value must match the point;
-    on 2-state instances the point must also lie on one of the
-    one-state-pinned family segments. Distances are scaled by
-    max(1, |v|_inf).
+    From the uniform policy's value, BOUNDARY_RAYS random rays are followed
+    to where they first leave the value set, which geometry._ray_exit gives
+    in closed form from the Q bounds. At each such boundary point every
+    state's row mixes the actions of min and max Q_v(s, .) to average v(s),
+    and the tightest state is snapped to its extreme action. The policy's
+    solved value must match the point; on 2-state instances the point must
+    also lie on one of the one-state-pinned family segments. Distances are
+    scaled by max(1, |v|_inf). The start and the segments are per-MDP work:
+    this returns the check of one trial's stream.
     """
     n_states, n_actions = mdp.n_states, mdp.n_actions
-    rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
-    rays /= np.abs(rays).max(axis=1, keepdims=True)
     start = value_function(mdp, Policy.uniform(n_states, n_actions))
-    # |start + t ray|_inf > value_bound, so hi is outside the value set.
-    lo = np.zeros(BOUNDARY_RAYS)
-    hi = np.full(BOUNDARY_RAYS, 2.0 * mdp.value_bound() + 1.0)
-    for _ in range(BOUNDARY_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        inside = _members(mdp, start + mid[:, None] * rays)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    points = start + lo[:, None] * rays
-    q = _q_stack(mdp, points)
-    q_min, q_max = q.min(axis=2), q.max(axis=2)
-    spread = q_max - q_min
-    weight = np.clip(
-        (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
-    )
-    tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
-    rows = np.arange(BOUNDARY_RAYS)
-    weight[rows, tight] = np.round(weight[rows, tight])
-    probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
-    cells = (rows[:, None], np.arange(n_states)[None, :])
-    probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
-    probs[cells + (q.argmax(axis=2),)] += weight
-    scale = np.maximum(1.0, np.abs(points).max(axis=1))
-    misses = np.abs(value_function_batch(mdp, probs) - points).max(axis=1)
-    deviation = float(np.max(misses / scale))
-    if n_states == 2:
-        segments = semidet_family_segments(mdp)
-        dists = np.min(
-            [segment_distances(points, a, b) for a, b in segments], axis=0
+    segments = semidet_family_segments(mdp) if n_states == 2 else []
+
+    def check(rng: np.random.Generator):
+        rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
+        rays /= np.abs(rays).max(axis=1, keepdims=True)
+        points = start + _ray_exit(mdp, start, rays)[:, None] * rays
+        q = _q_stack(mdp, points)
+        q_min, q_max = q.min(axis=2), q.max(axis=2)
+        spread = q_max - q_min
+        weight = np.clip(
+            (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
         )
-        deviation = max(deviation, float(np.max(dists / scale)))
-    return f"|S|={n_states}", deviation
+        tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
+        rows = np.arange(BOUNDARY_RAYS)
+        weight[rows, tight] = np.round(weight[rows, tight])
+        probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
+        cells = (rows[:, None], np.arange(n_states)[None, :])
+        probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
+        probs[cells + (q.argmax(axis=2),)] += weight
+        scale = np.maximum(1.0, np.abs(points).max(axis=1))
+        misses = np.abs(value_function_batch(mdp, probs) - points).max(axis=1)
+        deviation = float(np.max(misses / scale))
+        if segments:
+            dists = np.min(
+                [segment_distances(points, a, b) for a, b in segments], axis=0
+            )
+            deviation = max(deviation, float(np.max(dists / scale)))
+        return f"|S|={n_states}", deviation
+
+    return check
 
 
 def _check_rank(mdp: Mdp, rng: np.random.Generator):
@@ -474,15 +476,21 @@ _ONCE_ON_GIVEN = {
     "dominance": partial(_check_dominance, samples=1_000),
 }
 
+# These suites' checks take the MDP alone, do its per-MDP work, and return
+# the check of one trial's stream.
+_PER_MDP = ("hull", "boundary")
+
 
 def run_suite(
     suite_name: str, trials: int = 100, seed=0, mdp: Mdp | None = None
 ) -> CheckReport:
     """Run one named property suite over seeded random instances.
 
-    When an MDP is given the suite checks it instead of random instances.
-    The hull suite raises EnumerationTooLarge, before it draws anything,
-    when its certificate would pass the enumeration cap. Instance i draws from one stream keyed
+    When an MDP is given the suite checks it instead of random instances,
+    and the hull and boundary suites do their per-MDP work once; on the
+    random family they do it once per instance. The hull suite raises
+    EnumerationTooLarge, before it draws anything, when its certificate
+    would pass the enumeration cap. Instance i draws from one stream keyed
     SeedSequence(seed, spawn_key=(tag, i)), where tag is the suite's
     position in SUITE_NAMES plus one, so no two suites share a stream. The
     report is deterministic for a fixed (seed, trials).
@@ -500,11 +508,15 @@ def run_suite(
     tag = SUITE_NAMES.index(suite_name) + 1
     report = CheckReport(check_name=suite_name, instances_run=trials)
     for i in range(trials):
-        instance = mdp or _random_instance(seed, i)
+        if mdp is None or i == 0:
+            instance = mdp or _random_instance(seed, i)
+            trial = (
+                check(instance) if suite_name in _PER_MDP else partial(check, instance)
+            )
         rng = np.random.default_rng(
             np.random.SeedSequence(int(seed), spawn_key=(tag, i))
         )
-        label, deviation, *override = check(instance, rng)
+        label, deviation, *override = trial(rng)
         limit = override[0] if override else tol
         report.record(f"instance {i} {label}".rstrip(), deviation, limit)
     return report

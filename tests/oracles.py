@@ -16,7 +16,9 @@ Each computes what a package kernel computes by another route:
 - fraction_solve and exact_value: policy evaluation in exact rational
   arithmetic, by Gaussian elimination over fractions.Fraction;
 - hull_2d and points_in_hull: a planar convex hull by monotone chain and
-  the points within 1e-9 of it, for 2-state value sets.
+  the points within 1e-9 of it, for 2-state value sets;
+- bisect_exit: where rays from a value leave the value set, bisected on
+  membership_gap instead of read off the Q bounds' lines.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from vfpolytope.evaluation import (
     q_values,
     value_function,
 )
-from vfpolytope.geometry import segment_distances
+from vfpolytope.geometry import membership_gap, segment_distances
 from vfpolytope.mdp import Mdp, Policy
 
 
@@ -289,3 +291,24 @@ def points_in_hull(points, hull) -> np.ndarray:
     The hull must be in counterclockwise order as produced by hull_2d.
     """
     return _hull_escape(points, hull) <= 1e-9
+
+
+def bisect_exit(mdp: Mdp, start, rays) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per ray: start + lo*u is a value and start + hi*u is not.
+
+    Each of the (n, |S|) rays is bisected 64 times on
+    membership_gap(...) <= 0 from [0, 2*max|r|/(1 - gamma) + 1], whose far
+    end lies past every value for rays of max-norm 1; 64 halvings shrink
+    that interval to float resolution. Where the value set is not convex
+    along a ray, the crossing found need not be the first one.
+    """
+    start = np.asarray(start, dtype=float)
+    rays = np.asarray(rays, dtype=float)
+    lo = np.zeros(len(rays))
+    hi = np.full(len(rays), 2.0 * mdp.value_bound() + 1.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = membership_gap(mdp, start + mid[:, None] * rays) <= 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return lo, hi

@@ -122,7 +122,7 @@ def test_criterion_06_boundary_semideterministic():
     assert result.max_deviation < 1e-3
     report(
         6,
-        f"dyn2 bisected boundary points within {result.max_deviation:.2e} (< 1e-3) "
+        f"dyn2 ray-exit boundary points within {result.max_deviation:.2e} (< 1e-3) "
         f"of their semi-deterministic policies' values and the one-state-pinned "
         f"families",
     )

@@ -32,9 +32,8 @@ from vfpolytope.mdp import (
     random_mdp,
     random_policy,
 )
-from vfpolytope.verification import semidet_family_segments
 
-from oracles import _cross, hull_2d, mix_policies, points_in_hull
+from oracles import _cross, bisect_exit, hull_2d, mix_policies, points_in_hull
 
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -235,21 +234,16 @@ class TestMembershipGap:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_members_mask_is_the_gap_decision(self, seed):
-        # The boundary suite bisects on _members; it must decide exactly as
-        # membership_gap <= 0 did, also on boundary points.
-        rng = np.random.default_rng(seed)
-        m = random_mdp(2 + seed % 3, int(rng.integers(2, 4)), 0.9, seed=seed)
-        stacks = [
-            rng.uniform(-1.2, 1.2, size=(500, m.n_states)) * m.value_bound(),
-            sample_values(m, 200, seed),
-            polytope_vertices_det(m),
-        ]
-        if m.n_states == 2:
-            t = np.linspace(0.0, 1.0, 33)[:, None]
-            stacks += [a + t * (b - a) for a, b in semidet_family_segments(m)]
-        for values in stacks:
-            expected = membership_gap(m, values) <= 0.0
-            assert np.array_equal(geometry._members(m, values), expected)
+        # The boundary suite takes its points at the ray exits of
+        # geometry._ray_exit: every point of a ray short of its exit must
+        # be a member by membership_gap <= 0, and the point just past it not.
+        m, start, rays = _exit_case(seed)
+        t = geometry._ray_exit(m, start, rays)
+        assert np.all(t > 0.0)
+        fractions = np.array([0.0, 0.5, 0.9, 1.0 - 1e-6, 1.0 + 1e-6])
+        for f in fractions:
+            gap = membership_gap(m, start + f * t[:, None] * rays)
+            assert np.array_equal(gap <= 0.0, np.full(len(rays), f <= 1.0)), f
 
     def test_rejects_wrong_shape(self):
         m = builtin_fixture("dyn2")
@@ -257,6 +251,105 @@ class TestMembershipGap:
             membership_gap(m, np.zeros(2))
         with pytest.raises(ShapeMismatch):
             membership_gap(m, np.zeros((4, 3)))
+
+
+def _unit_rays(rng, n, n_states):
+    """n Gaussian directions scaled to max-norm 1."""
+    rays = rng.standard_normal((n, n_states))
+    return rays / np.abs(rays).max(axis=1, keepdims=True)
+
+
+def _exit_case(seed):
+    """A random MDP with |S| 2-5, the uniform policy's value and 64 unit rays."""
+    rng = np.random.default_rng(seed)
+    m = random_mdp(
+        2 + seed % 4, int(rng.integers(2, 5)), float(rng.uniform(0.3, 0.95)), seed=seed
+    )
+    start = value_function(m, Policy.uniform(m.n_states, m.n_actions))
+    return m, start, _unit_rays(rng, 64, m.n_states)
+
+
+class TestRayExit:
+    """geometry._ray_exit against bisection on membership_gap (oracles.bisect_exit)."""
+
+    def test_never_past_the_bisection_crossing(self):
+        # Both round where a ray crosses at a shallow angle: there the exact
+        # rational crossing can sit tens of ulps from either. Here t* passes
+        # the bisection's first non-member by at most 7.5 ulps of scale.
+        worst = -np.inf
+        for seed in range(40):
+            m, start, rays = _exit_case(seed)
+            t = geometry._ray_exit(m, start, rays)
+            _, hi = bisect_exit(m, start, rays)
+            point = np.abs(start + hi[:, None] * rays).max(axis=1)
+            scale = np.maximum(np.maximum(1.0, hi), point)
+            worst = max(worst, float(np.max((t - hi) / np.spacing(scale))))
+        assert worst <= 16.0
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+    def test_convex_value_sets_match_the_crossing(self, name):
+        # These value sets are convex, so every ray crosses their boundary once.
+        m = builtin_fixture(name)
+        start = value_function(m, Policy.uniform(m.n_states, m.n_actions))
+        rays = _unit_rays(np.random.default_rng(1), 500, m.n_states)
+        t = geometry._ray_exit(m, start, rays)
+        lo, _ = bisect_exit(m, start, rays)
+        assert np.max(np.abs(t - lo) / np.maximum(1.0, lo)) <= 1e-12
+
+    def test_gap_vanishes_at_the_exit_and_is_positive_past_it(self):
+        for seed in range(40):
+            m, start, rays = _exit_case(seed)
+            t = geometry._ray_exit(m, start, rays)
+            assert membership_gap(m, start + t[:, None] * rays).max() <= 1e-12
+            past = t + 1e-9 * np.maximum(1.0, t)
+            assert membership_gap(m, start + past[:, None] * rays).min() > 0.0
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 5])
+    def test_one_action_exits_at_zero(self, n_states):
+        # One policy, so the value set is the single point start.
+        m = random_mdp(n_states, 1, 0.9, n_states)
+        start = value_function(m, Policy.uniform(n_states, 1))
+        rays = np.random.default_rng(0).standard_normal((64, n_states))
+        assert np.all(geometry._ray_exit(m, start, rays) == 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_state(self, seed):
+        # The value set of one state is an interval, crossed once each way.
+        m = random_mdp(1, 3, 0.9, seed)
+        start = value_function(m, Policy.uniform(1, 3))
+        rays = np.array([[1.0], [-1.0]])
+        t = geometry._ray_exit(m, start, rays)
+        lo, _ = bisect_exit(m, start, rays)
+        assert np.max(np.abs(t - lo) / np.maximum(1.0, lo)) <= 1e-12
+        ends = np.sort(polytope_vertices_det(m)[:, 0])[[-1, 0]]
+        np.testing.assert_allclose(start[0] + t * rays[:, 0], ends, rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_flat_line_keeps_its_bound(self, seed):
+        # Action 0 keeps each state where it is, so along an axis ray the
+        # other state's line for it has beta = 0: where its alpha >= 0 that
+        # state's upper bound holds at every t, however its other lines fall.
+        rewards = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        m = Mdp(2, 2, rewards, np.array([[1, 0], [0, 1], [0, 1], [1, 0]], float), 0.9)
+        start = value_function(m, Policy.uniform(2, 2))
+        rays = np.vstack([np.eye(2), -np.eye(2)])
+        t = geometry._ray_exit(m, start, rays)
+        assert membership_gap(m, start + t[:, None] * rays).max() <= 1e-12
+        past = t + 1e-9 * np.maximum(1.0, t)
+        assert membership_gap(m, start + past[:, None] * rays).min() > 0.0
+
+    def test_duplicated_actions(self):
+        m = random_mdp(3, 2, 0.9, 4)
+        order = [0, 1, 1, 0]
+        dup = Mdp(3, 4, m.reward_matrix[:, order].ravel(),
+                  m.transition_tensor[:, order].reshape(12, 3), m.gamma)
+        start = value_function(m, Policy.uniform(3, 2))
+        rays = _unit_rays(np.random.default_rng(2), 64, 3)
+        np.testing.assert_allclose(
+            geometry._ray_exit(dup, start, rays),
+            geometry._ray_exit(m, start, rays),
+            rtol=1e-14,
+        )
 
 
 class TestAffineSlice:

@@ -1,16 +1,18 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from vfpolytope import verification
+from vfpolytope import geometry, verification
 from vfpolytope.errors import EnumerationTooLarge, UnknownSuite
 from vfpolytope.evaluation import value_function, value_function_batch
-from vfpolytope.geometry import membership_gap, polytope_vertices_det, sample_policy_probs
+from vfpolytope.geometry import polytope_vertices_det, sample_policy_probs
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
 from vfpolytope.verification import SUITE_NAMES, CheckReport, run_suite
 
 from oracles import (
+    bisect_exit,
     hull_2d,
     mc_value_oracle,
     neumann_tail_bound,
@@ -153,6 +155,18 @@ class TestCompareOracles:
         assert max(triangulate(m, UNIFORM2)) <= 0.0
 
 
+def _count_calls(monkeypatch, calls, name, *modules):
+    """Patch `name` in each module with one wrapper counting calls[name]."""
+    inner = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -174,19 +188,52 @@ class TestSuites:
 
     @pytest.mark.parametrize("seed", [1, 7, 31337])
     def test_boundary_bisection_decides_as_membership_gap(self, seed, monkeypatch):
-        # Bisecting on the Q bounds must give every bit of the reports that
-        # bisecting on membership_gap(...) <= 0.0 gave.
+        # Boundary points bisected on membership_gap(...) <= 0.0
+        # (oracles.bisect_exit) must give the verdict, and deviations of the
+        # size, that the closed-form ray exits give.
         def reports():
-            return json.dumps([
-                run_suite("boundary", trials=10, seed=seed, mdp=builtin_fixture("dyn2")).to_dict(),
-                run_suite("boundary", trials=10, seed=seed).to_dict(),
-            ])
+            return [
+                run_suite("boundary", trials=10, seed=seed, mdp=DYN2),
+                run_suite("boundary", trials=10, seed=seed),
+            ]
 
-        current = reports()
+        closed = reports()
         monkeypatch.setattr(
-            verification, "_members", lambda mdp, v: membership_gap(mdp, v) <= 0.0
+            verification, "_ray_exit", lambda mdp, x, rays: bisect_exit(mdp, x, rays)[0]
         )
-        assert current == reports()
+        for ours, bisected in zip(closed, reports()):
+            assert ours.passed and bisected.passed
+            assert ours.instances_run == bisected.instances_run == 10
+            assert max(ours.max_deviation, bisected.max_deviation) <= 1e-13
+
+    def test_per_mdp_work_runs_once_per_mdp(self, monkeypatch):
+        calls = Counter()
+        for name in ("polytope_vertices_det", "semidet_family_segments", "value_function"):
+            _count_calls(monkeypatch, calls, name, verification)
+        run_suite("hull", trials=4, seed=0, mdp=DYN2)
+        run_suite("boundary", trials=4, seed=0, mdp=DYN2)
+        assert calls == Counter(
+            polytope_vertices_det=1, semidet_family_segments=1, value_function=1
+        )
+        calls.clear()
+        run_suite("hull", trials=4, seed=0)
+        run_suite("boundary", trials=4, seed=0)
+        two_state = sum(verification._random_instance(0, i).n_states == 2 for i in range(4))
+        assert calls == Counter(
+            polytope_vertices_det=4, semidet_family_segments=two_state, value_function=4
+        )
+
+    @pytest.mark.parametrize(
+        "mdp", [None, DYN2, random_mdp(4, 3, 0.9, 0)], ids=["random", "dyn2", "4x3"]
+    )
+    def test_boundary_suite_forms_q_twice_per_trial(self, mdp, monkeypatch):
+        # One _q_stack for the rays' exits, one for the policies at them.
+        calls = Counter()
+        _count_calls(monkeypatch, calls, "_q_stack", geometry, verification)
+        for trials in (1, 3, 8):
+            calls.clear()
+            run_suite("boundary", trials=trials, seed=2, mdp=mdp)
+            assert calls["_q_stack"] == 2 * trials
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_random_family_passes(self, name):
@@ -222,10 +269,24 @@ class TestSuites:
         assert report.max_deviation == 0.0
 
     def test_boundary_suite_passes_seeds_0_to_99(self):
+        worst = 0.0
         for seed in range(100):
             report = run_suite("boundary", trials=10, seed=seed)
             assert report.passed, (seed, report.failures)
             assert report.instances_run == 10
+            worst = max(worst, report.max_deviation)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize(
+        "mdp, bound",
+        [(builtin_fixture(name), 1e-14) for name in FIXTURE_NAMES]
+        + [(random_mdp(8, 4, 0.99999, 3), 1e-10)],
+        ids=[*FIXTURE_NAMES, "8x4-0.99999"],
+    )
+    def test_boundary_suite_deviation(self, mdp, bound):
+        report = run_suite("boundary", trials=10, seed=0, mdp=mdp)
+        assert report.passed
+        assert report.max_deviation <= bound
 
     def test_boundary_suite_sees_a_displaced_solve(self, monkeypatch):
         solve = verification.value_function_batch
