@@ -2,12 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
 unreadable input, an output path that cannot be written), 3 capability
-error (e.g. SVG requested for a non-planar MDP, `verify --suite hull` on
-an MDP whose hull certificate passes the enumeration cap, or gamma so near
-1 that a system is singular). Every file-writing command also emits a
-`<out>.manifest.json` recording argv, config, seed, input digests, and
-output digests; re-running the recorded argv reproduces the outputs byte
-for byte.
+error (any errors.CapabilityError; `verify --suite all` skips a suite that
+raises one). A handler does all its fallible work before its first write.
+Every file-writing command also emits a `<out>.manifest.json` recording
+argv, config, seed, input digests, and output digests; re-running the
+recorded argv reproduces the outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from .dynamics import (
     run_policy_iteration,
     run_value_iteration,
 )
-from .errors import EnumerationTooLarge, IllConditioned, VfpError
+from .errors import CapabilityError, VfpError
 from .evaluation import value_function
 from .geometry import (
     AgreementSet,
@@ -75,10 +74,8 @@ MAX_TRIALS = 10_000
 MAX_CELLS = 1 << 22
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR) -> None:
-        super().__init__(message)
-        self.code = code
+class CliError(VfpError):
+    """A usage error: a flag value or input file the commands cannot use."""
 
 
 def _resolve_mdp(spec: str) -> tuple[Mdp, dict[str, str]]:
@@ -132,9 +129,8 @@ def cmd_fixtures(args):
 def cmd_sample(args):
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
-    if args.svg is not None and mdp.n_states != 2:
-        raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
     fixed_states = _parse_fix(args.fix, mdp)
+    vertices = _svg_vertices(args, mdp)
     agreement = None
     if fixed_states:
         agreement = AgreementSet(
@@ -142,9 +138,18 @@ def cmd_sample(args):
         )
     values = sample_values(mdp, args.n, args.seed, agreement)
     write_csv(args.out, [f"v_s{i}" for i in range(mdp.n_states)], values)
-    if args.svg is not None:
-        write_svg(args.svg, values, vertices=polytope_vertices_det(mdp))
+    if vertices is not None:
+        write_svg(args.svg, values, vertices=vertices)
     return 0, {"n": args.n, "fix": sorted(fixed_states)}, inputs
+
+
+def _svg_vertices(args, mdp: Mdp) -> np.ndarray | None:
+    """The deterministic-policy values an --svg plot draws; None without --svg."""
+    if args.svg is None:
+        return None
+    if mdp.n_states != 2:
+        raise CapabilityError("SVG output needs a 2-state MDP")
+    return polytope_vertices_det(mdp)
 
 
 def _check_count(flag: str, count: int, low: int, cells_each: int) -> None:
@@ -172,8 +177,6 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
 
 def cmd_line(args):
     mdp, inputs = _resolve_mdp(args.mdp)
-    if not 0 <= args.state < mdp.n_states:
-        raise CliError(f"--state {args.state} out of range for |S|={mdp.n_states}")
     _check_count("--grid", args.grid, 2, mdp.n_states)
     segment = line_segment(mdp, random_policy(mdp, args.seed), args.state)
     curve = interpolation_curve(
@@ -218,13 +221,12 @@ def cmd_dynamics(args):
     elif args.entropy_coeff is not None:
         raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
     mdp, inputs = _resolve_mdp(args.mdp)
-    if args.svg is not None and mdp.n_states != 2:
-        raise CliError("SVG output needs a 2-state MDP", CAPABILITY_ERROR)
     start, init_inputs = _resolve_dynamics_init(args, mdp)
     iters = None
     if args.algo != "pi":
         iters = DEFAULT_ITERS[args.algo] if args.iters is None else args.iters
         _check_count("--iters", iters, 1, mdp.n_states)
+    vertices = _svg_vertices(args, mdp)
     if args.algo == "vi":
         trajectory = run_value_iteration(mdp, value_function(mdp, start), iters)
     elif args.algo == "pi":
@@ -250,10 +252,9 @@ def cmd_dynamics(args):
         + [f"meta_{k}" for k in names]
     )
     columns = [trajectory.columns[k] for k in names]
+    cloud = None if vertices is None else sample_values(mdp, 4000, args.seed)
     write_csv(args.out, header, np.arange(len(trajectory)), trajectory.points, *columns)
-    if args.svg is not None:
-        cloud = sample_values(mdp, 4000, args.seed)
-        vertices = polytope_vertices_det(mdp)
+    if vertices is not None:
         write_svg(args.svg, cloud, vertices, trajectory.points)
     config = {"algo": args.algo, "init": args.init, "iters": iters, "eta": eta,
               "entropy_coeff": coeff}
@@ -276,9 +277,9 @@ def cmd_verify(args):
     for name in names:
         try:
             reports.append(run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp))
-        except EnumerationTooLarge as exc:
+        except CapabilityError as exc:
             if args.suite != "all":
-                raise CliError(str(exc), CAPABILITY_ERROR) from None
+                raise
             skipped.append((name, exc))
     payload = {
         "reports": [r.to_dict() for r in reports],
@@ -411,12 +412,9 @@ def main(argv: list[str] | None = None) -> int:
             inputs, outputs, __version__,
         )
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (VfpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CAPABILITY_ERROR if isinstance(exc, IllConditioned) else USAGE_ERROR
+        return CAPABILITY_ERROR if isinstance(exc, CapabilityError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

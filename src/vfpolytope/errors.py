@@ -5,6 +5,10 @@ class VfpError(Exception):
     """Base class for all package-specific errors."""
 
 
+class CapabilityError(VfpError):
+    """A valid input the package cannot compute: the CLI exits 3 on it."""
+
+
 class MalformedDocument(VfpError):
     """An MDP/policy document is structurally wrong (keys, types, lengths)."""
 
@@ -21,7 +25,7 @@ class UnknownFixture(VfpError):
     """Requested built-in MDP name does not exist."""
 
 
-class EnumerationTooLarge(VfpError):
+class EnumerationTooLarge(CapabilityError):
     """|A|^|S| policies, or a hull certificate's leaves, exceed the enumeration cap."""
 
 
@@ -45,5 +49,5 @@ class UnknownSuite(VfpError):
     """Requested verification suite name does not exist."""
 
 
-class IllConditioned(VfpError):
+class IllConditioned(CapabilityError):
     """A linear system or slice basis is singular to working precision."""

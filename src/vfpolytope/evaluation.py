@@ -130,10 +130,10 @@ def _solve_blocks(mdp: Mdp, policies, collapse=_collapse) -> np.ndarray:
 
 
 def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
-    """The line theorem in one solve: (v, R_s, num, omega) for replacement rows.
+    """The line theorem in one solve: (v, R_s, c, omega) for replacement rows.
 
-    Row q at `state` gives the value v + R_s * num / (1 - gamma * omega), with
-    R_s = (I - gamma P_pi)^{-1} e_s, num = q . Q_v(s, .) - v(s) and
+    Row q at `state` gives the value v + c * R_s, with R_s = (I - gamma
+    P_pi)^{-1} e_s, c = (q . Q_v(s, .) - v(s)) / (1 - gamma * omega) and
     omega = (q . P(s, ., .) - P_pi(s, .)) . R_s, one entry per row of rows.
     probs is one (|S|, |A|) policy or a (..., |S|, |A|) stack; every output
     gains its leading axes, and each policy of a stack gets the bits of its
@@ -153,7 +153,7 @@ def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     # taken from two whole collapses.
     step = np.einsum("ra,at->rt", rows, transitions) - p_pi[..., state, None, :]
     omega = (step @ r_s[..., None])[..., 0]
-    return v, r_s, num, omega
+    return v, r_s, num / (1.0 - mdp.gamma * omega), omega
 
 
 def induce(mdp: Mdp, policy: Policy) -> InducedChain:

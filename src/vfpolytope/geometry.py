@@ -151,8 +151,7 @@ def line_segment(mdp: Mdp, policy: Policy, state: int) -> LineSegment:
     _check_policy_shape(mdp, policy)
     _check_state(mdp, state)
     eye = np.eye(mdp.n_actions)
-    _, _, num, omega = _switch(mdp, policy.probs, state, eye)
-    c = num / (1.0 - mdp.gamma * omega)
+    _, _, c, _ = _switch(mdp, policy.probs, state, eye)
     ends = [policy.with_row(state, eye[a]) for a in (np.argmin(c), np.argmax(c))]
     v_low, v_high = value_function_batch(mdp, np.stack([p.probs for p in ends]))
     return LineSegment(*ends, v_low=v_low, v_high=v_high, state=state)
@@ -185,10 +184,9 @@ def interpolation_curve(
     _check_policy_shape(mdp, p1)
     mus = np.linspace(0.0, 1.0, grid_size)
     # p0 is p1 with the row at state replaced, so v0 = v1 + c * R_s.
-    _, r_s, num, omega = _switch(mdp, p1.probs, state, p0.probs[state][None])
-    c = num[0] / (1.0 - mdp.gamma * omega[0])
+    _, r_s, c, omega = _switch(mdp, p1.probs, state, p0.probs[state][None])
     same_rows = np.array_equal(p0.probs[state], p1.probs[state])
-    if same_rows or abs(c) * np.max(np.abs(r_s)) < 1e-12:
+    if same_rows or abs(c[0]) * np.max(np.abs(r_s)) < 1e-12:
         return InterpolationCurve(mus, np.zeros(grid_size), omega=0.0, constant=True)
     omega, gamma = float(omega[0]), mdp.gamma
     rhos = mus + gamma * mus * (1.0 - mus) * omega / (1.0 - omega * gamma * (1.0 - mus))

@@ -10,9 +10,9 @@ hull: the line theorem, applied one state at a time, gives each sampled
 value convex weights over the deterministic-policy values, and the suite
 checks those weights against independently solved vertices. Boundary
 points are where random rays first leave the value set, read off the Q
-bounds in closed form rather than bisected. The independent oracles
-(truncated series, Monte Carlo, exact rationals, a planar hull, a
-bisection on membership_gap) live with the tests, in tests/oracles.py.
+bounds in closed form. The independent oracles (truncated series, Monte
+Carlo, exact rationals, a planar hull, a bisection on membership_gap) live
+with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -297,9 +297,8 @@ def _hull_deviation(mdp: Mdp, vertices: np.ndarray, probs: np.ndarray) -> float:
     # The nodes' values at the last state; with one state, the policies'.
     last = target = value_function_batch(mdp, probs) if n_states == 1 else None
     for s in range(n_states - 1):
-        v, r_s, num, omega = _switch(mdp, nodes, s, eye)
+        v, r_s, c, _ = _switch(mdp, nodes, s, eye)
         target = v[:, 0] if s == 0 else target
-        c = num / (1.0 - mdp.gamma * omega)
         ends, split = _split(c)
         ends_c = np.take_along_axis(c, ends, axis=-1)
         last = (v[..., -1, None] + ends_c * r_s[..., -1, None]).reshape(n, -1)

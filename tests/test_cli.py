@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vfpolytope
-from vfpolytope import cli
+from vfpolytope import cli, errors
 from vfpolytope.cli import MAX_TRIALS, main
 from vfpolytope.mdp import (
     Mdp,
@@ -699,9 +699,13 @@ SINGULAR_AT_LAST_GAMMA = [
     ((1, 2), ["sample", "--n", "100", "--out", "out.csv"]),
     *(((n_s, n_a), ["dynamics", "--algo", "cem", "--out", "out.csv"])
       for n_s, n_a in ((2, 2), (1, 2), (3, 3))),
-    *(((n_s, n_a), ["verify", "--suite", "all", "--trials", "1", "--report", "r.json"])
-      for n_s, n_a in ((2, 2), (1, 2), (3, 3), (3, 1))),
 ]
+
+
+def write_mdp_with_gamma(path: Path, shape: tuple[int, int], gamma: float) -> None:
+    doc = json.loads(dump_mdp(random_mdp(*shape, 0.5, seed=0)))
+    doc["gamma"] = gamma
+    path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("shape, argv", SINGULAR_AT_LAST_GAMMA)
@@ -709,16 +713,105 @@ def test_singular_system_near_gamma_one_exits_3(
     shape, argv, tmp_path, monkeypatch, capsys
 ):
     # At gamma = 1 - 2^-53, the largest double below 1, I - gamma P_pi is
-    # singular to working precision for some policies, and (3, 1)'s slice
-    # basis is rank-deficient.
-    doc = json.loads(dump_mdp(random_mdp(*shape, 0.5, seed=0)))
-    doc["gamma"] = 1 - 2**-53
-    (tmp_path / "mdp.json").write_text(json.dumps(doc))
+    # singular to working precision for some policies.
+    write_mdp_with_gamma(tmp_path / "mdp.json", shape, 1 - 2**-53)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--mdp", "mdp.json"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "gamma = 0.9999999999999999" in err or "rank-deficient" in err
+    assert "gamma = 0.9999999999999999" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "shape, gamma, trials, skips",
+    [
+        ((2, 2), 1 - 2**-53, 1, 5),
+        ((1, 2), 1 - 2**-53, 1, 5),
+        ((3, 3), 1 - 2**-53, 1, 5),
+        ((3, 1), 1 - 2**-53, 1, 1),
+        ((3, 3), 1 - 1e-12, 2, 1),
+    ],
+    ids=["2x2", "1x2", "3x3", "3x1", "3x3-gamma-1e-12"],
+)
+def test_verify_all_skips_suites_that_cannot_compute(
+    shape, gamma, trials, skips, tmp_path, monkeypatch, capsys
+):
+    # Near gamma = 1 some suites meet a singular system or a rank-deficient
+    # slice basis. `--suite all` reports every other suite; each skipped
+    # suite run alone exits 3 with one error line and writes no report.
+    write_mdp_with_gamma(tmp_path / "mdp.json", shape, gamma)
+    monkeypatch.chdir(tmp_path)
+    common = ["--trials", str(trials), "--mdp", "mdp.json"]
+    assert main(["verify", "--suite", "all", *common, "--report", "all.json"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    skipped = {}
+    for line in captured.out.splitlines():
+        if line.startswith("skip "):
+            name, _, message = line[len("skip "):].partition(": ")
+            assert "gamma = 0.9999999999" in message or "rank-deficient" in message
+            skipped[name] = message
+    assert len(skipped) == skips
+    reported = [r["check_name"] for r in json.loads(Path("all.json").read_text())["reports"]]
+    assert reported == [name for name in SUITE_NAMES if name not in skipped]
+    for name, message in skipped.items():
+        report = Path(f"{name}.json")
+        assert main(["verify", "--suite", name, *common, "--report", str(report)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "shape, argv",
+    [
+        ((2, 1001), ["sample", "--n", "5"]),
+        ((2, 1001), ["dynamics", "--algo", "vi", "--iters", "5"]),
+        ((3, 2), ["sample", "--n", "5"]),
+        ((3, 2), ["dynamics", "--algo", "vi", "--iters", "5"]),
+    ],
+    ids=["sample-2x1001", "dynamics-2x1001", "sample-3x2", "dynamics-3x2"],
+)
+def test_svg_capability_error_writes_nothing(shape, argv, tmp_path, monkeypatch, capsys):
+    # Past the enumeration cap (1001^2 vertices) or off the plane, --svg is
+    # refused before anything is sampled, run or written: the outputs of an
+    # earlier successful run stay byte for byte and no file appears.
+    (tmp_path / "mdp.json").write_text(dump_mdp(random_mdp(*shape, 0.9, seed=0)))
+    monkeypatch.chdir(tmp_path)
+    command = argv + ["--mdp", "mdp.json", "--out", "out.csv"]
+    assert main(command) == 0
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(command + ["--svg", "out.svg"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _snapshot(tmp_path) == before
+
+
+ERROR_TYPES = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.VfpError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", [*ERROR_TYPES, cli.CliError, OSError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_type(cls, tmp_path, monkeypatch, capsys):
+    capability = {errors.CapabilityError, errors.EnumerationTooLarge, errors.IllConditioned}
+
+    def fail(args):
+        raise cls("cannot go on")
+
+    monkeypatch.setitem(cli._HANDLERS, "line", fail)
+    code = main(["line", "--mdp", "dyn2", "--state", "0", "--out", str(tmp_path / "o")])
+    assert code == (3 if cls in capability else 2)
+    assert capsys.readouterr().err == "error: cannot go on\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_optimal_value_iteration_cap_is_one_error_line(tmp_path, monkeypatch, capsys):

@@ -217,8 +217,8 @@ class TestValueFunction:
 
 def switched_values(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     """Values of probs with row `state` replaced by each row, by the kernel."""
-    v, r_s, num, omega = evaluation._switch(mdp, probs, state, rows)
-    return v + (num / (1.0 - mdp.gamma * omega))[:, None] * r_s
+    v, r_s, c, _ = evaluation._switch(mdp, probs, state, rows)
+    return v + c[:, None] * r_s
 
 
 class TestSwitch:

@@ -95,10 +95,10 @@ def test_switch_and_value_function_match_exact_values(gamma):
         tol = tolerance(mdp, mdp.value_bound())
         exact = as_floats(exact_value(mdp, probs))
         assert np.max(np.abs(value_function(mdp, Policy(probs)) - exact)) <= tol
-        v, r_s, num, omega = _switch(mdp, probs, state, np.eye(mdp.n_actions))
+        v, r_s, c, _ = _switch(mdp, probs, state, np.eye(mdp.n_actions))
         assert np.max(np.abs(v - exact)) <= tol
         for a in range(mdp.n_actions):
-            variant = v + r_s * (num[a] / (1.0 - gamma * omega[a]))
+            variant = v + r_s * c[a]
             exact_a = as_floats(exact_value(mdp, one_hot_variant(probs, state, a)))
             assert np.max(np.abs(variant - exact_a)) <= tol, (seed, a)
 
