@@ -262,8 +262,6 @@ def cmd_dynamics(args):
 
 
 def cmd_verify(args):
-    if args.suite != "all" and args.suite not in SUITE_NAMES:
-        raise CliError(f"unknown suite {args.suite!r}; known: all, {', '.join(SUITE_NAMES)}")
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:

@@ -4,8 +4,11 @@ Six algorithms: value iteration, policy iteration, vanilla and
 entropy-regularized policy gradient, natural policy gradient, and the
 cross-entropy method with or without covariance noise. All updates are
 exact (no sampling noise except CEM's population draws, which are seeded),
-and every run returns a Trajectory of exact value vectors. Natural policy
-gradient steps along its closed form and builds no Fisher matrix. The
+and every run returns a Trajectory of exact value vectors. The loops
+evaluate probability and action arrays; a Policy is built only where a
+caller receives one. The three gradient methods share one loop, _ascend,
+which owns its step's collapse and solve. Natural policy gradient steps
+along its closed form and builds no Fisher matrix. The
 standalone policy gradient, the visitation distribution and the damped
 Fisher solve whose limit that form is serve as test oracles in
 tests/oracles.py.
@@ -22,11 +25,11 @@ from .evaluation import (
     _collapse,
     _lapack_solve,
     _policy_iteration,
+    _solve,
     _system,
     optimal_value,
     optimality_bellman_apply,
     q_values,
-    value_function,
     value_function_batch,
 )
 from .mdp import Mdp, Policy
@@ -85,17 +88,6 @@ class CemConfig:
     def __post_init__(self) -> None:
         if self.noise_scale < 0 or self.iterations < 1:
             raise ValueError("bad CEM configuration")
-
-
-def _check_logits(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (mdp.n_states, mdp.n_actions):
-        raise ShapeMismatch(
-            f"logits must have shape ({mdp.n_states}, {mdp.n_actions})"
-        )
-    if not np.isfinite(theta).all():
-        raise NonFiniteLogits("logits contain NaN or infinity")
-    return theta
 
 
 def softmax_policy(theta: np.ndarray) -> Policy:
@@ -193,29 +185,6 @@ def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_p, -(probs * log_p).sum(axis=1)
 
 
-def _evaluate_step(
-    mdp: Mdp, theta: np.ndarray, systems: np.ndarray
-) -> tuple[Policy, np.ndarray, np.ndarray | None]:
-    """Softmax policy of a logit matrix, its exact value and its visitation.
-
-    _system's matrix is built in systems[0] of the (k, |S|, |S|) buffer
-    systems. With k = 2, systems[1] takes its transpose, for one stacked
-    solve of v and the uniform-start d; with k = 1 the solve gives v alone
-    and d is None. v is bit for bit value_function's, and d is
-    (1 - gamma) (I - gamma P_pi)^{-T} of the uniform start distribution.
-    """
-    theta = _check_logits(mdp, theta)
-    policy = Policy(_softmax_probs(theta))
-    k, n = len(systems), mdp.n_states
-    rhs = np.full((k, n, 1), 1.0 / n)
-    _collapse(mdp, policy.probs, systems[0], rhs[0, :, 0])
-    _system(mdp, systems[0], out=systems[0])
-    systems[1:] = systems[0].T
-    solved = _lapack_solve(mdp, systems, rhs)[..., 0]
-    d = (1.0 - mdp.gamma) * solved[1] if k == 2 else None
-    return policy, solved[0], d
-
-
 def _gradient(
     mdp: Mdp,
     probs: np.ndarray,
@@ -262,21 +231,32 @@ def _logits_of(mdp: Mdp, policy: Policy) -> np.ndarray:
         raise NonFiniteLogits(
             "softmax runs need strictly positive initial probabilities"
         )
-    return _check_logits(mdp, np.log(policy.probs))
+    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ShapeMismatch(
+            f"logits must have shape ({mdp.n_states}, {mdp.n_actions})"
+        )
+    return np.log(policy.probs)
 
 
 def _ascend(
     mdp: Mdp, init: Policy, eta: float, iterations: int, direction, visitation: bool
 ) -> Trajectory:
-    """Ascent on logits, recording exact values; one evaluation per step.
+    """Ascent on logits, recording exact values; one solve per step.
 
-    Each step evaluates its logits once, in a buffer allocated once per run;
-    the value is the recorded point, and direction(probs, v, d, log_entropy)
-    reuses the evaluation. The grad_norm column holds the sup-norm of the
-    direction taken (0 at the start). With visitation (the policy-gradient
-    runs) a step also solves for d and computes _log_entropy, whose mean
-    entropy fills the entropy column; else d and log_entropy are None and
-    there is no entropy column.
+    A step takes the softmax of its logits, collapses it into a (k, |S|, |S|)
+    system buffer allocated once per run, and makes one _lapack_solve against
+    the (k, |S|, 1) right-hand side [r_pi, uniform start]. The value, bit for
+    bit value_function's, is the recorded point, and direction(probs, v, d,
+    log_entropy) reuses the step's arrays. The grad_norm column holds the
+    sup-norm of the direction taken (0 at the start). With visitation (the
+    policy-gradient runs) k = 2: the second system is the transpose, which
+    gives d = (1 - gamma) (I - gamma P_pi)^{-T} of the uniform start, and
+    the step computes _log_entropy, whose mean entropy fills the entropy
+    column. Without it k = 1, d and log_entropy are None and there is no
+    entropy column.
+
+    Raises:
+        NonFiniteLogits: an update left a logit NaN or infinite.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -285,23 +265,31 @@ def _ascend(
     theta = _logits_of(mdp, init)
     n = mdp.n_states
     systems = np.empty((2 if visitation else 1, n, n))
+    rhs = np.full((len(systems), n, 1), 1.0 / n)
     points = np.empty((iterations + 1, n))
     columns = {"grad_norm": np.zeros(iterations + 1)}
     if visitation:
         columns["entropy"] = np.empty(iterations + 1)
-    log_entropy = None
+    d = log_entropy = None
     for k in range(iterations + 1):
         if k > 0:
-            step = direction(policy.probs, v, d, log_entropy)
+            step = direction(probs, v, d, log_entropy)
             columns["grad_norm"][k] = abs(step).max()
-            # An overflowing update is reported once, by the step evaluation's
-            # finiteness check, not also as a numpy warning.
+            # An overflowing update is reported once, by the finiteness check
+            # below, not also as a numpy warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta = theta + eta * step
-        policy, v, d = _evaluate_step(mdp, theta, systems)
-        points[k] = v
+            if not np.isfinite(theta).all():
+                raise NonFiniteLogits("logits contain NaN or infinity")
+        probs = _softmax_probs(theta)
+        _collapse(mdp, probs, systems[0], rhs[0, :, 0])
+        _system(mdp, systems[0], out=systems[0])
+        systems[1:] = systems[0].T
+        solved = _lapack_solve(mdp, systems, rhs)[..., 0]
+        v = points[k] = solved[0]
         if visitation:
-            log_entropy = _log_entropy(policy.probs)
+            d = (1.0 - mdp.gamma) * solved[1]
+            log_entropy = _log_entropy(probs)
             # sum / n has np.mean's bits without its Python-level overhead.
             columns["entropy"][k] = log_entropy[1].sum() / n
     return Trajectory(points=points, columns=columns)
@@ -354,7 +342,7 @@ def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     shape = (mdp.n_states, mdp.n_actions)
 
     def mean_value(m: np.ndarray) -> np.ndarray:
-        return value_function(mdp, softmax_policy(m.reshape(shape)))
+        return _solve(mdp, _softmax_probs(m.reshape(shape)))
 
     points = np.empty((config.iterations + 1, mdp.n_states))
     cov_trace = np.empty(config.iterations + 1)

@@ -212,7 +212,7 @@ def _policy_iteration(mdp: Mdp, actions):
     """
     states = np.arange(mdp.n_states)
     for _ in range(_MAX_IMPROVEMENTS):
-        v = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
+        v = _solve(mdp, actions, collapse=_gather)
         q = q_values(mdp, v)
         yield v, q
         best = np.argmax(q, axis=1)
@@ -239,5 +239,6 @@ def optimal_value(mdp: Mdp) -> tuple[np.ndarray, Policy]:
     """
     for _, q in _policy_iteration(mdp, np.argmax(mdp.reward_matrix, axis=1)):
         pass
-    greedy = Policy.deterministic(np.argmax(q, axis=1), mdp.n_actions)
-    return value_function(mdp, greedy), greedy
+    actions = np.argmax(q, axis=1)
+    greedy = Policy.deterministic(actions, mdp.n_actions)
+    return _solve(mdp, actions, collapse=_gather), greedy

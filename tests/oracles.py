@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vfpolytope.dynamics import _evaluate_step, _gradient, softmax_policy
+from vfpolytope.dynamics import _gradient, softmax_policy
 from vfpolytope.errors import ShapeMismatch
 from vfpolytope.evaluation import (
     _check_policy_shape,
@@ -141,12 +141,19 @@ def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:
 def policy_gradient(mdp: Mdp, theta: np.ndarray, entropy_coeff: float = 0.0) -> np.ndarray:
     """Exact gradient of J(theta) = mean_s V(s), from one evaluation of theta.
 
-    The package's step arithmetic (dynamics._gradient) on one collapse and
-    one stacked solve of v and d, as a policy-gradient run takes each step.
+    The package's step arithmetic (dynamics._gradient) on v and d from one
+    stacked np.linalg.solve of [I - gamma P_pi, its transpose] against
+    [r_pi, uniform start], built here from the MDP's tensors with the
+    package's einsum contractions, so no package solve path is involved.
     """
     n = mdp.n_states
-    policy, v, d = _evaluate_step(mdp, theta, np.empty((2, n, n)))
-    return _gradient(mdp, policy.probs, v, d, entropy_coeff)
+    probs = softmax_policy(theta).probs
+    p_pi = np.einsum("sa,sat->st", probs, mdp.transition_tensor)
+    r_pi = np.einsum("sa,sa->s", probs, mdp.reward_matrix)
+    system = np.eye(n) - mdp.gamma * p_pi
+    rhs = np.stack([r_pi, np.full(n, 1.0 / n)])[..., None]
+    v, d = np.linalg.solve(np.stack([system, system.T]), rhs)[..., 0]
+    return _gradient(mdp, probs, v, (1.0 - mdp.gamma) * d, entropy_coeff)
 
 
 def three_solve_gradient(mdp: Mdp, theta, entropy_coeff: float = 0.0) -> np.ndarray:

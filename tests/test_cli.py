@@ -369,12 +369,17 @@ class TestVerifyCommand:
         assert payload["reports"][0]["max_deviation"] < 1e-9
         assert "pass line" in capsys.readouterr().out
 
-    def test_unknown_suite_exits_2(self, tmp_path):
+    def test_unknown_suite_exits_2(self, tmp_path, capsys):
+        # run_suite is the one place that checks the name.
         code = main(
             ["verify", "--suite", "bogus", "--trials", "5", "--seed", "1",
              "--report", str(tmp_path / "r.json")]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown suite 'bogus'")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exits_2_without_traceback(self, trials, tmp_path):

@@ -41,6 +41,11 @@ from oracles import (
 
 DYN2 = builtin_fixture("dyn2")
 V_STAR, _ = optimal_value(DYN2)
+ASCENT_RUNS = {
+    "pg": partial(run_policy_gradient, entropy_coeff=0.0),
+    "entpg": partial(run_policy_gradient, entropy_coeff=0.1),
+    "npg": run_npg,
+}
 
 
 class TestSoftmax:
@@ -423,6 +428,18 @@ class TestOneEvaluationPerStep:
         monkeypatch.setattr(np.linalg, "solve", counted)
         return calls
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        policies = []
+        post_init = Policy.__post_init__
+
+        def counted(policy):
+            policies.append(policy)
+            post_init(policy)
+
+        monkeypatch.setattr(Policy, "__post_init__", counted)
+        return policies
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -447,17 +464,44 @@ class TestOneEvaluationPerStep:
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     def test_step_matches_separate_solves(self, n_states):
+        # Every recorded point is value_function of the softmax of that step's
+        # logits, which a loop of separate solves rebuilds from log(init).
         mdp = random_mdp(n_states, 3, 0.9, seed=n_states)
-        theta = np.random.default_rng(n_states).normal(size=(n_states, 3))
-        policy, v, d = dynamics._evaluate_step(
-            mdp, theta, np.empty((2, n_states, n_states))
-        )
-        assert policy == softmax_policy(theta)
-        assert np.array_equal(v, value_function(mdp, policy))
-        assert np.array_equal(d, discounted_distribution(mdp, policy))
-        alone = dynamics._evaluate_step(mdp, theta, np.empty((1, n_states, n_states)))
-        assert alone[0] == policy and alone[2] is None
-        assert np.array_equal(alone[1], v)
+        rng = np.random.default_rng(n_states)
+        init = softmax_policy(rng.normal(size=(n_states, 3)))
+        for algo, run in ASCENT_RUNS.items():
+            traj = run(mdp, init, 0.05, 5)
+            theta = np.log(init.probs)
+            for point in traj.points:
+                v = value_function(mdp, softmax_policy(theta))
+                assert np.array_equal(point, v), algo
+                if algo == "npg":
+                    step = dynamics._natural_direction(mdp, v)
+                else:
+                    step = three_solve_gradient(mdp, theta, 0.1 if algo == "entpg" else 0.0)
+                theta = theta + 0.05 * step
+
+    @pytest.mark.parametrize("run", list(ASCENT_RUNS.values()), ids=list(ASCENT_RUNS))
+    def test_policies_built_do_not_grow_with_iterations(self, built, run):
+        # A step evaluates arrays; no Policy is validated and frozen per step.
+        init = resolve_init(DYN2, "boundary")
+        built.clear()
+        run(DYN2, init, 0.05, 10)
+        short = len(built)
+        built.clear()
+        run(DYN2, init, 0.05, 2000)
+        assert len(built) == short
+
+    def test_cem_and_policy_iteration_build_no_policy_per_step(self, built):
+        init = resolve_init(DYN2, "boundary")
+        built.clear()
+        run_policy_iteration(DYN2, np.zeros(2))
+        assert built == []
+        run_cem(DYN2, init, CemConfig(iterations=1))
+        short = len(built)
+        built.clear()
+        run_cem(DYN2, init, CemConfig(iterations=4))
+        assert len(built) == short
 
     @pytest.mark.parametrize("n_states", [2, 3, 64])
     @pytest.mark.parametrize("entropy_coeff", [0.0, 0.1])

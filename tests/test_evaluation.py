@@ -1,6 +1,8 @@
+import ast
 import signal
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from vfpolytope.evaluation import (
 )
 from vfpolytope.geometry import polytope_vertices_det, sample_policy_probs
 from vfpolytope.mdp import (
+    FIXTURE_NAMES,
     Mdp,
     Policy,
     builtin_fixture,
@@ -30,6 +33,21 @@ from vfpolytope.mdp import (
 
 from oracles import bellman_apply, discounted_distribution
 
+SIGNED_ZEROS = Mdp(
+    3,
+    2,
+    rewards=[0.0, -0.0, -0.0, -0.0, 1.0, -0.5],
+    transitions=[[1, 0, 0], [0, 0.5, 0.5], [0, 1, 0], [0.25, 0, 0.75],
+                 [0, 0, 1], [1, 0, 0]],
+    gamma=0.9,
+)
+# Every fixture, the signed-zero MDP and random MDPs up to 8 x 5.
+PI_MDPS = (
+    [builtin_fixture(name) for name in FIXTURE_NAMES]
+    + [SIGNED_ZEROS]
+    + [random_mdp(n_states, n_actions, 0.9, seed=10 * n_states + n_actions)
+       for n_states in range(1, 9) for n_actions in range(1, 6)]
+)
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -100,14 +118,16 @@ class TestInduce:
             induce(builtin_fixture("fig2c"), Policy.uniform(2, 2))
 
     def test_every_solve_gets_the_same_system(self, monkeypatch):
-        # value_function, induce, discounted_distribution, the ascent step's
-        # stacked and value-only solves and the switch kernel all hand LAPACK
-        # the matrix I - gamma P_pi, bit for bit; the visitation solve gets
-        # its transpose. The vertex enumeration hands it, per deterministic
+        # value_function, induce, discounted_distribution, the first step of a
+        # policy-gradient run (stacked) and of a natural-gradient run (value
+        # only) and the switch kernel all hand LAPACK the matrix
+        # I - gamma P_pi, bit for bit; the visitation solve gets its
+        # transpose. The vertex enumeration hands it, per deterministic
         # policy, the matrix value_function builds for the one-hot policy.
         mdp = random_mdp(64, 3, 0.9, seed=1)
-        theta = np.random.default_rng(1).normal(size=(64, 3))
-        policy = dynamics.softmax_policy(theta)
+        init = dynamics.softmax_policy(np.random.default_rng(1).normal(size=(64, 3)))
+        # A run's first logits are the log of its start policy.
+        policy = dynamics.softmax_policy(np.log(init.probs))
         seen = []
         solve = np.linalg.solve
 
@@ -119,11 +139,12 @@ class TestInduce:
         value_function(mdp, policy)
         induce(mdp, policy)
         discounted_distribution(mdp, policy)
-        dynamics._evaluate_step(mdp, theta, np.empty((2, 64, 64)))
-        dynamics._evaluate_step(mdp, theta, np.empty((1, 64, 64)))
+        dynamics.run_policy_gradient(mdp, init, 0.05, 1)
+        dynamics.run_npg(mdp, init, 0.05, 1)
         evaluation._switch(mdp, policy.probs, 5, np.eye(3))
-        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[4][0],
-                   seen[5]]
+        assert len(seen) == 8
+        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[5][0],
+                   seen[7]]
         for system in systems[1:]:
             assert np.array_equal(system, systems[0])
 
@@ -136,6 +157,38 @@ class TestInduce:
             seen.clear()
             value_function(small, Policy.deterministic(row, 3))
             assert np.array_equal(system, seen[0])
+
+
+def linalg_solve_uses(path: Path) -> list[tuple[str, str | None]]:
+    """(file, enclosing function) of each reference to numpy.linalg's solve."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "solve"
+            and ast.unparse(node.value).endswith("linalg")
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("linalg")
+            and any(alias.name == "solve" for alias in node.names)
+        ):
+            uses.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return uses
+
+
+def test_every_package_solve_goes_through_lapack_solve():
+    # One call site keeps IllConditioned's translation, and any solve
+    # counter, in one place.
+    package = Path(evaluation.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in linalg_solve_uses(path)]
+    assert uses == [("evaluation.py", "_lapack_solve")]
 
 
 class TestValueFunction:
@@ -191,14 +244,7 @@ class TestValueFunction:
     def test_batch_keeps_the_signed_zeros_of_single_solves(self):
         # Zero transition entries and +-0.0 rewards give values of both signs
         # of zero; the systems are built as I - gamma * P_pi in both paths.
-        mdp = Mdp(
-            3,
-            2,
-            rewards=[0.0, -0.0, -0.0, -0.0, 1.0, -0.5],
-            transitions=[[1, 0, 0], [0, 0.5, 0.5], [0, 1, 0], [0.25, 0, 0.75],
-                         [0, 0, 1], [1, 0, 0]],
-            gamma=0.9,
-        )
+        mdp = SIGNED_ZEROS
         det = np.eye(2)[deterministic_policies(mdp)]
         assert len(det) == 8
         probs = np.concatenate([det, sample_policy_probs(mdp, 500, 0)])
@@ -423,6 +469,32 @@ class TestOptimalValue:
         assert np.max(np.abs(v_star - values.max(axis=0))) <= 1e-9 * scale
         q = q_values(mdp, v_star)
         assert np.array_equal(np.argmax(greedy.probs, axis=1), np.argmax(q, axis=1))
+
+    @pytest.mark.parametrize("mdp", PI_MDPS)
+    def test_policy_iteration_values_are_one_hot_values(self, monkeypatch, mdp):
+        # Policy iteration and optimal_value evaluate action arrays by
+        # _gather; each value has the bits of its one-hot Policy's, down to
+        # the sign of a zero.
+        seen = []
+        solve = evaluation._solve
+
+        def record(mdp, actions, **kwargs):
+            v = solve(mdp, actions, **kwargs)
+            seen.append((np.array(actions), v))
+            return v
+
+        monkeypatch.setattr(evaluation, "_solve", record)
+        # From [0, 1, 0], SIGNED_ZEROS's first value is [-0.0, 6.75, 10.0].
+        start = np.arange(mdp.n_states) % mdp.n_actions
+        steps = list(evaluation._policy_iteration(mdp, start))
+        v_star, greedy = optimal_value(mdp)
+        monkeypatch.undo()
+        assert all(v is solved for (v, _), (_, solved) in zip(steps, seen))
+        assert v_star is seen[-1][1]
+        assert greedy == Policy.deterministic(seen[-1][0], mdp.n_actions)
+        for actions, v in seen:
+            one_hot = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
+            assert v.tobytes() == one_hot.tobytes()
 
     def test_iteration_bound_raises(self, monkeypatch):
         # dyn2's reward-greedy policy is not optimal, so one improvement
