@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -32,7 +32,6 @@ from .geometry import (  # noqa: F401
     interpolation_curve,
     line_segment,
     membership_gap,
-    path_between,
     polytope_vertices_det,
     sample_values,
     slice_rank,

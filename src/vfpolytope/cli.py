@@ -60,9 +60,9 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
-# verify's time grows linearly in --trials: for all 13 suites, 20-30 ms per
-# trial on the random family (the hull certificate is most of it) and under
-# 10 ms on dyn2, on a 2-vCPU Xeon, so the cap allows a run of a few minutes.
+# verify's time grows linearly in --trials: for all 8 suites, about 25 ms per
+# trial on the random family (the hull certificate is 23 ms of it) and about
+# 8 ms on dyn2, on a 2-vCPU Xeon, so the cap allows a run of a few minutes.
 MAX_TRIALS = 10_000
 
 # Cap, in float64 cells (32 MiB), on --n*|S|*|A| for `sample`, --grid*|S|

@@ -86,7 +86,8 @@ class CemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_scale < 0 or self.iterations < 1:
+        # NaN fails both comparisons, so it is rejected as inf is.
+        if not 0.0 <= self.noise_scale < np.inf or self.iterations < 1:
             raise ValueError("bad CEM configuration")
 
 
@@ -335,6 +336,9 @@ def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     CEM_ELITES, then adds noise_scale * I to the covariance. Iteration k
     draws its whole (CEM_POPULATION, dim) block of standard normals from one
     stream, keyed by the seed with spawn_key (k,).
+
+    Raises:
+        NonFiniteLogits: the covariance or its trace overflowed.
     """
     dim = mdp.n_states * mdp.n_actions
     mean = _logits_of(mdp, init).reshape(-1)
@@ -363,12 +367,17 @@ def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
         elites = samples[elite_idx]
         new_mean = elites.mean(axis=0)
         centered = elites - new_mean[None, :]
-        cov = centered.T @ centered / CEM_ELITES
-        if config.noise_scale > 0.0:
-            cov = cov + config.noise_scale * np.eye(dim)
+        # An overflowing covariance is reported once, by the finiteness check
+        # below, not also as numpy warnings or as eigh failing to converge.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = centered.T @ centered / CEM_ELITES
+            if config.noise_scale > 0.0:
+                cov = cov + config.noise_scale * np.eye(dim)
+            cov_trace[k] = np.trace(cov)
+        if not (np.isfinite(cov).all() and np.isfinite(cov_trace[k])):
+            raise NonFiniteLogits("CEM covariance contains NaN or infinity")
         mean = new_mean
         points[k] = mean_value(mean)
-        cov_trace[k] = np.trace(cov)
         best_score[k] = scores[elite_idx[0]]
     return Trajectory(
         points=points, columns={"cov_trace": cov_trace, "best_score": best_score}

@@ -42,7 +42,7 @@ class IterationCap(VfpError):
 
 
 class NonFiniteLogits(VfpError):
-    """Softmax parameters contain NaN or infinity, or a start policy a zero."""
+    """Logits or CEM's covariance hold NaN or infinity, or a start policy a zero."""
 
 
 class UnknownSuite(VfpError):

@@ -276,23 +276,6 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
     return _solve_blocks(mdp, deterministic_policies(mdp), _gather)
 
 
-def path_between(p_from: Policy, p_to: Policy) -> list[Policy]:
-    """Policy path switching one state's row at a time, in state order.
-
-    Consecutive policies differ at exactly one state, so each consecutive
-    image is a line segment in value space. Length is at most |S| + 1.
-    """
-    if p_from.probs.shape != p_to.probs.shape:
-        raise ShapeMismatch("policies have different shapes")
-    path = [p_from]
-    current = p_from
-    for s in range(p_from.n_states):
-        if not np.array_equal(current.probs[s], p_to.probs[s]):
-            current = current.with_row(s, p_to.probs[s])
-            path.append(current)
-    return path
-
-
 def slice_rank(values: np.ndarray) -> int:
     """Rank of the span of {v_i - v_0}: singular values over 1e-8 of the largest."""
     values = np.asarray(values, dtype=float)

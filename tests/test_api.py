@@ -41,7 +41,6 @@ API = {
     "membership_gap": ("mdp", "values"),
     "optimal_value": ("mdp",),
     "optimality_bellman_apply": ("mdp", "v"),
-    "path_between": ("p_from", "p_to"),
     "polytope_vertices_det": ("mdp",),
     "q_values": ("mdp", "v"),
     "random_mdp": ("n_states", "n_actions", "gamma", "seed"),

@@ -381,6 +381,16 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["order", "zeros", "rank", "path", "bounded"])
+    def test_removed_suite_exits_2(self, name, tmp_path, capsys):
+        code = main(["verify", "--suite", name, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown suite {name!r}; known: line, rho, slice, span, hull, "
+            "boundary, dominance, smooth\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exits_2_without_traceback(self, trials, tmp_path):
         report = tmp_path / "r.json"
@@ -431,10 +441,9 @@ class TestVerifyCommand:
         assert code == 0
         reports = json.loads(report.read_text())["reports"]
         assert [r["check_name"] for r in reports] == list(SUITE_NAMES)
-        assert all(r["instances_run"] == (1 if r["check_name"] == "dominance" else 2)
-                   for r in reports)
+        assert all(r["instances_run"] == 2 for r in reports)
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 13 and not [line for line in out if line.startswith("skip")]
+        assert len(out) == 8 and not [line for line in out if line.startswith("skip")]
 
     def test_hull_past_the_enumeration_cap_is_skipped_or_exits_3(self, tmp_path, capsys):
         # 2,000 sampled policies of 2^9 vertex leaves each pass the cap.
@@ -500,7 +509,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert len(payload["reports"]) == 13
+        assert len(payload["reports"]) == 8
 
 
 @pytest.mark.parametrize(
@@ -508,7 +517,7 @@ class TestVerifyCommand:
     [
         ["sample", "--mdp", "dyn2", "--n", "5", "--out", "out"],
         ["line", "--mdp", "dyn2", "--state", "0", "--out", "out"],
-        ["verify", "--suite", "order", "--trials", "1", "--report", "out"],
+        ["verify", "--suite", "line", "--trials", "1", "--report", "out"],
         ["dynamics", "--mdp", "dyn2", "--algo", "cem", "--iters", "1",
          "--out", "out"],
     ],
@@ -537,12 +546,12 @@ def test_negative_seed_exits_2_without_traceback(argv, tmp_path):
          "--out", "missing/out.csv"],
         ["dynamics", "--mdp", "dyn2", "--algo", "vi", "--iters", "3",
          "--out", "out.csv", "--svg", "missing/out.svg"],
-        ["verify", "--suite", "order", "--trials", "1", "--report", "missing/r.json"],
+        ["verify", "--suite", "line", "--trials", "1", "--report", "missing/r.json"],
         ["line", "--mdp", "dyn2", "--state", "0", "--out", "."],
         ["sample", "--mdp", "latin1.json", "--n", "5", "--out", "out.csv"],
         ["line", "--mdp", "latin1.json", "--state", "0", "--out", "out.csv"],
         ["dynamics", "--mdp", "latin1.json", "--algo", "vi", "--out", "out.csv"],
-        ["verify", "--suite", "order", "--trials", "1", "--mdp", "latin1.json",
+        ["verify", "--suite", "line", "--trials", "1", "--mdp", "latin1.json",
          "--report", "r.json"],
     ],
     ids=[
@@ -731,9 +740,9 @@ def test_singular_system_near_gamma_one_exits_3(
 @pytest.mark.parametrize(
     "shape, gamma, trials, skips",
     [
-        ((2, 2), 1 - 2**-53, 1, 5),
-        ((1, 2), 1 - 2**-53, 1, 5),
-        ((3, 3), 1 - 2**-53, 1, 5),
+        ((2, 2), 1 - 2**-53, 1, 2),
+        ((1, 2), 1 - 2**-53, 1, 2),
+        ((3, 3), 1 - 2**-53, 1, 3),
         ((3, 1), 1 - 2**-53, 1, 1),
         ((3, 3), 1 - 1e-12, 2, 1),
     ],
@@ -890,7 +899,7 @@ class TestReproducibility:
          "--grid", "11", "--out", "l.csv"],
         ["dynamics", "--mdp", "dyn2", "--algo", "cemcn", "--init", "vertex",
          "--iters", "10", "--seed", "5", "--out", "d.csv", "--svg", "d.svg"],
-        ["verify", "--suite", "order", "--trials", "10", "--seed", "5",
+        ["verify", "--suite", "line", "--trials", "10", "--seed", "5",
          "--report", "v.json"],
     ]
 

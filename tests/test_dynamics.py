@@ -551,6 +551,21 @@ class TestCem:
         with pytest.raises(ValueError):
             CemConfig(iterations=0)
 
+    @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0])
+    def test_noise_scale_must_be_finite_and_non_negative(self, noise_scale):
+        with pytest.raises(ValueError, match="^bad CEM configuration$"):
+            CemConfig(noise_scale, 5, 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("iterations", [1, 5])
+    def test_overflowing_covariance_is_one_error(self, iterations):
+        # At 1.7e308 the first trace overflows, and the second covariance.
+        init = resolve_init(DYN2, "interior")
+        with pytest.raises(
+            NonFiniteLogits, match="^CEM covariance contains NaN or infinity$"
+        ):
+            run_cem(DYN2, init, CemConfig(1.7e308, iterations, 0))
+
 
 class TestTrajectoryShape:
     def test_first_point_is_initialization(self):

@@ -540,6 +540,21 @@ class TestAgreementZeros:
             assert np.array_equal(c1.r_pi[fixed], c2.r_pi[fixed])
             assert np.array_equal(c1.p_pi[fixed], c2.p_pi[fixed])
 
+    @pytest.mark.parametrize("mdp", PI_MDPS)
+    def test_collapse_rows_at_copied_states_are_equal(self, mdp):
+        # Six policies share their rows at the fixed states; collapsed as a
+        # stack and one by one, they give equal rows of P_pi and r_pi there.
+        rng = np.random.default_rng(mdp.n_states * 10 + mdp.n_actions)
+        for k in range(1, mdp.n_states + 1):
+            fixed = sorted(rng.choice(mdp.n_states, size=k, replace=False).tolist())
+            probs = rng.dirichlet(np.ones(mdp.n_actions), size=(6, mdp.n_states))
+            probs[:, fixed] = probs[0, fixed]
+            stacked = evaluation._collapse(mdp, probs)
+            singles = [evaluation._collapse(mdp, one) for one in probs]
+            for p_pi, r_pi in [stacked, *singles]:
+                assert (p_pi[..., fixed, :] == stacked[0][0, fixed]).all()
+                assert (r_pi[..., fixed] == stacked[1][0, fixed]).all()
+
 
 @given(st.integers(min_value=0, max_value=500))
 def test_value_solves_bellman_property(seed):

@@ -15,7 +15,6 @@ from vfpolytope.geometry import (
     interpolation_curve,
     line_segment,
     membership_gap,
-    path_between,
     polytope_vertices_det,
     sample_policy_probs,
     sample_values,
@@ -604,33 +603,6 @@ class TestHull2d:
         hull = hull_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         inside = points_in_hull([[0.5, 1.0 + 5e-10], [0.5, 1.0 + 1e-6]], hull)
         assert inside.tolist() == [True, False]
-
-
-class TestPathBetween:
-    def test_identical_policies(self):
-        m = builtin_fixture("dyn2")
-        p = random_policy(m, 1)
-        assert path_between(p, p) == [p]
-
-    def test_single_disagreement(self):
-        m = builtin_fixture("dyn2")
-        p = random_policy(m, 1)
-        q = p.with_row(1, np.array([0.2, 0.8]))
-        assert path_between(p, q) == [p, q]
-
-    def test_consecutive_hops_collinear(self):
-        m = builtin_fixture("dyn2")
-        p, q = random_policy(m, 21), random_policy(m, 22)
-        hops = path_between(p, q)
-        assert 1 <= len(hops) <= m.n_states + 1
-        for a, b in zip(hops, hops[1:]):
-            images = value_function_batch(
-                m,
-                np.stack(
-                    [mix_policies(a, b, mu).probs for mu in np.linspace(0, 1, 21)]
-                ),
-            )
-            assert segment_distances(images, images[0], images[-1]).max() < 1e-9
 
 
 class TestSliceRank:
