@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -15,8 +15,6 @@ from .mdp import (  # noqa: F401
     random_policy,
 )
 from .evaluation import (  # noqa: F401
-    InducedChain,
-    induce,
     optimal_value,
     optimality_bellman_apply,
     q_values,

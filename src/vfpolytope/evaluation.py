@@ -5,10 +5,11 @@ linear solves of (I - gamma * P_pi) v = r_pi, never from iteration. The
 matrix is invertible for gamma < 1, because the spectral radius of
 gamma * P_pi is at most gamma, but within a few ulps of gamma = 1 it can be
 singular in floating point; _lapack_solve then raises IllConditioned.
+Each concept has one kernel: _resolve gives a policy's value and any of its
+resolvent columns (I - gamma * P_pi)^{-1} e_s from one solve, and q_values
+forms Q_v for one value or a stack of them.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +39,6 @@ def _check_value_shape(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     if v.shape != (mdp.n_states,):
         raise ShapeMismatch(f"value vector must have length {mdp.n_states}")
     return v
-
-
-@dataclass(frozen=True, eq=False)
-class InducedChain:
-    """State-to-state dynamics of a fixed policy.
-
-    Attributes:
-        p_pi: |S| x |S| transition matrix under the policy.
-        r_pi: per-state expected reward vector.
-        resolvent: (I - gamma * p_pi)^{-1}; column i spans the direction in
-            which the value can move when only state i's action distribution
-            is free.
-    """
-
-    p_pi: np.ndarray
-    r_pi: np.ndarray
-    resolvent: np.ndarray
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.resolvent @ self.r_pi
 
 
 def _collapse(
@@ -129,6 +109,21 @@ def _solve_blocks(mdp: Mdp, policies, collapse=_collapse) -> np.ndarray:
     return values
 
 
+def _resolve(mdp: Mdp, probs: np.ndarray, states):
+    """P_pi, v and R[:, states], R = (I - gamma P_pi)^{-1}, in one solve.
+
+    The solve is against [r_pi, e_states]. probs is one (|S|, |A|) policy or
+    a (..., |S|, |A|) stack; every output gains its leading axes.
+    """
+    p_pi, r_pi = _collapse(mdp, probs)
+    k = len(states)
+    rhs = np.zeros(r_pi.shape + (1 + k,))
+    rhs[..., 0] = r_pi
+    rhs[..., states, np.arange(1, 1 + k)] = 1.0
+    solved = _lapack_solve(mdp, _system(mdp, p_pi), rhs)
+    return p_pi, solved[..., 0], solved[..., 1:]
+
+
 def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     """The line theorem in one solve: (v, R_s, c, omega) for replacement rows.
 
@@ -141,27 +136,16 @@ def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     """
     # R_s >= 0 and the denominator is positive (the determinant lemma on two
     # nonsingular M-matrices), so the variants are ordered by the scalar.
-    p_pi, r_pi = _collapse(mdp, probs)
-    rhs = np.zeros(r_pi.shape + (2,))
-    rhs[..., 0], rhs[..., state, 1] = r_pi, 1.0
-    solved = _lapack_solve(mdp, _system(mdp, p_pi), rhs)
-    v, r_s = solved[..., 0], solved[..., 1]
-    transitions = mdp.transition_tensor[state]
-    q = mdp.reward_matrix[state] + mdp.gamma * (transitions @ v[..., None])[..., 0]
+    p_pi, v, r_s = _resolve(mdp, probs, [state])
+    r_s = r_s[..., 0]
+    q = q_values(mdp, v)[..., state, :]
     num = (rows @ q[..., None])[..., 0] - v[..., state, None]
     # _collapse's einsum, so one row's omega has the bits of the same product
     # taken from two whole collapses.
+    transitions = mdp.transition_tensor[state]
     step = np.einsum("ra,at->rt", rows, transitions) - p_pi[..., state, None, :]
     omega = (step @ r_s[..., None])[..., 0]
     return v, r_s, num / (1.0 - mdp.gamma * omega), omega
-
-
-def induce(mdp: Mdp, policy: Policy) -> InducedChain:
-    """Collapse the MDP onto a policy: P_pi, r_pi and the resolvent."""
-    _check_policy_shape(mdp, policy)
-    p_pi, r_pi = _collapse(mdp, policy.probs)
-    resolvent = _lapack_solve(mdp, _system(mdp, p_pi), np.eye(mdp.n_states))
-    return InducedChain(p_pi=p_pi, r_pi=r_pi, resolvent=resolvent)
 
 
 def value_function(mdp: Mdp, policy: Policy) -> np.ndarray:
@@ -183,17 +167,28 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
     return _solve_blocks(mdp, probs)
 
 
+def _expected(mdp: Mdp, v: np.ndarray) -> np.ndarray:
+    """E[v(s')] under each P(s, a, .): (..., |S|, |A|) for a (..., |S|) v."""
+    return (mdp.transition_tensor @ v[..., None, :, None])[..., 0]
+
+
 def q_values(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """State-action values r(s,a) + gamma * E[v(s')] as an |S| x |A| matrix."""
-    v = _check_value_shape(mdp, v)
-    return mdp.reward_matrix + mdp.gamma * (mdp.transition_tensor @ v)
+    """State-action values r(s,a) + gamma * E[v(s')], (..., |S|, |A|) for (..., |S|) v.
+
+    One value gives an |S| x |A| matrix and a stack one matrix per value,
+    each with the bits of its own call. This is the package's only Q kernel.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (mdp.n_states,):
+        raise ShapeMismatch(f"value vector must have length {mdp.n_states}")
+    return mdp.reward_matrix + mdp.gamma * _expected(mdp, v)
 
 
 def optimality_bellman_apply(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     """One application of the optimality operator: max_a Q_v(s, a) per state."""
     # Q_v at the lowest-index argmax, not q.max: where -0.0 ties +0.0 the
     # two differ in the sign of the zero.
-    q = q_values(mdp, v)
+    q = q_values(mdp, _check_value_shape(mdp, v))
     return q[np.arange(mdp.n_states), np.argmax(q, axis=1)]
 
 

@@ -3,16 +3,17 @@
 Policies that agree everywhere except one state map to a monotone line
 segment in value space, bracketed by one-hot choices at the free state;
 fixing k states confines the image to an affine slice spanned by the
-resolvent columns of the free states; and the whole image sits inside the
-convex hull of the deterministic-policy values, since applying the line
-theorem one state at a time writes every value as a convex combination of
-them (verification's hull suite checks those weights). The operations here
-construct these objects exactly, in any dimension, and support
-sampling-based checks of each property; membership_gap decides exactly
-whether a vector is a value at all.
+free states' resolvent columns (one evaluation._resolve solve); and the
+whole image sits inside the convex hull of the deterministic-policy values,
+since applying the line theorem one state at a time writes every value as a
+convex combination of them (verification's hull suite checks those weights).
+The operations here construct these objects exactly, in any dimension, and
+support sampling-based checks of each property; membership_gap decides
+exactly, from evaluation.q_values, whether a vector is a value at all.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,12 @@ from .errors import IllConditioned, NotAgreeing, ShapeMismatch
 from .evaluation import (
     _BLOCK_ENTRIES,
     _check_policy_shape,
+    _expected,
     _gather,
+    _resolve,
     _solve_blocks,
     _switch,
-    induce,
+    q_values,
     value_function_batch,
 )
 from .mdp import Mdp, Policy, deterministic_policies
@@ -40,7 +43,10 @@ class AgreementSet:
     fixed_states: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        states = tuple(int(s) for s in self.fixed_states)
+        try:
+            states = tuple(operator.index(s) for s in self.fixed_states)
+        except TypeError:
+            raise ValueError("fixed_states must be integers") from None
         if len(set(states)) != len(states):
             raise ValueError("fixed_states contains duplicates")
         if any(s < 0 or s >= self.base.n_states for s in states):
@@ -71,6 +77,8 @@ class AffineSlice:
             norms = np.linalg.norm(basis, axis=0)
             if np.any(norms == 0) or np.linalg.svd(basis / norms, compute_uv=False)[-1] <= 1e-10:
                 raise IllConditioned("slice basis is numerically rank-deficient")
+        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:
@@ -195,12 +203,9 @@ def interpolation_curve(
 
 def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
     """Slice containing the values of all policies in the agreement class."""
-    chain = induce(mdp, agreement.base)
-    free = list(agreement.free_states)
-    return AffineSlice(
-        anchor=chain.value,
-        basis=chain.resolvent[:, free] if free else np.zeros((mdp.n_states, 0)),
-    )
+    _check_policy_shape(mdp, agreement.base)
+    _, anchor, basis = _resolve(mdp, agreement.base.probs, agreement.free_states)
+    return AffineSlice(anchor=anchor, basis=basis)
 
 
 def _policy_blocks(mdp: Mdp, n: int, seed):
@@ -288,13 +293,6 @@ def slice_rank(values: np.ndarray) -> int:
     return int(np.sum(svals > 1e-8 * svals[0]))
 
 
-def _q_stack(mdp: Mdp, values: np.ndarray) -> np.ndarray:
-    """(n, |S|, |A|) state-action values r(s,a) + gamma * E[v(s')] of a stack."""
-    return mdp.reward_matrix + mdp.gamma * np.einsum(
-        "sat,nt->nsa", mdp.transition_tensor, values
-    )
-
-
 def membership_gap(mdp: Mdp, values) -> np.ndarray:
     """Scaled distance by which each row of an (n, |S|) stack misses the value set.
 
@@ -310,7 +308,7 @@ def membership_gap(mdp: Mdp, values) -> np.ndarray:
         raise ShapeMismatch(
             f"expected an (n, {mdp.n_states}) value stack, got {values.shape}"
         )
-    q = _q_stack(mdp, values)
+    q = q_values(mdp, values)
     gap = np.maximum(q.min(axis=2) - values, values - q.max(axis=2)).max(axis=1)
     return gap / np.maximum(1.0, np.abs(values).max(axis=1))
 
@@ -320,17 +318,18 @@ def _ray_exit(mdp: Mdp, start: np.ndarray, rays: np.ndarray) -> np.ndarray:
 
     start is an (|S|,) value x and rays an (n, |S|) stack. Q_v is affine in
     v, so along a ray Q_{x+tu}(s,a) - (x+tu)(s) is the line alpha + beta*t,
-    with alpha = Q_x(s,a) - x(s) and beta = gamma*P(s,a,.)u - u(s). The
-    bound max_a Q >= v(s) fails exactly where all |A| of its lines are
+    with alpha = Q_x(s,a) - x(s) and beta = gamma*P(s,a,.)u - u(s). beta
+    takes q_values' expectation without the reward, since Q_u - r would
+    cancel away a self-loop's small slope as gamma nears 1. The bound
+    max_a Q >= v(s) fails exactly where all |A| of its lines are
     negative: on the open interval from the largest -alpha/beta with
     beta < 0 to the smallest with beta > 0, which is empty if some line has
     beta = 0 <= alpha. The bound v(s) >= min_a Q fails where all of
     -alpha - beta*t are negative. The exit is the smallest left end,
     clipped at 0, of the 2|S| intervals that reach past 0.
     """
-    alpha = _q_stack(mdp, start[None])[0] - start[:, None]
-    beta = mdp.gamma * np.einsum("sat,nt->nsa", mdp.transition_tensor, rays)
-    beta -= rays[:, :, None]
+    alpha = q_values(mdp, start) - start[:, None]
+    beta = mdp.gamma * _expected(mdp, rays) - rays[:, :, None]
     # Axis 1 picks the bound: the upper one's lines, then the lower one's.
     a = np.stack([alpha, -alpha])
     b = np.stack([beta, -beta], axis=1)

@@ -23,16 +23,16 @@ import numpy as np
 from .errors import EnumerationTooLarge, UnknownSuite
 from .evaluation import (
     _BLOCK_ENTRIES,
+    _resolve,
     _switch,
-    induce,
     optimal_value,
+    q_values,
     value_function,
     value_function_batch,
 )
 from .geometry import (
     AgreementSet,
     _policy_blocks,
-    _q_stack,
     _ray_exit,
     affine_slice,
     interpolation_curve,
@@ -208,21 +208,14 @@ def _check_span(mdp: Mdp, rng: np.random.Generator):
     fixed = _random_states(rng, mdp.n_states, 0, mdp.n_states)
     free = [s for s in range(mdp.n_states) if s not in fixed]
     p0 = random_policy(mdp, rng)
-    basis0 = induce(mdp, p0).resolvent[:, free]
-    basis1 = induce(mdp, _redraw(p0, free, rng)).resolvent[:, free]
+    probs = np.stack([p0.probs, _redraw(p0, free, rng).probs])
+    basis0, basis1 = _resolve(mdp, probs, free)[2]
     deviation = 0.0
     for source, target in ((basis0, basis1), (basis1, basis0)):
         coeffs, *_ = np.linalg.lstsq(target, source, rcond=None)
-        residual = source - target @ coeffs
-        deviation = max(
-            deviation,
-            float(
-                np.max(
-                    np.linalg.norm(residual, axis=0)
-                    / np.linalg.norm(source, axis=0)
-                )
-            ),
-        )
+        residual = np.linalg.norm(source - target @ coeffs, axis=0)
+        residual /= np.linalg.norm(source, axis=0)
+        deviation = max(deviation, float(np.max(residual)))
     return f"k={len(fixed)}", deviation
 
 
@@ -335,7 +328,7 @@ def _check_boundary(mdp: Mdp):
         rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
         rays /= np.abs(rays).max(axis=1, keepdims=True)
         points = start + _ray_exit(mdp, start, rays)[:, None] * rays
-        q = _q_stack(mdp, points)
+        q = q_values(mdp, points)
         q_min, q_max = q.min(axis=2), q.max(axis=2)
         spread = q_max - q_min
         weight = np.clip(
@@ -362,10 +355,15 @@ def _check_boundary(mdp: Mdp):
 
 
 def _check_dominance(mdp: Mdp, rng: np.random.Generator):
-    """The optimal value dominates 50 sampled policy values elementwise."""
+    """v* dominates 50 sampled values and is fixed by the optimality operator.
+
+    The deviation also counts max|max_a Q_{v*} - v*| / max(1, |v*|_inf).
+    """
     v_star, _ = optimal_value(mdp)
     values = _sample(mdp, 50, rng)
-    return "", max(0.0, float(np.max(values - v_star[None, :])))
+    residual = np.abs(q_values(mdp, v_star).max(axis=1) - v_star).max()
+    residual /= max(1.0, np.abs(v_star).max())
+    return "", max(0.0, float(np.max(values - v_star[None, :])), float(residual))
 
 
 def _check_smooth(mdp: Mdp, rng: np.random.Generator):

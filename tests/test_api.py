@@ -18,7 +18,6 @@ API = {
     "CheckReport": ("check_name", "instances_run", "failures", "max_deviation"),
     "CheckReport.record": ("descriptor", "deviation", "tolerance"),
     "CheckReport.to_dict": (),
-    "InducedChain": ("p_pi", "r_pi", "resolvent"),
     "InterpolationCurve": ("mus", "rhos", "omega", "constant"),
     "LineSegment": ("pi_low", "pi_high", "v_low", "v_high", "state"),
     "Mdp": ("n_states", "n_actions", "rewards", "transitions", "gamma"),
@@ -34,7 +33,6 @@ API = {
     "deterministic_policies": ("mdp",),
     "dump_mdp": ("mdp",),
     "example1_mdp": ("gamma",),
-    "induce": ("mdp", "policy"),
     "interpolation_curve": ("mdp", "p0", "p1", "state", "grid_size"),
     "line_segment": ("mdp", "policy", "state"),
     "load_mdp": ("text",),

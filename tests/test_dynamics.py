@@ -214,15 +214,15 @@ class TestDiscountedDistribution:
 
     def test_matches_truncated_sum(self):
         policy = Policy.uniform(2, 2)
-        from vfpolytope.evaluation import induce
+        from vfpolytope.evaluation import _collapse
 
-        chain = induce(DYN2, policy)
+        p_pi, _ = _collapse(DYN2, policy.probs)
         rho0 = np.full(2, 0.5)
         total = np.zeros(2)
         weight = rho0.copy()
         for _ in range(300):
             total += weight
-            weight = DYN2.gamma * chain.p_pi.T @ weight
+            weight = DYN2.gamma * p_pi.T @ weight
         expected = (1 - DYN2.gamma) * total
         d = discounted_distribution(DYN2, policy)
         assert np.max(np.abs(d - expected)) < 1e-10

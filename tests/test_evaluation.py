@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from vfpolytope import dynamics, evaluation
 from vfpolytope.errors import IllConditioned, IterationCap, ShapeMismatch
 from vfpolytope.evaluation import (
-    induce,
     optimal_value,
     optimality_bellman_apply,
     q_values,
     value_function,
     value_function_batch,
 )
-from vfpolytope.geometry import polytope_vertices_det, sample_policy_probs
+from vfpolytope.geometry import (
+    AgreementSet,
+    affine_slice,
+    polytope_vertices_det,
+    sample_policy_probs,
+)
 from vfpolytope.mdp import (
     FIXTURE_NAMES,
     Mdp,
@@ -83,42 +87,69 @@ def random_pair(seed: int) -> tuple[Mdp, Policy]:
 
 
 class TestInduce:
+    """The chain a policy induces: P_pi and r_pi (_collapse) and resolvent
+    columns (_resolve)."""
+
     def test_example1_stay_policy(self):
         m = example1_mdp()
-        chain = induce(m, STAY)
-        np.testing.assert_array_equal(chain.p_pi[0], [1.0, 0.0])
-        assert chain.r_pi[0] == 0.0
+        p_pi, r_pi = evaluation._collapse(m, STAY.probs)
+        np.testing.assert_array_equal(p_pi[0], [1.0, 0.0])
+        assert r_pi[0] == 0.0
 
     def test_gamma_zero_resolvent_is_identity(self):
         m = example1_mdp(gamma=0.0)
-        chain = induce(m, QUIT)
-        np.testing.assert_allclose(chain.resolvent, np.eye(2), atol=1e-14)
+        _, _, resolvent = evaluation._resolve(m, QUIT.probs, [0, 1])
+        np.testing.assert_allclose(resolvent, np.eye(2), atol=1e-14)
 
     def test_resolvent_against_truncated_series(self):
         m = builtin_fixture("dyn2")
-        chain = induce(m, Policy.uniform(2, 2))
+        p_pi, _, resolvent = evaluation._resolve(m, Policy.uniform(2, 2).probs, [0, 1])
         partial = np.zeros((2, 2))
         term = np.eye(2)
         for _ in range(50):
             partial += term
-            term = m.gamma * chain.p_pi @ term
+            term = m.gamma * p_pi @ term
         tail = m.gamma**50 / (1.0 - m.gamma)
-        assert np.max(np.abs(chain.resolvent - partial)) <= tail + 1e-12
+        assert np.max(np.abs(resolvent - partial)) <= tail + 1e-12
 
     def test_resolvent_inverts(self):
         for seed in range(20):
             mdp, policy = random_pair(seed)
-            chain = induce(mdp, policy)
-            eye = chain.resolvent @ (np.eye(mdp.n_states) - mdp.gamma * chain.p_pi)
+            states = list(range(mdp.n_states))
+            p_pi, _, resolvent = evaluation._resolve(mdp, policy.probs, states)
+            eye = resolvent @ (np.eye(mdp.n_states) - mdp.gamma * p_pi)
             assert np.max(np.abs(eye - np.eye(mdp.n_states))) < 1e-8
-            assert np.min(chain.resolvent) > -1e-10
+            assert np.min(resolvent) > -1e-10
+
+    def test_columns_follow_the_given_states(self):
+        # Any subset, in any order, gives those columns of the whole
+        # resolvent, and the value of the same solve.
+        mdp, policy = random_pair(4)
+        n = mdp.n_states
+        _, v, whole = evaluation._resolve(mdp, policy.probs, list(range(n)))
+        states = [n - 1, 0]
+        _, v_some, some = evaluation._resolve(mdp, policy.probs, states)
+        np.testing.assert_allclose(some, whole[:, states], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(v_some, v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v, value_function(mdp, policy), rtol=1e-12, atol=1e-12)
+        _, _, none = evaluation._resolve(mdp, policy.probs, [])
+        assert none.shape == (n, 0)
+
+    def test_stack_rows_have_the_bits_of_single_calls(self):
+        mdp = random_mdp(5, 3, 0.99, seed=5)
+        probs = np.random.default_rng(5).dirichlet(np.ones(3), size=(2, 5))
+        stacked = evaluation._resolve(mdp, probs, [3, 1])
+        for i in range(2):
+            for whole, one in zip(stacked, evaluation._resolve(mdp, probs[i], [3, 1])):
+                assert np.array_equal(whole[i], one)
 
     def test_shape_mismatch(self):
+        agreement = AgreementSet(base=Policy.uniform(2, 2), fixed_states=())
         with pytest.raises(ShapeMismatch):
-            induce(builtin_fixture("fig2c"), Policy.uniform(2, 2))
+            affine_slice(builtin_fixture("fig2c"), agreement)
 
     def test_every_solve_gets_the_same_system(self, monkeypatch):
-        # value_function, induce, discounted_distribution, the first step of a
+        # value_function, _resolve, discounted_distribution, the first step of a
         # policy-gradient run (stacked) and of a natural-gradient run (value
         # only) and the switch kernel all hand LAPACK the matrix
         # I - gamma P_pi, bit for bit; the visitation solve gets its
@@ -137,7 +168,7 @@ class TestInduce:
 
         monkeypatch.setattr(np.linalg, "solve", record)
         value_function(mdp, policy)
-        induce(mdp, policy)
+        evaluation._resolve(mdp, policy.probs, [0, 5])
         discounted_distribution(mdp, policy)
         dynamics.run_policy_gradient(mdp, init, 0.05, 1)
         dynamics.run_npg(mdp, init, 0.05, 1)
@@ -300,10 +331,15 @@ class TestSwitch:
 
     def test_returns_the_value_and_resolvent_column(self):
         mdp, policy = random_pair(3)
-        chain = induce(mdp, policy)
+        _, value, resolvent = evaluation._resolve(
+            mdp, policy.probs, list(range(mdp.n_states))
+        )
         v, r_s, _, _ = evaluation._switch(mdp, policy.probs, 1, np.eye(mdp.n_actions))
-        np.testing.assert_allclose(v, chain.value, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(r_s, chain.resolvent[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(v, value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r_s, resolvent[:, 1], rtol=1e-12)
+        # The same one-column solve as _resolve's, so the same bits.
+        _, v_one, r_one = evaluation._resolve(mdp, policy.probs, [1])
+        assert np.array_equal(v, v_one) and np.array_equal(r_s, r_one[:, 0])
 
     @pytest.mark.parametrize("n_states", [1, 2, 5, 33, 128])
     def test_stack_rows_have_the_bits_of_single_calls(self, n_states):
@@ -505,6 +541,22 @@ class TestOptimalValue:
 
 
 class TestQValues:
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 64, 128])
+    def test_stack_rows_have_the_bits_of_single_calls(self, n_states):
+        mdp = random_mdp(n_states, 3, 0.9, seed=n_states)
+        values = np.random.default_rng(n_states).normal(size=(5, n_states))
+        stacked = q_values(mdp, values)
+        assert stacked.shape == (5, n_states, 3)
+        for row, v in zip(stacked, values):
+            assert np.array_equal(row, q_values(mdp, v))
+        # A leading axis of one is no different from none.
+        assert np.array_equal(q_values(mdp, values[:, None])[:, 0], stacked)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 1)])
+    def test_wrong_last_axis_is_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatch, match="length 2"):
+            q_values(builtin_fixture("dyn2"), np.zeros(shape))
+
     def test_gamma_zero_reshapes_rewards(self):
         m = example1_mdp(gamma=0.0)
         np.testing.assert_array_equal(
@@ -536,9 +588,11 @@ class TestAgreementZeros:
             for s in range(mdp.n_states):
                 if s not in fixed:
                     p2 = p2.with_row(s, rng.dirichlet(np.ones(mdp.n_actions)))
-            c1, c2 = induce(mdp, p1), induce(mdp, p2)
-            assert np.array_equal(c1.r_pi[fixed], c2.r_pi[fixed])
-            assert np.array_equal(c1.p_pi[fixed], c2.p_pi[fixed])
+            (p_pi1, r_pi1), (p_pi2, r_pi2) = (
+                evaluation._collapse(mdp, p.probs) for p in (p1, p2)
+            )
+            assert np.array_equal(r_pi1[fixed], r_pi2[fixed])
+            assert np.array_equal(p_pi1[fixed], p_pi2[fixed])
 
     @pytest.mark.parametrize("mdp", PI_MDPS)
     def test_collapse_rows_at_copied_states_are_equal(self, mdp):

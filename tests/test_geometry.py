@@ -404,6 +404,23 @@ class TestAffineSlice:
         with pytest.raises(ValueError):
             AgreementSet(base=Policy.uniform(2, 2), fixed_states=(0, 0))
 
+    @pytest.mark.parametrize("states", [[0.5], [1.0], ["0"], [None]])
+    def test_non_integer_states_rejected(self, states):
+        with pytest.raises(ValueError, match="must be integers"):
+            AgreementSet(base=Policy.uniform(2, 2), fixed_states=states)
+
+    def test_integer_like_states_become_ints(self):
+        agreement = AgreementSet(base=Policy.uniform(3, 2), fixed_states=np.array([2, 0]))
+        assert agreement.fixed_states == (2, 0)
+        assert all(type(s) is int for s in agreement.fixed_states)
+
+    def test_list_inputs_are_stored_as_float_arrays(self):
+        sl = geometry.AffineSlice(anchor=[0.0, 0.0], basis=[[1.0], [0.0]])
+        assert sl.anchor.dtype == sl.basis.dtype == float
+        assert sl.dimension == 1
+        assert sl.projection_residual([1.0, 1.0]) == 1.0
+        assert sl.projection_residual([[3.0, 0.0], [0.0, -2.0]]) == 2.0
+
     @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2)])
     def test_projection_residual_rejects_a_wrong_shape(self, shape):
         m = builtin_fixture("dyn2")

@@ -232,13 +232,14 @@ class TestSuites:
         "mdp", [None, DYN2, random_mdp(4, 3, 0.9, 0)], ids=["random", "dyn2", "4x3"]
     )
     def test_boundary_suite_forms_q_twice_per_trial(self, mdp, monkeypatch):
-        # One _q_stack for the rays' exits, one for the policies at them.
+        # One q_values call for the rays' exits, one for the policies at
+        # them; the per-MDP segments form theirs inside evaluation._switch.
         calls = Counter()
-        _count_calls(monkeypatch, calls, "_q_stack", geometry, verification)
+        _count_calls(monkeypatch, calls, "q_values", geometry, verification)
         for trials in (1, 3, 8):
             calls.clear()
             run_suite("boundary", trials=trials, seed=2, mdp=mdp)
-            assert calls["_q_stack"] == 2 * trials
+            assert calls["q_values"] == 2 * trials
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_random_family_passes(self, name):
@@ -280,6 +281,24 @@ class TestSuites:
             report = run_suite("line", trials=10, seed=1, mdp=mdp)
             assert not report.passed
             assert report.max_deviation > 1e-3
+
+    def test_dominance_suite_sees_a_reward_greedy_optimum(self, monkeypatch):
+        # The reward-greedy policy's value: 50 samples rarely beat it in any
+        # state on the random family, but it is not fixed by the optimality
+        # operator, so the residual fails 3 of 10 instances there.
+        def greedy(mdp):
+            actions = np.argmax(mdp.reward_matrix, axis=1)
+            policy = Policy.deterministic(actions, mdp.n_actions)
+            return value_function(mdp, policy), policy
+
+        monkeypatch.setattr(verification, "optimal_value", greedy)
+        assert len(run_suite("dominance", trials=10, seed=1).failures) == 3
+        assert len(run_suite("dominance", trials=10, seed=1, mdp=DYN2).failures) == 10
+
+    def test_dominance_residual_is_rounding_noise(self):
+        worst = max(run_suite("dominance", trials=50, seed=s).max_deviation for s in range(3))
+        assert worst < 1e-15
+        assert run_suite("dominance", trials=10, seed=0, mdp=DYN2).max_deviation < 1e-16
 
     def test_boundary_suite_passes_seeds_0_to_99(self):
         worst = 0.0
