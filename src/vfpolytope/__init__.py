@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,
@@ -43,7 +43,6 @@ from .dynamics import (  # noqa: F401
     run_policy_gradient,
     run_policy_iteration,
     run_value_iteration,
-    softmax_policy,
 )
 from .verification import (  # noqa: F401
     CheckReport,

@@ -1,19 +1,19 @@
 """Command-line front door: fixtures, sampling, line probes, dynamics, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
-unreadable input, an output path that cannot be written), 3 capability
-error (any errors.CapabilityError; `verify --suite all` skips a suite that
-raises one). A handler does all its fallible work before its first write.
-Every file-writing command also emits a `<out>.manifest.json` recording
-argv, config, seed, input digests, and output digests; re-running the
-recorded argv reproduces the outputs byte for byte.
+unreadable input; an output path that cannot be written or that names the
+file of another path), 3 capability error (any errors.CapabilityError;
+`verify --suite all` skips a suite that raises one). A handler does all its
+fallible work before its first write. Every file-writing command also emits
+`<out>.manifest.json` with argv, config, seed, input and output digests;
+re-running the recorded argv reproduces the outputs byte for byte.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import math
+import os
 import sys
 from pathlib import Path
 
@@ -60,9 +60,10 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
-# verify's time grows linearly in --trials: for all 8 suites, about 25 ms per
-# trial on the random family (the hull certificate is 23 ms of it) and about
-# 8 ms on dyn2, on a 2-vCPU Xeon, so the cap allows a run of a few minutes.
+# verify's time grows linearly in --trials: for all 8 suites, about 20 ms per
+# trial on the random family (the hull certificate is 16 ms of it) and about
+# 5 ms on dyn2 (hull 3 ms), warm, in process and with one BLAS thread on a
+# 2-vCPU Xeon, so the cap allows a run of a few minutes.
 MAX_TRIALS = 10_000
 
 # Cap, in float64 cells (32 MiB), on --n*|S|*|A| for `sample`, --grid*|S|
@@ -97,17 +98,6 @@ def _read_input(flag: str, spec: str) -> tuple[str, str]:
     except UnicodeDecodeError as exc:
         raise CliError(f"{flag} {spec!r} is not UTF-8 text: {exc.reason}") from None
     return text, hashlib.sha256(data).hexdigest()
-
-
-def _load_policy_file(path: Path, text: str, mdp: Mdp) -> Policy:
-    try:
-        doc = json.loads(text)
-        policy = Policy(np.asarray(doc["probs"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad policy file {path}: {exc}") from exc
-    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
-        raise CliError(f"policy in {path} does not match the MDP shape")
-    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +193,13 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
             f"--init must be vertex|boundary|interior or a policy file, got {args.init!r}"
         )
     text, digest = _read_input("--init", args.init)
-    return _load_policy_file(path, text, mdp), {str(path): digest}
+    try:
+        policy = Policy(np.asarray(json.loads(text)["probs"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad policy file {path}: {exc}") from exc
+    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise CliError(f"policy in {path} does not match the MDP shape")
+    return policy, {str(path): digest}
 
 
 def cmd_dynamics(args):
@@ -211,12 +207,12 @@ def cmd_dynamics(args):
     eta = None
     if args.algo in ("pg", "entpg", "npg"):
         eta = 0.05 if args.eta is None else args.eta
-        if not 0 < eta < math.inf:
+        if not 0 < eta < np.inf:
             raise CliError("--eta must be positive and finite")
     coeff = None
     if args.algo == "entpg":
         coeff = 0.1 if args.entropy_coeff is None else args.entropy_coeff
-        if not math.isfinite(coeff):
+        if not np.isfinite(coeff):
             raise CliError("--entropy-coeff must be finite")
     elif args.entropy_coeff is not None:
         raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
@@ -373,18 +369,30 @@ _HANDLERS = {
 
 
 def _output_paths(args) -> list[Path]:
-    """The paths a command writes, primary first; each must be creatable as a file."""
-    paths = []
-    for flag in ("out", "report", "svg"):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        path = Path(value)
+    """The paths a command writes, primary first and its manifest last.
+
+    Each must be creatable as a file, and no two of them or of the --mdp and
+    --init files read may resolve to the same file.
+    """
+    named = {f"--{flag}": getattr(args, flag, None) for flag in ("out", "report", "svg")}
+    named = {label: value for label, value in named.items() if value is not None}
+    if not named:
+        return []
+    named["the manifest"] = f"{next(iter(named.values()))}.manifest.json"
+    paths = [Path(value) for value in named.values()]
+    for (label, value), path in zip(named.items(), paths):
         if path.is_dir():
-            raise CliError(f"--{flag} {value!r} is a directory")
+            raise CliError(f"{label} {value!r} is a directory")
         if not path.parent.is_dir():
-            raise CliError(f"--{flag} {value!r}: no directory {str(path.parent)!r}")
-        paths.append(path)
+            raise CliError(f"{label} {value!r}: no directory {str(path.parent)!r}")
+    for flag, kinds in (("mdp", FIXTURE_NAMES), ("init", INIT_KINDS)):
+        if getattr(args, flag, None) not in (None, *kinds):
+            named[f"--{flag}"] = getattr(args, flag)
+    seen = {}
+    for label, value in named.items():
+        first = seen.setdefault(os.path.realpath(value), f"{label} {value!r}")
+        if first != f"{label} {value!r}":
+            raise CliError(f"{label} {value!r} and {first} are the same file")
     return paths
 
 
@@ -400,14 +408,14 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("--seed must be non-negative")
         # Checked before the handler runs, so a bad path costs no work and
         # leaves no file behind.
-        outputs = _output_paths(args)
+        paths = _output_paths(args)
         result = _HANDLERS[args.command](args)
         if result is None:
             return 0
         code, config, inputs = result
         write_manifest(
-            outputs[0], argv, args.command, config, getattr(args, "seed", None),
-            inputs, outputs, __version__,
+            paths[-1], argv, args.command, config, getattr(args, "seed", None),
+            inputs, paths[:-1], __version__,
         )
         return code
     except (VfpError, OSError) as exc:

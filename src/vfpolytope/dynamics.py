@@ -91,16 +91,6 @@ class CemConfig:
             raise ValueError("bad CEM configuration")
 
 
-def softmax_policy(theta: np.ndarray) -> Policy:
-    """Rowwise softmax of a logit matrix, stabilized by max subtraction."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2:
-        raise ShapeMismatch("logits must be a 2-D matrix")
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteLogits("logits contain NaN or infinity")
-    return Policy(_softmax_probs(theta))
-
-
 def _softmax_probs(theta: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilized by max subtraction."""
     e = np.exp(theta - theta.max(axis=-1, keepdims=True))

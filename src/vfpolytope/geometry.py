@@ -112,8 +112,8 @@ class AffineSlice:
 class LineSegment:
     """Bracketing pair for policies that agree everywhere but one state.
 
-    pi_low and pi_high are one-hot at `state`, agree with each other (and
-    the generating policy) elsewhere, and satisfy v_low <= v_high
+    pi_low and pi_high are one-hot at the free state, agree with each other
+    (and the generating policy) elsewhere, and satisfy v_low <= v_high
     elementwise.
     """
 
@@ -121,7 +121,6 @@ class LineSegment:
     pi_high: Policy
     v_low: np.ndarray
     v_high: np.ndarray
-    state: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +161,7 @@ def line_segment(mdp: Mdp, policy: Policy, state: int) -> LineSegment:
     _, _, c, _ = _switch(mdp, policy.probs, state, eye)
     ends = [policy.with_row(state, eye[a]) for a in (np.argmin(c), np.argmax(c))]
     v_low, v_high = value_function_batch(mdp, np.stack([p.probs for p in ends]))
-    return LineSegment(*ends, v_low=v_low, v_high=v_high, state=state)
+    return LineSegment(*ends, v_low=v_low, v_high=v_high)
 
 
 def _check_state(mdp: Mdp, state: int) -> None:
@@ -209,11 +208,14 @@ def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
 
 
 def _policy_blocks(mdp: Mdp, n: int, seed):
-    """Yield (start, piece) over sample_policy_probs(mdp, n, seed).
+    """Yield (start, piece) over n flat-Dirichlet policies, one piece at a time.
 
-    A piece is one evaluation block, max(1, _BLOCK_ENTRIES // |S|**2)
-    policies. Consecutive draws from one generator give the variates of one
-    draw, so a block's pieces are bit for bit the block drawn at once.
+    Sample i is in block i // SAMPLE_BLOCK, drawn from one stream keyed by
+    the seed (an int or a SeedSequence) with (block,) appended to its spawn
+    key, never the caller's own stream such as random_policy(mdp, seed)'s.
+    A block draws exponentials in C order and normalizes them over actions,
+    so the first m of n samples equal an m-sample run. Pieces of at most
+    max(1, _BLOCK_ENTRIES // |S|**2) policies are bit for bit slices of it.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence((int(seed),))
@@ -230,34 +232,16 @@ def _policy_blocks(mdp: Mdp, n: int, seed):
             yield start, draws
 
 
-def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
-    """(n, |S|, |A|) stack of flat-Dirichlet policies, one rng stream per block.
-
-    Sample index i belongs to block i // SAMPLE_BLOCK, whose stream is keyed
-    by the seed with its spawn key extended by (block,). The seed is an int
-    (spawn key ()) or a SeedSequence. Each block draws its exponential
-    variates in C order and normalizes them over actions, which is a flat
-    Dirichlet. The first m of n samples therefore equal an m-sample
-    run, so results do not depend on how a sample is split into batches.
-    The spawn key keeps every block stream distinct from a generator seeded
-    with the caller's key itself, such as random_policy(mdp, seed).
-    """
-    out = np.empty((n, mdp.n_states, mdp.n_actions))
-    for start, draws in _policy_blocks(mdp, n, seed):
-        out[start : start + len(draws)] = draws
-    return out
-
-
 def sample_values(
     mdp: Mdp, n: int, seed, agreement: AgreementSet | None = None
 ) -> np.ndarray:
     """Values of n random policies, optionally constrained to an agreement class.
 
-    The policies are sample_policy_probs(mdp, n, seed), drawn and evaluated
-    one piece of _policy_blocks at a time, so only one evaluation block of
-    them is held. Rows at the agreement's fixed states are overwritten by
-    the base policy before evaluation. Returns an (n, |S|) array,
-    deterministic per seed.
+    The policies are those of _policy_blocks(mdp, n, seed), whose docstring
+    gives the sampling contract, drawn and evaluated one piece at a time, so
+    only one evaluation block of them is held. Rows at the agreement's fixed
+    states are overwritten by the base policy before evaluation. Returns an
+    (n, |S|) array, deterministic per seed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -54,7 +54,7 @@ def sha256_file(path: Path) -> str:
 
 
 def write_manifest(
-    out_path: Path,
+    manifest_path: Path,
     argv: list[str],
     command: str,
     config: dict,
@@ -63,7 +63,7 @@ def write_manifest(
     outputs: list[Path],
     version: str,
 ) -> Path:
-    """Record how a set of outputs was produced, next to the primary output.
+    """Record at manifest_path how a set of outputs was produced.
 
     Re-running the recorded argv must reproduce every listed output with the
     same digest.
@@ -80,7 +80,6 @@ def write_manifest(
             {"path": str(p), "sha256": sha256_file(p)} for p in outputs
         ],
     }
-    manifest_path = Path(str(out_path) + ".manifest.json")
     manifest_path.write_bytes(
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
     )

@@ -6,6 +6,10 @@ Each computes what a package kernel computes by another route:
 - mc_value_oracle: Monte Carlo rollouts of the policy;
 - bellman_apply and mix_policies: one Bellman backup of a fixed policy, and
   the rowwise mixture of two policies;
+- softmax_policy: the rowwise softmax of one logit matrix, with its own exp
+  and normalisation, for the reference gradients and the runs' checks;
+- sample_policy_probs: the whole (n, |S|, |A|) stack of sampled policies,
+  the pieces of geometry._policy_blocks joined in order;
 - discounted_distribution and policy_gradient: the visitation distribution
   and the softmax policy gradient of one logit matrix, outside any run;
 - three_solve_gradient: the softmax policy gradient with separate solves for
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vfpolytope.dynamics import _gradient, softmax_policy
+from vfpolytope.dynamics import _gradient
 from vfpolytope.errors import ShapeMismatch
 from vfpolytope.evaluation import (
     _check_policy_shape,
@@ -38,7 +42,7 @@ from vfpolytope.evaluation import (
     q_values,
     value_function,
 )
-from vfpolytope.geometry import membership_gap, segment_distances
+from vfpolytope.geometry import _policy_blocks, membership_gap, segment_distances
 from vfpolytope.mdp import Mdp, Policy
 
 
@@ -125,6 +129,18 @@ def mix_policies(p0: Policy, p1: Policy, mu: float) -> Policy:
     if p0.probs.shape != p1.probs.shape:
         raise ShapeMismatch("policies have different shapes")
     return Policy(mu * p1.probs + (1.0 - mu) * p0.probs)
+
+
+def softmax_policy(theta) -> Policy:
+    """Rowwise softmax of a logit matrix, each row shifted by its max before exp."""
+    theta = np.asarray(theta, dtype=float)
+    e = np.exp(theta - theta.max(axis=1, keepdims=True))
+    return Policy(e / e.sum(axis=1, keepdims=True))
+
+
+def sample_policy_probs(mdp: Mdp, n: int, seed) -> np.ndarray:
+    """The n policies sample_values evaluates, as one (n, |S|, |A|) stack."""
+    return np.concatenate([piece for _, piece in _policy_blocks(mdp, n, seed)])
 
 
 def discounted_distribution(mdp: Mdp, policy: Policy) -> np.ndarray:

@@ -17,7 +17,6 @@ from vfpolytope.dynamics import (
     run_policy_gradient,
     run_policy_iteration,
     run_value_iteration,
-    softmax_policy,
 )
 from vfpolytope.evaluation import optimal_value, value_function
 from vfpolytope.geometry import (
@@ -45,6 +44,7 @@ from oracles import (
     neumann_value_oracle,
     points_in_hull,
     policy_gradient,
+    softmax_policy,
 )
 
 DYN2 = builtin_fixture("dyn2")

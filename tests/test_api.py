@@ -1,14 +1,18 @@
-"""Inventory of the package's public options.
+"""Inventory of the package's public options, and a check that each is used.
 
 Each callable `vfpolytope` exports maps to its parameter names; each exported
 dataclass maps to its fields, and each of its public methods (as
 "Class.method") to its parameter names. Adding, renaming or removing a
 public option is an edit to this list.
 """
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import vfpolytope
+
+ROOT = Path(__file__).resolve().parents[1]
 
 API = {
     "AffineSlice": ("anchor", "basis"),
@@ -19,7 +23,7 @@ API = {
     "CheckReport.record": ("descriptor", "deviation", "tolerance"),
     "CheckReport.to_dict": (),
     "InterpolationCurve": ("mus", "rhos", "omega", "constant"),
-    "LineSegment": ("pi_low", "pi_high", "v_low", "v_high", "state"),
+    "LineSegment": ("pi_low", "pi_high", "v_low", "v_high"),
     "Mdp": ("n_states", "n_actions", "rewards", "transitions", "gamma"),
     "Mdp.value_bound": (),
     "Policy": ("probs",),
@@ -52,7 +56,6 @@ API = {
     "run_value_iteration": ("mdp", "v0", "iterations"),
     "sample_values": ("mdp", "n", "seed", "agreement"),
     "slice_rank": ("values",),
-    "softmax_policy": ("theta",),
     "value_function": ("mdp", "policy"),
     "value_function_batch": ("mdp", "probs"),
 }
@@ -82,3 +85,39 @@ def _inventory() -> dict[str, tuple[str, ...]]:
 
 def test_public_options_match_the_inventory():
     assert _inventory() == API
+
+
+# Exported names that nothing in src/ or scripts/ uses, each kept for a reason.
+UNUSED_EXPORTS = {
+    "example1_mdp": "acceptance criterion 01 checks the paper's Example 1 with it",
+    "membership_gap": "ROADMAP items 4 and 5 decide membership with it",
+}
+
+
+def _referenced_names() -> set[str]:
+    """Names and attributes that src/ (but __init__.py) and scripts/ read.
+
+    A use inside a top-level function or class does not count for that
+    function or class itself, so recursion is no use.
+    """
+    paths = [
+        p for p in (ROOT / "src" / "vfpolytope").glob("*.py") if p.name != "__init__.py"
+    ] + sorted((ROOT / "scripts").glob("*.py"))
+    found = set()
+    for path in paths:
+        for statement in ast.parse(path.read_text()).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            found |= names - {getattr(statement, "name", None)}
+    return found
+
+
+def test_every_export_is_used_by_the_package_or_scripts():
+    exported = {
+        name for name, value in vars(vfpolytope).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported - _referenced_names() == set(UNUSED_EXPORTS)

@@ -806,6 +806,67 @@ def test_svg_capability_error_writes_nothing(shape, argv, tmp_path, monkeypatch,
     assert _snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "x.csv", "--svg", "x.csv"],
+        ["sample", "--mdp", "dyn2", "--n", "5", "--out", "y.csv",
+         "--svg", "y.csv.manifest.json"],
+        ["line", "--mdp", "m.json", "--state", "0", "--out", "m.json"],
+        ["line", "--mdp", "m.json", "--state", "0", "--out", "./m.json"],
+        ["line", "--mdp", "link.json", "--state", "0", "--out", "m.json"],
+        ["line", "--mdp", "q.json.manifest.json", "--state", "0", "--out", "q.json"],
+        ["dynamics", "--mdp", "m.json", "--algo", "vi", "--iters", "3",
+         "--out", "x.csv", "--svg", "m.json"],
+        ["dynamics", "--mdp", "dyn2", "--algo", "pg", "--iters", "3",
+         "--init", "p.json", "--out", "p.json"],
+        ["verify", "--suite", "line", "--trials", "1", "--mdp", "m.json",
+         "--report", "m.json"],
+    ],
+    ids=[
+        "sample-svg-is-out", "sample-svg-is-manifest", "line-out-is-mdp",
+        "line-out-spells-mdp", "line-mdp-links-out", "line-mdp-is-manifest",
+        "dynamics-svg-is-mdp", "dynamics-out-is-init", "verify-report-is-mdp",
+    ],
+)
+def test_colliding_paths_exit_2_and_change_no_file(argv, tmp_path, monkeypatch, capsys):
+    # Two of a command's files that resolve to one file would overwrite an
+    # output, the manifest or an input: refused before any work.
+    monkeypatch.chdir(tmp_path)
+    document = dump_mdp(builtin_fixture("dyn2")) + "\n"
+    (tmp_path / "m.json").write_text(document)
+    (tmp_path / "q.json.manifest.json").write_text(document)
+    (tmp_path / "link.json").symlink_to("m.json")
+    (tmp_path / "p.json").write_text(json.dumps({"probs": [[0.5, 0.5], [0.5, 0.5]]}))
+    (tmp_path / "x.csv").write_text("earlier output\n")
+    (tmp_path / "y.csv.manifest.json").write_text("{}\n")
+    before = _snapshot(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" are the same file\n")
+    assert _snapshot(tmp_path) == before
+
+
+def test_manifest_path_that_is_a_directory_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    assert main(["sample", "--mdp", "dyn2", "--n", "5", "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the manifest 'out.csv.manifest.json' is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv.manifest.json"]
+
+
+def test_output_symlink_loop_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop").symlink_to("loop")
+    assert main(["sample", "--mdp", "dyn2", "--n", "5", "--out", "loop"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 ERROR_TYPES = sorted(
     (cls for cls in vars(errors).values()
      if isinstance(cls, type) and issubclass(cls, errors.VfpError)),

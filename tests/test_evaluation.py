@@ -18,12 +18,7 @@ from vfpolytope.evaluation import (
     value_function,
     value_function_batch,
 )
-from vfpolytope.geometry import (
-    AgreementSet,
-    affine_slice,
-    polytope_vertices_det,
-    sample_policy_probs,
-)
+from vfpolytope.geometry import AgreementSet, affine_slice, polytope_vertices_det
 from vfpolytope.mdp import (
     FIXTURE_NAMES,
     Mdp,
@@ -35,7 +30,12 @@ from vfpolytope.mdp import (
     random_policy,
 )
 
-from oracles import bellman_apply, discounted_distribution
+from oracles import (
+    bellman_apply,
+    discounted_distribution,
+    sample_policy_probs,
+    softmax_policy,
+)
 
 SIGNED_ZEROS = Mdp(
     3,
@@ -156,9 +156,9 @@ class TestInduce:
         # transpose. The vertex enumeration hands it, per deterministic
         # policy, the matrix value_function builds for the one-hot policy.
         mdp = random_mdp(64, 3, 0.9, seed=1)
-        init = dynamics.softmax_policy(np.random.default_rng(1).normal(size=(64, 3)))
+        init = softmax_policy(np.random.default_rng(1).normal(size=(64, 3)))
         # A run's first logits are the log of its start policy.
-        policy = dynamics.softmax_policy(np.log(init.probs))
+        policy = softmax_policy(np.log(init.probs))
         seen = []
         solve = np.linalg.solve
 

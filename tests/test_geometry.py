@@ -16,7 +16,6 @@ from vfpolytope.geometry import (
     line_segment,
     membership_gap,
     polytope_vertices_det,
-    sample_policy_probs,
     sample_values,
     segment_distances,
     slice_rank,
@@ -32,7 +31,14 @@ from vfpolytope.mdp import (
     random_policy,
 )
 
-from oracles import _cross, bisect_exit, hull_2d, mix_policies, points_in_hull
+from oracles import (
+    _cross,
+    bisect_exit,
+    hull_2d,
+    mix_policies,
+    points_in_hull,
+    sample_policy_probs,
+)
 
 STAY = Policy(np.array([[1.0, 0.0], [1.0, 0.0]]))
 QUIT = Policy(np.array([[0.0, 1.0], [1.0, 0.0]]))

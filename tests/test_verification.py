@@ -8,10 +8,11 @@ from vfpolytope import geometry, verification
 from vfpolytope.errors import EnumerationTooLarge, UnknownSuite
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
+    InterpolationCurve,
     LineSegment,
+    interpolation_curve,
     line_segment,
     polytope_vertices_det,
-    sample_policy_probs,
 )
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
 from vfpolytope.verification import SUITE_NAMES, CheckReport, run_suite
@@ -23,6 +24,7 @@ from oracles import (
     neumann_tail_bound,
     neumann_value_oracle,
     points_in_hull,
+    sample_policy_probs,
 )
 
 DYN2 = builtin_fixture("dyn2")
@@ -274,13 +276,50 @@ class TestSuites:
         # own value, off that point, shows the fault.
         def one_end(mdp, policy, state):
             seg = line_segment(mdp, policy, state)
-            return LineSegment(seg.pi_low, seg.pi_low, seg.v_low, seg.v_low, state)
+            return LineSegment(seg.pi_low, seg.pi_low, seg.v_low, seg.v_low)
 
         monkeypatch.setattr(verification, "line_segment", one_end)
         for mdp in (None, DYN2):
             report = run_suite("line", trials=10, seed=1, mdp=mdp)
             assert not report.passed
             assert report.max_deviation > 1e-3
+
+    def test_line_suite_fails_an_end_that_is_not_deterministic(self, monkeypatch):
+        # The low end is the generating policy itself: every image stays on
+        # its bracket, so only the ends' determinism check fails the suite.
+        def stochastic_low(mdp, policy, state):
+            seg = line_segment(mdp, policy, state)
+            return LineSegment(policy, seg.pi_high, value_function(mdp, policy), seg.v_high)
+
+        monkeypatch.setattr(verification, "line_segment", stochastic_low)
+        for mdp in (None, DYN2):
+            report = run_suite("line", trials=5, seed=1, mdp=mdp)
+            assert len(report.failures) == 5
+            assert report.max_deviation == np.inf
+
+    def test_rho_suite_fails_a_curve_that_turns_back(self, monkeypatch):
+        # rho falls back at the grid's middle, and the images are put on that
+        # curve, so the closed form matches them and only the monotonicity
+        # floor fails the suite.
+        def dipped(grid):
+            rhos = np.linspace(0.0, 1.0, grid)
+            rhos[grid // 2] = rhos[grid // 2 - 2]
+            return rhos
+
+        def curve(mdp, p0, p1, state, grid_size):
+            exact = interpolation_curve(mdp, p0, p1, state, grid_size)
+            return InterpolationCurve(exact.mus, dipped(grid_size), exact.omega, False)
+
+        def images(mdp, p0, p1, grid):
+            v0, v1 = value_function_batch(mdp, np.stack([p0.probs, p1.probs]))
+            return v0 + dipped(grid)[:, None] * (v1 - v0)
+
+        monkeypatch.setattr(verification, "interpolation_curve", curve)
+        monkeypatch.setattr(verification, "_grid_values", images)
+        for mdp in (None, DYN2):
+            report = run_suite("rho", trials=5, seed=1, mdp=mdp)
+            assert len(report.failures) == 5
+            assert report.max_deviation == 1.0
 
     def test_dominance_suite_sees_a_reward_greedy_optimum(self, monkeypatch):
         # The reward-greedy policy's value: 50 samples rarely beat it in any
