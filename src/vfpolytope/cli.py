@@ -60,9 +60,9 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
-# verify's time grows linearly in --trials: for all 8 suites, about 20 ms per
-# trial on the random family (the hull certificate is 16 ms of it) and about
-# 5 ms on dyn2 (hull 3 ms), warm, in process and with one BLAS thread on a
+# verify's time grows linearly in --trials: for all 6 suites, about 15 ms per
+# trial on the random family (the hull certificate is 13 ms of it) and about
+# 4.5 ms on dyn2 (hull 3 ms), warm, in process and with one BLAS thread on a
 # 2-vCPU Xeon, so the cap allows a run of a few minutes.
 MAX_TRIALS = 10_000
 
@@ -279,9 +279,8 @@ def cmd_verify(args):
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    Path(args.report).write_bytes(
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(args.report).write_bytes((text + "\n").encode("ascii"))
     for name, exc in skipped:
         print(f"skip {name}: {exc}")
     for report in reports:

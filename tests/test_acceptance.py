@@ -79,7 +79,7 @@ def test_criterion_02_line_theorem_suite():
 
 
 def test_criterion_03_interpolation_ratio_closed_form():
-    result = run_suite("rho", trials=50, seed=77)
+    result = run_suite("line", trials=50, seed=77)
     assert result.passed, result.failures
     assert result.max_deviation < 1e-8
     report(
@@ -290,7 +290,7 @@ def test_criterion_13_cli_reproducibility(tmp_path, monkeypatch):
          "--grid", "21", "--out", "l.csv"],
         ["dynamics", "--mdp", "dyn2", "--algo", "cemcn", "--init", "boundary",
          "--iters", "15", "--seed", "11", "--out", "d.csv", "--svg", "d.svg"],
-        ["verify", "--suite", "span", "--trials", "10", "--seed", "11",
+        ["verify", "--suite", "slice", "--trials", "10", "--seed", "11",
          "--report", "v.json"],
     ]
     for argv in commands:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import vfpolytope
-from vfpolytope import cli, errors
+from vfpolytope import cli, errors, verification
+from vfpolytope.evaluation import value_function
+from vfpolytope.geometry import LineSegment, line_segment
 from vfpolytope.cli import MAX_TRIALS, main
 from vfpolytope.mdp import (
     Mdp,
@@ -180,8 +182,6 @@ class TestLineCommand:
 
     @staticmethod
     def _check_rows_against_solves(mdp, state, seed, grid, tmp_path):
-        from vfpolytope.evaluation import value_function
-        from vfpolytope.geometry import line_segment
         from oracles import mix_policies
         from vfpolytope.mdp import random_policy
 
@@ -381,15 +381,36 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["order", "zeros", "rank", "path", "bounded"])
+    @pytest.mark.parametrize(
+        "name", ["order", "rho", "span", "zeros", "rank", "path", "bounded"]
+    )
     def test_removed_suite_exits_2(self, name, tmp_path, capsys):
         code = main(["verify", "--suite", name, "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: unknown suite {name!r}; known: line, rho, slice, span, hull, "
-            "boundary, dominance, smooth\n"
+            f"error: unknown suite {name!r}; known: line, slice, hull, boundary, "
+            "dominance, smooth\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_deviation_report_is_strict_json(self, tmp_path, monkeypatch):
+        # The low end is the generating policy itself, not one-hot at the
+        # state, so the line suite records an infinite deviation per trial.
+        def stochastic_low(mdp, policy, state):
+            seg = line_segment(mdp, policy, state)
+            return LineSegment(policy, seg.pi_high, value_function(mdp, policy), seg.v_high)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(verification, "line_segment", stochastic_low)
+        report = tmp_path / "r.json"
+        code = main(["verify", "--suite", "line", "--trials", "2", "--seed", "1",
+                     "--report", str(report)])
+        assert code == 1
+        entry = json.loads(report.read_text(), parse_constant=reject)["reports"][0]
+        assert entry["max_deviation"] == "inf"
+        assert [f["deviation"] for f in entry["failures"]] == ["inf", "inf"]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exits_2_without_traceback(self, trials, tmp_path):
@@ -443,7 +464,7 @@ class TestVerifyCommand:
         assert [r["check_name"] for r in reports] == list(SUITE_NAMES)
         assert all(r["instances_run"] == 2 for r in reports)
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 8 and not [line for line in out if line.startswith("skip")]
+        assert len(out) == 6 and not [line for line in out if line.startswith("skip")]
 
     def test_hull_past_the_enumeration_cap_is_skipped_or_exits_3(self, tmp_path, capsys):
         # 2,000 sampled policies of 2^9 vertex leaves each pass the cap.
@@ -509,7 +530,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert len(payload["reports"]) == 8
+        assert len(payload["reports"]) == 6
 
 
 @pytest.mark.parametrize(

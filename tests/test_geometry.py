@@ -406,6 +406,32 @@ class TestAffineSlice:
             scale = max(1.0, float(np.max(np.abs(values - sl.anchor))))
             assert abs(stack - max(points)) <= 4 * np.finfo(float).eps * scale
 
+    def test_class_members_share_one_slice(self):
+        # Two policies that agree on the fixed states have one slice: each
+        # anchor lies in the other's slice and each basis in the other's span.
+        rng = np.random.default_rng(29)
+        mdps = [builtin_fixture(name) for name in FIXTURE_NAMES] + [
+            random_mdp(int(rng.integers(2, 6)), int(rng.integers(2, 4)),
+                       float(rng.uniform(0.3, 0.95)), seed=seed)
+            for seed in range(100)
+        ]
+        for m in mdps:
+            k = int(rng.integers(m.n_states + 1))
+            fixed = sorted(rng.choice(m.n_states, size=k, replace=False).tolist())
+            free = [s for s in range(m.n_states) if s not in fixed]
+            p0 = random_policy(m, rng)
+            probs = p0.probs.copy()
+            probs[free] = rng.dirichlet(np.ones(m.n_actions), size=len(free))
+            s0, s1 = (affine_slice(m, AgreementSet(base=p, fixed_states=fixed))
+                      for p in (p0, Policy(probs)))
+            assert s0.projection_residual(s1.anchor) <= 1e-9
+            for source, target in ((s0.basis, s1.basis), (s1.basis, s0.basis)):
+                if not free:
+                    continue
+                coeffs, *_ = np.linalg.lstsq(target, source, rcond=None)
+                residual = np.linalg.norm(source - target @ coeffs, axis=0)
+                assert np.max(residual / np.linalg.norm(source, axis=0)) <= 1e-8
+
     def test_duplicate_states_rejected(self):
         with pytest.raises(ValueError):
             AgreementSet(base=Policy.uniform(2, 2), fixed_states=(0, 0))
