@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or file error (an
 unreadable input; an output path that cannot be written or that names the
 file of another path), 3 capability error (any errors.CapabilityError;
-`verify --suite all` skips a suite that raises one). A handler does all its
-fallible work before its first write. Every file-writing command also emits
-`<out>.manifest.json` with argv, config, seed, input and output digests;
-re-running the recorded argv reproduces the outputs byte for byte.
+`verify --suite all` skips a suite that raises one, and exits 3 when it
+skips every suite). A handler does all its fallible work before its first
+write. Every file-writing command also emits `<out>.manifest.json` with
+argv, config, seed, input and output digests; re-running the recorded argv
+reproduces the outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -60,9 +61,9 @@ ALGORITHMS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
                  "cem": 100, "cemcn": 100}
 
-# verify's time grows linearly in --trials: for all 6 suites, about 15 ms per
-# trial on the random family (the hull certificate is 13 ms of it) and about
-# 4.5 ms on dyn2 (hull 3 ms), warm, in process and with one BLAS thread on a
+# verify's time grows linearly in --trials: for all 5 suites, about 13 ms per
+# trial on the random family (the hull certificate is 11 ms of it) and about
+# 3.5 ms on dyn2 (hull 2.5 ms), warm, in process and with one BLAS thread on a
 # 2-vCPU Xeon, so the cap allows a run of a few minutes.
 MAX_TRIALS = 10_000
 
@@ -275,14 +276,16 @@ def cmd_verify(args):
             if args.suite != "all":
                 raise
             skipped.append((name, exc))
+    for name, exc in skipped:
+        print(f"skip {name}: {exc}")
+    if not reports:
+        raise CapabilityError("every suite was skipped; no report written")
     payload = {
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     Path(args.report).write_bytes((text + "\n").encode("ascii"))
-    for name, exc in skipped:
-        print(f"skip {name}: {exc}")
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(

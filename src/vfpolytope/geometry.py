@@ -266,13 +266,17 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
 
 
 def slice_rank(values: np.ndarray) -> int:
-    """Rank of the span of {v_i - v_0}: singular values over 1e-8 of the largest."""
+    """Rank of the span of {v_i - v_0}: singular values over 1e-8 of the largest.
+
+    0 when the largest is at most 1e-12 * max(1, max|v|) * sqrt(n - 1), rounding noise.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("need at least two points")
     diffs = values[1:] - values[0]
     svals = np.linalg.svd(diffs, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
+    floor = 1e-12 * max(1.0, np.abs(values).max(initial=0.0)) * np.sqrt(len(diffs))
+    if svals.size == 0 or svals[0] <= floor:
         return 0
     return int(np.sum(svals > 1e-8 * svals[0]))
 

@@ -14,6 +14,8 @@ Each computes what a package kernel computes by another route:
   and the softmax policy gradient of one logit matrix, outside any run;
 - three_solve_gradient: the softmax policy gradient with separate solves for
   the value and the visitation;
+- value_derivative: the directional derivative of the policy-to-value map,
+  in closed form;
 - fisher_matrix and damped_natural_gradient: the softmax Fisher matrix and
   the damped solve (F + damping*I) g = grad J, whose limit as damping -> 0
   is run_npg's closed-form direction (Kakade 2001);
@@ -184,6 +186,22 @@ def three_solve_gradient(mdp: Mdp, theta, entropy_coeff: float = 0.0) -> np.ndar
         h = -(probs * log_p).sum(axis=1)
         grad = grad + entropy_coeff * (d[:, None] * (-probs) * (log_p + h[:, None]))
     return grad
+
+
+def value_derivative(mdp: Mdp, probs: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """d/dt V(probs + t * direction) at t = 0, in closed form.
+
+    Differentiating v = r_pi + gamma P_pi v along D gives
+    (I - gamma P_pi) dv = sum_a D(s, a) Q_v(s, a). P_pi, r_pi and Q_v are
+    built here from the MDP's tensors and both systems go to np.linalg.solve,
+    so no package solve path is involved.
+    """
+    p_pi = np.einsum("sa,sat->st", probs, mdp.transition_tensor)
+    r_pi = np.einsum("sa,sa->s", probs, mdp.reward_matrix)
+    system = np.eye(mdp.n_states) - mdp.gamma * p_pi
+    v = np.linalg.solve(system, r_pi)
+    q = mdp.reward_matrix + mdp.gamma * (mdp.transition_tensor @ v)
+    return np.linalg.solve(system, (direction * q).sum(axis=1))
 
 
 def fisher_matrix(probs: np.ndarray, d: np.ndarray) -> np.ndarray:

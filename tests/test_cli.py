@@ -382,14 +382,14 @@ class TestVerifyCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "name", ["order", "rho", "span", "zeros", "rank", "path", "bounded"]
+        "name", ["order", "rho", "span", "zeros", "rank", "path", "smooth", "bounded"]
     )
     def test_removed_suite_exits_2(self, name, tmp_path, capsys):
         code = main(["verify", "--suite", name, "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: unknown suite {name!r}; known: line, slice, hull, boundary, "
-            "dominance, smooth\n"
+            "dominance\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -464,7 +464,7 @@ class TestVerifyCommand:
         assert [r["check_name"] for r in reports] == list(SUITE_NAMES)
         assert all(r["instances_run"] == 2 for r in reports)
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 6 and not [line for line in out if line.startswith("skip")]
+        assert len(out) == 5 and not [line for line in out if line.startswith("skip")]
 
     def test_hull_past_the_enumeration_cap_is_skipped_or_exits_3(self, tmp_path, capsys):
         # 2,000 sampled policies of 2^9 vertex leaves each pass the cap.
@@ -530,7 +530,26 @@ class TestVerifyCommand:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert len(payload["reports"]) == 6
+        assert len(payload["reports"]) == 5
+
+    def test_every_suite_skipped_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Every package solve goes through _lapack_solve, which looks up
+        # np.linalg.solve at each call, so every suite raises IllConditioned.
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code = main(["verify", "--suite", "all", "--trials", "2", "--mdp", "dyn2",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        skips = captured.out.splitlines()
+        assert [line.partition(":")[0] for line in skips] == [
+            f"skip {name}" for name in SUITE_NAMES
+        ]
+        assert all("singular to working precision" in line for line in skips)
+        assert captured.err == "error: every suite was skipped; no report written\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from oracles import (
     discounted_distribution,
     sample_policy_probs,
     softmax_policy,
+    value_derivative,
 )
 
 SIGNED_ZEROS = Mdp(
@@ -290,6 +291,67 @@ class TestValueFunction:
         # Two blocks of P_pi at |S|=64 are 8 MiB. Buffers reused across the
         # blocks peak near 5 MiB; three fresh 4 MiB stacks per block, near 13.
         assert batch_peak_bytes() < 8 * 2**20
+
+
+def derivative_cases(gamma):
+    """(mdp, interior policy, mean-zero direction of max-norm 0.5) cases.
+
+    gamma None gives the six fixtures at their own gammas; a gamma gives 50
+    random MDPs with |S| 2-6 and |A| 2-4. Every row of the policy is at least
+    0.05 / (1 + 0.05 |A|), so a step of 1e-5 along the direction stays a policy.
+    """
+    if gamma is None:
+        instances = (
+            (builtin_fixture(name), np.random.default_rng([i]))
+            for i, name in enumerate(FIXTURE_NAMES)
+        )
+    else:
+        rngs = (np.random.default_rng([i, round(gamma * 1000)]) for i in range(50))
+        instances = (
+            (random_mdp(int(rng.integers(2, 7)), int(rng.integers(2, 5)), gamma, rng), rng)
+            for rng in rngs
+        )
+    for mdp, rng in instances:
+        probs = rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states)
+        probs = (probs + 0.05) / (1.0 + 0.05 * mdp.n_actions)
+        direction = rng.normal(size=probs.shape)
+        direction -= direction.mean(axis=1, keepdims=True)
+        direction *= 0.5 / np.abs(direction).max()
+        yield mdp, probs, direction
+
+
+class TestValueDerivative:
+    """Both numerical derivatives of the policy-to-value map match the closed form.
+
+    MEASURED holds the worst relative errors max|d - exact| / max|exact| of
+    the complex step and the central difference on each group of cases;
+    each must hold within 10 times its measured value.
+    """
+
+    MEASURED = {
+        None: (9.5e-16, 1.7e-10),
+        0.5: (8.7e-16, 2.6e-10),
+        0.9: (4.1e-15, 3.2e-10),
+        0.999: (4.7e-12, 2.5e-7),
+    }
+
+    @pytest.mark.parametrize("gamma", list(MEASURED), ids=["fixtures", "0.5", "0.9", "0.999"])
+    def test_complex_step_and_central_difference(self, gamma):
+        complex_tol, central_tol = (10.0 * e for e in self.MEASURED[gamma])
+        step = 1e-5
+        for mdp, probs, direction in derivative_cases(gamma):
+            exact = value_derivative(mdp, probs, direction)
+            scale = np.abs(exact).max()
+            # The package's own solve path on complex probabilities: the
+            # imaginary part over h is the derivative, with no cancellation.
+            h = 1e-20
+            complex_step = evaluation._solve(mdp, probs + 1j * h * direction).imag / h
+            central = (
+                value_function(mdp, Policy(probs + step * direction))
+                - value_function(mdp, Policy(probs - step * direction))
+            ) / (2.0 * step)
+            assert np.abs(complex_step - exact).max() <= complex_tol * scale
+            assert np.abs(central - exact).max() <= central_tol * scale
 
 
 def switched_values(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):

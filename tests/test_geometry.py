@@ -658,6 +658,15 @@ class TestSliceRank:
     def test_identical_points(self):
         assert slice_rank(np.ones((5, 3))) == 0
 
+    def test_rounding_noise_has_rank_zero(self):
+        # Values equal up to a few ulps, as when every policy of an agreement
+        # class has one value; without the floor their differences read rank 3.
+        rng = np.random.default_rng(0)
+        values = 3.0 + 4e-16 * rng.standard_normal((200, 3))
+        assert slice_rank(values) == 0
+        values[1:, 0] += 1e-6 * rng.standard_normal(199)
+        assert slice_rank(values) == 1
+
     def test_one_fixed_state_on_dyn2(self):
         m = builtin_fixture("dyn2")
         agreement = AgreementSet(base=random_policy(m, 4), fixed_states=(0,))

@@ -1,0 +1,199 @@
+"""The verify suites' mutation audit, as a test.
+
+Each row puts one fault into one function of the package. The fault is
+applied with monkeypatch wherever a vfpolytope module binds the function's
+name, and wherever a package function holds it as a default argument (as
+evaluation._solve holds _collapse), as bench/layers.py wraps functions.
+Then run_suite(name, trials=10, seed=1) must fail for at least one suite,
+on the random family and on dyn2. Row numbers follow the audit tables in
+CHANGES.md; rows 26-30 are faults in the policy-to-value map's local shape,
+which the retired smooth suite was meant to see.
+"""
+from __future__ import annotations
+
+import inspect
+
+import numpy as np
+import pytest
+
+import vfpolytope
+from vfpolytope import cli, dynamics, evaluation, geometry, mdp, output, verification
+from vfpolytope.errors import VfpError
+from vfpolytope.geometry import AffineSlice, InterpolationCurve, LineSegment
+from vfpolytope.mdp import Policy, builtin_fixture
+from vfpolytope.verification import SUITE_NAMES, run_suite
+
+MODULES = (vfpolytope, cli, dynamics, evaluation, geometry, mdp, output, verification)
+
+DYN2 = builtin_fixture("dyn2")
+
+
+def after(transform):
+    """A fault that passes the original's result through transform."""
+    return lambda original: lambda *args, **kwargs: transform(original(*args, **kwargs))
+
+
+def reward_greedy_optimum(original):
+    def optimal_value(m):
+        policy = Policy.deterministic(np.argmax(m.reward_matrix, axis=1), m.n_actions)
+        return evaluation.value_function(m, policy), policy
+
+    return optimal_value
+
+
+def noisy_value(original):
+    rng = np.random.default_rng(0)
+    return lambda m, policy: original(m, policy) + 1e-6 * rng.standard_normal(m.n_states)
+
+
+def slice_from_rows(original):
+    # The resolvent's rows at the free states in place of its columns.
+    def affine_slice(m, agreement):
+        p_pi, r_pi = evaluation._collapse(m, agreement.base.probs)
+        resolvent = np.linalg.inv(evaluation._system(m, p_pi))
+        return AffineSlice(resolvent @ r_pi, resolvent[list(agreement.free_states)].T)
+
+    return affine_slice
+
+
+def transposed_resolvent(original):
+    # The columns solved from the transposed system: the resolvent's rows.
+    def resolve(m, probs, states):
+        p_pi, v, _ = original(m, probs, states)
+        k = len(states)
+        rhs = np.zeros(p_pi.shape[:-1] + (k,))
+        rhs[..., states, np.arange(k)] = 1.0
+        system = evaluation._system(m, p_pi)
+        return p_pi, v, np.linalg.solve(np.swapaxes(system, -1, -2), rhs)
+
+    return resolve
+
+
+def curve_at_gamma_squared(original):
+    def curve(m, p0, p1, state, grid_size=101):
+        exact = original(m, p0, p1, state, grid_size)
+        if exact.constant:
+            return exact
+        mus, omega, g = exact.mus, exact.omega, m.gamma**2
+        rhos = mus + g * mus * (1.0 - mus) * omega / (1.0 - omega * g * (1.0 - mus))
+        return InterpolationCurve(mus, rhos, omega, False)
+
+    return curve
+
+
+def last_row_shifted(values):
+    values = values.copy()
+    values[-1] += 1e-7
+    return values
+
+
+def blocks_over_states(original):
+    def blocks(*args):
+        for start, draws in original(*args):
+            yield start, draws / draws.sum(axis=1, keepdims=True)
+
+    return blocks
+
+
+def rounded_collapse(original):
+    return lambda m, probs, *out: original(m, np.round(probs, 4), *out)
+
+
+def squared_collapse(original):
+    return lambda m, probs, *out: original(m, np.square(probs), *out)
+
+
+def kinked_value(original):
+    def value_function(m, policy):
+        kink = np.abs(policy.probs - 1.0 / m.n_actions).max()
+        return original(m, policy) + 1e-6 * kink
+
+    return value_function
+
+
+def shrunk_value(original):
+    def value_function(m, policy):
+        mixed = 0.999 * policy.probs + 0.001 / m.n_actions
+        return original(m, Policy(mixed))
+
+    return value_function
+
+
+# (row, owner, name, fault): fault maps the original function to its mutant.
+ROWS = [
+    (1, evaluation, "_switch", after(lambda r: (r[0], r[1], r[2] * 1.001, r[3]))),
+    (2, evaluation, "_switch", after(lambda r: (r[0], r[1], r[2], -r[3]))),
+    (3, evaluation, "q_values", lambda original: lambda m, v: original(m, v)
+        + 0.001 * m.gamma * evaluation._expected(m, np.asarray(v, dtype=float))),
+    (4, geometry, "slice_rank", after(lambda rank: rank - 1)),
+    (5, evaluation, "optimal_value", reward_greedy_optimum),
+    (6, evaluation, "value_function", noisy_value),
+    (7, evaluation, "_collapse", after(lambda r: (r[0], r[1] * 2.0))),
+    (8, evaluation, "_collapse", after(lambda r: (r[0], np.roll(r[1], 1, axis=-1)))),
+    (9, geometry, "line_segment",
+        after(lambda s: LineSegment(s.pi_low, s.pi_low, s.v_low, s.v_low))),
+    (10, geometry, "line_segment",
+        after(lambda s: LineSegment(s.pi_high, s.pi_low, s.v_high, s.v_low))),
+    (11, evaluation, "_gather", lambda original: lambda m, actions, *out: original(
+        m, (np.asarray(actions) + 1) % m.n_actions, *out)),
+    (12, evaluation, "_system",
+        lambda original: lambda m, p_pi, out=None: original(m, p_pi * 1.001, out)),
+    (13, evaluation, "_lapack_solve", after(lambda x: x + 1e-7)),
+    (14, evaluation, "_solve_blocks", after(lambda v: np.roll(v, 1, axis=0))),
+    (15, geometry, "sample_values",
+        lambda original: lambda m, n, seed, agreement=None: original(m, n, seed)),
+    (16, geometry, "affine_slice", slice_from_rows),
+    (17, evaluation, "_resolve", transposed_resolvent),
+    (19, geometry, "interpolation_curve", curve_at_gamma_squared),
+    (20, geometry, "_ray_exit", after(lambda t: t * 0.99)),
+    (21, evaluation, "value_function_batch", after(last_row_shifted)),
+    (22, geometry, "_policy_blocks", blocks_over_states),
+    (24, Policy, "with_row", lambda original: lambda self, state, row: original(
+        self, (state + 1) % self.n_states, row)),
+    (25, geometry, "interpolation_curve", after(lambda c: c if c.constant else
+        InterpolationCurve(c.mus, c.rhos**1.001, c.omega, False))),
+    (26, evaluation, "_collapse", rounded_collapse),
+    (27, evaluation, "_collapse", squared_collapse),
+    (28, evaluation, "value_function", kinked_value),
+    (29, evaluation, "value_function", after(lambda v: np.round(v, 8))),
+    (30, evaluation, "value_function", shrunk_value),
+]
+
+
+def apply_fault(monkeypatch, owner, name, fault) -> None:
+    """Bind the mutant wherever the package binds the original."""
+    original = getattr(owner, name)
+    mutant = fault(original)
+    monkeypatch.setattr(owner, name, mutant)
+    for module in MODULES:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, mutant)
+            elif inspect.isfunction(value) and any(
+                d is original for d in value.__defaults__ or ()
+            ):
+                defaults = tuple(mutant if d is original else d for d in value.__defaults__)
+                monkeypatch.setattr(value, "__defaults__", defaults)
+
+
+def suite_fails(suite: str, mdp_case) -> bool:
+    """Whether the suite's report fails; a raise (IterationCap, say) is not a failure."""
+    try:
+        return not run_suite(suite, trials=10, seed=1, mdp=mdp_case).passed
+    except VfpError:
+        return False
+
+
+@pytest.mark.parametrize("mdp_case", [None, DYN2], ids=["random", "dyn2"])
+def test_no_suite_fails_without_a_fault(mdp_case):
+    # The control: each row below fails only through its fault.
+    assert not any(suite_fails(suite, mdp_case) for suite in SUITE_NAMES)
+
+
+@pytest.mark.parametrize("mdp_case", [None, DYN2], ids=["random", "dyn2"])
+@pytest.mark.parametrize(
+    "owner, name, fault", [row[1:] for row in ROWS], ids=[f"row{row[0]}" for row in ROWS]
+)
+def test_some_suite_fails_under_each_fault(owner, name, fault, mdp_case, monkeypatch):
+    apply_fault(monkeypatch, owner, name, fault)
+    assert any(suite_fails(suite, mdp_case) for suite in SUITE_NAMES)

@@ -266,6 +266,28 @@ class TestSuites:
             report = run_suite(name, trials=3, seed=0, mdp=mdp)
             assert report.passed, (name, report.failures)
 
+    @pytest.mark.parametrize(
+        "mdp",
+        [
+            # Every action of every state is the same: the value set is a point.
+            Mdp(2, 2, np.full(4, 0.3), np.full((4, 2), 0.5), 0.9),
+            # State 0's two actions are identical: at most 2 directions.
+            Mdp(3, 2, np.array([0.2, 0.2, 1.0, -0.5, 0.0, 0.7]),
+                np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.6, 0.2, 0.2],
+                          [0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.9, 0.05, 0.05]]), 0.9),
+            # At gamma 0 state 0's actions differ in transitions alone.
+            Mdp(2, 2, np.array([1.0, 1.0, 0.2, -0.4]),
+                np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.3, 0.7]]), 0.0),
+        ],
+        ids=["all-equal", "duplicate-actions", "gamma-0"],
+    )
+    def test_slice_suite_passes_where_actions_coincide(self, mdp):
+        # Only a free state whose actions differ in reward, or in transition
+        # row when gamma > 0, adds a direction; the rest add none.
+        report = run_suite("slice", trials=30, seed=0, mdp=mdp)
+        assert report.passed, report.failures
+        assert report.max_deviation <= 1e-13
+
     def test_line_suite_tight_deviation(self):
         report = run_suite("line", trials=100, seed=1)
         assert report.passed
@@ -406,11 +428,10 @@ class TestSuites:
 
 def test_stream_tags_are_pinned():
     # A tag keys a suite's streams, so it never changes; the missing tags
-    # 2, 3, 5, 6, 9, 10 and 13 were order, rho, span, zeros, rank, path and
-    # bounded.
+    # 2, 3, 5, 6, 9, 10, 12 and 13 were order, rho, span, zeros, rank, path,
+    # smooth and bounded.
     tags = {name: entry[0] for name, entry in verification._SUITES.items()}
-    assert tags == {"line": 1, "slice": 4, "hull": 7, "boundary": 8,
-                    "dominance": 11, "smooth": 12}
+    assert tags == {"line": 1, "slice": 4, "hull": 7, "boundary": 8, "dominance": 11}
     assert SUITE_NAMES == tuple(tags)
 
 
