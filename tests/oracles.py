@@ -23,6 +23,8 @@ Each computes what a package kernel computes by another route:
   arithmetic, by Gaussian elimination over fractions.Fraction;
 - hull_2d and points_in_hull: a planar convex hull by monotone chain and
   the points within 1e-9 of it, for 2-state value sets;
+- family_segments: the value segments of the one-state-pinned policy
+  families of a 2-state MDP, on which its value set's boundary lies;
 - bisect_exit: where rays from a value leave the value set, bisected on
   membership_gap instead of read off the Q bounds' lines.
 """
@@ -44,7 +46,12 @@ from vfpolytope.evaluation import (
     q_values,
     value_function,
 )
-from vfpolytope.geometry import _policy_blocks, membership_gap, segment_distances
+from vfpolytope.geometry import (
+    _policy_blocks,
+    line_segment,
+    membership_gap,
+    segment_distances,
+)
 from vfpolytope.mdp import Mdp, Policy
 
 
@@ -332,6 +339,26 @@ def points_in_hull(points, hull) -> np.ndarray:
     The hull must be in counterclockwise order as produced by hull_2d.
     """
     return _hull_escape(points, hull) <= 1e-9
+
+
+def family_segments(mdp: Mdp) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ends of the 2|A| one-state-pinned family segments of a 2-state MDP.
+
+    The policies that take action a at state s, whatever they do at the
+    other state, form a semi-deterministic family whose values fill
+    line_segment's bracket over the other state. By the boundary theorem the
+    value set's boundary lies on these segments.
+    """
+    if mdp.n_states != 2:
+        raise ValueError("one-state-pinned family segments need |S| = 2")
+    eye = np.eye(mdp.n_actions)
+    segments = []
+    for s in range(2):
+        for a in range(mdp.n_actions):
+            base = Policy.uniform(2, mdp.n_actions).with_row(s, eye[a])
+            seg = line_segment(mdp, base, 1 - s)
+            segments.append((seg.v_low, seg.v_high))
+    return segments
 
 
 def bisect_exit(mdp: Mdp, start, rays) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from vfpolytope.geometry import (
     slice_rank,
 )
 from vfpolytope.mdp import Policy, builtin_fixture, dump_mdp, random_mdp, random_policy
-from vfpolytope.verification import run_suite, semidet_family_segments
+from vfpolytope.verification import run_suite
 
 from oracles import hull_2d, points_in_hull
 
@@ -62,15 +62,12 @@ UNIFORM2 = Policy.uniform(2, 2)
          MalformedDocument, "n_states and n_actions must be positive"),
         (lambda: random_mdp(2, 0, 0.9, 0),
          MalformedDocument, "n_states and n_actions must be positive"),
-        (lambda: semidet_family_segments(random_mdp(3, 2, 0.9, 0)),
-         ValueError, r"need \|S\| = 2"),
     ],
     ids=[
         "batch-shape", "vi-v0-length", "vi-iterations", "empty-trajectory",
         "pg-logits-shape", "cem-logits-shape", "ascent-eta", "ascent-iterations",
         "curve-grid", "curve-policy-shapes", "slice-rank-one-point",
         "agreement-state-range", "random-mdp-no-states", "random-mdp-no-actions",
-        "semidet-three-states",
     ],
 )
 def test_library_rejects_what_the_cli_refuses_first(call, error, message):

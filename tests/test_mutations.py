@@ -5,9 +5,12 @@ applied with monkeypatch wherever a vfpolytope module binds the function's
 name, and wherever a package function holds it as a default argument (as
 evaluation._solve holds _collapse), as bench/layers.py wraps functions.
 Then run_suite(name, trials=10, seed=1) must fail for at least one suite,
-on the random family and on dyn2. Row numbers follow the audit tables in
-CHANGES.md; rows 26-30 are faults in the policy-to-value map's local shape,
-which the retired smooth suite was meant to see.
+on the random family, on dyn2 and on threeaction, unless NO_OPS shows that
+the fault changes nothing there. threeaction's three actions let a split
+write a value as an affine but not convex combination, which only the hull
+certificate's weight terms see (row 32). Row numbers follow the
+audit tables in CHANGES.md; rows 26-30 are faults in the policy-to-value
+map's local shape, which the retired smooth suite was meant to see.
 """
 from __future__ import annotations
 
@@ -26,6 +29,9 @@ from vfpolytope.verification import SUITE_NAMES, run_suite
 MODULES = (vfpolytope, cli, dynamics, evaluation, geometry, mdp, output, verification)
 
 DYN2 = builtin_fixture("dyn2")
+THREEACTION = builtin_fixture("threeaction")
+# The audit's MDPs by case name; None is the random family.
+CASES = {"random": None, "dyn2": DYN2, "threeaction": THREEACTION}
 
 
 def after(transform):
@@ -95,6 +101,28 @@ def blocks_over_states(original):
     return blocks
 
 
+def coarse_split_floor(original):
+    # The split's floor at 1e-3: offsets that close are mixed as if equal.
+    def split(c):
+        ends, weights = original(c)
+        flat = np.ptp(c, axis=-1) <= 1e-3 * np.maximum(1.0, np.abs(c).max(axis=-1))
+        return ends, np.where(flat[..., None], [1.0, 0.0], weights)
+
+    return split
+
+
+def second_largest_split(original):
+    # The argmin and the second-largest offset: t still mixes the ends to
+    # the value, but past the high end, with a negative weight.
+    def split(c):
+        ends = np.stack([c.argmin(axis=-1), np.argsort(c, axis=-1)[..., -2]], axis=-1)
+        low, high = np.moveaxis(np.take_along_axis(c, ends, axis=-1), -1, 0)
+        t = np.divide(-low, high - low, out=np.zeros_like(low), where=high != low)
+        return ends, np.stack([1.0 - t, t], axis=-1)
+
+    return split
+
+
 def rounded_collapse(original):
     return lambda m, probs, *out: original(m, np.round(probs, 4), *out)
 
@@ -157,7 +185,29 @@ ROWS = [
     (28, evaluation, "value_function", kinked_value),
     (29, evaluation, "value_function", after(lambda v: np.round(v, 8))),
     (30, evaluation, "value_function", shrunk_value),
+    (31, verification, "_split", coarse_split_floor),
+    (32, verification, "_split", second_largest_split),
 ]
+
+
+def threeaction_optimum():
+    v_star, policy = evaluation.optimal_value(THREEACTION)
+    return v_star, policy.probs
+
+
+def threeaction_reports():
+    return [run_suite(suite, trials=10, seed=1, mdp=THREEACTION).to_dict()
+            for suite in SUITE_NAMES]
+
+
+# (row, case) -> a call whose result the row's fault leaves unchanged on that
+# case, so that no suite can fail there. threeaction's reward-greedy policy
+# is optimal, and its hull offsets never come within 1e-3 of each other
+# (their least scaled width is 0.33), so rows 5 and 31 are no-ops there.
+NO_OPS = {
+    (5, "threeaction"): threeaction_optimum,
+    (31, "threeaction"): threeaction_reports,
+}
 
 
 def apply_fault(monkeypatch, owner, name, fault) -> None:
@@ -184,16 +234,19 @@ def suite_fails(suite: str, mdp_case) -> bool:
         return False
 
 
-@pytest.mark.parametrize("mdp_case", [None, DYN2], ids=["random", "dyn2"])
-def test_no_suite_fails_without_a_fault(mdp_case):
+@pytest.mark.parametrize("case", CASES)
+def test_no_suite_fails_without_a_fault(case):
     # The control: each row below fails only through its fault.
-    assert not any(suite_fails(suite, mdp_case) for suite in SUITE_NAMES)
+    assert not any(suite_fails(suite, CASES[case]) for suite in SUITE_NAMES)
 
 
-@pytest.mark.parametrize("mdp_case", [None, DYN2], ids=["random", "dyn2"])
-@pytest.mark.parametrize(
-    "owner, name, fault", [row[1:] for row in ROWS], ids=[f"row{row[0]}" for row in ROWS]
-)
-def test_some_suite_fails_under_each_fault(owner, name, fault, mdp_case, monkeypatch):
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("row, owner, name, fault", ROWS, ids=[f"row{row[0]}" for row in ROWS])
+def test_some_suite_fails_under_each_fault(row, owner, name, fault, case, monkeypatch):
+    probe = NO_OPS.get((row, case))
+    before = probe() if probe else ()
     apply_fault(monkeypatch, owner, name, fault)
-    assert any(suite_fails(suite, mdp_case) for suite in SUITE_NAMES)
+    if probe:
+        np.testing.assert_equal(probe(), before)
+        return
+    assert any(suite_fails(suite, CASES[case]) for suite in SUITE_NAMES)

@@ -3,9 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vfpolytope import geometry, verification
-from vfpolytope.errors import EnumerationTooLarge, UnknownSuite
+from vfpolytope.errors import CapabilityError, EnumerationTooLarge, UnknownSuite
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
     InterpolationCurve,
@@ -13,12 +15,14 @@ from vfpolytope.geometry import (
     interpolation_curve,
     line_segment,
     polytope_vertices_det,
+    segment_distances,
 )
 from vfpolytope.mdp import FIXTURE_NAMES, Mdp, Policy, builtin_fixture, random_mdp
 from vfpolytope.verification import SUITE_NAMES, CheckReport, run_suite
 
 from oracles import (
     bisect_exit,
+    family_segments,
     hull_2d,
     mc_value_oracle,
     neumann_tail_bound,
@@ -215,27 +219,22 @@ class TestSuites:
 
     def test_per_mdp_work_runs_once_per_mdp(self, monkeypatch):
         calls = Counter()
-        for name in ("polytope_vertices_det", "semidet_family_segments", "value_function"):
+        for name in ("polytope_vertices_det", "value_function"):
             _count_calls(monkeypatch, calls, name, verification)
         run_suite("hull", trials=4, seed=0, mdp=DYN2)
         run_suite("boundary", trials=4, seed=0, mdp=DYN2)
-        assert calls == Counter(
-            polytope_vertices_det=1, semidet_family_segments=1, value_function=1
-        )
+        assert calls == Counter(polytope_vertices_det=1, value_function=1)
         calls.clear()
         run_suite("hull", trials=4, seed=0)
         run_suite("boundary", trials=4, seed=0)
-        two_state = sum(verification._random_instance(0, i).n_states == 2 for i in range(4))
-        assert calls == Counter(
-            polytope_vertices_det=4, semidet_family_segments=two_state, value_function=4
-        )
+        assert calls == Counter(polytope_vertices_det=4, value_function=4)
 
     @pytest.mark.parametrize(
         "mdp", [None, DYN2, random_mdp(4, 3, 0.9, 0)], ids=["random", "dyn2", "4x3"]
     )
     def test_boundary_suite_forms_q_twice_per_trial(self, mdp, monkeypatch):
         # One q_values call for the rays' exits, one for the policies at
-        # them; the per-MDP segments form theirs inside evaluation._switch.
+        # them; the per-MDP start is one solve and forms none.
         calls = Counter()
         _count_calls(monkeypatch, calls, "q_values", geometry, verification)
         for trials in (1, 3, 8):
@@ -282,8 +281,8 @@ class TestSuites:
         ids=["all-equal", "duplicate-actions", "gamma-0"],
     )
     def test_slice_suite_passes_where_actions_coincide(self, mdp):
-        # Only a free state whose actions differ in reward, or in transition
-        # row when gamma > 0, adds a direction; the rest add none.
+        # Only a free state whose Q_v(s, .) at the slice's anchor is not
+        # constant adds a direction; the rest add none.
         report = run_suite("slice", trials=30, seed=0, mdp=mdp)
         assert report.passed, report.failures
         assert report.max_deviation <= 1e-13
@@ -574,3 +573,99 @@ class TestHullCertificate:
         )
         assert deviation > 1e-3
         assert _certify(mdp, probs) <= 1e-12
+
+
+def _planar_exits(mdp, stretch=1.0):
+    """Where 256 seeded rays from the uniform policy's value leave a planar value set."""
+    start = value_function(mdp, Policy.uniform(2, mdp.n_actions))
+    rays = np.random.default_rng(0).standard_normal((256, 2))
+    return start + stretch * geometry._ray_exit(mdp, start, rays)[:, None] * rays
+
+
+def _family_deviation(mdp, points):
+    """Largest distance from a point to its nearest family segment, over max(1, |v|_inf)."""
+    dists = np.min(
+        [segment_distances(points, a, b) for a, b in family_segments(mdp)], axis=0
+    )
+    return float(np.max(dists / np.maximum(1.0, np.abs(points).max(axis=1))))
+
+
+class TestPlanarBoundary:
+    """In the plane, the boundary of V lies on the one-state-pinned family segments.
+
+    The boundary suite checks the same theorem in any dimension, through the
+    semi-deterministic policy it rebuilds at each exit.
+    """
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_ray_exits_lie_on_family_segments(self, name):
+        mdp = builtin_fixture(name)
+        assert _family_deviation(mdp, _planar_exits(mdp)) <= 1e-12
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_exits_stretched_by_a_thousandth_leave_the_segments(self, name):
+        # A step past the exit is off the boundary, so off every segment.
+        mdp = builtin_fixture(name)
+        assert _family_deviation(mdp, _planar_exits(mdp, stretch=1.001)) > 1e-4
+
+
+# The degenerate families in which every suite must pass or skip; each
+# breaks one generic property of random_mdp's instances.
+DEGENERATE = (
+    "equal-rewards", "duplicate-actions", "gamma-0", "one-hot-transitions",
+    "absorbing-state", "one-transition-row", "zero-rewards-at-one-state",
+    "one-reward-per-state",
+)
+
+
+@st.composite
+def degenerate_mdps(draw):
+    """(family, MDP): a random_mdp instance made degenerate one way."""
+    n_states = draw(st.sampled_from((2, 3, 4)))
+    n_actions = draw(st.sampled_from((2, 3)))
+    base = random_mdp(n_states, n_actions, 0.9, draw(st.integers(0, 3)))
+    rewards = base.reward_matrix.copy()
+    transitions = base.transition_tensor.copy()
+    gamma = base.gamma
+    family = draw(st.sampled_from(DEGENERATE))
+    state = draw(st.integers(0, n_states - 1))
+    if family == "equal-rewards":
+        rewards[:] = rewards[0, 0]
+    elif family == "duplicate-actions":
+        rewards[state, 1] = rewards[state, 0]
+        transitions[state, 1] = transitions[state, 0]
+    elif family == "gamma-0":
+        gamma = 0.0
+    elif family == "one-hot-transitions":
+        transitions = np.eye(n_states)[transitions.argmax(axis=2)]
+    elif family == "absorbing-state":
+        transitions[state] = np.eye(n_states)[state]
+    elif family == "one-transition-row":
+        transitions[:] = transitions[0, 0]
+    elif family == "zero-rewards-at-one-state":
+        rewards[state] = 0.0
+    else:
+        rewards[:] = rewards[:, :1]
+    return family, Mdp(n_states, n_actions, rewards.ravel(),
+                       transitions.reshape(-1, n_states), gamma)
+
+
+@given(degenerate_mdps())
+def test_every_suite_passes_or_skips_on_a_degenerate_mdp(case):
+    family, mdp = case
+    for name in SUITE_NAMES:
+        try:
+            report = run_suite(name, trials=3, seed=0, mdp=mdp)
+        except CapabilityError:
+            continue
+        assert report.passed, (family, name, report.failures)
+
+
+def test_every_suite_passes_where_all_rewards_are_equal():
+    # Every policy's value is 3 at both states, so the hull's offsets and
+    # the slice's Q spreads are rounding noise: the hull once read 2.4e5
+    # and the slice rank 0/1 here.
+    mdp = Mdp(2, 2, np.full(4, 0.3), [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.3, 0.7]], 0.9)
+    for name in SUITE_NAMES:
+        report = run_suite(name, trials=10, seed=0, mdp=mdp)
+        assert report.passed, (name, report.failures)
