@@ -336,7 +336,7 @@ def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     shape = (mdp.n_states, mdp.n_actions)
 
     def mean_value(m: np.ndarray) -> np.ndarray:
-        return _solve(mdp, _softmax_probs(m.reshape(shape)))
+        return _solve(mdp, _softmax_probs(m.reshape(shape))[None])[0, :, 0]
 
     points = np.empty((config.iterations + 1, mdp.n_states))
     cov_trace = np.empty(config.iterations + 1)

@@ -5,9 +5,9 @@ linear solves of (I - gamma * P_pi) v = r_pi, never from iteration. The
 matrix is invertible for gamma < 1, because the spectral radius of
 gamma * P_pi is at most gamma, but within a few ulps of gamma = 1 it can be
 singular in floating point; _lapack_solve then raises IllConditioned.
-Each concept has one kernel: _resolve gives a policy's value and any of its
-resolvent columns (I - gamma * P_pi)^{-1} e_s from one solve, and q_values
-forms Q_v for one value or a stack of them.
+Each concept has one kernel: _solve gives a stack of policies' values and
+any of their resolvent columns (I - gamma * P_pi)^{-1} e_s, a block of
+policies per solve, and q_values forms Q_v for one value or a stack of them.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import IllConditioned, IterationCap, ShapeMismatch
 from .mdp import Mdp, Policy
 
-# _solve_blocks solves at most this many float64 entries of P_pi
+# _solve solves at most this many float64 entries of P_pi
 # (4 MiB) at a time, in one buffer it allocates per call, so its peak memory
 # grows with n only through the (n, |S|, |A|) input and the (n, |S|) output.
 _BLOCK_ENTRIES = 1 << 19
@@ -80,48 +80,33 @@ def _lapack_solve(mdp: Mdp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _solve(mdp: Mdp, policies, systems=None, rewards=None, collapse=_collapse):
-    """Exact values of one policy or a stack, shaped like P_pi minus one axis.
+def _solve(mdp: Mdp, policies, states=(), collapse=_collapse) -> np.ndarray:
+    """(n, |S|, 1 + len(states)) columns of (I - gamma P_pi)^{-1} [r_pi, e_states].
 
-    collapse is _collapse for probability matrices or _gather for actions;
-    P_pi and r_pi are built in the buffers systems and rewards if given.
+    policies is an (n, |S|, |A|) stack of probabilities, or (n, |S|) actions
+    with collapse=_gather. Column 0 is each policy's value and column 1 + j
+    its resolvent column R[:, states[j]]. Blocks of max(1, _BLOCK_ENTRIES //
+    |S|**2) policies are collapsed and solved in buffers allocated once per
+    call, of the policies' dtype or float64, so row i has the bits of a call
+    on policy i alone.
     """
-    systems, rewards = collapse(mdp, policies, systems, rewards)
-    _system(mdp, systems, out=systems)
-    return _lapack_solve(mdp, systems, rewards[..., None])[..., 0]
-
-
-def _solve_blocks(mdp: Mdp, policies, collapse=_collapse) -> np.ndarray:
-    """(n, |S|) values of n stacked policies, bit for bit those of single solves.
-
-    Blocks of max(1, _BLOCK_ENTRIES // |S|**2) policies go through _solve in
-    buffers allocated once per call, each with its own collapse and solve.
-    """
-    n, n_states = len(policies), mdp.n_states
+    n, n_states, k = len(policies), mdp.n_states, len(states)
     block = max(1, _BLOCK_ENTRIES // n_states**2)
-    systems = np.empty((min(n, block), n_states, n_states))
-    rewards = np.empty((min(n, block), n_states))
-    values = np.empty((n, n_states))
+    dtype = np.result_type(policies, 1.0)
+    systems = np.empty((min(n, block), n_states, n_states), dtype)
+    rewards = np.empty((min(n, block), n_states), dtype)
+    rhs = np.zeros((min(n, block), n_states, 1 + k), dtype)
+    rhs[..., 1:] = np.eye(n_states)[:, list(states)]
+    solved = np.empty((n, n_states, 1 + k), dtype)
     for start in range(0, n, block):
         chunk = policies[start : start + block]
-        k = len(chunk)
-        values[start : start + k] = _solve(mdp, chunk, systems[:k], rewards[:k], collapse)
-    return values
-
-
-def _resolve(mdp: Mdp, probs: np.ndarray, states):
-    """P_pi, v and R[:, states], R = (I - gamma P_pi)^{-1}, in one solve.
-
-    The solve is against [r_pi, e_states]. probs is one (|S|, |A|) policy or
-    a (..., |S|, |A|) stack; every output gains its leading axes.
-    """
-    p_pi, r_pi = _collapse(mdp, probs)
-    k = len(states)
-    rhs = np.zeros(r_pi.shape + (1 + k,))
-    rhs[..., 0] = r_pi
-    rhs[..., states, np.arange(1, 1 + k)] = 1.0
-    solved = _lapack_solve(mdp, _system(mdp, p_pi), rhs)
-    return p_pi, solved[..., 0], solved[..., 1:]
+        m = len(chunk)
+        # The arrays collapse returns, which are the buffers unless it made
+        # its own.
+        p_pi, r_pi = collapse(mdp, chunk, systems[:m], rewards[:m])
+        rhs[:m, :, 0] = r_pi
+        solved[start : start + m] = _lapack_solve(mdp, _system(mdp, p_pi, out=p_pi), rhs[:m])
+    return solved
 
 
 def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
@@ -136,14 +121,16 @@ def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
     """
     # R_s >= 0 and the denominator is positive (the determinant lemma on two
     # nonsingular M-matrices), so the variants are ordered by the scalar.
-    p_pi, v, r_s = _resolve(mdp, probs, [state])
-    r_s = r_s[..., 0]
+    flat = probs.reshape((-1,) + probs.shape[-2:])
+    solved = _solve(mdp, flat, [state]).reshape(probs.shape[:-1] + (2,))
+    v, r_s = solved[..., 0], solved[..., 1]
     q = q_values(mdp, v)[..., state, :]
     num = (rows @ q[..., None])[..., 0] - v[..., state, None]
-    # _collapse's einsum, so one row's omega has the bits of the same product
-    # taken from two whole collapses.
+    # One einsum for P_pi's row at state and the replacement rows, so one
+    # row's omega has the bits of the same product from two whole collapses.
     transitions = mdp.transition_tensor[state]
-    step = np.einsum("ra,at->rt", rows, transitions) - p_pi[..., state, None, :]
+    p_row = np.einsum("...a,at->...t", probs[..., state, :], transitions)
+    step = np.einsum("ra,at->rt", rows, transitions) - p_row[..., None, :]
     omega = (step @ r_s[..., None])[..., 0]
     return v, r_s, num / (1.0 - mdp.gamma * omega), omega
 
@@ -151,11 +138,11 @@ def _switch(mdp: Mdp, probs: np.ndarray, state: int, rows: np.ndarray):
 def value_function(mdp: Mdp, policy: Policy) -> np.ndarray:
     """Exact value of a policy via a dense linear solve."""
     _check_policy_shape(mdp, policy)
-    return _solve(mdp, policy.probs)
+    return _solve(mdp, policy.probs[None])[0, :, 0]
 
 
 def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
-    """(n, |S|) exact values of an (n, |S|, |A|) policy stack, by _solve_blocks.
+    """(n, |S|) exact values of an (n, |S|, |A|) policy stack, by _solve.
 
     Rows are trusted, not re-validated.
     """
@@ -164,7 +151,7 @@ def value_function_batch(mdp: Mdp, probs: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"expected (n, {mdp.n_states}, {mdp.n_actions}) policies, got {probs.shape}"
         )
-    return _solve_blocks(mdp, probs)
+    return _solve(mdp, probs)[..., 0]
 
 
 def _expected(mdp: Mdp, v: np.ndarray) -> np.ndarray:
@@ -207,7 +194,7 @@ def _policy_iteration(mdp: Mdp, actions):
     """
     states = np.arange(mdp.n_states)
     for _ in range(_MAX_IMPROVEMENTS):
-        v = _solve(mdp, actions, collapse=_gather)
+        v = _solve(mdp, actions[None], collapse=_gather)[0, :, 0]
         q = q_values(mdp, v)
         yield v, q
         best = np.argmax(q, axis=1)
@@ -236,4 +223,4 @@ def optimal_value(mdp: Mdp) -> tuple[np.ndarray, Policy]:
         pass
     actions = np.argmax(q, axis=1)
     greedy = Policy.deterministic(actions, mdp.n_actions)
-    return _solve(mdp, actions, collapse=_gather), greedy
+    return _solve(mdp, actions[None], collapse=_gather)[0, :, 0], greedy

@@ -3,7 +3,7 @@
 Policies that agree everywhere except one state map to a monotone line
 segment in value space, bracketed by one-hot choices at the free state;
 fixing k states confines the image to an affine slice spanned by the
-free states' resolvent columns (one evaluation._resolve solve); and the
+free states' resolvent columns (one evaluation._solve call); and the
 whole image sits inside the convex hull of the deterministic-policy values,
 since applying the line theorem one state at a time writes every value as a
 convex combination of them (verification's hull suite checks those weights).
@@ -24,8 +24,7 @@ from .evaluation import (
     _check_policy_shape,
     _expected,
     _gather,
-    _resolve,
-    _solve_blocks,
+    _solve,
     _switch,
     q_values,
     value_function_batch,
@@ -203,8 +202,8 @@ def interpolation_curve(
 def affine_slice(mdp: Mdp, agreement: AgreementSet) -> AffineSlice:
     """Slice containing the values of all policies in the agreement class."""
     _check_policy_shape(mdp, agreement.base)
-    _, anchor, basis = _resolve(mdp, agreement.base.probs, agreement.free_states)
-    return AffineSlice(anchor=anchor, basis=basis)
+    solved = _solve(mdp, agreement.base.probs[None], agreement.free_states)[0]
+    return AffineSlice(anchor=solved[:, 0], basis=solved[:, 1:])
 
 
 def _policy_blocks(mdp: Mdp, n: int, seed):
@@ -262,7 +261,7 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
     Row i is the value of row i of deterministic_policies(mdp), bit for bit
     that of value_function_batch on the one-hot policy.
     """
-    return _solve_blocks(mdp, deterministic_policies(mdp), _gather)
+    return _solve(mdp, deterministic_policies(mdp), collapse=_gather)[..., 0]
 
 
 def slice_rank(values: np.ndarray) -> int:

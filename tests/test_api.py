@@ -8,6 +8,7 @@ public option is an edit to this list.
 import ast
 import dataclasses
 import inspect
+import tomllib
 from pathlib import Path
 
 import vfpolytope
@@ -121,3 +122,9 @@ def test_every_export_is_used_by_the_package_or_scripts():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported - _referenced_names() == set(UNUSED_EXPORTS)
+
+
+def test_version_matches_pyproject():
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert vfpolytope.__version__ == project["version"]

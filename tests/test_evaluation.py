@@ -87,9 +87,25 @@ def random_pair(seed: int) -> tuple[Mdp, Policy]:
     return mdp, random_policy(mdp, seed + 2)
 
 
+def resolve(mdp: Mdp, probs: np.ndarray, states):
+    """(v, R[:, states]) of one policy, from one evaluation._solve call."""
+    solved = evaluation._solve(mdp, probs[None], states)[0]
+    return solved[:, 0], solved[:, 1:]
+
+
+def assert_solve_rows_are_single_calls(mdp: Mdp, n: int) -> None:
+    """_solve's rows on n stacked policies, with two resolvent columns, are
+    bit for bit those of one call per policy."""
+    probs = np.random.default_rng(5).dirichlet(np.ones(mdp.n_actions), size=(n, mdp.n_states))
+    stacked = evaluation._solve(mdp, probs, [3, 1])
+    assert stacked.shape == (n, mdp.n_states, 3)
+    for i in range(n):
+        assert np.array_equal(stacked[i], evaluation._solve(mdp, probs[i][None], [3, 1])[0])
+
+
 class TestInduce:
     """The chain a policy induces: P_pi and r_pi (_collapse) and resolvent
-    columns (_resolve)."""
+    columns (_solve's columns after the value)."""
 
     def test_example1_stay_policy(self):
         m = example1_mdp()
@@ -99,12 +115,14 @@ class TestInduce:
 
     def test_gamma_zero_resolvent_is_identity(self):
         m = example1_mdp(gamma=0.0)
-        _, _, resolvent = evaluation._resolve(m, QUIT.probs, [0, 1])
+        _, resolvent = resolve(m, QUIT.probs, [0, 1])
         np.testing.assert_allclose(resolvent, np.eye(2), atol=1e-14)
 
     def test_resolvent_against_truncated_series(self):
         m = builtin_fixture("dyn2")
-        p_pi, _, resolvent = evaluation._resolve(m, Policy.uniform(2, 2).probs, [0, 1])
+        probs = Policy.uniform(2, 2).probs
+        p_pi, _ = evaluation._collapse(m, probs)
+        _, resolvent = resolve(m, probs, [0, 1])
         partial = np.zeros((2, 2))
         term = np.eye(2)
         for _ in range(50):
@@ -117,7 +135,8 @@ class TestInduce:
         for seed in range(20):
             mdp, policy = random_pair(seed)
             states = list(range(mdp.n_states))
-            p_pi, _, resolvent = evaluation._resolve(mdp, policy.probs, states)
+            p_pi, _ = evaluation._collapse(mdp, policy.probs)
+            _, resolvent = resolve(mdp, policy.probs, states)
             eye = resolvent @ (np.eye(mdp.n_states) - mdp.gamma * p_pi)
             assert np.max(np.abs(eye - np.eye(mdp.n_states))) < 1e-8
             assert np.min(resolvent) > -1e-10
@@ -127,22 +146,24 @@ class TestInduce:
         # resolvent, and the value of the same solve.
         mdp, policy = random_pair(4)
         n = mdp.n_states
-        _, v, whole = evaluation._resolve(mdp, policy.probs, list(range(n)))
+        v, whole = resolve(mdp, policy.probs, list(range(n)))
         states = [n - 1, 0]
-        _, v_some, some = evaluation._resolve(mdp, policy.probs, states)
+        v_some, some = resolve(mdp, policy.probs, states)
         np.testing.assert_allclose(some, whole[:, states], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(v_some, v, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(v, value_function(mdp, policy), rtol=1e-12, atol=1e-12)
-        _, _, none = evaluation._resolve(mdp, policy.probs, [])
+        _, none = resolve(mdp, policy.probs, [])
         assert none.shape == (n, 0)
+        # A tuple of states, as AgreementSet.free_states gives, works alike.
+        assert np.array_equal(resolve(mdp, policy.probs, tuple(states))[1], some)
 
     def test_stack_rows_have_the_bits_of_single_calls(self):
-        mdp = random_mdp(5, 3, 0.99, seed=5)
-        probs = np.random.default_rng(5).dirichlet(np.ones(3), size=(2, 5))
-        stacked = evaluation._resolve(mdp, probs, [3, 1])
-        for i in range(2):
-            for whole, one in zip(stacked, evaluation._resolve(mdp, probs[i], [3, 1])):
-                assert np.array_equal(whole[i], one)
+        assert_solve_rows_are_single_calls(random_mdp(5, 3, 0.99, seed=5), 2)
+
+    def test_rows_of_a_second_block_have_the_bits_of_single_calls(self):
+        # At |S|=64 a block holds 128 policies, so the last row is solved
+        # in a second block.
+        assert_solve_rows_are_single_calls(random_mdp(64, 3, 0.99, seed=5), 129)
 
     def test_shape_mismatch(self):
         agreement = AgreementSet(base=Policy.uniform(2, 2), fixed_states=())
@@ -150,9 +171,10 @@ class TestInduce:
             affine_slice(builtin_fixture("fig2c"), agreement)
 
     def test_every_solve_gets_the_same_system(self, monkeypatch):
-        # value_function, _resolve, discounted_distribution, the first step of a
-        # policy-gradient run (stacked) and of a natural-gradient run (value
-        # only) and the switch kernel all hand LAPACK the matrix
+        # value_function, _solve with resolvent columns,
+        # discounted_distribution, the first step of a policy-gradient run
+        # (stacked) and of a natural-gradient run (value only) and the switch
+        # kernel all hand LAPACK the matrix
         # I - gamma P_pi, bit for bit; the visitation solve gets its
         # transpose. The vertex enumeration hands it, per deterministic
         # policy, the matrix value_function builds for the one-hot policy.
@@ -169,14 +191,14 @@ class TestInduce:
 
         monkeypatch.setattr(np.linalg, "solve", record)
         value_function(mdp, policy)
-        evaluation._resolve(mdp, policy.probs, [0, 5])
+        evaluation._solve(mdp, policy.probs[None], [0, 5])
         discounted_distribution(mdp, policy)
         dynamics.run_policy_gradient(mdp, init, 0.05, 1)
         dynamics.run_npg(mdp, init, 0.05, 1)
         evaluation._switch(mdp, policy.probs, 5, np.eye(3))
         assert len(seen) == 8
-        systems = [seen[0], seen[1], seen[2].T, seen[3][0], seen[3][1].T, seen[5][0],
-                   seen[7]]
+        systems = [seen[0][0], seen[1][0], seen[2].T, seen[3][0], seen[3][1].T, seen[5][0],
+                   seen[7][0]]
         for system in systems[1:]:
             assert np.array_equal(system, systems[0])
 
@@ -188,7 +210,7 @@ class TestInduce:
         for system, row in zip(vertex_systems, actions):
             seen.clear()
             value_function(small, Policy.deterministic(row, 3))
-            assert np.array_equal(system, seen[0])
+            assert np.array_equal(system, seen[0][0])
 
 
 def linalg_solve_uses(path: Path) -> list[tuple[str, str | None]]:
@@ -221,6 +243,33 @@ def test_every_package_solve_goes_through_lapack_solve():
     package = Path(evaluation.__file__).parent
     uses = [use for path in sorted(package.glob("*.py")) for use in linalg_solve_uses(path)]
     assert uses == [("evaluation.py", "_lapack_solve")]
+
+
+def lapack_solve_uses(path: Path) -> list[tuple[str, str | None]]:
+    """(file, enclosing function) of each reference to _lapack_solve by name
+    or attribute, past its definition and imports."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "_lapack_solve") or (
+            isinstance(node, ast.Attribute) and node.attr == "_lapack_solve"
+        ):
+            uses.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return uses
+
+
+def test_lapack_solve_has_two_callers():
+    # _solve makes every policy evaluation's solve; only _ascend, which also
+    # solves the transposed system, keeps its own.
+    package = Path(evaluation.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in lapack_solve_uses(path)]
+    assert uses == [("dynamics.py", "_ascend"), ("evaluation.py", "_solve")]
 
 
 class TestValueFunction:
@@ -345,7 +394,8 @@ class TestValueDerivative:
             # The package's own solve path on complex probabilities: the
             # imaginary part over h is the derivative, with no cancellation.
             h = 1e-20
-            complex_step = evaluation._solve(mdp, probs + 1j * h * direction).imag / h
+            perturbed = (probs + 1j * h * direction)[None]
+            complex_step = evaluation._solve(mdp, perturbed)[0, :, 0].imag / h
             central = (
                 value_function(mdp, Policy(probs + step * direction))
                 - value_function(mdp, Policy(probs - step * direction))
@@ -393,14 +443,12 @@ class TestSwitch:
 
     def test_returns_the_value_and_resolvent_column(self):
         mdp, policy = random_pair(3)
-        _, value, resolvent = evaluation._resolve(
-            mdp, policy.probs, list(range(mdp.n_states))
-        )
+        value, resolvent = resolve(mdp, policy.probs, list(range(mdp.n_states)))
         v, r_s, _, _ = evaluation._switch(mdp, policy.probs, 1, np.eye(mdp.n_actions))
         np.testing.assert_allclose(v, value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(r_s, resolvent[:, 1], rtol=1e-12)
-        # The same one-column solve as _resolve's, so the same bits.
-        _, v_one, r_one = evaluation._resolve(mdp, policy.probs, [1])
+        # The same one-column solve as _solve's with states [1], so the same bits.
+        v_one, r_one = resolve(mdp, policy.probs, [1])
         assert np.array_equal(v, v_one) and np.array_equal(r_s, r_one[:, 0])
 
     @pytest.mark.parametrize("n_states", [1, 2, 5, 33, 128])
@@ -571,15 +619,20 @@ class TestOptimalValue:
     @pytest.mark.parametrize("mdp", PI_MDPS)
     def test_policy_iteration_values_are_one_hot_values(self, monkeypatch, mdp):
         # Policy iteration and optimal_value evaluate action arrays by
-        # _gather; each value has the bits of its one-hot Policy's, down to
-        # the sign of a zero.
+        # _gather, one policy per _solve call; each value has the bits of its
+        # one-hot Policy's, down to the sign of a zero.
         seen = []
         solve = evaluation._solve
 
-        def record(mdp, actions, **kwargs):
-            v = solve(mdp, actions, **kwargs)
-            seen.append((np.array(actions), v))
-            return v
+        def record(mdp, policies, states=(), collapse=evaluation._collapse):
+            solved = solve(mdp, policies, states, collapse)
+            assert collapse is evaluation._gather and states == ()
+            assert solved.shape == (1, mdp.n_states, 1)
+            seen.append((np.array(policies[0]), solved))
+            return solved
+
+        def returned(v, solved):
+            return np.shares_memory(v, solved) and v.tobytes() == solved[0, :, 0].tobytes()
 
         monkeypatch.setattr(evaluation, "_solve", record)
         # From [0, 1, 0], SIGNED_ZEROS's first value is [-0.0, 6.75, 10.0].
@@ -587,12 +640,13 @@ class TestOptimalValue:
         steps = list(evaluation._policy_iteration(mdp, start))
         v_star, greedy = optimal_value(mdp)
         monkeypatch.undo()
-        assert all(v is solved for (v, _), (_, solved) in zip(steps, seen))
-        assert v_star is seen[-1][1]
+        assert len(seen) > len(steps)
+        assert all(returned(v, solved) for (v, _), (_, solved) in zip(steps, seen))
+        assert returned(v_star, seen[-1][1])
         assert greedy == Policy.deterministic(seen[-1][0], mdp.n_actions)
-        for actions, v in seen:
+        for actions, solved in seen:
             one_hot = value_function(mdp, Policy.deterministic(actions, mdp.n_actions))
-            assert v.tobytes() == one_hot.tobytes()
+            assert solved[0, :, 0].tobytes() == one_hot.tobytes()
 
     def test_iteration_bound_raises(self, monkeypatch):
         # dyn2's reward-greedy policy is not optimal, so one improvement

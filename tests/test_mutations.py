@@ -63,16 +63,16 @@ def slice_from_rows(original):
 
 
 def transposed_resolvent(original):
-    # The columns solved from the transposed system: the resolvent's rows.
-    def resolve(m, probs, states):
-        p_pi, v, _ = original(m, probs, states)
-        k = len(states)
-        rhs = np.zeros(p_pi.shape[:-1] + (k,))
-        rhs[..., states, np.arange(k)] = 1.0
-        system = evaluation._system(m, p_pi)
-        return p_pi, v, np.linalg.solve(np.swapaxes(system, -1, -2), rhs)
+    # The resolvent columns solved from the transposed system: its rows.
+    def solve(m, policies, states=(), collapse=evaluation._collapse):
+        solved = original(m, policies, states, collapse)
+        p_pi, _ = collapse(m, policies)
+        system = np.swapaxes(evaluation._system(m, p_pi), -1, -2)
+        rhs = np.broadcast_to(np.eye(m.n_states)[:, list(states)], solved[..., 1:].shape)
+        solved[..., 1:] = np.linalg.solve(system, rhs)
+        return solved
 
-    return resolve
+    return solve
 
 
 def curve_at_gamma_squared(original):
@@ -167,11 +167,11 @@ ROWS = [
     (12, evaluation, "_system",
         lambda original: lambda m, p_pi, out=None: original(m, p_pi * 1.001, out)),
     (13, evaluation, "_lapack_solve", after(lambda x: x + 1e-7)),
-    (14, evaluation, "_solve_blocks", after(lambda v: np.roll(v, 1, axis=0))),
+    (14, evaluation, "_solve", after(lambda v: np.roll(v, 1, axis=0))),
     (15, geometry, "sample_values",
         lambda original: lambda m, n, seed, agreement=None: original(m, n, seed)),
     (16, geometry, "affine_slice", slice_from_rows),
-    (17, evaluation, "_resolve", transposed_resolvent),
+    (17, evaluation, "_solve", transposed_resolvent),
     (19, geometry, "interpolation_curve", curve_at_gamma_squared),
     (20, geometry, "_ray_exit", after(lambda t: t * 0.99)),
     (21, evaluation, "value_function_batch", after(last_row_shifted)),
