@@ -1,6 +1,6 @@
 """Exact value-function geometry and learning dynamics for finite MDPs."""
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .mdp import (  # noqa: F401
     FIXTURE_NAMES,

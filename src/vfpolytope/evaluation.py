@@ -84,14 +84,13 @@ def _solve(mdp: Mdp, policies, states=(), collapse=_collapse) -> np.ndarray:
     """(n, |S|, 1 + len(states)) columns of (I - gamma P_pi)^{-1} [r_pi, e_states].
 
     policies is an (n, |S|, |A|) stack of probabilities, or (n, |S|) actions
-    with collapse=_gather. Column 0 is each policy's value and column 1 + j
-    its resolvent column R[:, states[j]]. Blocks of max(1, _BLOCK_ENTRIES //
-    |S|**2) policies are collapsed and solved in buffers allocated once per
-    call, of the policies' dtype or float64, so row i has the bits of a call
-    on policy i alone.
+    with collapse=_gather. Column 0 is the value, column 1 + j R[:, states[j]].
+    Blocks of max(1, _BLOCK_ENTRIES // |S|**2) policies are solved in buffers
+    allocated once per call, so row i has the bits of a call on policy i alone.
     """
     n, n_states, k = len(policies), mdp.n_states, len(states)
     block = max(1, _BLOCK_ENTRIES // n_states**2)
+    # Complex probabilities, as a complex step takes, keep their dtype.
     dtype = np.result_type(policies, 1.0)
     systems = np.empty((min(n, block), n_states, n_states), dtype)
     rewards = np.empty((min(n, block), n_states), dtype)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CapabilityError,
     EnumerationTooLarge,
     InvalidGamma,
     InvalidStochasticRow,
@@ -121,6 +122,11 @@ class Mdp:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "rewards", _freeze(rewards))
         object.__setattr__(self, "transitions", _freeze(transitions))
+        if not math.isfinite(self.value_bound()):
+            raise CapabilityError(
+                f"value bound max|r| / (1 - gamma) overflows a float at "
+                f"max|r| = {self.max_abs_reward!r} and gamma = {gamma!r}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mdp):
@@ -148,7 +154,7 @@ class Mdp:
         return float(np.max(np.abs(self.rewards)))
 
     def value_bound(self) -> float:
-        """Max-norm bound max|r| / (1 - gamma) on any attainable value."""
+        """Max-norm bound max|r| / (1 - gamma) on any value; Mdp refuses an infinite one."""
         return self.max_abs_reward / (1.0 - self.gamma)
 
 

@@ -125,7 +125,8 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
     A policy and the 21 mixtures of its bracket's ends over one free state
     lie on the segment between the ends, and the mixture at mu is
     v_low + rho(mu) * (v_high - v_low) with rho from interpolation_curve,
-    increasing; rho is compared relative to max|v_high - v_low| and is not
+    increasing. Every value is first divided by max(1, |v|_inf) over the
+    images; rho is compared relative to max|v_high - v_low| and is not
     checked when that is below 1e-12 or the curve is constant.
     """
     base = random_policy(mdp, rng)
@@ -139,19 +140,23 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
     # the bracket itself and not only the ends' own mixtures.
     mixtures = _grid_values(mdp, seg.pi_low, seg.pi_high, 21)
     images = np.vstack([mixtures, value_function(mdp, base)])
-    delta = seg.v_high - seg.v_low
+    # The mixtures at mu = 0 and 1 are the ends. Scaled before any norm, so
+    # no square overflows.
+    unit = max(1.0, float(np.abs(images).max()))
+    images, v_low, v_high = images / unit, seg.v_low / unit, seg.v_high / unit
+    delta = v_high - v_low
     length = float(np.linalg.norm(delta))
-    off = segment_distances(images, seg.v_low, seg.v_high).max()
+    off = segment_distances(images, v_low, v_high).max()
     deviation = max(
         float(off / length if length >= 1e-12 else off),
-        float(np.max(seg.v_low[None, :] - images)),
-        float(np.max(images - seg.v_high[None, :])),
+        float(np.max(v_low[None, :] - images)),
+        float(np.max(images - v_high[None, :])),
     )
     curve = interpolation_curve(mdp, seg.pi_low, seg.pi_high, state, 21)
     scale = float(np.max(np.abs(delta)))
     if not curve.constant and scale >= 1e-12:
-        predicted = seg.v_low[None, :] + curve.rhos[:, None] * delta[None, :]
-        deviation = max(deviation, float(np.max(np.abs(mixtures - predicted))) / scale)
+        predicted = v_low[None, :] + curve.rhos[:, None] * delta[None, :]
+        deviation = max(deviation, float(np.max(np.abs(images[:21] - predicted))) / scale)
         if scale > 1e-8 and float(np.min(np.diff(curve.rhos))) <= 0.0:
             deviation = max(deviation, 1.0)
     return f"state {state}", deviation
@@ -164,7 +169,8 @@ def _check_slice(mdp: Mdp, rng: np.random.Generator):
     agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
     sl = affine_slice(mdp, agreement)
     values = _sample(mdp, 200, rng, agreement)
-    residual = sl.projection_residual(values)
+    # Relative to max(1, |v|_inf) over the samples, as every suite's deviation.
+    residual = sl.projection_residual(values) / max(1.0, float(np.abs(values).max()))
     # A free state moves the value exactly where Q_v(s, .) at the anchor is
     # not constant: v's derivative along a change d of that state's row is
     # (d . Q_v(s, .)) R_s, and the columns R_s are independent. With one
@@ -308,16 +314,20 @@ def _check_boundary(mdp: Mdp):
     return check
 
 
-def _check_dominance(mdp: Mdp, rng: np.random.Generator):
+def _check_dominance(mdp: Mdp):
     """v* dominates 50 sampled values and is fixed by the optimality operator.
 
-    The deviation also counts max|max_a Q_{v*} - v*| / max(1, |v*|_inf).
+    Both excesses are relative to max(1, |v*|_inf). v* and its residual are
+    per-MDP work: this returns the check of one trial's stream.
     """
     v_star, _ = optimal_value(mdp)
-    values = _sample(mdp, 50, rng)
-    residual = np.abs(q_values(mdp, v_star).max(axis=1) - v_star).max()
-    residual /= max(1.0, np.abs(v_star).max())
-    return "", max(0.0, float(np.max(values - v_star[None, :])), float(residual))
+    scale = max(1.0, float(np.abs(v_star).max()))
+    residual = float(np.abs(q_values(mdp, v_star).max(axis=1) - v_star).max()) / scale
+
+    def check(rng: np.random.Generator):
+        return "", max(0.0, float(np.max(_sample(mdp, 50, rng) - v_star)) / scale, residual)
+
+    return check
 
 
 # name -> (stream tag, check, tolerance). Tag 0 keys the random instances.
@@ -335,7 +345,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 # These suites' checks take the MDP alone, do its per-MDP work, and return
 # the check of one trial's stream.
-_PER_MDP = ("hull", "boundary")
+_PER_MDP = ("hull", "boundary", "dominance")
 
 
 def run_suite(
@@ -344,8 +354,10 @@ def run_suite(
     """Run one named property suite over seeded random instances.
 
     When an MDP is given the suite checks it instead of random instances,
-    and the hull and boundary suites do their per-MDP work once; on the
-    random family they do it once per instance. The hull suite raises
+    and the hull, boundary and dominance suites do their per-MDP work once;
+    on the random family they do it once per instance. Every deviation is
+    relative to max(1, |v|_inf), so a suite's verdict does not move with the
+    rewards' scale. The hull suite raises
     EnumerationTooLarge, before it draws anything, when its certificate
     would pass the enumeration cap. Instance i draws from one stream keyed
     SeedSequence(seed, spawn_key=(tag, i)), where tag is the suite's fixed

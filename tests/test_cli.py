@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import vfpolytope
 from vfpolytope import cli, errors, verification
 from vfpolytope.evaluation import value_function
 from vfpolytope.geometry import LineSegment, line_segment
-from vfpolytope.cli import MAX_TRIALS, main
+from vfpolytope.cli import ALGORITHMS, MAX_TRIALS, main
 from vfpolytope.mdp import (
     Mdp,
     builtin_fixture,
@@ -814,6 +815,56 @@ def test_verify_all_skips_suites_that_cannot_compute(
         assert main(["verify", "--suite", name, *common, "--report", str(report)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not report.exists()
+
+
+# Every value of this MDP fits a float but its bound 1e308 / (1 - 0.99)
+# does not: sample once wrote inf rows, and line and three dynamics runs
+# exited 0 after numpy overflow warnings.
+OVERFLOWING_MDP = {
+    "n_states": 2, "n_actions": 2, "gamma": 0.99,
+    "rewards": [1e308, -1e308, 1e308, 1e307],
+    "transitions": [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "5", "--out", "out.csv"],
+        ["line", "--state", "0", "--out", "out.csv"],
+        *(["dynamics", "--algo", algo, "--iters", "3", "--out", "out.csv"]
+          for algo in ALGORITHMS),
+        ["verify", "--suite", "all", "--trials", "1", "--report", "out.json"],
+    ],
+    ids=["sample", "line", *(f"dynamics-{algo}" for algo in ALGORITHMS), "verify"],
+)
+def test_overflowing_value_bound_exits_3(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "mdp.json").write_text(json.dumps(OVERFLOWING_MDP))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--mdp", "mdp.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: value bound ")
+    assert captured.err.count("\n") == 1 and "gamma = 0.99" in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["mdp.json"]
+
+
+@pytest.mark.parametrize(
+    "rewards", [[1e6, -1e6, 1e6, 1e5], [1e160, -1e160, 1e160, 1e159]], ids=["1e6", "1e160"]
+)
+def test_verify_all_passes_at_large_reward_scales(rewards, tmp_path, monkeypatch, capsys):
+    # Each suite's deviation is relative to max(1, |v|_inf); at 1e6 the
+    # slice suite once read 7.5e-9 against 1e-9 and the command exited 1.
+    (tmp_path / "mdp.json").write_text(json.dumps({**OVERFLOWING_MDP, "gamma": 0.9,
+                                                   "rewards": rewards}))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--suite", "all", "--mdp", "mdp.json", "--report", "r.json"])
+    assert code == 0, capsys.readouterr().out
+    assert json.loads(Path("r.json").read_text())["all_passed"]
 
 
 def _snapshot(directory: Path) -> dict[str, bytes]:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfpolytope.errors import (
+    CapabilityError,
     EnumerationTooLarge,
     InvalidGamma,
     InvalidStochasticRow,
@@ -148,6 +149,19 @@ class TestLoadMdp:
         doc["rewards"] = doc["rewards"][:-1]
         with pytest.raises(MalformedDocument):
             load_mdp(json.dumps(doc))
+
+    def test_value_bound_must_be_a_float(self):
+        # At gamma 0.99 the bound is 100 max|r|, which overflows from about
+        # 1.8e306 on; at gamma 0 it is max|r| itself.
+        transitions = [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0], [0.0, 1.0]]
+        rewards = np.array([1e306, -1e306, 1e306, 1e305])
+        assert np.isfinite(Mdp(2, 2, rewards, transitions, 0.99).value_bound())
+        assert Mdp(2, 2, 10.0 * rewards, transitions, 0.0).value_bound() == 1e307
+        with pytest.raises(
+            CapabilityError, match=r"^value bound max\|r\| / \(1 - gamma\) overflows "
+            r"a float at max\|r\| = 1e\+307 and gamma = 0.99$",
+        ):
+            Mdp(2, 2, 10.0 * rewards, transitions, 0.99)
 
     def test_not_json(self):
         with pytest.raises(MalformedDocument):

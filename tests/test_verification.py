@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -219,15 +220,15 @@ class TestSuites:
 
     def test_per_mdp_work_runs_once_per_mdp(self, monkeypatch):
         calls = Counter()
-        for name in ("polytope_vertices_det", "value_function"):
+        for name in ("polytope_vertices_det", "value_function", "optimal_value"):
             _count_calls(monkeypatch, calls, name, verification)
-        run_suite("hull", trials=4, seed=0, mdp=DYN2)
-        run_suite("boundary", trials=4, seed=0, mdp=DYN2)
-        assert calls == Counter(polytope_vertices_det=1, value_function=1)
+        for suite in ("hull", "boundary", "dominance"):
+            run_suite(suite, trials=4, seed=0, mdp=DYN2)
+        assert calls == Counter(polytope_vertices_det=1, value_function=1, optimal_value=1)
         calls.clear()
-        run_suite("hull", trials=4, seed=0)
-        run_suite("boundary", trials=4, seed=0)
-        assert calls == Counter(polytope_vertices_det=4, value_function=4)
+        for suite in ("hull", "boundary", "dominance"):
+            run_suite(suite, trials=4, seed=0)
+        assert calls == Counter(polytope_vertices_det=4, value_function=4, optimal_value=4)
 
     @pytest.mark.parametrize(
         "mdp", [None, DYN2, random_mdp(4, 3, 0.9, 0)], ids=["random", "dyn2", "4x3"]
@@ -669,3 +670,32 @@ def test_every_suite_passes_where_all_rewards_are_equal():
     for name in SUITE_NAMES:
         report = run_suite(name, trials=10, seed=0, mdp=mdp)
         assert report.passed, (name, report.failures)
+
+
+# A 3 x 2 document whose state 2 is absorbing, unreachable from the others,
+# and pays the same reward under both actions: every policy has the same
+# value there, so dominance's max(values - v*) is rounding noise at that
+# state. At rewards x 1e6 its line, slice and dominance deviations once
+# read 4.5e-8, 5.6e-9 and 4.8e-8 in absolute terms.
+ABSORBING = Mdp(3, 2, [1.0, -0.5, 0.3, 0.8, 2.0, 2.0],
+                [[0.5, 0.5, 0.0], [0.1, 0.9, 0.0], [1.0, 0.0, 0.0], [0.3, 0.7, 0.0],
+                 [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], 0.9)
+SCALED_MDPS = (
+    [builtin_fixture(name) for name in FIXTURE_NAMES]
+    + [random_mdp(4, 3, 0.9, seed) for seed in range(3)]
+    + [random_mdp(3, 1, 0.9, 1), ABSORBING]
+)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e3, 1e6, 1e9, 1e12, 1e160])
+def test_every_suite_passes_at_any_reward_scale(factor):
+    # Every deviation is relative to max(1, |v|_inf), so scaling the rewards
+    # moves no verdict; at 1e160 the line suite's norms no longer overflow.
+    for mdp in SCALED_MDPS:
+        scaled = Mdp(mdp.n_states, mdp.n_actions, mdp.rewards * factor,
+                     mdp.transitions, mdp.gamma)
+        for name in SUITE_NAMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run_suite(name, trials=3, seed=0, mdp=scaled)
+            assert report.passed, (factor, name, report.failures)
