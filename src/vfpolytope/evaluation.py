@@ -18,7 +18,8 @@ from .mdp import Mdp, Policy
 
 # _solve solves at most this many float64 entries of P_pi
 # (4 MiB) at a time, in one buffer it allocates per call, so its peak memory
-# grows with n only through the (n, |S|, |A|) input and the (n, |S|) output.
+# grows with n only through the (n, |S|, |A|) input and the (n, |S|, 1 + k)
+# output.
 _BLOCK_ENTRIES = 1 << 19
 
 # optimal_value's policy iteration gives up after this many improvements.
@@ -100,8 +101,8 @@ def _solve(mdp: Mdp, policies, states=(), collapse=_collapse) -> np.ndarray:
     for start in range(0, n, block):
         chunk = policies[start : start + block]
         m = len(chunk)
-        # The arrays collapse returns, which are the buffers unless it made
-        # its own.
+        # Read the arrays collapse returns: they are the buffers unless it
+        # made its own.
         p_pi, r_pi = collapse(mdp, chunk, systems[:m], rewards[:m])
         rhs[:m, :, 0] = r_pi
         solved[start : start + m] = _lapack_solve(mdp, _system(mdp, p_pi, out=p_pi), rhs[:m])

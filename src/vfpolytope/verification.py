@@ -156,7 +156,7 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
     scale = float(np.max(np.abs(delta)))
     if not curve.constant and scale >= 1e-12:
         predicted = v_low[None, :] + curve.rhos[:, None] * delta[None, :]
-        deviation = max(deviation, float(np.max(np.abs(images[:21] - predicted))) / scale)
+        deviation = max(deviation, float(np.max(np.abs(images[:-1] - predicted))) / scale)
         if scale > 1e-8 and float(np.min(np.diff(curve.rhos))) <= 0.0:
             deviation = max(deviation, 1.0)
     return f"state {state}", deviation
