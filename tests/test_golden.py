@@ -16,15 +16,18 @@ from vfpolytope.mdp import dump_mdp, random_mdp
 ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
 # name -> argv; {d} is the output directory, {mdp3}, {mdp64} and {mdp128} are
-# 3-, 64- and 128-state MDP documents, and {mdp2x40} has 2 states and 40
-# actions. The 64-state cases evaluate more
+# 3-, 64- and 128-state MDP documents, {mdp2x40} has 2 states and 40
+# actions, and {underflow} is a dyn2 policy document with a 1e-320 entry.
+# The 64-state cases evaluate more
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
 # partial block of 6. sample-mdp3-blocks draws three policy-sampling blocks
 # of 4096, the last one partial. The dyn2 --init boundary ascent cases pin
 # the start the learning-paths benchmark uses. dynamics-dyn2-vi-converged
 # stops on value iteration's 1e-10 stop rule after 205 rows, short of its
-# 400 iterations.
+# 400 iterations. In dynamics-dyn2-underflow-entpg the softmax rounds one
+# probability to exactly 0 from step 5 on, so its entropy column pins the
+# 0 * log 0 = 0 branch.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
@@ -48,6 +51,7 @@ CASES = {
         f"dynamics-dyn2-boundary-{algo}": f"dynamics --mdp dyn2 --algo {algo} --init boundary --iters 300 --seed 9 --out {{d}}/out.csv"
         for algo in ("pg", "entpg", "npg")
     },
+    "dynamics-dyn2-underflow-entpg": "dynamics --mdp dyn2 --algo entpg --init {underflow} --eta 1300 --iters 200 --out {d}/out.csv",
     "dynamics-dyn2-vi-converged": "dynamics --mdp dyn2 --algo vi --init interior --iters 400 --seed 1 --out {d}/out.csv",
     "dynamics-dyn2-svg": "dynamics --mdp dyn2 --algo npg --init boundary --iters 50 --seed 4 --out {d}/out.csv --svg {d}/out.svg",
     "verify-random": "verify --suite all --trials 2 --seed 1 --report {d}/out.json",
@@ -92,7 +96,8 @@ CASES = {
 # every other entry is unchanged. Both verify-* cases were re-pinned on
 # 0.22.0, whose line, slice and dominance deviations are relative to
 # max(1, |v|_inf): the line and slice entries moved in the last bits, and
-# dominance's did not.
+# dominance's did not. dynamics-dyn2-underflow-entpg was recorded on 0.22.0,
+# before _log_entropy took the log of every probability.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -124,6 +129,9 @@ GOLDEN = {
     "dynamics-dyn2-svg": (0, {
         "out.csv": "ac4d97d881bb5746d92d7f0a0b73bd50e9b7ad3b7048d939e1f39be74f6ddfd2",
         "out.svg": "81b50b371690eed88f28f83713a65e61cc98f961bd78daf44629dd71cf614791",
+    }),
+    "dynamics-dyn2-underflow-entpg": (0, {
+        "out.csv": "5cb3f06004f60968d2ffb3a6e5d365a0492fb4de590db7174bf6645e918a5675",
     }),
     "dynamics-dyn2-vi": (0, {
         "out.csv": "c7e951f937fe8b868debb182361ceaa7ab99cd6b1638712d1f636ddbffd98ff5",
@@ -205,6 +213,8 @@ def documents(tmp_path_factory):
     ):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(dump_mdp(mdp) + "\n")
+    paths["underflow"] = root / "underflow.json"
+    paths["underflow"].write_text('{"probs": [[0.9999, 0.0001], [1e-320, 1.0]]}\n')
     return paths
 
 
