@@ -21,25 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    INIT_KINDS,
-    CemConfig,
-    resolve_init,
-    run_cem,
-    run_npg,
-    run_policy_gradient,
-    run_policy_iteration,
-    run_value_iteration,
-)
 from .errors import CapabilityError, VfpError
 from .evaluation import value_function
-from .geometry import (
-    AgreementSet,
-    interpolation_curve,
-    line_segment,
-    polytope_vertices_det,
-    sample_values,
-)
 from .mdp import (
     FIXTURE_NAMES,
     Mdp,
@@ -50,7 +33,9 @@ from .mdp import (
     random_policy,
 )
 from .output import write_csv, write_manifest, write_svg
-from .verification import SUITE_NAMES, run_suite
+
+# geometry, dynamics and verification are imported by the handlers that run
+# them, so a command runs only the modules it uses.
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -118,6 +103,8 @@ def cmd_fixtures(args):
 
 
 def cmd_sample(args):
+    from .geometry import AgreementSet, sample_values
+
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     fixed_states = _parse_fix(args.fix, mdp)
@@ -140,6 +127,8 @@ def _svg_vertices(args, mdp: Mdp) -> np.ndarray | None:
         return None
     if mdp.n_states != 2:
         raise CapabilityError("SVG output needs a 2-state MDP")
+    from .geometry import polytope_vertices_det
+
     return polytope_vertices_det(mdp)
 
 
@@ -167,6 +156,8 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
 
 
 def cmd_line(args):
+    from .geometry import interpolation_curve, line_segment
+
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--grid", args.grid, 2, mdp.n_states)
     segment = line_segment(mdp, random_policy(mdp, args.seed), args.state)
@@ -186,6 +177,8 @@ def cmd_line(args):
 
 
 def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
+    from .dynamics import INIT_KINDS, resolve_init
+
     if args.init in INIT_KINDS:
         return resolve_init(mdp, args.init), {}
     path = Path(args.init)
@@ -204,6 +197,15 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
 
 
 def cmd_dynamics(args):
+    from .dynamics import (
+        CemConfig,
+        run_cem,
+        run_npg,
+        run_policy_gradient,
+        run_policy_iteration,
+        run_value_iteration,
+    )
+
     # A flag the algorithm does not use is recorded as null in the manifest.
     eta = None
     if args.algo in ("pg", "entpg", "npg"):
@@ -249,7 +251,11 @@ def cmd_dynamics(args):
         + [f"meta_{k}" for k in names]
     )
     columns = [trajectory.columns[k] for k in names]
-    cloud = None if vertices is None else sample_values(mdp, 4000, args.seed)
+    cloud = None
+    if vertices is not None:
+        from .geometry import sample_values
+
+        cloud = sample_values(mdp, 4000, args.seed)
     write_csv(args.out, header, np.arange(len(trajectory)), trajectory.points, *columns)
     if vertices is not None:
         write_svg(args.svg, cloud, vertices, trajectory.points)
@@ -259,6 +265,8 @@ def cmd_dynamics(args):
 
 
 def cmd_verify(args):
+    from .verification import SUITE_NAMES, run_suite
+
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
@@ -349,14 +357,27 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--out", required=True)
     dynamics.add_argument("--svg")
 
-    verify = sub.add_parser("verify", help="run property suites, write a JSON report")
-    verify.add_argument("--suite", required=True, help=f"all or one of {', '.join(SUITE_NAMES)}")
+    verify = sub.add_parser(
+        "verify", help="run property suites, write a JSON report", formatter_class=_VerifyHelp
+    )
+    verify.add_argument("--suite", required=True, help="all or one of the suites")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--mdp", help="optional fixture name or JSON path")
     verify.add_argument("--report", required=True)
 
     return parser
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """Names the suites in --suite's help, importing verification only to print it."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return action.help
+        from .verification import SUITE_NAMES
+
+        return f"all or one of {', '.join(SUITE_NAMES)}"
 
 
 # Each handler writes its files and returns (exit code, config, inputs) for
@@ -387,7 +408,12 @@ def _output_paths(args) -> list[Path]:
             raise CliError(f"{label} {value!r} is a directory")
         if not path.parent.is_dir():
             raise CliError(f"{label} {value!r}: no directory {str(path.parent)!r}")
-    for flag, kinds in (("mdp", FIXTURE_NAMES), ("init", INIT_KINDS)):
+    reserved = {"mdp": FIXTURE_NAMES}
+    if getattr(args, "init", None) is not None:
+        from .dynamics import INIT_KINDS  # only `dynamics` takes --init
+
+        reserved["init"] = INIT_KINDS
+    for flag, kinds in reserved.items():
         if getattr(args, flag, None) not in (None, *kinds):
             named[f"--{flag}"] = getattr(args, flag)
     seen = {}

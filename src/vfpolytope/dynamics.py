@@ -7,10 +7,10 @@ exact (no sampling noise except CEM's population draws, which are seeded),
 and every run returns a Trajectory of exact value vectors. The loops
 evaluate probability and action arrays; a Policy is built only where a
 caller receives one. The three gradient methods share one loop, _ascend,
-which owns its step's collapse and solve. Natural policy gradient steps
-along its closed form and builds no Fisher matrix. The
-standalone policy gradient, the visitation distribution and the damped
-Fisher solve whose limit that form is serve as test oracles in
+which owns its step's collapse and solve and calls its direction directly.
+Natural policy gradient steps along its closed form and builds no Fisher
+matrix. The standalone policy gradient, the visitation distribution and the
+damped Fisher solve whose limit that form is serve as test oracles in
 tests/oracles.py.
 """
 from __future__ import annotations
@@ -171,8 +171,13 @@ def run_policy_iteration(mdp: Mdp, v0: np.ndarray) -> Trajectory:
 
 
 def _log_entropy(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log pi, read as 0 where pi is 0, and the per-state entropy rows of probs."""
-    log_p = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    """log pi, read as 0 where pi is 0, and the per-state entropy rows of probs.
+
+    A pi of exactly 0 is a softmax entry that underflowed; np.log warns of
+    it unless divide errors are ignored, as in _ascend's loop.
+    """
+    log_p = np.log(probs)
+    log_p[probs == 0.0] = 0.0
     return log_p, -(probs * log_p).sum(axis=1)
 
 
@@ -230,21 +235,21 @@ def _logits_of(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 
 def _ascend(
-    mdp: Mdp, init: Policy, eta: float, iterations: int, direction, visitation: bool
+    mdp: Mdp, init: Policy, eta: float, iterations: int, natural: bool, entropy_coeff: float = 0.0
 ) -> Trajectory:
     """Ascent on logits, recording exact values; one solve per step.
 
     A step takes the softmax of its logits, collapses it into a (k, |S|, |S|)
     system buffer allocated once per run, and makes one _lapack_solve against
     the (k, |S|, 1) right-hand side [r_pi, uniform start]. The value, bit for
-    bit value_function's, is the recorded point, and direction(probs, v, d,
-    log_entropy) reuses the step's arrays. The grad_norm column holds the
-    sup-norm of the direction taken (0 at the start). With visitation (the
-    policy-gradient runs) k = 2: the second system is the transpose, which
-    gives d = (1 - gamma) (I - gamma P_pi)^{-T} of the uniform start, and
-    the step computes _log_entropy, whose mean entropy fills the entropy
-    column. Without it k = 1, d and log_entropy are None and there is no
-    entropy column.
+    bit value_function's, is the recorded point. The grad_norm column holds
+    the sup-norm of the direction taken (0 at the start). A natural run
+    (k = 1) steps along _natural_direction(v). Otherwise k = 2: the second
+    system is the transpose, which gives d = (1 - gamma) (I - gamma
+    P_pi)^{-T} of the uniform start, the step computes _log_entropy, whose
+    mean entropy fills the entropy column, and the run steps along _gradient
+    with entropy_coeff. The identity, the buffers and numpy's error state
+    are set once per run, not per step.
 
     Raises:
         NonFiniteLogits: an update left a logit NaN or infinite.
@@ -255,34 +260,38 @@ def _ascend(
         raise ValueError("iterations must be at least 1")
     theta = _logits_of(mdp, init)
     n = mdp.n_states
-    systems = np.empty((2 if visitation else 1, n, n))
+    eye = np.eye(n)
+    systems = np.empty((1 if natural else 2, n, n))
     rhs = np.full((len(systems), n, 1), 1.0 / n)
     points = np.empty((iterations + 1, n))
-    columns = {"grad_norm": np.zeros(iterations + 1)}
-    if visitation:
-        columns["entropy"] = np.empty(iterations + 1)
-    d = log_entropy = None
-    for k in range(iterations + 1):
-        if k > 0:
-            step = direction(probs, v, d, log_entropy)
-            columns["grad_norm"][k] = abs(step).max()
-            # An overflowing update is reported once, by the finiteness check
-            # below, not also as a numpy warning.
-            with np.errstate(over="ignore", invalid="ignore"):
+    grad_norm = np.zeros(iterations + 1)
+    columns = {"grad_norm": grad_norm}
+    if not natural:
+        entropy = columns["entropy"] = np.empty(iterations + 1)
+    # An overflowing update is reported once, by the finiteness check below,
+    # not also as numpy warnings; a log of an underflowed 0 is read as 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(iterations + 1):
+            if k > 0:
+                if natural:
+                    step = _natural_direction(mdp, v)
+                else:
+                    step = _gradient(mdp, probs, v, d, entropy_coeff, log_entropy)
+                grad_norm[k] = abs(step).max()
                 theta = theta + eta * step
-            if not np.isfinite(theta).all():
-                raise NonFiniteLogits("logits contain NaN or infinity")
-        probs = _softmax_probs(theta)
-        _collapse(mdp, probs, systems[0], rhs[0, :, 0])
-        _system(mdp, systems[0], out=systems[0])
-        systems[1:] = systems[0].T
-        solved = _lapack_solve(mdp, systems, rhs)[..., 0]
-        v = points[k] = solved[0]
-        if visitation:
-            d = (1.0 - mdp.gamma) * solved[1]
-            log_entropy = _log_entropy(probs)
-            # sum / n has np.mean's bits without its Python-level overhead.
-            columns["entropy"][k] = log_entropy[1].sum() / n
+                if not np.isfinite(theta).all():
+                    raise NonFiniteLogits("logits contain NaN or infinity")
+            probs = _softmax_probs(theta)
+            _collapse(mdp, probs, systems[0], rhs[0, :, 0])
+            _system(mdp, systems[0], out=systems[0], eye=eye)
+            systems[1:] = systems[0].T
+            solved = _lapack_solve(mdp, systems, rhs)[..., 0]
+            v = points[k] = solved[0]
+            if not natural:
+                d = (1.0 - mdp.gamma) * solved[1]
+                log_entropy = _log_entropy(probs)
+                # sum / n has np.mean's bits without its Python-level overhead.
+                entropy[k] = log_entropy[1].sum() / n
     return Trajectory(points=points, columns=columns)
 
 
@@ -290,20 +299,12 @@ def run_policy_gradient(
     mdp: Mdp, init: Policy, eta: float, iterations: int, entropy_coeff: float = 0.0
 ) -> Trajectory:
     """Gradient ascent on logits from the init policy, recording values."""
-
-    def direction(probs, v, d, log_entropy):
-        return _gradient(mdp, probs, v, d, entropy_coeff, log_entropy)
-
-    return _ascend(mdp, init, eta, iterations, direction, visitation=True)
+    return _ascend(mdp, init, eta, iterations, natural=False, entropy_coeff=entropy_coeff)
 
 
 def run_npg(mdp: Mdp, init: Policy, eta: float, iterations: int) -> Trajectory:
     """Natural-gradient ascent in closed form; each step solves for v alone."""
-
-    def direction(probs, v, d, log_entropy):
-        return _natural_direction(mdp, v)
-
-    return _ascend(mdp, init, eta, iterations, direction, visitation=False)
+    return _ascend(mdp, init, eta, iterations, natural=True)
 
 
 # ---------------------------------------------------------------------------

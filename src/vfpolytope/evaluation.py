@@ -63,10 +63,13 @@ def _gather(mdp: Mdp, actions, p_out=None, r_out=None) -> tuple[np.ndarray, np.n
     return p_pi, np.add(np.take(mdp.rewards, rows), 0.0, out=r_out)
 
 
-def _system(mdp: Mdp, p_pi: np.ndarray, out=None) -> np.ndarray:
-    """I - gamma * P_pi of one P_pi or a stack, in out if given; all solves use it."""
+def _system(mdp: Mdp, p_pi: np.ndarray, out=None, eye=None) -> np.ndarray:
+    """I - gamma * P_pi of one P_pi or a stack, in out if given; all solves use it.
+
+    eye, if given, is np.eye(|S|), which a caller building many systems makes once.
+    """
     system = np.multiply(p_pi, mdp.gamma, out=out)
-    return np.subtract(np.eye(mdp.n_states), system, out=system)
+    return np.subtract(np.eye(mdp.n_states) if eye is None else eye, system, out=system)
 
 
 def _lapack_solve(mdp: Mdp, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -136,8 +136,8 @@ class InterpolationCurve:
     v0 - v1 is a multiple of R[:, s], D[s, :] @ (v0 - v1) over that multiple
     is omega itself, so omega is the only coefficient. rho(0) = 0 and
     rho(1) = 1 exactly. When the rows at s are equal, or v0 and v1 differ
-    by less than 1e-12, the whole mixture is constant and the curve is
-    flagged.
+    by at most 1e-12 of max|v1|, rounding noise at any reward scale, the
+    whole mixture is constant and the curve is flagged.
     """
 
     mus: np.ndarray
@@ -190,9 +190,9 @@ def interpolation_curve(
     _check_policy_shape(mdp, p1)
     mus = np.linspace(0.0, 1.0, grid_size)
     # p0 is p1 with the row at state replaced, so v0 = v1 + c * R_s.
-    _, r_s, c, omega = _switch(mdp, p1.probs, state, p0.probs[state][None])
+    v1, r_s, c, omega = _switch(mdp, p1.probs, state, p0.probs[state][None])
     same_rows = np.array_equal(p0.probs[state], p1.probs[state])
-    if same_rows or abs(c[0]) * np.max(np.abs(r_s)) < 1e-12:
+    if same_rows or abs(c[0]) * np.max(np.abs(r_s)) <= 1e-12 * np.max(np.abs(v1)):
         return InterpolationCurve(mus, np.zeros(grid_size), omega=0.0, constant=True)
     omega, gamma = float(omega[0]), mdp.gamma
     rhos = mus + gamma * mus * (1.0 - mus) * omega / (1.0 - omega * gamma * (1.0 - mus))

@@ -80,6 +80,9 @@ class Mdp:
         transitions: matrix of shape (n_states * n_actions, n_states); each
             row is a probability distribution over next states.
         gamma: discount factor in [0, 1).
+        reward_matrix: rewards as a read-only (n_states, n_actions) view.
+        transition_tensor: transitions as a read-only (n_states, n_actions,
+            n_states) view. Both views are made once, as every kernel reads them.
     """
 
     n_states: int
@@ -122,10 +125,15 @@ class Mdp:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "rewards", _freeze(rewards))
         object.__setattr__(self, "transitions", _freeze(transitions))
-        if not math.isfinite(self.value_bound()):
+        object.__setattr__(self, "reward_matrix", self.rewards.reshape(n_states, n_actions))
+        object.__setattr__(
+            self, "transition_tensor", self.transitions.reshape(n_states, n_actions, n_states)
+        )
+        # Two values differ by up to twice the bound, which must be a float too.
+        if not math.isfinite(2.0 * self.value_bound()):
             raise CapabilityError(
-                f"value bound max|r| / (1 - gamma) overflows a float at "
-                f"max|r| = {self.max_abs_reward!r} and gamma = {gamma!r}"
+                f"value bound max|r| / (1 - gamma) overflows a float when doubled, "
+                f"at max|r| = {self.max_abs_reward!r} and gamma = {gamma!r}"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -140,21 +148,15 @@ class Mdp:
         )
 
     @property
-    def reward_matrix(self) -> np.ndarray:
-        """Rewards reshaped to (n_states, n_actions)."""
-        return self.rewards.reshape(self.n_states, self.n_actions)
-
-    @property
-    def transition_tensor(self) -> np.ndarray:
-        """Transitions reshaped to (n_states, n_actions, n_states)."""
-        return self.transitions.reshape(self.n_states, self.n_actions, self.n_states)
-
-    @property
     def max_abs_reward(self) -> float:
         return float(np.max(np.abs(self.rewards)))
 
     def value_bound(self) -> float:
-        """Max-norm bound max|r| / (1 - gamma) on any value; Mdp refuses an infinite one."""
+        """Max-norm bound max|r| / (1 - gamma) on any value.
+
+        Mdp refuses an MDP where twice the bound overflows a float, so every
+        value and every difference of two values is finite.
+        """
         return self.max_abs_reward / (1.0 - self.gamma)
 
 

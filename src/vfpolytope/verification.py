@@ -127,7 +127,8 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
     v_low + rho(mu) * (v_high - v_low) with rho from interpolation_curve,
     increasing. Every value is first divided by max(1, |v|_inf) over the
     images; rho is compared relative to max|v_high - v_low| and is not
-    checked when that is below 1e-12 or the curve is constant.
+    checked when that is at most 1e-12 of max|v| over the images, or the
+    curve is constant.
     """
     base = random_policy(mdp, rng)
     state = int(rng.integers(mdp.n_states))
@@ -153,11 +154,11 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
         float(np.max(images - v_high[None, :])),
     )
     curve = interpolation_curve(mdp, seg.pi_low, seg.pi_high, state, 21)
-    scale = float(np.max(np.abs(delta)))
-    if not curve.constant and scale >= 1e-12:
+    scale, size = float(np.max(np.abs(delta))), float(np.max(np.abs(images)))
+    if not curve.constant and scale > 1e-12 * size:
         predicted = v_low[None, :] + curve.rhos[:, None] * delta[None, :]
         deviation = max(deviation, float(np.max(np.abs(images[:-1] - predicted))) / scale)
-        if scale > 1e-8 and float(np.min(np.diff(curve.rhos))) <= 0.0:
+        if scale > 1e-8 * size and float(np.min(np.diff(curve.rhos))) <= 0.0:
             deviation = max(deviation, 1.0)
     return f"state {state}", deviation
 

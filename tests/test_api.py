@@ -8,6 +8,9 @@ public option is an edit to this list.
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -67,10 +70,15 @@ def _parameters(func) -> tuple[str, ...]:
     return tuple(name for name in names if name not in ("self", "cls"))
 
 
+def _exports() -> dict[str, object]:
+    """The package's exported names, resolved through its lazy attributes."""
+    return {name: getattr(vfpolytope, name) for name in vfpolytope.__all__}
+
+
 def _inventory() -> dict[str, tuple[str, ...]]:
     found = {}
-    for name, value in vars(vfpolytope).items():
-        if name.startswith("_") or inspect.ismodule(value) or not callable(value):
+    for name, value in _exports().items():
+        if inspect.ismodule(value) or not callable(value):
             continue
         if not dataclasses.is_dataclass(value):
             found[name] = _parameters(value)
@@ -117,10 +125,7 @@ def _referenced_names() -> set[str]:
 
 
 def test_every_export_is_used_by_the_package_or_scripts():
-    exported = {
-        name for name, value in vars(vfpolytope).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
+    exported = {name for name, value in _exports().items() if not inspect.ismodule(value)}
     assert exported - _referenced_names() == set(UNUSED_EXPORTS)
 
 
@@ -128,3 +133,28 @@ def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert vfpolytope.__version__ == project["version"]
+
+
+# The names `from vfpolytope import *` bound, and the public names
+# dir(vfpolytope) listed, in a fresh interpreter when __init__ imported every
+# module: the exports above, their five modules and errors.
+PUBLIC_NAMES = sorted([
+    *(name for name in API if "." not in name),
+    "FIXTURE_NAMES", "SUITE_NAMES",
+    "dynamics", "errors", "evaluation", "geometry", "mdp", "verification",
+])
+
+
+def test_star_import_and_dir_give_the_public_names():
+    code = (
+        "import vfpolytope; namespace = {}; "
+        "exec('from vfpolytope import *', namespace); "
+        "print(sorted(set(namespace) - {'__builtins__'})); "
+        "print([name for name in dir(vfpolytope) if not name.startswith('_')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vfpolytope.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(PUBLIC_NAMES)] * 2

@@ -146,6 +146,19 @@ class TestInterpolationCurve:
         assert curve.constant
         np.testing.assert_array_equal(curve.rhos, np.zeros(11))
 
+    def test_curve_does_not_depend_on_the_reward_scale(self):
+        # rho depends on omega alone. At rewards x 1e-13 the absolute test
+        # |c| max|R_s| < 1e-12 once flagged this curve constant, with rho 0.
+        base = builtin_fixture("dyn2")
+        curves = []
+        for scale in (1.0, 1e-11, 1e-13):
+            m = Mdp(2, 2, scale * base.rewards, base.transitions, base.gamma)
+            seg = line_segment(m, random_policy(m, 3), 0)
+            curves.append(interpolation_curve(m, seg.pi_low, seg.pi_high, 0, grid_size=21))
+        assert not any(curve.constant for curve in curves)
+        for curve in curves[1:]:
+            np.testing.assert_allclose(curve.rhos, curves[0].rhos, rtol=0, atol=1e-12)
+
     def test_single_action_curve_is_constant_near_gamma_one(self):
         # Rounding in v alone can exceed 1e-12 at gamma = 0.999; the equal
         # rows at the state still flag the curve.

@@ -151,17 +151,21 @@ class TestLoadMdp:
             load_mdp(json.dumps(doc))
 
     def test_value_bound_must_be_a_float(self):
-        # At gamma 0.99 the bound is 100 max|r|, which overflows from about
-        # 1.8e306 on; at gamma 0 it is max|r| itself.
+        # Twice the bound must be a float, so that differences of values are.
+        # At gamma 0.99 that is 200 max|r|, which overflows from about 9e305
+        # on; at gamma 0 it is 2 max|r|, and at gamma 0.5 4 max|r|.
         transitions = [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0], [0.0, 1.0]]
         rewards = np.array([1e306, -1e306, 1e306, 1e305])
-        assert np.isfinite(Mdp(2, 2, rewards, transitions, 0.99).value_bound())
+        assert np.isfinite(Mdp(2, 2, 0.5 * rewards, transitions, 0.99).value_bound())
         assert Mdp(2, 2, 10.0 * rewards, transitions, 0.0).value_bound() == 1e307
-        with pytest.raises(
-            CapabilityError, match=r"^value bound max\|r\| / \(1 - gamma\) overflows "
-            r"a float at max\|r\| = 1e\+307 and gamma = 0.99$",
-        ):
-            Mdp(2, 2, 10.0 * rewards, transitions, 0.99)
+        assert Mdp(2, 2, 40.0 * rewards, transitions, 0.5).value_bound() == 8e307
+        for scale, gamma in ((1.0, 0.99), (10.0, 0.99), (80.0, 0.5), (100.0, 0.0)):
+            with pytest.raises(
+                CapabilityError, match=r"^value bound max\|r\| / \(1 - gamma\) overflows "
+                rf"a float when doubled, at max\|r\| = {scale * 1e306!r} and "
+                rf"gamma = {gamma}$".replace("+", r"\+"),
+            ):
+                Mdp(2, 2, scale * rewards, transitions, gamma)
 
     def test_not_json(self):
         with pytest.raises(MalformedDocument):

@@ -487,7 +487,7 @@ def test_suites_draw_from_distinct_streams(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     monkeypatch.setattr(verification, "_random_instance", instance)
-    monkeypatch.setattr(cli, "run_suite", suite)
+    monkeypatch.setattr(verification, "run_suite", suite)
     argv = ["verify", "--suite", "all", "--trials", "25", "--seed", "1",
             "--report", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
@@ -687,7 +687,7 @@ SCALED_MDPS = (
 )
 
 
-@pytest.mark.parametrize("factor", [1.0, 1e3, 1e6, 1e9, 1e12, 1e160])
+@pytest.mark.parametrize("factor", [1e-13, 1e-11, 1.0, 1e3, 1e6, 1e9, 1e12, 1e160])
 def test_every_suite_passes_at_any_reward_scale(factor):
     # Every deviation is relative to max(1, |v|_inf), so scaling the rewards
     # moves no verdict; at 1e160 the line suite's norms no longer overflow.
@@ -699,3 +699,20 @@ def test_every_suite_passes_at_any_reward_scale(factor):
                 warnings.simplefilter("error")
                 report = run_suite(name, trials=3, seed=0, mdp=scaled)
             assert report.passed, (factor, name, report.failures)
+
+
+def test_line_suite_checks_rho_at_small_reward_scales(monkeypatch):
+    # At rewards x 1e-13 the curve once read as constant, and the suite's
+    # absolute 1e-12 floor on |v_high - v_low| skipped its rho check, so a
+    # rho off by a thousandth in the exponent passed.
+    base = builtin_fixture("dyn2")
+    scaled = Mdp(2, 2, 1e-13 * base.rewards, base.transitions, base.gamma)
+    assert run_suite("line", trials=10, seed=0, mdp=scaled).passed
+    exact = verification.interpolation_curve
+
+    def bent(*args):
+        curve = exact(*args)
+        return InterpolationCurve(curve.mus, curve.rhos**1.001, curve.omega, curve.constant)
+
+    monkeypatch.setattr(verification, "interpolation_curve", bent)
+    assert not run_suite("line", trials=10, seed=0, mdp=scaled).passed
