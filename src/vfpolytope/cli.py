@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics, geometry, verification
 from .errors import CapabilityError, VfpError
 from .evaluation import value_function
 from .mdp import (
@@ -34,8 +34,8 @@ from .mdp import (
 )
 from .output import write_csv, write_manifest, write_svg
 
-# geometry, dynamics and verification are imported by the handlers that run
-# them, so a command runs only the modules it uses.
+# dynamics, geometry and verification are lazy modules (see __init__): each
+# runs on its first attribute access, so a command runs only those it reads.
 
 USAGE_ERROR = 2
 CAPABILITY_ERROR = 3
@@ -103,18 +103,16 @@ def cmd_fixtures(args):
 
 
 def cmd_sample(args):
-    from .geometry import AgreementSet, sample_values
-
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--n", args.n, 1, mdp.n_states * mdp.n_actions)
     fixed_states = _parse_fix(args.fix, mdp)
     vertices = _svg_vertices(args, mdp)
     agreement = None
     if fixed_states:
-        agreement = AgreementSet(
+        agreement = geometry.AgreementSet(
             base=random_policy(mdp, args.seed), fixed_states=tuple(fixed_states)
         )
-    values = sample_values(mdp, args.n, args.seed, agreement)
+    values = geometry.sample_values(mdp, args.n, args.seed, agreement)
     write_csv(args.out, [f"v_s{i}" for i in range(mdp.n_states)], values)
     if vertices is not None:
         write_svg(args.svg, values, vertices=vertices)
@@ -127,9 +125,7 @@ def _svg_vertices(args, mdp: Mdp) -> np.ndarray | None:
         return None
     if mdp.n_states != 2:
         raise CapabilityError("SVG output needs a 2-state MDP")
-    from .geometry import polytope_vertices_det
-
-    return polytope_vertices_det(mdp)
+    return geometry.polytope_vertices_det(mdp)
 
 
 def _check_count(flag: str, count: int, low: int, cells_each: int) -> None:
@@ -156,12 +152,10 @@ def _parse_fix(fix_args: list[str], mdp: Mdp) -> set[int]:
 
 
 def cmd_line(args):
-    from .geometry import interpolation_curve, line_segment
-
     mdp, inputs = _resolve_mdp(args.mdp)
     _check_count("--grid", args.grid, 2, mdp.n_states)
-    segment = line_segment(mdp, random_policy(mdp, args.seed), args.state)
-    curve = interpolation_curve(
+    segment = geometry.line_segment(mdp, random_policy(mdp, args.seed), args.state)
+    curve = geometry.interpolation_curve(
         mdp, segment.pi_low, segment.pi_high, args.state, grid_size=args.grid
     )
     # Line theorem: the value at mu is v_low + rho(mu) * (v_high - v_low),
@@ -177,10 +171,8 @@ def cmd_line(args):
 
 
 def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
-    from .dynamics import INIT_KINDS, resolve_init
-
-    if args.init in INIT_KINDS:
-        return resolve_init(mdp, args.init), {}
+    if args.init in dynamics.INIT_KINDS:
+        return dynamics.resolve_init(mdp, args.init), {}
     path = Path(args.init)
     if not path.is_file():
         raise CliError(
@@ -197,15 +189,6 @@ def _resolve_dynamics_init(args, mdp: Mdp) -> tuple[Policy, dict[str, str]]:
 
 
 def cmd_dynamics(args):
-    from .dynamics import (
-        CemConfig,
-        run_cem,
-        run_npg,
-        run_policy_gradient,
-        run_policy_iteration,
-        run_value_iteration,
-    )
-
     # A flag the algorithm does not use is recorded as null in the manifest.
     eta = None
     if args.algo in ("pg", "entpg", "npg"):
@@ -227,22 +210,22 @@ def cmd_dynamics(args):
         _check_count("--iters", iters, 1, mdp.n_states)
     vertices = _svg_vertices(args, mdp)
     if args.algo == "vi":
-        trajectory = run_value_iteration(mdp, value_function(mdp, start), iters)
+        trajectory = dynamics.run_value_iteration(mdp, value_function(mdp, start), iters)
     elif args.algo == "pi":
-        trajectory = run_policy_iteration(mdp, value_function(mdp, start))
+        trajectory = dynamics.run_policy_iteration(mdp, value_function(mdp, start))
     elif args.algo in ("pg", "entpg"):
-        trajectory = run_policy_gradient(
+        trajectory = dynamics.run_policy_gradient(
             mdp, start, eta, iters, entropy_coeff=coeff or 0.0
         )
     elif args.algo == "npg":
-        trajectory = run_npg(mdp, start, eta, iters)
+        trajectory = dynamics.run_npg(mdp, start, eta, iters)
     else:
-        cem_config = CemConfig(
+        cem_config = dynamics.CemConfig(
             noise_scale=0.0 if args.algo == "cem" else 0.05,
             iterations=iters,
             seed=args.seed,
         )
-        trajectory = run_cem(mdp, start, cem_config)
+        trajectory = dynamics.run_cem(mdp, start, cem_config)
 
     names = sorted(trajectory.columns)
     header = (
@@ -253,9 +236,7 @@ def cmd_dynamics(args):
     columns = [trajectory.columns[k] for k in names]
     cloud = None
     if vertices is not None:
-        from .geometry import sample_values
-
-        cloud = sample_values(mdp, 4000, args.seed)
+        cloud = geometry.sample_values(mdp, 4000, args.seed)
     write_csv(args.out, header, np.arange(len(trajectory)), trajectory.points, *columns)
     if vertices is not None:
         write_svg(args.svg, cloud, vertices, trajectory.points)
@@ -265,8 +246,6 @@ def cmd_dynamics(args):
 
 
 def cmd_verify(args):
-    from .verification import SUITE_NAMES, run_suite
-
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
@@ -275,11 +254,11 @@ def cmd_verify(args):
     inputs: dict[str, str] = {}
     if args.mdp is not None:
         mdp, inputs = _resolve_mdp(args.mdp)
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    names = list(verification.SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports, skipped = [], []
     for name in names:
         try:
-            reports.append(run_suite(name, trials=args.trials, seed=args.seed, mdp=mdp))
+            reports.append(verification.run_suite(name, args.trials, args.seed, mdp))
         except CapabilityError as exc:
             if args.suite != "all":
                 raise
@@ -344,18 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     line.add_argument("--grid", type=int, default=21)
     line.add_argument("--out", required=True)
 
-    dynamics = sub.add_parser("dynamics", help="run a learning algorithm, record values")
-    dynamics.add_argument("--mdp", required=True)
-    dynamics.add_argument("--algo", required=True, choices=ALGORITHMS)
-    dynamics.add_argument(
+    dyn = sub.add_parser("dynamics", help="run a learning algorithm, record values")
+    dyn.add_argument("--mdp", required=True)
+    dyn.add_argument("--algo", required=True, choices=ALGORITHMS)
+    dyn.add_argument(
         "--init", default="interior", help="vertex|boundary|interior or a policy JSON path"
     )
-    dynamics.add_argument("--iters", type=int)
-    dynamics.add_argument("--eta", type=float)
-    dynamics.add_argument("--entropy-coeff", dest="entropy_coeff", type=float)
-    dynamics.add_argument("--seed", type=int, default=0)
-    dynamics.add_argument("--out", required=True)
-    dynamics.add_argument("--svg")
+    dyn.add_argument("--iters", type=int)
+    dyn.add_argument("--eta", type=float)
+    dyn.add_argument("--entropy-coeff", dest="entropy_coeff", type=float)
+    dyn.add_argument("--seed", type=int, default=0)
+    dyn.add_argument("--out", required=True)
+    dyn.add_argument("--svg")
 
     verify = sub.add_parser(
         "verify", help="run property suites, write a JSON report", formatter_class=_VerifyHelp
@@ -370,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _VerifyHelp(argparse.HelpFormatter):
-    """Names the suites in --suite's help, importing verification only to print it."""
+    """Names the suites in --suite's help, so only printing it runs verification."""
 
     def _get_help_string(self, action):
         if action.dest != "suite":
             return action.help
-        from .verification import SUITE_NAMES
-
-        return f"all or one of {', '.join(SUITE_NAMES)}"
+        return f"all or one of {', '.join(verification.SUITE_NAMES)}"
 
 
 # Each handler writes its files and returns (exit code, config, inputs) for
@@ -409,10 +386,8 @@ def _output_paths(args) -> list[Path]:
         if not path.parent.is_dir():
             raise CliError(f"{label} {value!r}: no directory {str(path.parent)!r}")
     reserved = {"mdp": FIXTURE_NAMES}
-    if getattr(args, "init", None) is not None:
-        from .dynamics import INIT_KINDS  # only `dynamics` takes --init
-
-        reserved["init"] = INIT_KINDS
+    if getattr(args, "init", None) is not None:  # reading INIT_KINDS runs dynamics
+        reserved["init"] = dynamics.INIT_KINDS
     for flag, kinds in reserved.items():
         if getattr(args, flag, None) not in (None, *kinds):
             named[f"--{flag}"] = getattr(args, flag)

@@ -267,15 +267,17 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
 def slice_rank(values: np.ndarray) -> int:
     """Rank of the span of {v_i - v_0}: singular values over 1e-8 of the largest.
 
-    0 when the largest is at most 1e-12 * max(1, max|v|) * sqrt(n - 1), rounding noise.
+    The values are first divided by max(1, max|v|), so the SVD sees entries of
+    at most 2 whatever the reward scale: near the float limit it would return
+    inf. 0 when the largest is at most 1e-12 * sqrt(n - 1), rounding noise.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("need at least two points")
+    values = values / max(1.0, np.abs(values).max(initial=0.0))
     diffs = values[1:] - values[0]
     svals = np.linalg.svd(diffs, compute_uv=False)
-    floor = 1e-12 * max(1.0, np.abs(values).max(initial=0.0)) * np.sqrt(len(diffs))
-    if svals.size == 0 or svals[0] <= floor:
+    if svals.size == 0 or svals[0] <= 1e-12 * np.sqrt(len(diffs)):
         return 0
     return int(np.sum(svals > 1e-8 * svals[0]))
 
@@ -320,7 +322,10 @@ def _ray_exit(mdp: Mdp, start: np.ndarray, rays: np.ndarray) -> np.ndarray:
     # Axis 1 picks the bound: the upper one's lines, then the lower one's.
     a = np.stack([alpha, -alpha])
     b = np.stack([beta, -beta], axis=1)
-    root = np.divide(-a, b, out=np.zeros_like(b), where=b != 0.0)
+    # A ray of unit sup-norm meets every exit within 2 * value_bound, a finite
+    # float, so a root that overflows lies past every exit; inf orders it so.
+    with np.errstate(over="ignore"):
+        root = np.divide(-a, b, out=np.zeros_like(b), where=b != 0.0)
     left = np.where(b < 0.0, root, -np.inf).max(axis=3)
     right = np.where(b > 0.0, root, np.inf).min(axis=3)
     held = ((b == 0.0) & (a >= 0.0)).any(axis=3)

@@ -129,6 +129,20 @@ def test_every_export_is_used_by_the_package_or_scripts():
     assert exported - _referenced_names() == set(UNUSED_EXPORTS)
 
 
+def test_no_function_imports():
+    # Every deferred module is a lazy module that __init__ registers, and a
+    # module binds what it uses at its top. _register_lazy imports sys and
+    # importlib locally so they stay out of dir(vfpolytope).
+    found = [
+        (path.name, node.name)
+        for path in sorted((ROOT / "src" / "vfpolytope").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
+    ]
+    assert found == [("__init__.py", "_register_lazy")]
+
+
 def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]

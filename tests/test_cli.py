@@ -865,6 +865,32 @@ def test_overflowing_value_bound_exits_3(document, argv, tmp_path, monkeypatch, 
     assert sorted(path.name for path in tmp_path.iterdir()) == ["mdp.json"]
 
 
+# Its bound 8e307 is just below the limit: verify once reported a false slice
+# FAIL (the SVD of its differences returned inf) and printed an overflow
+# warning from the boundary suite.
+NEAR_LIMIT_MDP = {
+    **OVERFLOWING_MDP, "gamma": 0.5, "rewards": [4e307, -4e307, 4e307, 4e306],
+    "transitions": [[0.7, 0.3], [0.99, 0.01], [0.2, 0.8], [0.99, 0.01]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*COMMANDS.values(), ["verify", "--suite", "all", "--trials", "2", "--report", "out.json"]],
+    ids=[*COMMANDS, "verify-2"],
+)
+def test_near_limit_value_bound_runs_cleanly(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "mdp.json").write_text(json.dumps(NEAR_LIMIT_MDP))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--mdp", "mdp.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, ""), captured.out
+    if argv[0] == "verify":
+        assert json.loads(Path("out.json").read_text())["all_passed"]
+
+
 @pytest.mark.parametrize(
     "rewards", [[1e6, -1e6, 1e6, 1e5], [1e160, -1e160, 1e160, 1e159]], ids=["1e6", "1e160"]
 )

@@ -691,6 +691,19 @@ class TestSliceRank:
         values = sample_values(m, 500, 8)
         assert slice_rank(values) == 2
 
+    def test_rank_does_not_depend_on_the_scale(self):
+        # The values are scaled to at most 1 before the SVD: near the float
+        # limit it once returned inf and the rank read 0.
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            n_states = rng.integers(1, 6)
+            rank = rng.integers(0, n_states + 1)
+            basis = rng.standard_normal((rank, n_states))
+            values = rng.standard_normal(n_states) + rng.standard_normal((200, rank)) @ basis
+            # max|v| from 1e-3 to 10**6.5, so max|v| * 2**1000 reaches 3.4e307.
+            values *= 10.0 ** rng.uniform(-3, 6.5) / np.abs(values).max()
+            assert slice_rank(values * 2.0**1000) == slice_rank(values) == rank, trial
+
 
 class TestVertices:
     def test_example1_endpoints(self):

@@ -701,6 +701,19 @@ def test_every_suite_passes_at_any_reward_scale(factor):
             assert report.passed, (factor, name, report.failures)
 
 
+def test_boundary_suite_near_the_value_bound_limit():
+    # Roots of _ray_exit past the float range overflow to inf, which orders
+    # them past every exit, now without a warning; the deviation is the one
+    # read when they still printed one.
+    mdp = Mdp(2, 2, [4e307, -4e307, 4e307, 4e306],
+              builtin_fixture("dyn2").transitions, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_suite("boundary", trials=2, seed=0, mdp=mdp)
+    assert report.passed
+    assert report.max_deviation == 2.5275355101733617e-15
+
+
 def test_line_suite_checks_rho_at_small_reward_scales(monkeypatch):
     # At rewards x 1e-13 the curve once read as constant, and the suite's
     # absolute 1e-12 floor on |v_high - v_low| skipped its rho check, so a
