@@ -7,7 +7,7 @@ resolved from its module on first access (PEP 562), so a program, `vfp`
 included, runs only the modules it uses.
 """
 
-__version__ = "0.22.2"
+__version__ = "0.22.3"
 
 # Module -> the public names it defines; errors defines the exception types.
 _EXPORTS = {

@@ -84,14 +84,15 @@ def _lapack_solve(mdp: Mdp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _solve(mdp: Mdp, policies, states=(), collapse=_collapse) -> np.ndarray:
+def _solve(mdp: Mdp, policies, states=()) -> np.ndarray:
     """(n, |S|, 1 + len(states)) columns of (I - gamma P_pi)^{-1} [r_pi, e_states].
 
-    policies is an (n, |S|, |A|) stack of probabilities, or (n, |S|) actions
-    with collapse=_gather. Column 0 is the value, column 1 + j R[:, states[j]].
+    policies is an (n, |S|, |A|) stack of probabilities, or (n, |S|) actions,
+    which _gather reads. Column 0 is the value, column 1 + j R[:, states[j]].
     Blocks of max(1, _BLOCK_ENTRIES // |S|**2) policies are solved in buffers
     allocated once per call, so row i has the bits of a call on policy i alone.
     """
+    collapse = _gather if np.ndim(policies) == 2 else _collapse
     n, n_states, k = len(policies), mdp.n_states, len(states)
     block = max(1, _BLOCK_ENTRIES // n_states**2)
     # Complex probabilities, as a complex step takes, keep their dtype.
@@ -197,7 +198,7 @@ def _policy_iteration(mdp: Mdp, actions):
     """
     states = np.arange(mdp.n_states)
     for _ in range(_MAX_IMPROVEMENTS):
-        v = _solve(mdp, actions[None], collapse=_gather)[0, :, 0]
+        v = _solve(mdp, actions[None])[0, :, 0]
         q = q_values(mdp, v)
         yield v, q
         best = np.argmax(q, axis=1)
@@ -226,4 +227,4 @@ def optimal_value(mdp: Mdp) -> tuple[np.ndarray, Policy]:
         pass
     actions = np.argmax(q, axis=1)
     greedy = Policy.deterministic(actions, mdp.n_actions)
-    return _solve(mdp, actions[None], collapse=_gather)[0, :, 0], greedy
+    return _solve(mdp, actions[None])[0, :, 0], greedy

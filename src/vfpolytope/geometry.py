@@ -23,7 +23,6 @@ from .evaluation import (
     _BLOCK_ENTRIES,
     _check_policy_shape,
     _expected,
-    _gather,
     _solve,
     _switch,
     q_values,
@@ -72,16 +71,17 @@ class AffineSlice:
 
     def __post_init__(self) -> None:
         basis = np.asarray(self.basis, dtype=float)
-        if basis.size:
-            norms = np.linalg.norm(basis, axis=0)
-            if np.any(norms == 0) or np.linalg.svd(basis / norms, compute_uv=False)[-1] <= 1e-10:
-                raise IllConditioned("slice basis is numerically rank-deficient")
+        # Columns at unit norm; a zero column stays zero, so its singular value is 0.
+        norms = np.linalg.norm(basis, axis=0)
+        unit = np.divide(basis, norms, out=np.zeros_like(basis), where=norms > 0)
+        if np.linalg.svd(unit, compute_uv=False).min(initial=np.inf) <= 1e-10:
+            raise IllConditioned("slice basis is numerically rank-deficient")
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
         object.__setattr__(self, "basis", basis)
 
     @property
     def dimension(self) -> int:
-        return self.basis.shape[1] if self.basis.size else 0
+        return self.basis.shape[1]
 
     def projection_residual(self, point: np.ndarray) -> float:
         """Largest max-norm distance to this affine space.
@@ -99,12 +99,8 @@ class AffineSlice:
                 f"got {point.shape}"
             )
         offsets = (point - self.anchor).T
-        if not offsets.size:
-            return 0.0
-        if self.dimension == 0:
-            return float(np.max(np.abs(offsets)))
         coeffs, *_ = np.linalg.lstsq(self.basis, offsets, rcond=None)
-        return float(np.max(np.abs(offsets - self.basis @ coeffs)))
+        return float(np.max(np.abs(offsets - self.basis @ coeffs), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +257,7 @@ def polytope_vertices_det(mdp: Mdp) -> np.ndarray:
     Row i is the value of row i of deterministic_policies(mdp), bit for bit
     that of value_function_batch on the one-hot policy.
     """
-    return _solve(mdp, deterministic_policies(mdp), collapse=_gather)[..., 0]
+    return _solve(mdp, deterministic_policies(mdp))[..., 0]
 
 
 def slice_rank(values: np.ndarray) -> int:

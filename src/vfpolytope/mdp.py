@@ -289,7 +289,8 @@ def load_mdp(text: str) -> Mdp:
     """Parse the JSON MDP document format into a validated Mdp."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+    # JSONDecodeError, an integer too long to read, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("document must be a JSON object")

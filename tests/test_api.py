@@ -7,6 +7,7 @@ public option is an edit to this list.
 """
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -141,6 +142,27 @@ def test_no_function_imports():
         and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
     ]
     assert found == [("__init__.py", "_register_lazy")]
+
+
+def test_no_function_defaults_to_a_function():
+    # A function the package holds as a default argument escapes a patch of
+    # its module attribute, so binding by module attribute alone would not
+    # reach every caller (test_mutations.apply_fault and the benchmark's
+    # tracer patch nothing else).
+    found = []
+    for path in sorted((ROOT / "src" / "vfpolytope").glob("*.py")):
+        name = "vfpolytope" if path.stem == "__init__" else f"vfpolytope.{path.stem}"
+        module = importlib.import_module(name)
+        owners = [module, *(v for v in vars(module).values() if inspect.isclass(v))]
+        for owner in owners:
+            for attr, func in vars(owner).items():
+                func = getattr(func, "__func__", func)
+                if not inspect.isfunction(func) or func.__module__ != name:
+                    continue
+                defaults = (*(func.__defaults__ or ()), *(func.__kwdefaults__ or {}).values())
+                if any(inspect.isroutine(d) for d in defaults):
+                    found.append(f"{name}.{attr}")
+    assert found == []
 
 
 def test_version_matches_pyproject():

@@ -891,6 +891,46 @@ def test_near_limit_value_bound_runs_cleanly(argv, tmp_path, monkeypatch, capsys
         assert json.loads(Path("out.json").read_text())["all_passed"]
 
 
+# Arrays nested past the JSON parser's recursion limit: json.loads raises
+# RecursionError, which once escaped as a traceback and exit 1.
+DEEP_DOCUMENT = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*(argv + ["--mdp", "deep.json"] for argv in COMMANDS.values()),
+     [*COMMANDS["dynamics-pg"], "--mdp", "dyn2", "--init", "deep.json"]],
+    ids=[*COMMANDS, "dynamics-init"],
+)
+def test_deeply_nested_document_exits_2(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "deep.json").write_text(DEEP_DOCUMENT)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["deep.json"]
+
+
+@pytest.mark.parametrize("algo", ["cem", "cemcn"])
+def test_cem_covariance_past_the_cell_cap_exits_3(algo, tmp_path, monkeypatch, capsys):
+    # One state and 2,049 actions: a (2,049)^2 covariance, 4,198,401 cells
+    # against MAX_CELLS = 2^22; 2,048 actions fit exactly.
+    n_actions = 2049
+    assert n_actions**2 > cli.MAX_CELLS >= (n_actions - 1) ** 2
+    document = {"n_states": 1, "n_actions": n_actions, "gamma": 0.9,
+                "rewards": [0.0] * n_actions, "transitions": [[1.0]] * n_actions}
+    (tmp_path / "mdp.json").write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    argv = ["dynamics", "--algo", algo, "--iters", "1", "--mdp", "mdp.json", "--out", "out.csv"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CEM's covariance of 4198401 cells exceeds the cap of 4194304\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["mdp.json"]
+
+
 @pytest.mark.parametrize(
     "rewards", [[1e6, -1e6, 1e6, 1e5], [1e160, -1e160, 1e160, 1e159]], ids=["1e6", "1e160"]
 )

@@ -624,9 +624,9 @@ class TestOptimalValue:
         seen = []
         solve = evaluation._solve
 
-        def record(mdp, policies, states=(), collapse=evaluation._collapse):
-            solved = solve(mdp, policies, states, collapse)
-            assert collapse is evaluation._gather and states == ()
+        def record(mdp, policies, states=()):
+            solved = solve(mdp, policies, states)
+            assert np.ndim(policies) == 2 and states == ()
             assert solved.shape == (1, mdp.n_states, 1)
             seen.append((np.array(policies[0]), solved))
             return solved

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vfpolytope import geometry
-from vfpolytope.errors import EnumerationTooLarge, NotAgreeing, ShapeMismatch
+from vfpolytope.errors import EnumerationTooLarge, IllConditioned, NotAgreeing, ShapeMismatch
 from vfpolytope.evaluation import value_function, value_function_batch
 from vfpolytope.geometry import (
     SAMPLE_BLOCK,
@@ -472,6 +473,31 @@ class TestAffineSlice:
         sl = affine_slice(m, AgreementSet(base=random_policy(m, 1), fixed_states=(0,)))
         with pytest.raises(ShapeMismatch, match=r"expected a \(2,\) point or an \(n, 2\) stack"):
             sl.projection_residual(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[[0.0], [0.0], [0.0]],
+     [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+     [[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]],
+    ids=["zero-column", "one-zero-column", "parallel-columns"],
+)
+def test_affine_slice_refuses_a_deficient_basis(basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned, match="rank-deficient"):
+            geometry.AffineSlice(anchor=np.zeros(3), basis=basis)
+
+
+def test_zero_dimensional_slice_reads_the_offsets():
+    # lstsq on an (|S|, 0) basis gives no coefficients, so the residual is
+    # the offsets' largest magnitude, and 0.0 for an empty stack.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = geometry.AffineSlice(anchor=[1.0, -2.0], basis=np.zeros((2, 0)))
+        assert point.dimension == 0
+        assert point.projection_residual([1.5, -4.0]) == 2.0
+        assert point.projection_residual(np.zeros((0, 2))) == 0.0
 
 
 class TestSampleValues:

@@ -2,19 +2,16 @@
 
 Each row puts one fault into one function of the package. The fault is
 applied with monkeypatch wherever a vfpolytope module binds the function's
-name, and wherever a package function holds it as a default argument (as
-evaluation._solve holds _collapse), as bench/layers.py wraps functions.
-Then run_suite(name, trials=10, seed=1) must fail for at least one suite,
-on the random family, on dyn2 and on threeaction, unless NO_OPS shows that
-the fault changes nothing there. threeaction's three actions let a split
-write a value as an affine but not convex combination, which only the hull
-certificate's weight terms see (row 32). Row numbers follow the
-audit tables in CHANGES.md; rows 26-30 are faults in the policy-to-value
-map's local shape, which the retired smooth suite was meant to see.
+name, as bench/layers.py wraps functions. Then run_suite(name, trials=10,
+seed=1) must fail for at least one suite, on the random family, on dyn2 and
+on threeaction, unless NO_OPS shows that the fault changes nothing there.
+threeaction's three actions let a split write a value as an affine but not
+convex combination, which only the hull certificate's weight terms see
+(row 32). Row numbers follow the audit tables in CHANGES.md; rows 26-30 are
+faults in the policy-to-value map's local shape, which the retired smooth
+suite was meant to see.
 """
 from __future__ import annotations
-
-import inspect
 
 import numpy as np
 import pytest
@@ -64,12 +61,13 @@ def slice_from_rows(original):
 
 def transposed_resolvent(original):
     # The resolvent columns solved from the transposed system: its rows.
-    def solve(m, policies, states=(), collapse=evaluation._collapse):
-        solved = original(m, policies, states, collapse)
-        p_pi, _ = collapse(m, policies)
-        system = np.swapaxes(evaluation._system(m, p_pi), -1, -2)
-        rhs = np.broadcast_to(np.eye(m.n_states)[:, list(states)], solved[..., 1:].shape)
-        solved[..., 1:] = np.linalg.solve(system, rhs)
+    def solve(m, policies, states=()):
+        solved = original(m, policies, states)
+        if len(states):  # stacks of actions come without states
+            p_pi, _ = evaluation._collapse(m, policies)
+            system = np.swapaxes(evaluation._system(m, p_pi), -1, -2)
+            rhs = np.broadcast_to(np.eye(m.n_states)[:, list(states)], solved[..., 1:].shape)
+            solved[..., 1:] = np.linalg.solve(system, rhs)
         return solved
 
     return solve
@@ -219,11 +217,6 @@ def apply_fault(monkeypatch, owner, name, fault) -> None:
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, mutant)
-            elif inspect.isfunction(value) and any(
-                d is original for d in value.__defaults__ or ()
-            ):
-                defaults = tuple(mutant if d is original else d for d in value.__defaults__)
-                monkeypatch.setattr(value, "__defaults__", defaults)
 
 
 def suite_fails(suite: str, mdp_case) -> bool:
