@@ -6,8 +6,9 @@ file of another path), 3 capability error (any errors.CapabilityError;
 `verify --suite all` skips a suite that raises one, and exits 3 when it
 skips every suite). A handler does all its fallible work before its first
 write. Every file-writing command also emits `<out>.manifest.json` with
-argv, config, seed, input and output digests; re-running the recorded argv
-reproduces the outputs byte for byte.
+argv, config, seed, input and output digests, and the numpy, BLAS build and
+BLAS thread variables that ran; re-running the recorded argv reproduces the
+outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -18,12 +19,21 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS's LU gives other bits on one thread and on several from about
+# |S| = 100, so vfp pins BLAS to one thread. The pin only takes effect before
+# numpy loads BLAS: a program that imported numpy first keeps its own count,
+# and the manifest's environment entry records the variables it saw.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    for _var in _THREAD_VARIABLES:
+        os.environ[_var] = "1"
 
-from . import __version__, dynamics, geometry, verification
-from .errors import CapabilityError, VfpError
-from .evaluation import value_function
-from .mdp import (
+import numpy as np  # noqa: E402
+
+from . import __version__, dynamics, geometry, verification  # noqa: E402
+from .errors import CapabilityError, VfpError  # noqa: E402
+from .evaluation import value_function  # noqa: E402
+from .mdp import (  # noqa: E402
     FIXTURE_NAMES,
     Mdp,
     Policy,
@@ -32,7 +42,7 @@ from .mdp import (
     load_mdp,
     random_policy,
 )
-from .output import write_csv, write_manifest, write_svg
+from .output import write_csv, write_manifest, write_svg  # noqa: E402
 
 # dynamics, geometry and verification are lazy modules (see __init__): each
 # runs on its first attribute access, so a command runs only those it reads.
@@ -403,6 +413,17 @@ def _output_paths(args) -> list[Path]:
     return paths
 
 
+def _environment() -> dict:
+    """The numpy and BLAS build that ran, and the BLAS thread variables."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "configuration": blas.get("openblas configuration")},
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES},
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -422,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         code, config, inputs = result
         write_manifest(
             paths[-1], argv, args.command, config, getattr(args, "seed", None),
-            inputs, paths[:-1], __version__,
+            inputs, paths[:-1], __version__, _environment(),
         )
         return code
     except (VfpError, OSError) as exc:

@@ -9,7 +9,8 @@ since applying the line theorem one state at a time writes every value as a
 convex combination of them (verification's hull suite checks those weights).
 The operations here construct these objects exactly, in any dimension, and
 support sampling-based checks of each property; membership_gap decides
-exactly, from evaluation.q_values, whether a vector is a value at all.
+exactly, from evaluation.q_values, whether a vector is a value at all, and
+its kernel _q_bracket also gives the weights of a policy with that value.
 """
 from __future__ import annotations
 
@@ -293,9 +294,25 @@ def membership_gap(mdp: Mdp, values) -> np.ndarray:
         raise ShapeMismatch(
             f"expected an (n, {mdp.n_states}) value stack, got {values.shape}"
         )
+    gap = _q_bracket(mdp, values)[0]
+    return gap.max(axis=1) / np.maximum(1.0, np.abs(values).max(axis=1))
+
+
+def _q_bracket(mdp: Mdp, values: np.ndarray):
+    """Gap, extreme actions and mixing weight per state of an (n, |S|) stack v.
+
+    From one q_values call: the gap max(min_a Q_v - v, v - max_a Q_v); the
+    lowest-index argmin and argmax of Q_v(s, .), stacked; and the weight
+    w = clip((v - min) / (max - min), 0, 1), 0 where the spread is 0. Where
+    no gap is positive, 1 - w on the argmin and w on the argmax average
+    Q_v(s, .) to v(s), so that policy's value is v.
+    """
     q = q_values(mdp, values)
-    gap = np.maximum(q.min(axis=2) - values, values - q.max(axis=2)).max(axis=1)
-    return gap / np.maximum(1.0, np.abs(values).max(axis=1))
+    q_min, q_max = q.min(axis=2), q.max(axis=2)
+    spread = q_max - q_min
+    weight = np.divide(values - q_min, spread, out=np.zeros_like(spread), where=spread > 0.0)
+    gap = np.maximum(q_min - values, values - q_max)
+    return gap, np.stack([q.argmin(axis=2), q.argmax(axis=2)]), np.clip(weight, 0.0, 1.0)
 
 
 def _ray_exit(mdp: Mdp, start: np.ndarray, rays: np.ndarray) -> np.ndarray:

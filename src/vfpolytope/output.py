@@ -62,11 +62,12 @@ def write_manifest(
     inputs: dict[str, str],
     outputs: list[Path],
     version: str,
+    environment: dict,
 ) -> Path:
     """Record at manifest_path how a set of outputs was produced.
 
     Re-running the recorded argv must reproduce every listed output with the
-    same digest.
+    same digest; environment names the numpy and BLAS that produced them.
     """
     manifest = {
         "tool": "vfp",
@@ -79,6 +80,7 @@ def write_manifest(
         "outputs": [
             {"path": str(p), "sha256": sha256_file(p)} for p in outputs
         ],
+        "environment": environment,
     }
     manifest_path.write_bytes(
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")

@@ -9,15 +9,15 @@ tested against a hull: the line theorem, applied one state at a time, gives
 each sampled value convex weights over the deterministic-policy values, and
 the suite checks those weights against independently solved vertices.
 Boundary points are where random rays first leave the value set, read off
-the Q bounds in closed form; the semi-deterministic policy rebuilt at each
-one must have it as its solved value. The independent oracles (truncated
-series, Monte Carlo, exact rationals, a planar hull, a bisection on
-membership_gap) live with the tests, in tests/oracles.py.
+the Q bounds in closed form; the policy rebuilt at each one from
+geometry._q_bracket, membership_gap's kernel, with its tightest state
+snapped to one action, must have it as its solved value. The independent
+oracles (truncated series, Monte Carlo, exact rationals, a planar hull, a
+bisection on membership_gap) live with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .evaluation import (
     _BLOCK_ENTRIES,
     _switch,
     optimal_value,
+    optimality_bellman_apply,
     q_values,
     value_function,
     value_function_batch,
@@ -33,6 +34,7 @@ from .evaluation import (
 from .geometry import (
     AgreementSet,
     _policy_blocks,
+    _q_bracket,
     _ray_exit,
     affine_slice,
     interpolation_curve,
@@ -115,11 +117,11 @@ def _grid_values(mdp: Mdp, p0: Policy, p1: Policy, grid: int) -> np.ndarray:
     return value_function_batch(mdp, mus * p1.probs + (1.0 - mus) * p0.probs)
 
 
-# Each check takes one instance and its stream and returns a label and a
-# deviation.
+# Each check takes one instance, does its per-instance work, and returns
+# the check of one trial's stream, which returns a label and a deviation.
 
 
-def _check_line(mdp: Mdp, rng: np.random.Generator):
+def _check_line(mdp: Mdp):
     """The line theorem: one-hot ends, mixtures on the bracket at ratio rho.
 
     A policy and the 21 mixtures of its bracket's ends over one free state
@@ -130,58 +132,66 @@ def _check_line(mdp: Mdp, rng: np.random.Generator):
     checked when that is at most 1e-12 of max|v| over the images, or the
     curve is constant.
     """
-    base = random_policy(mdp, rng)
-    state = int(rng.integers(mdp.n_states))
-    seg = line_segment(mdp, base, state)
-    if not (
-        seg.pi_low.is_deterministic_at(state) and seg.pi_high.is_deterministic_at(state)
-    ):
-        return f"state {state}", np.inf
-    # The base keeps its arbitrary row at the free state, so its value checks
-    # the bracket itself and not only the ends' own mixtures.
-    mixtures = _grid_values(mdp, seg.pi_low, seg.pi_high, 21)
-    images = np.vstack([mixtures, value_function(mdp, base)])
-    # The mixtures at mu = 0 and 1 are the ends. Scaled before any norm, so
-    # no square overflows.
-    unit = max(1.0, float(np.abs(images).max()))
-    images, v_low, v_high = images / unit, seg.v_low / unit, seg.v_high / unit
-    delta = v_high - v_low
-    length = float(np.linalg.norm(delta))
-    off = segment_distances(images, v_low, v_high).max()
-    deviation = max(
-        float(off / length if length >= 1e-12 else off),
-        float(np.max(v_low[None, :] - images)),
-        float(np.max(images - v_high[None, :])),
-    )
-    curve = interpolation_curve(mdp, seg.pi_low, seg.pi_high, state, 21)
-    scale, size = float(np.max(np.abs(delta))), float(np.max(np.abs(images)))
-    if not curve.constant and scale > 1e-12 * size:
-        predicted = v_low[None, :] + curve.rhos[:, None] * delta[None, :]
-        deviation = max(deviation, float(np.max(np.abs(images[:-1] - predicted))) / scale)
-        if scale > 1e-8 * size and float(np.min(np.diff(curve.rhos))) <= 0.0:
-            deviation = max(deviation, 1.0)
-    return f"state {state}", deviation
+
+    def check(rng: np.random.Generator):
+        base = random_policy(mdp, rng)
+        state = int(rng.integers(mdp.n_states))
+        seg = line_segment(mdp, base, state)
+        if not (
+            seg.pi_low.is_deterministic_at(state) and seg.pi_high.is_deterministic_at(state)
+        ):
+            return f"state {state}", np.inf
+        # The base keeps its arbitrary row at the free state, so its value checks
+        # the bracket itself and not only the ends' own mixtures.
+        mixtures = _grid_values(mdp, seg.pi_low, seg.pi_high, 21)
+        images = np.vstack([mixtures, value_function(mdp, base)])
+        # The mixtures at mu = 0 and 1 are the ends. Scaled before any norm, so
+        # no square overflows.
+        unit = max(1.0, float(np.abs(images).max()))
+        images, v_low, v_high = images / unit, seg.v_low / unit, seg.v_high / unit
+        delta = v_high - v_low
+        length = float(np.linalg.norm(delta))
+        off = segment_distances(images, v_low, v_high).max()
+        deviation = max(
+            float(off / length if length >= 1e-12 else off),
+            float(np.max(v_low[None, :] - images)),
+            float(np.max(images - v_high[None, :])),
+        )
+        curve = interpolation_curve(mdp, seg.pi_low, seg.pi_high, state, 21)
+        scale, size = float(np.max(np.abs(delta))), float(np.max(np.abs(images)))
+        if not curve.constant and scale > 1e-12 * size:
+            predicted = v_low[None, :] + curve.rhos[:, None] * delta[None, :]
+            deviation = max(deviation, float(np.max(np.abs(images[:-1] - predicted))) / scale)
+            if scale > 1e-8 * size and float(np.min(np.diff(curve.rhos))) <= 0.0:
+                deviation = max(deviation, 1.0)
+        return f"state {state}", deviation
+
+    return check
 
 
-def _check_slice(mdp: Mdp, rng: np.random.Generator):
+def _check_slice(mdp: Mdp):
     """Constrained samples live in the anchored affine slice, at the expected rank."""
-    k = int(rng.integers(mdp.n_states + 1))
-    fixed = sorted(rng.choice(mdp.n_states, size=k, replace=False).tolist())
-    agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
-    sl = affine_slice(mdp, agreement)
-    values = _sample(mdp, 200, rng, agreement)
-    # Relative to max(1, |v|_inf) over the samples, as every suite's deviation.
-    residual = sl.projection_residual(values) / max(1.0, float(np.abs(values).max()))
-    # A free state moves the value exactly where Q_v(s, .) at the anchor is
-    # not constant: v's derivative along a change d of that state's row is
-    # (d . Q_v(s, .)) R_s, and the columns R_s are independent. With one
-    # action no state moves it.
-    spread = np.ptp(q_values(mdp, sl.anchor), axis=1)
-    moves = spread > 1e-12 * max(1.0, float(np.abs(sl.anchor).max()))
-    expected = int(np.delete(moves, fixed).sum())
-    rank = slice_rank(values)
-    deviation = residual if rank == expected else np.inf
-    return f"k={len(fixed)} rank={rank}/{expected}", deviation
+
+    def check(rng: np.random.Generator):
+        k = int(rng.integers(mdp.n_states + 1))
+        fixed = sorted(rng.choice(mdp.n_states, size=k, replace=False).tolist())
+        agreement = AgreementSet(base=random_policy(mdp, rng), fixed_states=fixed)
+        sl = affine_slice(mdp, agreement)
+        values = _sample(mdp, 200, rng, agreement)
+        # Relative to max(1, |v|_inf) over the samples, as every suite's deviation.
+        residual = sl.projection_residual(values) / max(1.0, float(np.abs(values).max()))
+        # A free state moves the value exactly where Q_v(s, .) at the anchor is
+        # not constant: v's derivative along a change d of that state's row is
+        # (d . Q_v(s, .)) R_s, and the columns R_s are independent. With one
+        # action no state moves it.
+        spread = np.ptp(q_values(mdp, sl.anchor), axis=1)
+        moves = spread > 1e-12 * max(1.0, float(np.abs(sl.anchor).max()))
+        expected = int(np.delete(moves, fixed).sum())
+        rank = slice_rank(values)
+        deviation = residual if rank == expected else np.inf
+        return f"k={len(fixed)} rank={rank}/{expected}", deviation
+
+    return check
 
 
 def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +261,7 @@ def _check_hull(mdp: Mdp):
 
     2,000 of _sample's policies are certified by _hull_deviation, in chunks
     whose 2^|S| leaves of |S| x |S| systems stay within _BLOCK_ENTRIES
-    entries. The cap check and the vertices are per-MDP work: this returns
-    the check of one trial's stream.
+    entries. The cap check and the vertices are per-MDP work.
     """
     samples = 2_000
     leaves = samples << mdp.n_states
@@ -282,32 +291,24 @@ def _check_boundary(mdp: Mdp):
     From the uniform policy's value, BOUNDARY_RAYS random rays are followed
     to where they first leave the value set, which geometry._ray_exit gives
     in closed form from the Q bounds. At each such boundary point every
-    state's row mixes the actions of min and max Q_v(s, .) to average v(s),
-    and the tightest state is snapped to its extreme action, so the policy
-    is semi-deterministic. Its solved value must match the point, within
-    max(1, |v|_inf) times the tolerance. The start is per-MDP work: this
-    returns the check of one trial's stream.
+    state's row mixes its extreme actions by the weight of
+    geometry._q_bracket, the kernel membership_gap reads too, and the
+    tightest state is snapped to its nearer end, so the policy is
+    semi-deterministic. Its solved value must match the point, within
+    max(1, |v|_inf) times the tolerance. The start is per-MDP work.
     """
     n_states, n_actions = mdp.n_states, mdp.n_actions
     start = value_function(mdp, Policy.uniform(n_states, n_actions))
+    eye = np.eye(n_actions)
 
     def check(rng: np.random.Generator):
         rays = rng.standard_normal((BOUNDARY_RAYS, n_states))
         rays /= np.abs(rays).max(axis=1, keepdims=True)
         points = start + _ray_exit(mdp, start, rays)[:, None] * rays
-        q = q_values(mdp, points)
-        q_min, q_max = q.min(axis=2), q.max(axis=2)
-        spread = q_max - q_min
-        weight = np.clip(
-            (points - q_min) / np.where(spread > 0.0, spread, 1.0), 0.0, 1.0
-        )
-        tight = np.argmax(np.maximum(q_min - points, points - q_max), axis=1)
-        rows = np.arange(BOUNDARY_RAYS)
+        gap, (low, high), weight = _q_bracket(mdp, points)
+        rows, tight = np.arange(BOUNDARY_RAYS), np.argmax(gap, axis=1)
         weight[rows, tight] = np.round(weight[rows, tight])
-        probs = np.zeros((BOUNDARY_RAYS, n_states, n_actions))
-        cells = (rows[:, None], np.arange(n_states)[None, :])
-        probs[cells + (q.argmin(axis=2),)] = 1.0 - weight
-        probs[cells + (q.argmax(axis=2),)] += weight
+        probs = eye[low] * (1.0 - weight)[..., None] + eye[high] * weight[..., None]
         scale = np.maximum(1.0, np.abs(points).max(axis=1))
         misses = np.abs(value_function_batch(mdp, probs) - points).max(axis=1)
         return f"|S|={n_states}", float(np.max(misses / scale))
@@ -319,11 +320,11 @@ def _check_dominance(mdp: Mdp):
     """v* dominates 50 sampled values and is fixed by the optimality operator.
 
     Both excesses are relative to max(1, |v*|_inf). v* and its residual are
-    per-MDP work: this returns the check of one trial's stream.
+    per-MDP work.
     """
     v_star, _ = optimal_value(mdp)
     scale = max(1.0, float(np.abs(v_star).max()))
-    residual = float(np.abs(q_values(mdp, v_star).max(axis=1) - v_star).max()) / scale
+    residual = float(np.abs(optimality_bellman_apply(mdp, v_star) - v_star).max()) / scale
 
     def check(rng: np.random.Generator):
         return "", max(0.0, float(np.max(_sample(mdp, 50, rng) - v_star)) / scale, residual)
@@ -344,10 +345,6 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# These suites' checks take the MDP alone, do its per-MDP work, and return
-# the check of one trial's stream.
-_PER_MDP = ("hull", "boundary", "dominance")
-
 
 def run_suite(
     suite_name: str, trials: int = 100, seed=0, mdp: Mdp | None = None
@@ -355,8 +352,8 @@ def run_suite(
     """Run one named property suite over seeded random instances.
 
     When an MDP is given the suite checks it instead of random instances,
-    and the hull, boundary and dominance suites do their per-MDP work once;
-    on the random family they do it once per instance. Every deviation is
+    and its check does its per-MDP work once; on the random family, once per
+    instance. Every deviation is
     relative to max(1, |v|_inf), so a suite's verdict does not move with the
     rewards' scale. The hull suite raises
     EnumerationTooLarge, before it draws anything, when its certificate
@@ -376,10 +373,7 @@ def run_suite(
     report = CheckReport(check_name=suite_name, instances_run=trials)
     for i in range(trials):
         if mdp is None or i == 0:
-            instance = mdp or _random_instance(seed, i)
-            trial = (
-                check(instance) if suite_name in _PER_MDP else partial(check, instance)
-            )
+            trial = check(mdp or _random_instance(seed, i))
         rng = np.random.default_rng(
             np.random.SeedSequence(int(seed), spawn_key=(tag, i))
         )

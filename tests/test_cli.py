@@ -1150,6 +1150,33 @@ class TestReproducibility:
             assert sha(Path(path)) == digest
         assert json.loads(manifest_path.read_text()) == manifest
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS's LU gives other bits on two threads than on one from
+        # about |S| = 100; vfp pins one thread before numpy loads, so an
+        # environment that asks for two writes the same bytes.
+        (tmp_path / "m.json").write_text(dump_mdp(random_mdp(128, 4, 0.95, 0)))
+        outputs, manifests = [], []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": PACKAGE_PATH, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = f"s{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "vfpolytope.cli", "sample", "--mdp", "m.json",
+                 "--n", "300", "--out", out],
+                capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((tmp_path / out).read_bytes())
+            manifests.append(json.loads((tmp_path / f"{out}.manifest.json").read_text()))
+        assert outputs[0] == outputs[1]
+        for manifest in manifests:
+            environment = manifest["environment"]
+            assert environment["numpy"] == np.__version__
+            assert environment["threads"] == dict.fromkeys(
+                ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"), "1"
+            )
+            assert set(environment["blas"]) == {"name", "version", "configuration"}
+
 
 def test_verify_hull_leaves_numpy_ma_unimported(tmp_path):
     # np.unique(..., axis=0) imports numpy.ma on its first call, 10-16 ms of

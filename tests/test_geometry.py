@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vfpolytope import geometry
 from vfpolytope.errors import EnumerationTooLarge, IllConditioned, NotAgreeing, ShapeMismatch
-from vfpolytope.evaluation import value_function, value_function_batch
+from vfpolytope.evaluation import q_values, value_function, value_function_batch
 from vfpolytope.geometry import (
     SAMPLE_BLOCK,
     AgreementSet,
@@ -286,6 +286,70 @@ def _exit_case(seed):
     )
     start = value_function(m, Policy.uniform(m.n_states, m.n_actions))
     return m, start, _unit_rays(rng, 64, m.n_states)
+
+
+def _policy_of(m, values):
+    """The (n, |S|, |A|) policies that _q_bracket's ends and weights mix."""
+    _, (low, high), weight = geometry._q_bracket(m, values)
+    eye = np.eye(m.n_actions)
+    return eye[low] * (1.0 - weight)[..., None] + eye[high] * weight[..., None]
+
+
+def _round_trip_error(m, values):
+    """|V^{policy_of(v)} - v|_inf / max(1, |v|_inf), the worst over a stack."""
+    misses = np.abs(value_function_batch(m, _policy_of(m, values)) - values).max(axis=1)
+    return float(np.max(misses / np.maximum(1.0, np.abs(values).max(axis=1))))
+
+
+class TestQBracket:
+    """geometry._q_bracket: the policy of a value, which membership_gap tests for."""
+
+    @pytest.mark.parametrize(
+        "n_states, n_actions, gamma, n",
+        [(2, 2, 0.9, 1000), (4, 3, 0.9, 1000), (8, 4, 0.99, 1000), (32, 4, 0.9, 500),
+         (128, 4, 0.95, 200)],
+    )
+    def test_sampled_values_come_back(self, n_states, n_actions, gamma, n):
+        for seed in range(3):
+            m = random_mdp(n_states, n_actions, gamma, seed=seed)
+            assert _round_trip_error(m, sample_values(m, n, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2c", "dyn2", "threeaction"])
+    def test_deterministic_vertices_come_back(self, name):
+        m = builtin_fixture(name)
+        assert _round_trip_error(m, polytope_vertices_det(m)) <= 1e-13
+
+    def test_zero_spread_has_zero_weight(self):
+        # Both actions of state 0 are the same, so Q_v(0, .) has no spread.
+        m = Mdp(2, 2, [0.5, 0.5, 1.0, -1.0],
+                [[0.3, 0.7], [0.3, 0.7], [0.9, 0.1], [0.2, 0.8]], 0.9)
+        points = np.random.default_rng(0).normal(scale=5.0, size=(40, 2))
+        _, (low, high), weight = geometry._q_bracket(m, points)
+        assert np.all(weight[:, 0] == 0.0) and np.all(low[:, 0] == high[:, 0])
+
+    @pytest.mark.parametrize("n_states, n_actions, seed", [(3, 3, 0), (5, 4, 1), (2, 5, 2)])
+    def test_the_fibre_of_a_value(self, n_states, n_actions, seed):
+        # Every row in {pi_s in simplex : pi_s . Q_v(s, .) = v(s)} keeps the
+        # value v: moving an interior policy's rows within that set, at every
+        # state at once, leaves the solved value in place, and the policy of
+        # v lies in it. Moving a row off it moves the value.
+        m = random_mdp(n_states, n_actions, 0.9, seed=seed)
+        probs = random_policy(m, seed).probs
+        v = value_function(m, Policy(probs))
+        q = q_values(m, v)
+        moved = probs.copy()
+        for s in range(n_states):
+            # A direction with sum 0 and no component along Q_v(s, .).
+            d = np.linalg.svd(np.vstack([np.ones(n_actions), q[s]]))[2][-1]
+            step = 0.5 * np.min(probs[s][d < 0.0] / -d[d < 0.0])
+            moved[s] += step * d
+        assert not np.allclose(moved, probs)
+        np.testing.assert_allclose(value_function(m, Policy(moved)), v, rtol=0, atol=1e-12)
+        fibre = np.einsum("nsa,sa->ns", _policy_of(m, v[None]), q)[0]
+        np.testing.assert_allclose(fibre, v, rtol=0, atol=1e-12)
+        off = probs.copy()
+        off[0] = np.eye(n_actions)[np.argmax(q[0])]
+        assert np.abs(value_function(m, Policy(off)) - v).max() > 1e-6
 
 
 class TestRayExit:

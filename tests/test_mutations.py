@@ -185,6 +185,10 @@ ROWS = [
     (30, evaluation, "value_function", shrunk_value),
     (31, verification, "_split", coarse_split_floor),
     (32, verification, "_split", second_largest_split),
+    # The Q-bracket kernel: weights 1 - w, and gaps negated, so the boundary
+    # suite's argmax snaps the loosest state (the gaps' argmin) instead.
+    (33, geometry, "_q_bracket", after(lambda r: (r[0], r[1], 1.0 - r[2]))),
+    (34, geometry, "_q_bracket", after(lambda r: (-r[0], r[1], r[2]))),
 ]
 
 
