@@ -7,7 +7,7 @@ resolved from its module on first access (PEP 562), so a program, `vfp`
 included, runs only the modules it uses.
 """
 
-__version__ = "0.22.4"
+__version__ = "0.23.0"
 
 # Module -> the public names it defines; errors defines the exception types.
 _EXPORTS = {

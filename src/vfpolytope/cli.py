@@ -63,12 +63,12 @@ DEFAULT_ITERS = {"vi": 100, "pg": 2000, "entpg": 2000, "npg": 500,
 MAX_TRIALS = 10_000
 
 # Cap, in float64 cells (32 MiB), on --n*|S|*|A| for `sample`, --grid*|S|
-# for `line`, --iters*|S| for `dynamics` and CEM's (|S|*|A|)^2 covariance,
-# on which it runs eigh every iteration, checked before any work. Sampled
-# policies are drawn and evaluated one evaluation block at a time and every
-# output is written as it is formatted, so a command's peak memory is set by
-# its (--n, |S|) values, line values, trajectory values or CEM covariance,
-# each within the cap, not by the text it writes.
+# for `line`, --iters*|S| for `dynamics` and CEM's (500, |S|*|A|) population
+# block, checked before any work. Sampled policies are drawn and evaluated
+# one evaluation block at a time and every output is written as it is
+# formatted, so a command's peak memory is set by its (--n, |S|) values, line
+# values, trajectory values or CEM population, each within the cap, not by
+# the text it writes.
 MAX_CELLS = 1 << 22
 
 
@@ -214,9 +214,11 @@ def cmd_dynamics(args):
     elif args.entropy_coeff is not None:
         raise CliError(f"--entropy-coeff applies only to --algo entpg, not {args.algo}")
     mdp, inputs = _resolve_mdp(args.mdp)
-    cells = (mdp.n_states * mdp.n_actions) ** 2
+    block = (dynamics.CEM_POPULATION, mdp.n_states * mdp.n_actions)
+    cells = block[0] * block[1]
     if args.algo in ("cem", "cemcn") and cells > MAX_CELLS:
-        raise CapabilityError(f"CEM's covariance of {cells} cells exceeds the cap of {MAX_CELLS}")
+        raise CapabilityError(f"CEM's {block} population block of {cells} cells "
+                              f"exceeds the cap of {MAX_CELLS}")
     start, init_inputs = _resolve_dynamics_init(args, mdp)
     iters = None
     if args.algo != "pi":

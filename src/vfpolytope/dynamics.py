@@ -9,6 +9,7 @@ evaluate probability and action arrays; a Policy is built only where a
 caller receives one. The three gradient methods share one loop, _ascend,
 which owns its step's collapse and solve and calls its direction directly.
 Natural policy gradient steps along its closed form and builds no Fisher
+matrix, and CEM draws from its elites' QR factor and builds no covariance
 matrix. The standalone policy gradient, the visitation distribution and the
 damped Fisher solve whose limit that form is serve as test oracles in
 tests/oracles.py.
@@ -39,8 +40,9 @@ INIT_KINDS = ("vertex", "boundary", "interior")
 # resolve_init smooths one-hot rows by this much toward uniform.
 INIT_SMOOTHING = 0.01
 
-# Every CEM iteration draws CEM_POPULATION members, refits on the top
-# CEM_ELITES, and the covariance starts at CEM_INIT_COV * I.
+# Every CEM iteration draws CEM_POPULATION members and refits on the top
+# CEM_ELITES, whose centered rows give a factor of at most CEM_ELITES rows;
+# the covariance starts at CEM_INIT_COV * I, a factor of no rows.
 CEM_POPULATION = 500
 CEM_ELITES = 50
 CEM_INIT_COV = 0.1
@@ -79,7 +81,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CemConfig:
-    """Cross-entropy method knobs: covariance noise, iterations, seed."""
+    """Cross-entropy method settings: covariance noise, iterations, seed."""
 
     noise_scale: float = 0.0
     iterations: int = 100
@@ -312,64 +314,54 @@ def run_npg(mdp: Mdp, init: Policy, eta: float, iterations: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(cov)
-    return u * np.sqrt(np.clip(w, 0.0, None))
-
-
 def run_cem(mdp: Mdp, init: Policy, config: CemConfig) -> Trajectory:
     """Gaussian population search over flattened logits.
 
-    The mean starts at the init policy's logits and the covariance at
-    CEM_INIT_COV * I. Each iteration samples CEM_POPULATION parameter
-    vectors, scores them by the uniform-start value of their softmax policy,
-    refits mean and full maximum-likelihood covariance on the top
-    CEM_ELITES, then adds noise_scale * I to the covariance. Iteration k
-    draws its whole (CEM_POPULATION, dim) block of standard normals from one
-    stream, keyed by the seed with spawn_key (k,).
+    The covariance is held as factor.T @ factor + spread * I and never
+    formed; factor starts with r = 0 rows and spread at CEM_INIT_COV.
+    Iteration k draws a (CEM_POPULATION, r + dim) block z of standard
+    normals, without its last dim columns while spread is 0, from one stream
+    keyed by the seed with spawn_key (k,), and samples mean + z[:, :r] @
+    factor + sqrt(spread) * z[:, r:]. Members are scored by the
+    uniform-start value of their softmax policy. The top CEM_ELITES set the
+    mean, factor becomes the R of the QR of their centered rows over
+    sqrt(CEM_ELITES), their maximum-likelihood covariance in
+    min(CEM_ELITES, dim) rows, and spread becomes noise_scale.
 
     Raises:
-        NonFiniteLogits: the covariance or its trace overflowed.
+        NonFiniteLogits: the covariance's trace overflowed.
     """
     dim = mdp.n_states * mdp.n_actions
-    mean = _logits_of(mdp, init).reshape(-1)
-    cov = CEM_INIT_COV * np.eye(dim)
     shape = (mdp.n_states, mdp.n_actions)
-
-    def mean_value(m: np.ndarray) -> np.ndarray:
-        return _solve(mdp, _softmax_probs(m.reshape(shape))[None])[0, :, 0]
-
+    mean = _logits_of(mdp, init).reshape(-1)
+    factor, spread = np.empty((0, dim)), CEM_INIT_COV
     points = np.empty((config.iterations + 1, mdp.n_states))
     cov_trace = np.empty(config.iterations + 1)
     best_score = np.empty(config.iterations + 1)
-    points[0] = mean_value(mean)
-    cov_trace[0] = np.trace(cov)
-    best_score[0] = points[0].mean()
-    for k in range(1, config.iterations + 1):
-        root = _cov_sqrt(cov)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(k,))
-        )
-        z = rng.standard_normal((CEM_POPULATION, dim))
-        samples = mean[None, :] + z @ root.T
-        logits = samples.reshape(CEM_POPULATION, *shape)
-        scores = value_function_batch(mdp, _softmax_probs(logits)).mean(axis=1)
-        elite_idx = np.argsort(-scores, kind="stable")[:CEM_ELITES]
-        elites = samples[elite_idx]
-        new_mean = elites.mean(axis=0)
-        centered = elites - new_mean[None, :]
-        # An overflowing covariance is reported once, by the finiteness check
-        # below, not also as numpy warnings or as eigh failing to converge.
+    for k in range(config.iterations + 1):
+        if k > 0:
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+            r = len(factor)
+            z = rng.standard_normal((CEM_POPULATION, r + dim * (spread > 0.0)))
+            samples = mean + z[:, :r] @ factor
+            if spread > 0.0:
+                samples += np.sqrt(spread) * z[:, r:]
+            logits = samples.reshape(CEM_POPULATION, *shape)
+            scores = value_function_batch(mdp, _softmax_probs(logits)).mean(axis=1)
+            elite_idx = np.argsort(-scores, kind="stable")[:CEM_ELITES]
+            elites = samples[elite_idx]
+            mean = elites.mean(axis=0)
+            factor = np.linalg.qr((elites - mean) / np.sqrt(CEM_ELITES), mode="r")
+            spread = config.noise_scale
+            best_score[k] = scores[elite_idx[0]]
+        # An overflowing trace is reported once, by the finiteness check
+        # below, not also as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            cov = centered.T @ centered / CEM_ELITES
-            if config.noise_scale > 0.0:
-                cov = cov + config.noise_scale * np.eye(dim)
-            cov_trace[k] = np.trace(cov)
-        if not (np.isfinite(cov).all() and np.isfinite(cov_trace[k])):
+            cov_trace[k] = (factor * factor).sum() + spread * dim
+        if not np.isfinite(cov_trace[k]):
             raise NonFiniteLogits("CEM covariance contains NaN or infinity")
-        mean = new_mean
-        points[k] = mean_value(mean)
-        best_score[k] = scores[elite_idx[0]]
+        points[k] = _solve(mdp, _softmax_probs(mean.reshape(shape))[None])[0, :, 0]
+    best_score[0] = points[0].mean()
     return Trajectory(
         points=points, columns={"cov_trace": cov_trace, "best_score": best_score}
     )

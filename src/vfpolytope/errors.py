@@ -42,7 +42,7 @@ class IterationCap(VfpError):
 
 
 class NonFiniteLogits(VfpError):
-    """Logits or CEM's covariance hold NaN or infinity, or a start policy a zero."""
+    """Logits or CEM's covariance trace are NaN or infinite, or a start policy has a zero."""
 
 
 class UnknownSuite(VfpError):

@@ -19,6 +19,8 @@ Each computes what a package kernel computes by another route:
 - fisher_matrix and damped_natural_gradient: the softmax Fisher matrix and
   the damped solve (F + damping*I) g = grad J, whose limit as damping -> 0
   is run_npg's closed-form direction (Kakade 2001);
+- cem_covariance: the dense covariance F^T F + spread*I that run_cem holds
+  as a factor, F being a population's centered elites over sqrt(#elites);
 - fraction_solve and exact_value: policy evaluation in exact rational
   arithmetic, by Gaussian elimination over fractions.Fraction;
 - hull_2d and points_in_hull: a planar convex hull by monotone chain and
@@ -232,6 +234,12 @@ def damped_natural_gradient(mdp: Mdp, theta, damping: float) -> np.ndarray:
     grad = three_solve_gradient(mdp, theta)
     flat = np.linalg.solve(fisher + damping * np.eye(len(fisher)), grad.reshape(-1))
     return flat.reshape(grad.shape)
+
+
+def cem_covariance(elites: np.ndarray, spread: float) -> np.ndarray:
+    """F^T F + spread*I, with F the centered elites divided by sqrt(#elites)."""
+    factor = (elites - elites.mean(axis=0)) / np.sqrt(len(elites))
+    return factor.T @ factor + spread * np.eye(elites.shape[1])
 
 
 def fraction_solve(a, b) -> list[Fraction]:

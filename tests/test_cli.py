@@ -913,22 +913,40 @@ def test_deeply_nested_document_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["deep.json"]
 
 
+def one_state_document(n_actions: int) -> str:
+    return json.dumps({"n_states": 1, "n_actions": n_actions, "gamma": 0.9,
+                       "rewards": [0.0] * n_actions, "transitions": [[1.0]] * n_actions})
+
+
 @pytest.mark.parametrize("algo", ["cem", "cemcn"])
-def test_cem_covariance_past_the_cell_cap_exits_3(algo, tmp_path, monkeypatch, capsys):
-    # One state and 2,049 actions: a (2,049)^2 covariance, 4,198,401 cells
-    # against MAX_CELLS = 2^22; 2,048 actions fit exactly.
-    n_actions = 2049
-    assert n_actions**2 > cli.MAX_CELLS >= (n_actions - 1) ** 2
-    document = {"n_states": 1, "n_actions": n_actions, "gamma": 0.9,
-                "rewards": [0.0] * n_actions, "transitions": [[1.0]] * n_actions}
-    (tmp_path / "mdp.json").write_text(json.dumps(document))
+def test_cem_population_past_the_cell_cap_exits_3(algo, tmp_path, monkeypatch, capsys):
+    # One state and 8,389 actions: a (500, 8,389) population block, 4,194,500
+    # cells against MAX_CELLS = 2^22; 8,388 actions fit.
+    n_actions = 8389
+    assert 500 * n_actions > cli.MAX_CELLS >= 500 * (n_actions - 1)
+    (tmp_path / "mdp.json").write_text(one_state_document(n_actions))
     monkeypatch.chdir(tmp_path)
-    argv = ["dynamics", "--algo", algo, "--iters", "1", "--mdp", "mdp.json", "--out", "out.csv"]
+    # The refusal comes before --init is read: a missing policy file would exit 2.
+    argv = ["dynamics", "--algo", algo, "--iters", "1", "--mdp", "mdp.json",
+            "--init", "missing.json", "--out", "out.csv"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: CEM's covariance of 4198401 cells exceeds the cap of 4194304\n"
+    assert captured.err == (
+        "error: CEM's (500, 8389) population block of 4194500 cells exceeds the cap of 4194304\n"
+    )
     assert sorted(path.name for path in tmp_path.iterdir()) == ["mdp.json"]
+
+
+@pytest.mark.parametrize("algo", ["cem", "cemcn"])
+def test_cem_runs_where_a_dense_covariance_exceeds_the_cap(algo, tmp_path, monkeypatch):
+    # At 1 x 2,049 a dense (2,049)^2 covariance would exceed MAX_CELLS; the
+    # population block is 1,024,500 cells.
+    (tmp_path / "mdp.json").write_text(one_state_document(2049))
+    monkeypatch.chdir(tmp_path)
+    argv = ["dynamics", "--algo", algo, "--iters", "1", "--mdp", "mdp.json", "--out", "out.csv"]
+    assert main(argv) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,6 +11,7 @@ from vfpolytope import dynamics, evaluation
 from vfpolytope.dynamics import (
     CemConfig,
     Trajectory,
+    _softmax_probs,
     resolve_init,
     run_cem,
     run_npg,
@@ -29,6 +31,7 @@ from vfpolytope.mdp import (
 )
 
 from oracles import (
+    cem_covariance,
     damped_natural_gradient,
     discounted_distribution,
     fisher_matrix,
@@ -561,6 +564,101 @@ class TestCem:
             NonFiniteLogits, match="^CEM covariance contains NaN or infinity$"
         ):
             run_cem(DYN2, init, CemConfig(1.7e308, iterations, 0))
+
+
+def record_populations(monkeypatch) -> list[np.ndarray]:
+    """Make run_cem append each iteration's (population, dim) samples to a list."""
+    populations = []
+
+    def recording(theta):
+        if theta.ndim == 3:
+            populations.append(theta.reshape(len(theta), -1).copy())
+        return _softmax_probs(theta)
+
+    monkeypatch.setattr(dynamics, "_softmax_probs", recording)
+    return populations
+
+
+def elites_of(mdp: Mdp, population: np.ndarray) -> np.ndarray:
+    """The top CEM_ELITES of a population by uniform-start value, best first."""
+    logits = population.reshape(len(population), mdp.n_states, mdp.n_actions)
+    scores = evaluation.value_function_batch(mdp, _softmax_probs(logits))
+    order = np.argsort(-scores.mean(axis=1), kind="stable")
+    return population[order[: dynamics.CEM_ELITES]]
+
+
+class TestCemFactor:
+    """run_cem's factor form against the dense covariance it stands for."""
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05], ids=["cem", "cemcn"])
+    @pytest.mark.parametrize(
+        "mdp", [DYN2, random_mdp(8, 4, 0.9, 3)], ids=["dyn2", "random-8x4"]
+    )
+    def test_trace_column_is_the_dense_trace(self, mdp, noise_scale, monkeypatch):
+        populations = record_populations(monkeypatch)
+        config = CemConfig(noise_scale, 30, 0)
+        traj = run_cem(mdp, resolve_init(mdp, "interior"), config)
+        dim = mdp.n_states * mdp.n_actions
+        dense = [dynamics.CEM_INIT_COV * np.eye(dim)] + [
+            cem_covariance(elites_of(mdp, population), noise_scale)
+            for population in populations
+        ]
+        assert len(dense) == len(traj)
+        np.testing.assert_allclose(
+            traj.columns["cov_trace"], [np.trace(c) for c in dense], rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05], ids=["spread-0", "spread-0.05"])
+    def test_population_moments_match_the_dense_covariance(self, noise_scale, monkeypatch):
+        # With n = 100,000 draws the sample mean's entry i has standard error
+        # sqrt(C_ii / n) and the sample covariance's entry (i, j) about
+        # sqrt((C_ii C_jj + C_ij^2) / n). Every entry must lie within 5
+        # standard errors, which a correct sampler misses in one of these 40
+        # entries with odds below 1e-4.
+        n = 100_000
+        monkeypatch.setattr(dynamics, "CEM_POPULATION", n)
+        populations = record_populations(monkeypatch)
+        init = resolve_init(DYN2, "interior")
+        run_cem(DYN2, init, CemConfig(noise_scale, 2, 0))
+        dim = DYN2.n_states * DYN2.n_actions
+        first_elites = elites_of(DYN2, populations[0])
+        cases = [
+            (np.log(init.probs).reshape(-1), dynamics.CEM_INIT_COV * np.eye(dim)),
+            (first_elites.mean(axis=0), cem_covariance(first_elites, noise_scale)),
+        ]
+        for population, (mean, cov) in zip(populations, cases, strict=True):
+            assert population.shape == (n, dim)
+            variance = np.diag(cov)
+            mean_error = np.abs(population.mean(axis=0) - mean)
+            assert np.all(mean_error <= 5 * np.sqrt(variance / n))
+            cov_error = np.abs(np.cov(population, rowvar=False) - cov)
+            cov_se = np.sqrt((np.outer(variance, variance) + cov**2) / n)
+            assert np.all(cov_error <= 5 * cov_se)
+
+    def test_noise_free_population_spans_the_elites(self, monkeypatch):
+        # Past the first iteration a noise-free population is the mean plus
+        # combinations of the centered elites, which span at most 49
+        # dimensions of the 64 (de Boer et al. 2005).
+        mdp = random_mdp(1, 64, 0.9, 3)
+        populations = record_populations(monkeypatch)
+        run_cem(mdp, resolve_init(mdp, "interior"), CemConfig(0.0, 2, 0))
+        elites = elites_of(mdp, populations[0])
+        assert np.linalg.matrix_rank(populations[1] - elites.mean(axis=0)) == 49
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05], ids=["cem", "cemcn"])
+    def test_no_dense_covariance_is_held(self, noise_scale):
+        # A dense (2,048)^2 covariance alone would be 32 MiB, and a symmetric
+        # eigendecomposition of it needs several more; the factor form holds
+        # a few (500, 2,048) population arrays of 8 MiB at a time.
+        mdp = random_mdp(1, 2048, 0.9, 3)
+        init = resolve_init(mdp, "interior")
+        tracemalloc.start()
+        try:
+            run_cem(mdp, init, CemConfig(noise_scale, 2, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, peak
 
 
 class TestTrajectoryShape:

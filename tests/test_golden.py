@@ -17,8 +17,8 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 
 # name -> argv; {d} is the output directory, {mdp3}, {mdp64} and {mdp128} are
 # 3-, 64- and 128-state MDP documents, {mdp2x40} has 2 states and 40
-# actions, and {underflow} is a dyn2 policy document with a 1e-320 entry.
-# The 64-state cases evaluate more
+# actions, {mdp1x2049} has 1 state and 2,049 actions, and {underflow} is a
+# dyn2 policy document with a 1e-320 entry. The 64-state cases evaluate more
 # policies than one block of value_function_batch holds, so they pin values
 # across blocks; at 128 states a block holds 32 policies, so --n 70 ends on a
 # partial block of 6. sample-mdp3-blocks draws three policy-sampling blocks
@@ -27,7 +27,8 @@ ALGOS = ("vi", "pi", "pg", "entpg", "npg", "cem", "cemcn")
 # stops on value iteration's 1e-10 stop rule after 205 rows, short of its
 # 400 iterations. In dynamics-dyn2-underflow-entpg the softmax rounds one
 # probability to exactly 0 from step 5 on, so its entropy column pins the
-# 0 * log 0 = 0 branch.
+# 0 * log 0 = 0 branch. dynamics-mdp1x2049-cem runs CEM where a dense
+# covariance would hold 2,049^2 cells, past MAX_CELLS.
 CASES = {
     "sample-dyn2": "sample --mdp dyn2 --n 3000 --seed 7 --out {d}/out.csv --svg {d}/out.svg",
     "sample-mdp3-fix": "sample --mdp {mdp3} --n 500 --seed 3 --fix 0=copy-of-base --out {d}/out.csv",
@@ -53,6 +54,7 @@ CASES = {
     },
     "dynamics-dyn2-underflow-entpg": "dynamics --mdp dyn2 --algo entpg --init {underflow} --eta 1300 --iters 200 --out {d}/out.csv",
     "dynamics-dyn2-vi-converged": "dynamics --mdp dyn2 --algo vi --init interior --iters 400 --seed 1 --out {d}/out.csv",
+    "dynamics-mdp1x2049-cem": "dynamics --mdp {mdp1x2049} --algo cem --iters 3 --out {d}/out.csv",
     "dynamics-dyn2-svg": "dynamics --mdp dyn2 --algo npg --init boundary --iters 50 --seed 4 --out {d}/out.csv --svg {d}/out.svg",
     "verify-random": "verify --suite all --trials 2 --seed 1 --report {d}/out.json",
     "verify-dyn2": "verify --suite all --trials 2 --seed 1 --mdp dyn2 --report {d}/out.json",
@@ -97,7 +99,10 @@ CASES = {
 # 0.22.0, whose line, slice and dominance deviations are relative to
 # max(1, |v|_inf): the line and slice entries moved in the last bits, and
 # dominance's did not. dynamics-dyn2-underflow-entpg was recorded on 0.22.0,
-# before _log_entropy took the log of every probability.
+# before _log_entropy took the log of every probability. The cem and cemcn
+# cases were re-pinned on 0.23.0, which draws CEM's population from the
+# elites' QR factor instead of an eigh root of a dense covariance: same
+# distribution, other draws. dynamics-mdp1x2049-cem was recorded on 0.23.0.
 GOLDEN = {
     "dynamics-dyn2-boundary-entpg": (0, {
         "out.csv": "212f3eb1468bc4658579135aa1816a8f84117fcf406db514b2dac042835a39df",
@@ -109,10 +114,10 @@ GOLDEN = {
         "out.csv": "76f5025636b8da356814b0bdfdd467dbd29fe7d56a3c4995683dd53514b01dc1",
     }),
     "dynamics-dyn2-cem": (0, {
-        "out.csv": "3238349a063840f834695e838d9d0a3b04c9422200d3ac999cca1e026a403794",
+        "out.csv": "ce6e963a82bb6690f7d4cda4f6dae4641452bca25f85d07a2fc01990abb1348a",
     }),
     "dynamics-dyn2-cemcn": (0, {
-        "out.csv": "d609dcb4e458b948cc745daf9df2c87b534565286e36ae835ca7b2d006802ca6",
+        "out.csv": "8238ec733ece70b565e5a608f8973c1370887b1a9300f875972bc21fdc398954",
     }),
     "dynamics-dyn2-entpg": (0, {
         "out.csv": "4599208807bc3c817a47962d7f179c55c7de2ab6278cd4bf565d3498bce5b416",
@@ -139,11 +144,14 @@ GOLDEN = {
     "dynamics-dyn2-vi-converged": (0, {
         "out.csv": "6b9026ebb4bfbb56bdaeca229e37ce86eb1f3a68475a89bd4305b7d8464f12b4",
     }),
+    "dynamics-mdp1x2049-cem": (0, {
+        "out.csv": "7568f725879203974e106ee21b671a224d36f9d9ae9b76ba7f71ac80dd6031ad",
+    }),
     "dynamics-mdp3-cem": (0, {
-        "out.csv": "2c12739d53ebc07c2e2213cee5e9bd15d710ba312e756b50f06d97d0499c8a5b",
+        "out.csv": "48c6aa3ca7728c750ecaa3dba85d3551c5b20b2a1e9052d661d78b6308066e52",
     }),
     "dynamics-mdp3-cemcn": (0, {
-        "out.csv": "6c0c1b875935770299b3986d3179f806fd82886a5283a18d4c7acc43359fbdc9",
+        "out.csv": "b743e4f0840216082e5411a39813caf1e3ccb3811e85c197d8a8c56710bf67dc",
     }),
     "dynamics-mdp3-entpg": (0, {
         "out.csv": "4b007c2b8de9dc9a49c89f712a30a9fdb72d6acd5b53ba81d4d68fd0faffd3e4",
@@ -210,6 +218,7 @@ def documents(tmp_path_factory):
         ("mdp64", random_mdp(64, 3, 0.9, 1)),
         ("mdp128", random_mdp(128, 4, 0.95, 5)),
         ("mdp2x40", random_mdp(2, 40, 0.9, 2)),
+        ("mdp1x2049", random_mdp(1, 2049, 0.9, 3)),
     ):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(dump_mdp(mdp) + "\n")
